@@ -3,14 +3,15 @@
 Library layout:
 
 * ``network``      - agent graphs and combination matrices
-* ``models``       - observation models (Gaussian / exponential LLR) and the
-                     one-bit quantizer
+* ``models``       - observation models (Gaussian / exponential LLR) and
+                     their one-bit message levels
 * ``continuous``   - steady-state CDF of the continuous state component by
                      log-characteristic-function series inversion
 * ``discrete``     - PMF of the discrete component via truncated Bernoulli
                      convolutions and star-aggregated digit patterns
 * ``steady_state`` - mixture CDF of the full state and its Gaussian limit
-* ``simulate``     - Monte Carlo engine for the diffusion recursions
+* ``simulate``     - the update kernel of the diffusion recursions (with the
+                     one-bit quantizer) and the Monte Carlo engine
 * ``detection``    - P_f/P_d, threshold calibration, ROC curves
 * ``validation``   - brute-force oracles and the pass/fail check suite
 * ``cli``          - experiment driver (cdf / roc / adapt / validate)
@@ -25,14 +26,13 @@ from .discrete import (BernoulliApproxSpec, DiscretePmf, convolve,
                        discrete_component, merge_close, neighbor_component_pmf,
                        omega_k, table_first_order, table_second_order)
 from .models import (ExponentialModel, GaussianModel, ObservationModel,
-                     QuantizedMessage, cumulant_check, quantize, quantize_array)
+                     cumulant_check)
 from .network import (NetworkSpec, NodeParams, build_uniform_matrix,
                       from_matrix, neighbor_sets_from_edges, offdiag_square_sum,
                       reference_topology)
 from .simulate import (ONE_BIT_X, QUANTIZED_STATE, UNQUANTIZED, EmpiricalCdf,
                        SimConfig, TrialEnsemble, empirical_cdf, ks_distance,
-                       reaction_time, run, step_one_bit, step_quantized_state,
-                       step_unquantized)
+                       make_step, reaction_time, run)
 from .steady_state import (SteadyStateCdf, build_steady_state,
                            gaussian_limit_cdf, limit_moments, mixture_cdf,
                            select_mode, steady_state_pair)
@@ -43,16 +43,15 @@ __all__ = [
     "BernoulliApproxSpec", "ContinuousCdfTable", "ContinuousMoments",
     "DiscretePmf", "EmpiricalCdf", "ExponentialModel", "GaussianModel",
     "NetworkSpec", "NodeParams", "ONE_BIT_X", "ObservationModel",
-    "QUANTIZED_STATE", "QuantizedMessage", "RocCurve", "SimConfig",
-    "SteadyStateCdf", "TrialEnsemble", "UNQUANTIZED", "build_steady_state",
+    "QUANTIZED_STATE", "RocCurve", "SimConfig", "SteadyStateCdf",
+    "TrialEnsemble", "UNQUANTIZED", "build_steady_state",
     "build_uniform_matrix", "cdf_u", "cdf_u_gaussian_closed", "convolve",
     "cumulant_check", "default_gamma_grid", "discrete_component",
     "empirical_cdf", "empirical_roc", "from_matrix", "gaussian_limit_cdf",
-    "ks_distance", "limit_moments", "merge_close", "mixture_cdf", "moments",
-    "neighbor_component_pmf", "neighbor_sets_from_edges", "offdiag_square_sum",
-    "omega_k", "pf_pd", "phi_w_coefficients", "quantize", "quantize_array",
+    "ks_distance", "limit_moments", "make_step", "merge_close", "mixture_cdf",
+    "moments", "neighbor_component_pmf", "neighbor_sets_from_edges",
+    "offdiag_square_sum", "omega_k", "pf_pd", "phi_w_coefficients",
     "reaction_time", "reference_topology", "roc", "run", "select_delta",
-    "select_mode", "steady_state_pair", "step_one_bit", "step_quantized_state",
-    "step_unquantized", "table_first_order", "table_second_order",
-    "tabulate_cdf_u", "threshold_for_pf",
+    "select_mode", "steady_state_pair", "table_first_order",
+    "table_second_order", "tabulate_cdf_u", "threshold_for_pf",
 ]

@@ -27,8 +27,8 @@ import numpy as np
 from .config import ConfigError, ExperimentConfig, load_config
 from .detection import default_gamma_grid, empirical_roc, roc
 from .simulate import (ONE_BIT_X, QUANTIZED_STATE, UNQUANTIZED, SimConfig,
-                       ks_distance, reaction_time, run)
-from .steady_state import build_steady_state
+                       hypothesis_ensembles, ks_distance, reaction_time, run)
+from .steady_state import steady_state_pair
 from .validation import run_checks
 
 
@@ -53,49 +53,46 @@ def _stamp(cfg: ExperimentConfig, seed=None) -> str:
     return f"config_sha256={cfg.config_hash()} seed={cfg.seed if seed is None else seed}"
 
 
-def _steady_pair(cfg: ExperimentConfig, network, model, k):
+def _tag(param: float, a: float) -> str:
+    return f"par{param:g}_a{a:g}"
+
+
+def _sweep(cfg: ExperimentConfig):
+    """Walk the model and self-weight sweeps: run both single-hypothesis
+    ensembles once per sweep point, then yield, per output node,
+    ((param, a), k, (cdf0, cdf1), (node-k terminal states under h=0, h=1))."""
     kwargs = dict(eps_prime=cfg.eps_prime, eps_dprime=cfg.eps_dprime,
                   eps_scale=cfg.eps_scale, order=cfg.order,
                   value_rule=cfg.value_rule, eta_threshold=cfg.eta_threshold,
                   a_threshold=cfg.a_threshold)
-    return (build_steady_state(model, network, k, 0, cfg.mu, **kwargs),
-            build_steady_state(model, network, k, 1, cfg.mu, **kwargs))
-
-
-def _tag(param: float, a: float) -> str:
-    return f"par{param:g}_a{a:g}"
+    for param in cfg.model_param_sweep:
+        model = cfg.model_for(param)
+        for a in cfg.self_weight_sweep:
+            network = cfg.network_for(a)
+            terminal = hypothesis_ensembles(network, model, cfg.mu, cfg.n_iters,
+                                            cfg.trials, cfg.seed, cfg.scheme)
+            for k in cfg.nodes:
+                yield ((param, a), k,
+                       steady_state_pair(model, network, k, cfg.mu, **kwargs),
+                       (terminal[0][:, k], terminal[1][:, k]))
 
 
 def cmd_cdf(cfg: ExperimentConfig) -> int:
     out = Path(cfg.out_dir)
     ks_rows: list[tuple] = []
-    for param in cfg.model_param_sweep:
-        model = cfg.model_for(param)
-        for a in cfg.self_weight_sweep:
-            network = cfg.network_for(a)
-            ensembles = {}
-            for h in (0, 1):
-                sim = SimConfig(network=network, model=model, mu=cfg.mu,
-                                n_iters=cfg.n_iters, trials=cfg.trials,
-                                scheme=cfg.scheme, schedule=((1, h),),
-                                seed=cfg.seed)
-                ensembles[h] = run(sim)
-            for k in cfg.nodes:
-                cdf0, cdf1 = _steady_pair(cfg, network, model, k)
-                lo = min(cdf0.mean() - 6 * cdf0.std(), cdf1.mean() - 6 * cdf1.std())
-                hi = max(cdf0.mean() + 6 * cdf0.std(), cdf1.mean() + 6 * cdf1.std())
-                ys = np.linspace(lo, hi, 1001)
-                _write_csv(out / f"cdf_node{k}_{_tag(param, a)}.csv",
-                           ["y", "F_y_H0", "F_y_H1"],
-                           [ys, cdf0(ys), cdf1(ys)], _stamp(cfg))
-                for h in (0, 1):
-                    sample = np.sort(ensembles[h].terminal_states[:, k])
-                    femp = np.arange(1, len(sample) + 1) / len(sample)
-                    _write_csv(out / f"empirical_cdf_node{k}_{_tag(param, a)}_H{h}.csv",
-                               ["y", "F_hat"], [sample, femp], _stamp(cfg))
-                    cdf = cdf0 if h == 0 else cdf1
-                    ks_rows.append((k, param, a, h,
-                                    ks_distance(sample, cdf), len(sample)))
+    for (param, a), k, (cdf0, cdf1), samples in _sweep(cfg):
+        lo = min(cdf0.mean() - 6 * cdf0.std(), cdf1.mean() - 6 * cdf1.std())
+        hi = max(cdf0.mean() + 6 * cdf0.std(), cdf1.mean() + 6 * cdf1.std())
+        ys = np.linspace(lo, hi, 1001)
+        _write_csv(out / f"cdf_node{k}_{_tag(param, a)}.csv",
+                   ["y", "F_y_H0", "F_y_H1"],
+                   [ys, cdf0(ys), cdf1(ys)], _stamp(cfg))
+        for h, cdf in ((0, cdf0), (1, cdf1)):
+            sample = np.sort(samples[h])
+            femp = np.arange(1, len(sample) + 1) / len(sample)
+            _write_csv(out / f"empirical_cdf_node{k}_{_tag(param, a)}_H{h}.csv",
+                       ["y", "F_hat"], [sample, femp], _stamp(cfg))
+            ks_rows.append((k, param, a, h, ks_distance(sample, cdf), len(sample)))
     rows = list(zip(*ks_rows)) if ks_rows else [[]] * 6
     _write_csv(out / "ks_summary.csv",
                ["node", "model_param", "self_weight", "hypothesis", "ks", "trials"],
@@ -106,34 +103,19 @@ def cmd_cdf(cfg: ExperimentConfig) -> int:
 
 def cmd_roc(cfg: ExperimentConfig) -> int:
     out = Path(cfg.out_dir)
-    for param in cfg.model_param_sweep:
-        model = cfg.model_for(param)
-        for a in cfg.self_weight_sweep:
-            network = cfg.network_for(a)
-            ensembles = {}
-            for h in (0, 1):
-                sim = SimConfig(network=network, model=model, mu=cfg.mu,
-                                n_iters=cfg.n_iters, trials=cfg.trials,
-                                scheme=cfg.scheme, schedule=((1, h),),
-                                seed=cfg.seed)
-                ensembles[h] = run(sim)
-            for k in cfg.nodes:
-                cdf0, cdf1 = _steady_pair(cfg, network, model, k)
-                grid = default_gamma_grid(cdf0, cdf1, points=cfg.gamma_points,
-                                          span_stds=cfg.gamma_span,
-                                          eps=cfg.eps_prime)
-                ana = roc(cdf0, cdf1, grid, node=k)
-                emp = empirical_roc(ensembles[0].terminal_states[:, k],
-                                    ensembles[1].terminal_states[:, k],
-                                    grid, node=k)
-                gammas = np.concatenate([ana.gammas, emp.gammas])
-                pf = np.concatenate([ana.pf, emp.pf])
-                pd_ = np.concatenate([ana.pd, emp.pd])
-                source = np.array(["analytical"] * len(ana.gammas)
-                                  + ["empirical"] * len(emp.gammas))
-                _write_csv(out / f"roc_node{k}_{_tag(param, a)}.csv",
-                           ["gamma", "Pf", "Pd", "source"],
-                           [gammas, pf, pd_, source], _stamp(cfg))
+    for (param, a), k, (cdf0, cdf1), samples in _sweep(cfg):
+        grid = default_gamma_grid(cdf0, cdf1, points=cfg.gamma_points,
+                                  span_stds=cfg.gamma_span, eps=cfg.eps_prime)
+        ana = roc(cdf0, cdf1, grid, node=k)
+        emp = empirical_roc(samples[0], samples[1], grid, node=k)
+        gammas = np.concatenate([ana.gammas, emp.gammas])
+        pf = np.concatenate([ana.pf, emp.pf])
+        pd_ = np.concatenate([ana.pd, emp.pd])
+        source = np.array(["analytical"] * len(ana.gammas)
+                          + ["empirical"] * len(emp.gammas))
+        _write_csv(out / f"roc_node{k}_{_tag(param, a)}.csv",
+                   ["gamma", "Pf", "Pd", "source"],
+                   [gammas, pf, pd_, source], _stamp(cfg))
     print(f"wrote ROC artifacts to {out}")
     return 0
 

@@ -172,7 +172,8 @@ def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
         raise ConfigError(f"'analysis.order' must be first or second, got {order!r}")
     value_rule = _get(tree, "analysis.value_rule", "class_mean")
     if value_rule not in ("pattern", "class_mean"):
-        raise ConfigError(f"'analysis.value_rule' must be pattern or class_mean")
+        raise ConfigError("'analysis.value_rule' must be pattern or class_mean, "
+                          f"got {value_rule!r}")
     eta_threshold = float(_get(tree, "analysis.eta_threshold", 0.97))
     a_threshold = float(_get(tree, "analysis.a_threshold", 0.95))
     gamma_points = int(_get(tree, "analysis.gamma_grid.points", 241))

@@ -14,21 +14,16 @@ with t_n = (2n+1) delta/2. The grid step delta is chosen from tail bounds
 so that the aliasing error stays below a prescribed budget eps_prime; the
 inner coefficient series is truncated at m_bar with eta^m_bar <= eps_dprime.
 
-Two evaluation modes are provided. ``strict`` truncates the outer sum at
-n_bar = floor(tau/(eta delta) - 1), the largest index for which the inner
-power series of Phi_w(eta t) still converges; the neglected outer tail is
-checked numerically and can be non-negligible when the characteristic
-function has not yet decayed at the radius boundary. ``auto`` (default)
-continues the same series past n_bar, evaluating Phi_w by iterating the
-functional equation Phi_w(t) = Phi_x(t) + Phi_w(eta t) until the argument
-falls inside the radius, and stops once the residual tail is below the
-budget.
+Past the radius of the inner power series, Phi_w is evaluated by
+iterating the functional equation Phi_w(t) = Phi_x(t) + Phi_w(eta t) until
+the argument falls inside the radius; the outer sum stops once the
+residual tail is below the budget.
 """
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from math import ceil, floor, log, pi, sqrt
+from math import ceil, log, pi, sqrt
 
 import numpy as np
 from scipy.stats import norm
@@ -131,43 +126,17 @@ def select_delta(model: ObservationModel, node: NodeParams, h: int, u: float,
     return min(2.0 * pi * amu / den_lo, d_hi)
 
 
-@dataclass(frozen=True)
-class InversionPlan:
-    """Resolved truncation parameters for one evaluation point."""
-
-    delta: float
-    n_bar: int | None  # outer index cap imposed by a finite radius
-    m_bar: int
-
-
-def inversion_plan(model: ObservationModel, node: NodeParams, h: int, u: float,
-                   eps_prime: float = DEFAULT_EPS_PRIME,
-                   eps_dprime: float = DEFAULT_EPS_DPRIME) -> InversionPlan:
-    delta = select_delta(model, node, h, u, eps_prime)
-    tau = model.radius(h)
-    n_bar = None
-    if np.isfinite(tau):
-        n_bar = floor(tau / (node.eta * delta) - 1.0)
-        if n_bar < 0:
-            raise DeltaSelectionError(
-                "no admissible outer term: the radius bound tau/(eta delta) is "
-                "below 1; reduce eps_prime or evaluate closer to the bulk")
-    return InversionPlan(delta=delta, n_bar=n_bar, m_bar=default_m_bar(node.eta, eps_dprime))
-
-
-def log_cf_w(model: ObservationModel, node: NodeParams, h: int, t,
-             series_terms: int | None = None) -> np.ndarray:
+def log_cf_w(model: ObservationModel, node: NodeParams, h: int, t) -> np.ndarray:
     """Phi_w evaluated at real t >= 0 of any size.
 
     Arguments beyond a safe fraction of the radius are folded down with
     Phi_w(t) = Phi_x(t) + Phi_w(eta t); the remaining small argument uses
     the power series with enough terms for budget-level accuracy.
     """
-    t = np.atleast_1d(np.asarray(t, dtype=float))
+    t_cur = np.array(t, dtype=float, ndmin=1)
     eta = node.eta
     tau = model.radius(h)
-    acc = np.zeros(t.shape, dtype=complex)
-    t_cur = t.astype(float).copy()
+    acc = np.zeros(t_cur.shape, dtype=complex)
     if np.isfinite(tau):
         thr = _SERIES_ARG_FRACTION * tau
         while True:
@@ -176,45 +145,20 @@ def log_cf_w(model: ObservationModel, node: NodeParams, h: int, t,
                 break
             acc[mask] += model.log_cf(t_cur[mask], h)
             t_cur[mask] *= eta
-    m_terms = series_terms if series_terms is not None else max(
-        _MIN_SERIES_TERMS, default_m_bar(eta, DEFAULT_EPS_DPRIME))
+    m_terms = max(_MIN_SERIES_TERMS, default_m_bar(eta, DEFAULT_EPS_DPRIME))
     m = np.arange(1, m_terms + 1)
-    coef = model.phi_coeffs(m_terms, h) / (1.0 - eta ** m)
+    coef = phi_w_coefficients(model, node, h, m_terms)
     acc += (t_cur[:, None] ** m[None, :] * coef[None, :]).sum(axis=1)
     return acc
 
 
-def _omega_terms(model, node, h, u, delta, n_lo, n_hi, m_bar=None, strict=False):
-    """Series terms Im{exp[...]}/(2n+1) for n in [n_lo, n_hi)."""
-    n = np.arange(n_lo, n_hi)
-    t = (2 * n + 1) * (delta / 2.0)
-    eta = node.eta
-    if strict:
-        m = np.arange(1, m_bar + 1)
-        coef = model.phi_coeffs(m_bar, h) * eta ** m / (1.0 - eta ** m)
-        inner = (t[:, None] ** m[None, :] * coef[None, :]).sum(axis=1)
-        exponent = model.log_cf(t, h) + inner
-    else:
-        exponent = log_cf_w(model, node, h, t)
-    exponent = exponent - 1j * (u / (node.mu * node.a_k)) * t
-    vals = np.exp(exponent)
-    if not np.all(np.isfinite(vals)):
-        raise InversionError(
-            "non-finite term in the inversion series (coefficient overflow "
-            "near the radius); reduce delta")
-    return np.imag(vals) / (2 * n + 1)
-
-
 def cdf_u(u: float, model: ObservationModel, node: NodeParams, h: int,
           eps_prime: float = DEFAULT_EPS_PRIME,
-          eps_dprime: float = DEFAULT_EPS_DPRIME,
-          strict: bool = False) -> float:
+          eps_dprime: float = DEFAULT_EPS_DPRIME) -> float:
     """CDF of the steady-state continuous component at u, clamped to [0,1].
 
     Requires eta in (0,1) and an absolutely continuous limit (true for any
-    model whose statistic has a density). With ``strict=True`` the outer
-    sum stops at the radius-imposed cap n_bar and a diagnostic is emitted
-    when the last retained terms indicate a non-negligible neglected tail.
+    model whose statistic has a density).
     """
     if not 0.0 < node.eta < 1.0:
         raise ValueError(f"eta must be in (0,1), got {node.eta}")
@@ -230,32 +174,27 @@ def cdf_u(u: float, model: ObservationModel, node: NodeParams, h: int,
             return 0.0
     elif u <= mom.mean - spread:
         return 0.0
-    plan = inversion_plan(model, node, h, u, eps_prime, eps_dprime)
-    delta = plan.delta
-    if strict:
-        if plan.n_bar is None:
-            raise ValueError("strict truncation needs a finite series radius")
-        terms = _omega_terms(model, node, h, u, delta, 0, plan.n_bar + 1,
-                             m_bar=plan.m_bar, strict=True)
-        tail_probe = np.abs(terms[-10:]).sum() * (2.0 / pi)
-        if terms.size >= 10 and tail_probe > eps_prime / 10.0:
-            warnings.warn(
-                f"inversion tail check failed at u={u}: last 10 terms sum to "
-                f"{tail_probe:.2e} > eps_prime/10; the radius-capped series is "
-                "not converged (use the default mode)", RuntimeWarning)
-        total = terms.sum()
-    else:
-        total = 0.0
-        n0 = 0
-        while True:
-            terms = _omega_terms(model, node, h, u, delta, n0, n0 + _TAIL_BLOCK)
-            total += terms.sum()
-            if np.abs(terms).sum() * (2.0 / pi) < eps_prime / 20.0:
-                break
-            n0 += _TAIL_BLOCK
-            if n0 >= _MAX_TERMS:
-                raise InversionError(
-                    f"inversion series did not settle within {_MAX_TERMS} terms")
+    delta = select_delta(model, node, h, u, eps_prime)
+    total = 0.0
+    n0 = 0
+    while True:
+        # series terms Im{exp[Phi_w(t_n) - j (u/(mu a_k)) t_n]}/(2n+1)
+        n = np.arange(n0, n0 + _TAIL_BLOCK)
+        t = (2 * n + 1) * (delta / 2.0)
+        vals = np.exp(log_cf_w(model, node, h, t)
+                      - 1j * (u / (node.mu * node.a_k)) * t)
+        if not np.all(np.isfinite(vals)):
+            raise InversionError(
+                "non-finite term in the inversion series (coefficient overflow "
+                "near the radius); reduce delta")
+        terms = np.imag(vals) / (2 * n + 1)
+        total += terms.sum()
+        if np.abs(terms).sum() * (2.0 / pi) < eps_prime / 20.0:
+            break
+        n0 += _TAIL_BLOCK
+        if n0 >= _MAX_TERMS:
+            raise InversionError(
+                f"inversion series did not settle within {_MAX_TERMS} terms")
     raw = 0.5 - (2.0 / pi) * total
     return float(min(1.0, max(0.0, raw)))
 
@@ -275,11 +214,14 @@ class ContinuousCdfTable:
 
     Queries below/above the grid return 0/1; the builder verifies that the
     grid edges already carry negligible tail mass, so out-of-range queries
-    are exact to the tabulation budget.
+    are exact to the tabulation budget. ``mean`` and ``variance`` are the
+    closed-form moments of u (``moments``), not integrals of the table.
     """
 
     grid: np.ndarray
     values: np.ndarray
+    mean: float
+    variance: float
 
     def __post_init__(self):
         g = np.asarray(self.grid, dtype=float)
@@ -304,16 +246,22 @@ def tabulate_cdf_u(model: ObservationModel, node: NodeParams, h: int,
                    grid=None, n_points: int = 1501,
                    span_stds: float = 12.0,
                    eps_prime: float = DEFAULT_EPS_PRIME,
-                   eps_dprime: float = DEFAULT_EPS_DPRIME,
-                   method: str = "auto") -> ContinuousCdfTable:
+                   eps_dprime: float = DEFAULT_EPS_DPRIME) -> ContinuousCdfTable:
     """Tabulate F_u on a grid, enforce monotonicity, and wrap for reuse.
 
-    ``method``: "auto" picks the Gaussian closed form when available and
-    the series inversion otherwise; "series"/"closed" force the path. The
-    step delta is re-derived at every grid point. Raw values are clamped to
-    [0,1] and made nondecreasing by a cumulative-max pass; violations
-    beyond 5 eps_prime raise a diagnostic warning.
+    The Gaussian model uses its closed form; every other model uses the
+    series inversion, with the step delta re-derived at every grid point.
+    Raw values are clamped to [0,1] and made nondecreasing by a
+    cumulative-max pass; violations beyond 5 eps_prime raise a diagnostic
+    warning.
     """
+    if isinstance(model, GaussianModel):
+        def cdf(us):
+            return np.asarray(cdf_u_gaussian_closed(us, model, node, h))
+    else:
+        def cdf(us):
+            return np.array([cdf_u(u, model, node, h, eps_prime, eps_dprime)
+                             for u in us])
     mom = moments(model, node, h)
     sd = sqrt(mom.variance)
     if grid is None:
@@ -325,7 +273,8 @@ def tabulate_cdf_u(model: ObservationModel, node: NodeParams, h: int,
             lo = max(lo, u_min - 2.0 * sd / max(n_points - 1, 1))
         for _ in range(6):
             grid = np.linspace(lo, hi, n_points)
-            if _edge_ok(model, node, h, lo, hi, eps_prime, method):
+            f_lo, f_hi = cdf([lo, hi])
+            if f_lo <= 2.0 * eps_prime and f_hi >= 1.0 - 2.0 * eps_prime:
                 break
             lo -= 4.0 * sd
             hi += 4.0 * sd
@@ -335,13 +284,7 @@ def tabulate_cdf_u(model: ObservationModel, node: NodeParams, h: int,
             grid = np.linspace(lo, hi, n_points)
     else:
         grid = np.asarray(grid, dtype=float)
-    use_closed = method == "closed" or (method == "auto"
-                                        and isinstance(model, GaussianModel))
-    if use_closed:
-        raw = np.asarray(cdf_u_gaussian_closed(grid, model, node, h))
-    else:
-        raw = np.array([cdf_u(u, model, node, h, eps_prime, eps_dprime)
-                        for u in grid])
+    raw = cdf(grid)
     drops = np.diff(raw)
     worst = -drops.min() if drops.size else 0.0
     if worst > 5.0 * eps_prime:
@@ -349,14 +292,5 @@ def tabulate_cdf_u(model: ObservationModel, node: NodeParams, h: int,
             f"tabulated CDF decreases by {worst:.2e} (> 5 eps_prime); "
             "truncation ripple exceeds budget", RuntimeWarning)
     vals = np.minimum(1.0, np.maximum(0.0, np.maximum.accumulate(raw)))
-    return ContinuousCdfTable(grid=grid, values=vals)
-
-
-def _edge_ok(model, node, h, lo, hi, eps_prime, method):
-    if method == "closed" or (method == "auto" and isinstance(model, GaussianModel)):
-        f_lo = float(cdf_u_gaussian_closed(lo, model, node, h))
-        f_hi = float(cdf_u_gaussian_closed(hi, model, node, h))
-    else:
-        f_lo = cdf_u(lo, model, node, h, eps_prime)
-        f_hi = cdf_u(hi, model, node, h, eps_prime)
-    return f_lo <= 2.0 * eps_prime and f_hi >= 1.0 - 2.0 * eps_prime
+    return ContinuousCdfTable(grid=grid, values=vals, mean=mom.mean,
+                              variance=mom.variance)

@@ -130,12 +130,7 @@ def default_gamma_grid(cdf0, cdf1, points: int = DEFAULT_GRID_POINTS,
         pmf = getattr(cdf, "pmf", None)
         table = getattr(cdf, "cont", None)
         if pmf is not None and table is not None:
-            mid = 0.5 * (table.grid[:-1] + table.grid[1:])
-            w = np.diff(table.values)
-            w = w / w.sum()
-            cont_mean = float(mid @ w)
-            cont_std = float(np.sqrt(((mid - cont_mean) ** 2) @ w))
-            offs = np.array([-4.0, -2.0, 0.0, 2.0, 4.0]) * max(cont_std, 1e-12)
-            pieces.append((pmf.points[:, None] + cont_mean + offs[None, :]).ravel())
-    grid = np.unique(np.concatenate(pieces))
-    return grid
+            offs = np.array([-4.0, -2.0, 0.0, 2.0, 4.0]) * max(
+                np.sqrt(table.variance), 1e-12)
+            pieces.append((pmf.points[:, None] + table.mean + offs[None, :]).ravel())
+    return np.unique(np.concatenate(pieces))

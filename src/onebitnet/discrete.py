@@ -21,13 +21,8 @@ import numpy as np
 from .models import ObservationModel
 from .network import NetworkSpec, NodeParams
 
-PROB_SUM_TOL = 1e-10
 DEFAULT_EPS_SCALE = 0.1  # eps_{k,h} = scale * std(u) unless overridden
 MAX_CONVOLUTION_POINTS = 10 ** 6
-
-# ascending row order of the second-order value column is guaranteed only
-# below the golden-ratio conjugate; we sort unconditionally
-SECOND_ORDER_SORTED_BELOW = (sqrt(5.0) - 1.0) / 2.0
 
 _VALUE_RULES = ("pattern", "class_mean")
 

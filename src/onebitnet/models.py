@@ -1,4 +1,4 @@
-"""Observation models: marginal decision statistics and one-bit quantization.
+"""Observation models: marginal decision statistics and one-bit message levels.
 
 Each model describes the distribution of the scalar statistic x computed by
 an agent from a single observation, under both states of nature h = 0, 1.
@@ -10,7 +10,6 @@ inversion.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from math import log, sqrt
 
 import numpy as np
@@ -69,31 +68,6 @@ class ObservationModel(ABC):
     def message_values(self) -> tuple[float, float]:
         """(E_0 x, E_1 x): the two one-bit message levels."""
         return self.mean(0), self.mean(1)
-
-
-@dataclass(frozen=True)
-class QuantizedMessage:
-    """One-bit message: the transmitted level and its normalized symbol.
-
-    bit = +1 corresponds to value = E_1 x, bit = -1 to value = E_0 x.
-    """
-
-    value: float
-    bit: int
-
-
-def quantize(x_value: float, model: ObservationModel) -> QuantizedMessage:
-    """One-bit quantizer: send E_1 x when x >= gamma_loc, else E_0 x."""
-    e0, e1 = model.message_values()
-    if x_value >= model.gamma_loc:
-        return QuantizedMessage(value=e1, bit=+1)
-    return QuantizedMessage(value=e0, bit=-1)
-
-
-def quantize_array(x, model: ObservationModel) -> np.ndarray:
-    """Vectorized quantizer returning message levels."""
-    e0, e1 = model.message_values()
-    return np.where(np.asarray(x) >= model.gamma_loc, e1, e0)
 
 
 class GaussianModel(ObservationModel):

@@ -1,13 +1,17 @@
 """Monte Carlo engine for the diffusion recursions.
 
-Three schemes are simulated:
+Every scheme adapts, v = y + mu (x - y), then combines the self-term a_k v
+with what the neighbors send:
 
-* ``one_bit_x`` - adapt with the fresh statistic, then combine the
-  self-term with neighbors' one-bit quantized fresh statistics;
-* ``quantized_state`` - neighbors receive the one-bit quantized
-  intermediate state instead (comparison baseline with sluggish reaction);
-* ``unquantized`` - classical diffusion where full-precision intermediate
-  states are exchanged.
+* ``one_bit_x`` - their one-bit quantized fresh statistics;
+* ``quantized_state`` - their one-bit quantized intermediate states
+  (comparison baseline with sluggish reaction);
+* ``unquantized`` - their full-precision intermediate states (classical
+  diffusion, combined with the whole row of A).
+
+The one-bit quantizer sends E_1 x when its input is at least gamma_loc and
+E_0 x otherwise. ``make_step`` builds the single update kernel; ``run`` and
+the closed-form oracle checks in ``validation`` both drive it.
 
 Each trial draws its statistics from a counter-based Philox stream keyed
 by (master seed, trial index), so results are bit-identical regardless of
@@ -19,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .models import ObservationModel, quantize_array
+from .models import ObservationModel
 from .network import NetworkSpec
 
 ONE_BIT_X = "one_bit_x"
@@ -111,38 +115,26 @@ def draw_statistics(model: ObservationModel, h_steps: np.ndarray, n_nodes: int,
     return x
 
 
-def step_one_bit(y, x, model: ObservationModel, network: NetworkSpec,
-                 mu: float) -> np.ndarray:
-    """One update: adapt every node, then combine with the neighbors'
-    quantized fresh statistics (messages carry current-step information)."""
-    y = np.asarray(y, dtype=float)
-    x = np.asarray(x, dtype=float)
+def make_step(network: NetworkSpec, model: ObservationModel, mu: float,
+              scheme: str = ONE_BIT_X):
+    """The update kernel ``step(y, x) -> y_next`` of one scheme, for (S,) or
+    (trials, S) states; weights and message levels are resolved once."""
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}")
     a = np.diag(network.A)
-    c_mat = network.A - np.diag(a)
-    v = y + mu * (x - y)
-    msg = quantize_array(x, model)
-    return a * v + msg @ c_mat.T
+    c_t = (network.A - np.diag(a)).T
+    a_t = network.A.T
+    e0, e1 = model.message_values()
+    gamma = model.gamma_loc
 
+    def step(y, x):
+        v = y + mu * (x - y)
+        if scheme == UNQUANTIZED:
+            return v @ a_t
+        msg = np.where((x if scheme == ONE_BIT_X else v) >= gamma, e1, e0)
+        return a * v + msg @ c_t
 
-def step_quantized_state(y, x, model: ObservationModel, network: NetworkSpec,
-                         mu: float) -> np.ndarray:
-    """Baseline where neighbors receive the quantized intermediate state;
-    the self-term keeps its full-precision value."""
-    y = np.asarray(y, dtype=float)
-    x = np.asarray(x, dtype=float)
-    a = np.diag(network.A)
-    c_mat = network.A - np.diag(a)
-    v = y + mu * (x - y)
-    msg = quantize_array(v, model)
-    return a * v + msg @ c_mat.T
-
-
-def step_unquantized(y, x, network: NetworkSpec, mu: float) -> np.ndarray:
-    """Classical diffusion update: adapt, then combine full states."""
-    y = np.asarray(y, dtype=float)
-    x = np.asarray(x, dtype=float)
-    v = y + mu * (x - y)
-    return v @ network.A.T
+    return step
 
 
 def run(config: SimConfig, trajectory_nodes=(), y0=None,
@@ -161,11 +153,7 @@ def run(config: SimConfig, trajectory_nodes=(), y0=None,
     terminal = np.empty((config.trials, S))
     if chunk_trials is None:
         chunk_trials = max(1, min(config.trials, _CHUNK_BUDGET // (n * S)))
-    a = np.diag(config.network.A)
-    c_mat = config.network.A - np.diag(a)
-    a_t = config.network.A.T
-    e0, e1 = config.model.message_values()
-    gamma = config.model.gamma_loc
+    step = make_step(config.network, config.model, config.mu, config.scheme)
     start = 0
     while start < config.trials:
         count = min(chunk_trials, config.trials - start)
@@ -177,22 +165,23 @@ def run(config: SimConfig, trajectory_nodes=(), y0=None,
         if y0 is not None:
             y[:] = np.asarray(y0, dtype=float)
         for i in range(n):
-            xi = x[:, i, :]
-            v = y + config.mu * (xi - y)
-            if config.scheme == ONE_BIT_X:
-                msg = np.where(xi >= gamma, e1, e0)
-                y = a * v + msg @ c_mat.T
-            elif config.scheme == QUANTIZED_STATE:
-                msg = np.where(v >= gamma, e1, e0)
-                y = a * v + msg @ c_mat.T
-            else:
-                y = v @ a_t
+            y = step(y, x[:, i, :])
             for k in traj_nodes:
                 traj_sum[k][i] += y[:, k].sum()
         terminal[start:start + count] = y
         start += count
     trajectories = {k: traj_sum[k] / config.trials for k in traj_nodes}
     return TrialEnsemble(terminal_states=terminal, trajectories=trajectories)
+
+
+def hypothesis_ensembles(network: NetworkSpec, model: ObservationModel,
+                         mu: float, n_iters: int, trials: int, seed: int = 0,
+                         scheme: str = ONE_BIT_X) -> tuple[np.ndarray, np.ndarray]:
+    """Terminal states (trials x S) with h=0, then h=1, held for the whole run."""
+    return tuple(run(SimConfig(network=network, model=model, mu=mu,
+                               n_iters=n_iters, trials=trials, scheme=scheme,
+                               schedule=((1, h),), seed=seed)).terminal_states
+                 for h in (0, 1))
 
 
 class EmpiricalCdf:

@@ -37,6 +37,9 @@ MODE_GAUSSIAN_LIMIT = "gaussian_limit"
 DEFAULT_ETA_THRESHOLD = 0.97
 DEFAULT_A_THRESHOLD = 0.95
 
+# elements of the (thresholds x atoms) shift matrix evaluated at once
+_MIXTURE_BUDGET = 1 << 22
+
 
 def message_moments(model: ObservationModel, h: int) -> tuple[float, float]:
     """Mean and variance of the one-bit message under hypothesis h."""
@@ -91,11 +94,17 @@ def select_mode(node: NodeParams, eta_threshold: float = DEFAULT_ETA_THRESHOLD,
 
 
 def mixture_cdf(y, pmf: DiscretePmf, cont_cdf) -> np.ndarray:
-    """Evaluate sum_i nu_i F_u(y - z_i) (vectorized over y)."""
+    """Evaluate sum_i nu_i F_u(y - z_i) (vectorized over y, in row blocks
+    of at most _MIXTURE_BUDGET shifted points)."""
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    shifted = y[:, None] - pmf.points[None, :]
+    flat = y.ravel()
+    out = np.empty(flat.shape)
+    rows = max(1, _MIXTURE_BUDGET // pmf.size)
+    for i in range(0, flat.size, rows):
+        shifted = flat[i:i + rows, None] - pmf.points[None, :]
+        out[i:i + rows] = np.asarray(cont_cdf(shifted)) @ pmf.probs
     # clip: the weighted sum can exceed 1 by float-accumulation noise
-    return np.clip(np.asarray(cont_cdf(shifted)) @ pmf.probs, 0.0, 1.0)
+    return np.clip(out, 0.0, 1.0).reshape(y.shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,19 +132,12 @@ class SteadyStateCdf:
     def mean(self) -> float:
         if self.mode == MODE_GAUSSIAN_LIMIT:
             return self.m_inf
-        mid = 0.5 * (self.cont.grid[:-1] + self.cont.grid[1:])
-        w = np.diff(self.cont.values)
-        return float(mid @ w / w.sum()) + self.pmf.mean()
+        return self.cont.mean + self.pmf.mean()
 
     def std(self) -> float:
         if self.mode == MODE_GAUSSIAN_LIMIT:
             return self.s_inf
-        mid = 0.5 * (self.cont.grid[:-1] + self.cont.grid[1:])
-        w = np.diff(self.cont.values)
-        w = w / w.sum()
-        mu_c = float(mid @ w)
-        var_c = float(((mid - mu_c) ** 2) @ w)
-        return sqrt(var_c + self.pmf.variance())
+        return sqrt(self.cont.variance + self.pmf.variance())
 
 
 def build_steady_state(model: ObservationModel, network: NetworkSpec, k: int,

@@ -1,9 +1,11 @@
 """Independent cross-checks: brute-force oracles and a pass/fail suite.
 
 The oracles here deliberately avoid the production code paths: digit
-patterns are enumerated exhaustively, recursions are replaced by their
-closed-form expansions, and distributions are compared through
-Kolmogorov-Smirnov distances. The Theorem-2 check compares against the
+patterns are enumerated exhaustively, the recursions are written out as
+their closed-form expansions, and distributions are compared through
+Kolmogorov-Smirnov distances. ``iterate_scheme`` drives the production
+update kernel (``simulate.make_step``), so the closed-form expansions
+check the step that ``run`` uses. The Theorem-2 check compares against the
 limit normal plus its first-order Edgeworth term, whose skew comes from
 closed-form cumulants. The check suite mirrors the package's acceptance
 criteria and backs the ``validate`` CLI subcommand.
@@ -18,14 +20,15 @@ import numpy as np
 from scipy.stats import norm
 
 from .continuous import cdf_u, cdf_u_gaussian_closed, moments, phi_w_coefficients
-from .detection import default_gamma_grid, empirical_roc, roc
+from .detection import RocCurve, default_gamma_grid, empirical_roc, roc
 from .discrete import (BernoulliApproxSpec, DiscretePmf,
                        table_first_order, table_second_order)
 from .models import ExponentialModel, GaussianModel
 from .network import NetworkSpec, build_uniform_matrix, neighbor_sets_from_edges, \
     offdiag_square_sum, reference_topology
 from .simulate import (ONE_BIT_X, QUANTIZED_STATE, UNQUANTIZED, SimConfig,
-                       ks_distance, reaction_time, run)
+                       hypothesis_ensembles, ks_distance, make_step,
+                       reaction_time, run)
 from .steady_state import build_steady_state, limit_moments, steady_state_pair
 
 
@@ -125,17 +128,12 @@ def unquantized_matrix_state(network: NetworkSpec, mu: float, x: np.ndarray,
 
 def iterate_scheme(network: NetworkSpec, model, mu: float, scheme: str,
                    x: np.ndarray, y0: np.ndarray) -> np.ndarray:
-    """Step the chosen recursion over the provided draws (oracle side uses
-    plain Python iteration on vectors)."""
-    from .simulate import step_one_bit, step_quantized_state, step_unquantized
+    """Step the production kernel of the chosen scheme over the provided
+    draws x of shape (n, S), starting from y0."""
+    step = make_step(network, model, mu, scheme)
     y = np.array(y0, dtype=float)
     for xi in x:
-        if scheme == ONE_BIT_X:
-            y = step_one_bit(y, xi, model, network, mu)
-        elif scheme == QUANTIZED_STATE:
-            y = step_quantized_state(y, xi, model, network, mu)
-        else:
-            y = step_unquantized(y, xi, network, mu)
+        y = step(y, xi)
     return y
 
 
@@ -179,7 +177,6 @@ def check_marginal_probabilities() -> list[CheckResult]:
 
 def check_gaussian_series(quick: bool = False) -> list[CheckResult]:
     model = GaussianModel(1.0)
-    net = build_uniform_matrix(reference_topology(), 0.25)
     worst = 0.0
     a_values = (0.25,) if quick else (0.1, 0.25, 0.5)
     for a in a_values:
@@ -323,14 +320,11 @@ def check_figure_cdfs(quick: bool = False, seed: int = 0) -> list[CheckResult]:
     for model in models:
         for a in combos_a:
             net = build_uniform_matrix(reference_topology(), a)
+            terminal = hypothesis_ensembles(net, model, 0.1, 100, trials, seed)
             for h in (0, 1):
-                cfg = SimConfig(network=net, model=model, mu=0.1, n_iters=100,
-                                trials=trials, scheme=ONE_BIT_X,
-                                schedule=((1, h),), seed=seed)
-                ens = run(cfg)
                 for k in (3, 9):
                     cdf = build_steady_state(model, net, k, h, 0.1)
-                    ks = ks_distance(ens.terminal_states[:, k], cdf)
+                    ks = ks_distance(terminal[h][:, k], cdf)
                     results.append(_result(
                         f"steady_state/ks_{model.__class__.__name__}_a{a}_h{h}_node{k}",
                         ks, tol, f"trials={trials}"))
@@ -412,12 +406,10 @@ def check_theorem2(quick: bool = False, seed: int = 0) -> list[CheckResult]:
     results = []
     for model in (GaussianModel(1.0), ExponentialModel(5.0)):
         net = build_uniform_matrix(reference_topology(), 0.99)
+        terminal = hypothesis_ensembles(net, model, 0.01, n, trials, seed)
         for h in (0, 1):
-            cfg = SimConfig(network=net, model=model, mu=0.01, n_iters=n,
-                            trials=trials, schedule=((1, h),), seed=seed)
-            ens = run(cfg)
             m, s = limit_moments(model, net, 3, h, 0.01)
-            z = (ens.terminal_states[:, 3] - m) / s
+            z = (terminal[h][:, 3] - m) / s
             gamma = limit_skewness(model, net, 3, h, 0.01)
             ks = ks_distance(z, edgeworth_cdf(gamma))
             plain = ks_distance(z, norm.cdf)
@@ -453,54 +445,44 @@ def check_roc(quick: bool = False, seed: int = 0) -> list[CheckResult]:
     combos = [(GaussianModel(0.1), 0.25)] if quick else [
         (GaussianModel(rho), a) for rho in (0.1, 0.5) for a in (0.1, 0.25)
     ] + [(ExponentialModel(lam), a) for lam in (5.0, 8.0) for a in (0.1, 0.25)]
-    curves: dict[tuple, RocCurvePair] = {}
+    curves: dict[tuple, RocCurve] = {}
     for model, a in combos:
         net = build_uniform_matrix(reference_topology(), a)
-        ens = {}
-        for h in (0, 1):
-            cfg = SimConfig(network=net, model=model, mu=0.1, n_iters=100,
-                            trials=trials, schedule=((1, h),), seed=seed)
-            ens[h] = run(cfg)
+        terminal = hypothesis_ensembles(net, model, 0.1, 100, trials, seed)
         for k in (3, 9):
             cdf0, cdf1 = steady_state_pair(model, net, k, 0.1)
             grid = default_gamma_grid(cdf0, cdf1)
             ana = roc(cdf0, cdf1, grid, node=k)
-            emp = empirical_roc(ens[0].terminal_states[:, k],
-                                ens[1].terminal_states[:, k], grid, node=k)
+            emp = empirical_roc(terminal[0][:, k], terminal[1][:, k], grid,
+                                node=k)
             worst = float(max(np.max(np.abs(ana.pd - emp.pd)),
                               np.max(np.abs(ana.pf - emp.pf))))
             label = f"{model!r}_a{a}_node{k}"
             results.append(_result(f"roc/match_{label}", worst, tol,
                                    f"trials={trials}"))
-            curves[(repr(model), a, k)] = RocCurvePair(ana, emp)
+            curves[(repr(model), a, k)] = ana
     if not quick:
         margin = 0.01
         pf_grid = np.linspace(0.02, 0.98, 49)
         worst_rho = 0.0
         for a in (0.1, 0.25):
             for k in (3, 9):
-                hi = curves[(repr(GaussianModel(0.5)), a, k)].analytical
-                lo = curves[(repr(GaussianModel(0.1)), a, k)].analytical
+                hi = curves[(repr(GaussianModel(0.5)), a, k)]
+                lo = curves[(repr(GaussianModel(0.1)), a, k)]
                 worst_rho = max(worst_rho, float(np.max(
                     lo.pd_at_pf(pf_grid) - hi.pd_at_pf(pf_grid))))
         results.append(_result("roc/dominance_rho", worst_rho, margin))
         worst_node = 0.0
-        for (mrepr, a, k), pair in curves.items():
+        for (mrepr, a, k), curve in curves.items():
             if k != 3:
                 continue
             other = curves.get((mrepr, a, 9))
             if other is None:
                 continue
             worst_node = max(worst_node, float(np.max(
-                other.analytical.pd_at_pf(pf_grid) - pair.analytical.pd_at_pf(pf_grid))))
+                other.pd_at_pf(pf_grid) - curve.pd_at_pf(pf_grid))))
         results.append(_result("roc/dominance_node3_over_node9", worst_node, margin))
     return results
-
-
-@dataclass
-class RocCurvePair:
-    analytical: object
-    empirical: object
 
 
 def check_adaptivity(quick: bool = False, seed: int = 0) -> list[CheckResult]:
@@ -542,9 +524,17 @@ def check_mixture_invariants(seed: int = 0) -> list[CheckResult]:
                 ys = np.linspace(m - 6 * s, m + 6 * s, 501)
                 vals = cdf(ys)
                 worst_mono = max(worst_mono, float(np.max(np.maximum(0, -np.diff(vals)))))
+                # the mean read off F alone (Stieltjes sum of y dF on a grid
+                # widened until F < 1e-6 and F > 1 - 1e-6 at its ends), since
+                # cdf.mean() is the closed form below by construction
+                lo, hi = m - 6 * s, m + 6 * s
+                while cdf(lo) >= 1e-6 or cdf(hi) <= 1.0 - 1e-6:
+                    lo, hi = lo - (hi - lo), hi + (hi - lo)
+                ys = np.linspace(lo, hi, 20001)
+                integrated = float(0.5 * (ys[:-1] + ys[1:]) @ np.diff(cdf(ys)))
                 expected = moments(model, node, h).mean + cdf.pmf.mean()
                 scale = max(abs(expected), 1e-9)
-                worst_mean = max(worst_mean, abs(cdf.mean() - expected) / scale)
+                worst_mean = max(worst_mean, abs(integrated - expected) / scale)
     results.append(_result("steady_state/pmf_total_probability", worst_pmf, 1e-10))
     results.append(_result("steady_state/cdf_monotone", worst_mono, 1e-12))
     results.append(_result("steady_state/mixture_mean_additivity", worst_mean, 0.01))

@@ -76,6 +76,9 @@ class TestConfigParsing:
         text = BASE.replace("mu: 0.1", "mu: 1.5")
         with pytest.raises(ConfigError, match="dynamics.mu"):
             load_config(write_config(tmp_path, text))
+        text = BASE + "analysis:\n  value_rule: median\n"
+        with pytest.raises(ConfigError, match="value_rule.*'median'"):
+            load_config(write_config(tmp_path, text))
 
     def test_unknown_node_rejected(self, tmp_path):
         text = BASE.replace("nodes: [3, 9]", "nodes: [3, 99]")

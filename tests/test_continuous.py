@@ -6,8 +6,7 @@ from scipy.stats import ks_2samp, norm
 from onebitnet import (ExponentialModel, GaussianModel, cdf_u,
                        cdf_u_gaussian_closed, moments, phi_w_coefficients,
                        select_delta, tabulate_cdf_u)
-from onebitnet.continuous import (DeltaSelectionError, cdf_u as cdf_u_fn,
-                                  default_m_bar, inversion_plan, log_cf_w)
+from onebitnet.continuous import DeltaSelectionError, default_m_bar
 from onebitnet.network import NodeParams
 from onebitnet.simulate import ks_distance
 
@@ -138,15 +137,6 @@ class TestSelectDelta:
         spread = np.sqrt(2 * mom.variance / 2e-5)
         np.testing.assert_allclose(got, 2 * np.pi * 0.025 / spread, rtol=1e-12)
 
-    def test_plan_satisfies_radius_bound(self, expo5):
-        node = node_for(0.5)
-        for h in (0, 1):
-            mom = moments(expo5, node, h)
-            plan = inversion_plan(expo5, node, h, mom.mean)
-            assert plan.n_bar is not None
-            assert (plan.n_bar + 0.5) * plan.delta * node.eta < expo5.radius(h)
-            assert plan.m_bar == default_m_bar(node.eta, 2e-5)
-
 
 def gil_pelaez_quad(u, model, node, h):
     """High-precision inversion by adaptive quadrature (infinite-radius
@@ -231,27 +221,6 @@ class TestCdfU:
         vals = np.array([cdf_u(u, expo5, node, 1) for u in grid])
         assert np.all(vals >= 0) and np.all(vals <= 1)
         assert np.all(np.diff(vals) >= -5 * 2e-5)
-
-    def test_strict_mode_matches_when_tail_negligible(self, expo5):
-        # small eta: the radius cap covers the whole significant range
-        node = node_for(0.1)
-        mom = moments(expo5, node, 0)
-        for u in (mom.mean, mom.mean + np.sqrt(mom.variance)):
-            full = cdf_u(u, expo5, node, 0)
-            with pytest.warns(RuntimeWarning):
-                strict = cdf_u(u, expo5, node, 0, strict=True)
-            assert abs(full - strict) < 0.01
-
-    def test_strict_mode_emits_tail_diagnostic(self, expo5):
-        node = node_for(0.5)
-        mom = moments(expo5, node, 1)
-        with pytest.warns(RuntimeWarning, match="tail check"):
-            cdf_u(mom.mean, expo5, node, 1, strict=True)
-
-    def test_strict_requires_finite_radius(self, gauss1):
-        node = node_for(0.5)
-        with pytest.raises(ValueError, match="finite"):
-            cdf_u(0.0, gauss1, node, 1, strict=True)
 
 
 class TestDistributionalFixedPoint:

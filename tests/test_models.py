@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from onebitnet import (ExponentialModel, GaussianModel, cumulant_check,
-                       quantize, quantize_array)
+from onebitnet import (ExponentialModel, GaussianModel, build_uniform_matrix,
+                       cumulant_check, make_step)
 
 LOG5 = np.log(5.0)
 
@@ -110,41 +110,52 @@ class TestExponentialModel:
             ExponentialModel(1.0)
 
 
+def sent_levels(model, xs):
+    """Levels node 0 sends to node 1 through the production update kernel.
+
+    Two nodes with self-weight 1/2 start at rest and node 1 observes 0, so
+    node 1's next state is exactly half of node 0's one-bit message.
+    """
+    step = make_step(build_uniform_matrix([{0, 1}, {0, 1}], 0.5), model, 0.1)
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    x = np.column_stack([xs, np.zeros_like(xs)])
+    return step(np.zeros_like(x), x)[:, 1] / 0.5
+
+
 class TestQuantizer:
     def test_gaussian_positive(self, gauss1):
-        msg = quantize(0.3, gauss1)
-        assert msg.value == 1.0 and msg.bit == +1
+        assert sent_levels(gauss1, 0.3)[0] == 1.0
 
     def test_gaussian_negative(self, gauss1):
-        msg = quantize(-0.3, gauss1)
-        assert msg.value == -1.0 and msg.bit == -1
+        assert sent_levels(gauss1, -0.3)[0] == -1.0
 
     def test_exponential_negative(self, expo5):
-        msg = quantize(-1.0, expo5)
-        np.testing.assert_allclose(msg.value, 0.8 - LOG5, atol=1e-14)
-        assert msg.bit == -1
+        np.testing.assert_allclose(sent_levels(expo5, -1.0)[0], 0.8 - LOG5,
+                                   atol=1e-14)
 
     def test_bit_value_consistency(self, gauss1, expo5):
         for model in (gauss1, expo5):
             e0, e1 = model.message_values()
-            for x in (-2.0, -0.1, 0.0, 0.4, 3.0):
-                msg = quantize(x, model)
-                assert (msg.bit == +1) == (msg.value == e1)
-                # normalized symbol definition
-                b = (2 * msg.value - (e1 + e0)) / (e1 - e0)
-                np.testing.assert_allclose(b, msg.bit, atol=1e-12)
+            xs = np.array([-2.0, -0.1, 0.0, 0.4, 3.0])
+            vals = sent_levels(model, xs)
+            bits = np.where(xs >= model.gamma_loc, 1, -1)
+            np.testing.assert_array_equal(vals == e1, bits == 1)
+            # normalized symbol definition
+            b = (2 * vals - (e1 + e0)) / (e1 - e0)
+            np.testing.assert_allclose(b, bits, atol=1e-12)
 
     def test_vectorized_matches_scalar(self, expo5):
+        # the kernel on a (trials, S) batch equals the kernel on each (S,) row
+        step = make_step(build_uniform_matrix([{0, 1}, {0, 1}], 0.5), expo5, 0.1)
         xs = np.linspace(-2, 2, 11)
-        vals = quantize_array(xs, expo5)
-        for x, v in zip(xs, vals):
-            assert v == quantize(x, expo5).value
+        for x, v in zip(xs, sent_levels(expo5, xs)):
+            assert v == step(np.zeros(2), np.array([x, 0.0]))[1] / 0.5
 
     def test_empirical_rates(self, gauss1):
         rng = np.random.default_rng(3)
         for h, p in ((0, gauss1.p_f), (1, gauss1.p_d)):
             x = gauss1.sample(h, rng, 10 ** 6)
-            bits = quantize_array(x, gauss1) == gauss1.mean(1)
+            bits = x >= gauss1.gamma_loc
             se = np.sqrt(p * (1 - p) / len(x))
             assert abs(bits.mean() - p) < 4 * se
 

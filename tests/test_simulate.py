@@ -4,8 +4,7 @@ from scipy.stats import ks_2samp
 
 from onebitnet import (ExponentialModel, GaussianModel, SimConfig,
                        build_uniform_matrix, empirical_cdf, ks_distance,
-                       neighbor_sets_from_edges, reaction_time, run,
-                       step_one_bit, step_quantized_state, step_unquantized)
+                       make_step, neighbor_sets_from_edges, reaction_time, run)
 from onebitnet.simulate import ONE_BIT_X, QUANTIZED_STATE, UNQUANTIZED
 from onebitnet.validation import (explicit_one_bit_state, iterate_scheme,
                                   unquantized_matrix_state)
@@ -32,13 +31,17 @@ class TestSimConfig:
 
 
 class TestSingleSteps:
+    def test_unknown_scheme_rejected(self, gauss1, net_a25):
+        with pytest.raises(ValueError, match="scheme"):
+            make_step(net_a25, gauss1, 0.1, "bogus")
+
     def test_self_reliant_network_is_scalar_smoothing(self, gauss1):
         net = build_uniform_matrix([frozenset({0}), frozenset({1})], 1.0)
         y = np.array([0.4, -0.2])
         x = np.array([1.0, 0.5])
-        got = step_one_bit(y, x, gauss1, net, 0.1)
+        got = make_step(net, gauss1, 0.1, ONE_BIT_X)(y, x)
         np.testing.assert_allclose(got, (1 - 0.1) * y + 0.1 * x, atol=1e-15)
-        got_u = step_unquantized(y, x, net, 0.1)
+        got_u = make_step(net, gauss1, 0.1, UNQUANTIZED)(y, x)
         np.testing.assert_allclose(got_u, got, atol=1e-15)
 
     def test_hand_evaluated_single_step(self, gauss1):
@@ -49,7 +52,7 @@ class TestSingleSteps:
         x = np.zeros(10)
         x[9] = 0.5
         x[7] = -0.2
-        got = step_one_bit(y, x, gauss1, net, 0.1)
+        got = make_step(net, gauss1, 0.1, ONE_BIT_X)(y, x)
         np.testing.assert_allclose(got[9], 0.25 * 0.05 + 0.75 * (-1.0),
                                    atol=1e-15)
         assert got[9] == pytest.approx(-0.7375)
@@ -59,7 +62,8 @@ class TestSingleSteps:
         y = np.zeros(10)
         y[7] = 0.3 / 0.1  # v_7 = y + mu (x - y) = 0.3 when x = ... pick x directly
         x = np.zeros(10)
-        got = step_quantized_state(np.zeros(10), np.full(10, 0.3), gauss1, net, 0.1)
+        got = make_step(net, gauss1, 0.1, QUANTIZED_STATE)(np.zeros(10),
+                                                          np.full(10, 0.3))
         # all intermediate states are 0.03 >= 0, so every message is E1 x = 1
         expected_9 = 0.25 * (0.1 * 0.3) + 0.75 * 1.0
         np.testing.assert_allclose(got[9], expected_9, atol=1e-15)
@@ -92,10 +96,13 @@ class TestClosedFormOracles:
             np.testing.assert_allclose(y_end_u, ref_u, atol=1e-12)
 
     def test_run_matches_explicit_form_per_trial(self, gauss1):
+        # run()'s loop against both closed forms, on each trial's Philox draws
         net = make_network(0.25)
         cfg = SimConfig(network=net, model=gauss1, mu=0.1, n_iters=12,
                         trials=5, seed=3)
         ens = run(cfg)
+        ens_u = run(SimConfig(network=net, model=gauss1, mu=0.1, n_iters=12,
+                              trials=5, seed=3, scheme=UNQUANTIZED))
         from onebitnet.simulate import _trial_rng, draw_statistics
         for t in range(cfg.trials):
             rng = _trial_rng(cfg.seed, t)
@@ -103,6 +110,9 @@ class TestClosedFormOracles:
             for k in (0, 3, 9):
                 ref = explicit_one_bit_state(net, gauss1, 0.1, k, x, np.zeros(10))
                 assert abs(ens.terminal_states[t, k] - ref) < 1e-12
+            ref_u = unquantized_matrix_state(net, 0.1, x, np.zeros(10))
+            np.testing.assert_allclose(ens_u.terminal_states[t], ref_u, rtol=0,
+                                       atol=1e-12)
 
 
 class TestRunDeterminism:

@@ -80,6 +80,25 @@ class TestMixtureCdf:
         assert mixture_cdf(np.array([-1e6]), pmf, table)[0] == pytest.approx(0.0)
 
 
+    def test_row_blocks_match_pointwise(self, gauss1, monkeypatch):
+        # 2,000 atoms x 3,000 points spans two blocks of the default budget
+        from onebitnet import steady_state
+        node = make_network(0.25).node_params(3, 0.1)
+        table = tabulate_cdf_u(gauss1, node, 1, n_points=401)
+        rng = np.random.default_rng(0)
+        pmf = DiscretePmf(points=np.sort(rng.uniform(-2, 2, 2000)),
+                          probs=np.full(2000, 1 / 2000))
+        ys = np.linspace(-3, 3, 3000)
+        assert ys.size * pmf.size > steady_state._MIXTURE_BUDGET
+        blocked = mixture_cdf(ys, pmf, table)
+        pointwise = np.array([mixture_cdf(np.array([y]), pmf, table)[0] for y in ys])
+        np.testing.assert_allclose(blocked, pointwise, rtol=0, atol=1e-14)
+        # a small budget: many blocks, one of them ragged
+        monkeypatch.setattr(steady_state, "_MIXTURE_BUDGET", 7 * pmf.size)
+        np.testing.assert_allclose(mixture_cdf(ys, pmf, table), pointwise,
+                                   rtol=0, atol=1e-14)
+
+
 class TestSteadyStateCdf:
     @pytest.mark.parametrize("model_name,a,k,h", [
         ("gauss", 0.25, 3, 0), ("gauss", 0.5, 9, 1),
@@ -95,14 +114,23 @@ class TestSteadyStateCdf:
         assert np.all((0 <= vals) & (vals <= 1))
 
     def test_mean_additivity(self, gauss1, expo5):
+        # the mean is read off the evaluated CDF alone (Stieltjes sum of
+        # y dF), not from cdf.mean(), which is this closed form by design
         for model in (gauss1, expo5):
             for a in (0.1, 0.5):
                 net = make_network(a)
                 node = net.node_params(3, 0.1)
                 for h in (0, 1):
                     cdf = build_steady_state(model, net, 3, h, 0.1)
+                    lo = cdf.cont.grid[0] + cdf.pmf.points[0]
+                    hi = cdf.cont.grid[-1] + cdf.pmf.points[-1]
+                    while cdf(lo) >= 1e-6:
+                        lo -= hi - lo
+                    assert cdf(hi) > 1 - 1e-6
+                    ys = np.linspace(lo, hi, 20001)
+                    integrated = 0.5 * (ys[:-1] + ys[1:]) @ np.diff(cdf(ys))
                     expected = moments(model, node, h).mean + cdf.pmf.mean()
-                    assert abs(cdf.mean() - expected) / max(abs(expected), 1e-9) < 0.01
+                    assert abs(integrated - expected) / max(abs(expected), 1e-9) < 0.01
 
     def test_plateaus_when_dispersion_small(self, gauss1):
         # node 9, small self-weight: cluster gaps dwarf the continuous spread
