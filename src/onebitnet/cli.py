@@ -61,10 +61,7 @@ def _sweep(cfg: ExperimentConfig):
     """Walk the model and self-weight sweeps: run both single-hypothesis
     ensembles once per sweep point, then yield, per output node,
     ((param, a), k, (cdf0, cdf1), (node-k terminal states under h=0, h=1))."""
-    kwargs = dict(eps_prime=cfg.eps_prime, eps_dprime=cfg.eps_dprime,
-                  eps_scale=cfg.eps_scale, order=cfg.order,
-                  value_rule=cfg.value_rule, eta_threshold=cfg.eta_threshold,
-                  a_threshold=cfg.a_threshold)
+    kwargs = dict(eps_prime=cfg.eps_prime, eps_scale=cfg.eps_scale)
     for param in cfg.model_param_sweep:
         model = cfg.model_for(param)
         for a in cfg.self_weight_sweep:
@@ -159,8 +156,7 @@ def cmd_adapt(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def cmd_validate(cfg: ExperimentConfig | None, quick: bool, out_dir: str,
-                 seed: int) -> int:
+def cmd_validate(quick: bool, out_dir: str, seed: int) -> int:
     results = run_checks(quick=quick, seed=seed)
     for res in results:
         print(res.line())
@@ -215,8 +211,10 @@ def main(argv=None) -> int:
             cfg = load_config(args.config, overrides)
         if args.command == "validate":
             seed = args.seed if args.seed is not None else (cfg.seed if cfg else 0)
+            if seed < 0:
+                raise ConfigError(f"'--seed' = {seed} outside the valid range")
             out_dir = args.out or (cfg.out_dir if cfg else "out")
-            return cmd_validate(cfg, args.quick, out_dir, seed)
+            return cmd_validate(args.quick, out_dir, seed)
         assert cfg is not None
         return {"cdf": cmd_cdf, "roc": cmd_roc, "adapt": cmd_adapt}[args.command](cfg)
     except ConfigError as exc:

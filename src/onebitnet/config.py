@@ -38,9 +38,19 @@ def _require_range(value, path, lo, hi, lo_open=True, hi_open=True):
     return value
 
 
+def _require_keys(tree: dict, path: str, allowed: tuple[str, ...]) -> None:
+    node = _get(tree, path)
+    if node is not None and not isinstance(node, dict):
+        raise ConfigError(f"'{path}' must be a mapping")
+    for key in node or {}:
+        if key not in allowed:
+            raise ConfigError(f"'{path}.{key}' is not a setting "
+                              f"(allowed: {', '.join(allowed)})")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment description (see configs/ for examples)."""
+    """Validated experiment description (see configs/reference.yaml)."""
 
     raw: dict = field(repr=False)
     network: NetworkSpec = field(repr=False)
@@ -54,12 +64,7 @@ class ExperimentConfig:
     schedule: tuple[tuple[int, int], ...]
     scheme: str
     eps_prime: float
-    eps_dprime: float
     eps_scale: float
-    order: str
-    value_rule: str
-    eta_threshold: float
-    a_threshold: float
     gamma_points: int
     gamma_span: float
     out_dir: str
@@ -141,6 +146,7 @@ def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
     if trials < 1:
         raise ConfigError(f"'dynamics.trials' must be >= 1, got {trials}")
     seed = int(overrides.get("seed", _get(tree, "dynamics.seed", 0)))
+    _require_range(seed, "dynamics.seed", 0, float("inf"), lo_open=False)
     schedule_raw = _get(tree, "dynamics.schedule", [[1, "H0"]])
     schedule = []
     if not schedule_raw:
@@ -160,24 +166,17 @@ def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
     if scheme not in ("one_bit_x", "quantized_state", "unquantized"):
         raise ConfigError(f"'dynamics.scheme' unknown: {scheme!r}")
 
+    _require_keys(tree, "analysis", ("eps_prime", "eps_z_scale", "gamma_grid"))
+    _require_keys(tree, "analysis.gamma_grid", ("points", "std_span"))
     eps_prime = float(_get(tree, "analysis.eps_prime", 2e-5))
-    eps_dprime = float(_get(tree, "analysis.eps_dprime", 2e-5))
     eps_scale = float(_get(tree, "analysis.eps_z_scale", 0.1))
-    for name, value in (("analysis.eps_prime", eps_prime),
-                        ("analysis.eps_dprime", eps_dprime),
-                        ("analysis.eps_z_scale", eps_scale)):
-        _require_range(value, name, 0.0, 1.0)
-    order = _get(tree, "analysis.order", "second")
-    if order not in ("first", "second"):
-        raise ConfigError(f"'analysis.order' must be first or second, got {order!r}")
-    value_rule = _get(tree, "analysis.value_rule", "class_mean")
-    if value_rule not in ("pattern", "class_mean"):
-        raise ConfigError("'analysis.value_rule' must be pattern or class_mean, "
-                          f"got {value_rule!r}")
-    eta_threshold = float(_get(tree, "analysis.eta_threshold", 0.97))
-    a_threshold = float(_get(tree, "analysis.a_threshold", 0.95))
+    _require_range(eps_prime, "analysis.eps_prime", 0.0, 1.0)
+    _require_range(eps_scale, "analysis.eps_z_scale", 0.0, 1.0)
     gamma_points = int(_get(tree, "analysis.gamma_grid.points", 241))
     gamma_span = float(_get(tree, "analysis.gamma_grid.std_span", 6.0))
+    _require_range(gamma_points, "analysis.gamma_grid.points", 2, float("inf"),
+                   lo_open=False)
+    _require_range(gamma_span, "analysis.gamma_grid.std_span", 0.0, float("inf"))
 
     out_dir = str(overrides.get("out_dir", _get(tree, "output.directory", "out")))
     network = _build_network(tree)
@@ -193,8 +192,6 @@ def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
         raw=tree, network=network, model=make_model(kind, param),
         model_kind=kind, model_param=param, mu=mu, n_iters=n_iters,
         trials=trials, seed=seed, schedule=tuple(schedule), scheme=scheme,
-        eps_prime=eps_prime, eps_dprime=eps_dprime, eps_scale=eps_scale,
-        order=order, value_rule=value_rule, eta_threshold=eta_threshold,
-        a_threshold=a_threshold, gamma_points=gamma_points,
+        eps_prime=eps_prime, eps_scale=eps_scale, gamma_points=gamma_points,
         gamma_span=gamma_span, out_dir=out_dir, nodes=nodes,
         self_weight_sweep=sweep_a, model_param_sweep=sweep_par)

@@ -12,7 +12,8 @@ The CDF is recovered by a sine-series inversion
 
 with t_n = (2n+1) delta/2. The grid step delta is chosen from tail bounds
 so that the aliasing error stays below a prescribed budget eps_prime; the
-inner coefficient series is truncated at m_bar with eta^m_bar <= eps_dprime.
+inner coefficient series is truncated at m_bar with eta^m_bar <= eps'', a
+fixed budget (DEFAULT_EPS_DPRIME).
 
 Past the radius of the inner power series, Phi_w is evaluated by
 iterating the functional equation Phi_w(t) = Phi_x(t) + Phi_w(eta t) until
@@ -40,6 +41,7 @@ _SERIES_ARG_FRACTION = 0.5
 _MIN_SERIES_TERMS = 40
 _TAIL_BLOCK = 512
 _MAX_TERMS = 4_000_000
+_SPAN_STDS = 12.0  # half-width of the initial tabulation range, in stds
 
 
 class InversionError(RuntimeError):
@@ -52,11 +54,12 @@ class DeltaSelectionError(InversionError):
 
 @dataclass(frozen=True)
 class ContinuousMoments:
-    """Mean, variance, and dispersion index of the continuous component."""
+    """Mean, variance, dispersion index and support infimum of u."""
 
     mean: float
     variance: float
     dispersion: float
+    lower: float
 
 
 def moments(model: ObservationModel, node: NodeParams, h: int) -> ContinuousMoments:
@@ -64,6 +67,7 @@ def moments(model: ObservationModel, node: NodeParams, h: int) -> ContinuousMome
 
     mean = a_k mu E_h x / (1 - eta), variance = a_k^2 mu^2 V_h x / (1 - eta^2);
     the dispersion index sqrt(V)/|E| shrinks like sqrt((1-eta)/(1+eta)).
+    The support of u is bounded below by a_k mu inf(x) / (1 - eta).
     """
     if node.eta >= 1.0:
         raise ValueError("eta must be below 1; use the gaussian-limit mode instead")
@@ -76,7 +80,10 @@ def moments(model: ObservationModel, node: NodeParams, h: int) -> ContinuousMome
             (1.0 - node.eta) / (1.0 + node.eta))
     else:
         dispersion = np.inf
-    return ContinuousMoments(mean=mean, variance=variance, dispersion=dispersion)
+    lo = model.support_lower(h)
+    lower = s * lo / (1.0 - node.eta) if np.isfinite(lo) else -np.inf
+    return ContinuousMoments(mean=mean, variance=variance, dispersion=dispersion,
+                             lower=lower)
 
 
 def phi_w_coefficients(model: ObservationModel, node: NodeParams, h: int,
@@ -114,13 +121,10 @@ def select_delta(model: ObservationModel, node: NodeParams, h: int, u: float,
             f"evaluation point u={u} is beyond the upper Chebyshev window; "
             "widen eps_prime or use the moment bound directly")
     d_hi = 2.0 * pi * amu / den_hi
-    lo = model.support_lower(h)
-    if np.isfinite(lo):
-        u_min = amu * lo / (1.0 - node.eta)
-        if u <= u_min:
-            return d_hi
-        return min(2.0 * pi * amu / (u - u_min), d_hi)
-    den_lo = spread - mom.mean + u
+    if np.isfinite(mom.lower):
+        den_lo = u - mom.lower
+    else:
+        den_lo = spread - mom.mean + u
     if den_lo <= 0:
         return d_hi
     return min(2.0 * pi * amu / den_lo, d_hi)
@@ -153,8 +157,7 @@ def log_cf_w(model: ObservationModel, node: NodeParams, h: int, t) -> np.ndarray
 
 
 def cdf_u(u: float, model: ObservationModel, node: NodeParams, h: int,
-          eps_prime: float = DEFAULT_EPS_PRIME,
-          eps_dprime: float = DEFAULT_EPS_DPRIME) -> float:
+          eps_prime: float = DEFAULT_EPS_PRIME) -> float:
     """CDF of the steady-state continuous component at u, clamped to [0,1].
 
     Requires eta in (0,1) and an absolutely continuous limit (true for any
@@ -168,11 +171,7 @@ def cdf_u(u: float, model: ObservationModel, node: NodeParams, h: int,
     # window cannot be placed.
     if u >= mom.mean + spread:
         return 1.0
-    lo = model.support_lower(h)
-    if np.isfinite(lo):
-        if u <= node.a_k * node.mu * lo / (1.0 - node.eta):
-            return 0.0
-    elif u <= mom.mean - spread:
+    if u <= (mom.lower if np.isfinite(mom.lower) else mom.mean - spread):
         return 0.0
     delta = select_delta(model, node, h, u, eps_prime)
     total = 0.0
@@ -243,14 +242,14 @@ class ContinuousCdfTable:
 
 
 def tabulate_cdf_u(model: ObservationModel, node: NodeParams, h: int,
-                   grid=None, n_points: int = 1501,
-                   span_stds: float = 12.0,
-                   eps_prime: float = DEFAULT_EPS_PRIME,
-                   eps_dprime: float = DEFAULT_EPS_DPRIME) -> ContinuousCdfTable:
+                   n_points: int = 1501,
+                   eps_prime: float = DEFAULT_EPS_PRIME) -> ContinuousCdfTable:
     """Tabulate F_u on a grid, enforce monotonicity, and wrap for reuse.
 
-    The Gaussian model uses its closed form; every other model uses the
-    series inversion, with the step delta re-derived at every grid point.
+    The grid spans mean +/- 12 std (cut at the support infimum), widened
+    until both edges carry at most 2 eps_prime of tail mass. The Gaussian
+    model uses its closed form; every other model uses the series
+    inversion, with the step delta re-derived at every grid point.
     Raw values are clamped to [0,1] and made nondecreasing by a
     cumulative-max pass; violations beyond 5 eps_prime raise a diagnostic
     warning.
@@ -260,30 +259,23 @@ def tabulate_cdf_u(model: ObservationModel, node: NodeParams, h: int,
             return np.asarray(cdf_u_gaussian_closed(us, model, node, h))
     else:
         def cdf(us):
-            return np.array([cdf_u(u, model, node, h, eps_prime, eps_dprime)
-                             for u in us])
+            return np.array([cdf_u(u, model, node, h, eps_prime) for u in us])
     mom = moments(model, node, h)
     sd = sqrt(mom.variance)
-    if grid is None:
-        lo = mom.mean - span_stds * sd
-        hi = mom.mean + span_stds * sd
-        support_lo = model.support_lower(h)
-        if np.isfinite(support_lo):
-            u_min = node.a_k * node.mu * support_lo / (1.0 - node.eta)
-            lo = max(lo, u_min - 2.0 * sd / max(n_points - 1, 1))
-        for _ in range(6):
-            grid = np.linspace(lo, hi, n_points)
-            f_lo, f_hi = cdf([lo, hi])
-            if f_lo <= 2.0 * eps_prime and f_hi >= 1.0 - 2.0 * eps_prime:
-                break
-            lo -= 4.0 * sd
-            hi += 4.0 * sd
-        else:
-            warnings.warn("tabulation range extension did not converge",
-                          RuntimeWarning)
-            grid = np.linspace(lo, hi, n_points)
+    lo = max(mom.mean - _SPAN_STDS * sd,
+             mom.lower - 2.0 * sd / max(n_points - 1, 1))
+    hi = mom.mean + _SPAN_STDS * sd
+    for _ in range(6):
+        grid = np.linspace(lo, hi, n_points)
+        f_lo, f_hi = cdf([lo, hi])
+        if f_lo <= 2.0 * eps_prime and f_hi >= 1.0 - 2.0 * eps_prime:
+            break
+        lo -= 4.0 * sd
+        hi += 4.0 * sd
     else:
-        grid = np.asarray(grid, dtype=float)
+        warnings.warn("tabulation range extension did not converge",
+                      RuntimeWarning)
+        grid = np.linspace(lo, hi, n_points)
     raw = cdf(grid)
     drops = np.diff(raw)
     worst = -drops.min() if drops.size else 0.0

@@ -9,7 +9,8 @@ digit patterns to the patterns with at most one (first order) or two
 folded into the retained pattern that shares its leading unlikely digits
 (star aggregation). Affine mapping to the state scale and cross-neighbor
 convolution with value merging yield the PMF of the full discrete
-component.
+component; ``discrete_component`` uses the second-order table with
+class-mean values (the other variants serve the oracles and tests).
 """
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ from math import ceil, log, sqrt
 
 import numpy as np
 
+from .continuous import moments
 from .models import ObservationModel
 from .network import NetworkSpec, NodeParams
 
@@ -93,14 +95,12 @@ class BernoulliApproxSpec:
 
     p is the probability of the likely symbol +1 (the marginal detection
     probability under h=1, one minus the false-alarm probability under
-    h=0); omega is the truncation length; order selects how many unlikely
-    digits are resolved exactly.
+    h=0); omega is the truncation length.
     """
 
     p: float
     eta: float
     omega: int
-    order: str = "second"
 
     def __post_init__(self):
         if not 0.0 < self.p < 1.0:
@@ -109,8 +109,6 @@ class BernoulliApproxSpec:
             raise ValueError(f"eta must be in (0,1), got {self.eta}")
         if self.omega < 1:
             raise ValueError("omega must be a positive integer")
-        if self.order not in ("first", "second"):
-            raise ValueError(f"unknown order {self.order!r}")
 
 
 def omega_k(model: ObservationModel, node: NodeParams, h: int,
@@ -150,8 +148,6 @@ def table_first_order(spec: BernoulliApproxSpec,
     the printed pattern value, or the class conditional mean (which keeps
     the PMF mean equal to that of the truncated variable).
     """
-    if spec.order != "first":
-        raise ValueError("spec.order must be 'first'")
     _check_value_rule(value_rule)
     p, eta, omega = spec.p, spec.eta, spec.omega
     i = np.arange(omega)
@@ -176,8 +172,6 @@ def table_second_order(spec: BernoulliApproxSpec, value_rule: str = "pattern",
     ``merge=False``. Rows are sorted, since the tabulated order is
     ascending only for eta below (sqrt(5)-1)/2.
     """
-    if spec.order != "second":
-        raise ValueError("spec.order must be 'second'")
     _check_value_rule(value_rule)
     p, eta, omega = spec.p, spec.eta, spec.omega
     q = 1.0 - p
@@ -204,12 +198,6 @@ def table_second_order(spec: BernoulliApproxSpec, value_rule: str = "pattern",
 def _check_value_rule(value_rule):
     if value_rule not in _VALUE_RULES:
         raise ValueError(f"value_rule must be one of {_VALUE_RULES}")
-
-
-def normalized_table(spec: BernoulliApproxSpec, value_rule: str = "pattern") -> DiscretePmf:
-    if spec.order == "first":
-        return table_first_order(spec, value_rule)
-    return table_second_order(spec, value_rule)
 
 
 def merge_close(pmf: DiscretePmf, tol: float) -> DiscretePmf:
@@ -259,27 +247,26 @@ def neighbor_component_pmf(zhat: DiscretePmf, model: ObservationModel,
                            shift=scale * (e1 + e0) / 2.0)
 
 
-def convolve(pmfs, merge_tol: float, pre_merge: bool = True,
-             max_points: int = MAX_CONVOLUTION_POINTS) -> DiscretePmf:
+def convolve(pmfs, merge_tol: float) -> DiscretePmf:
     """Exact pairwise convolution with value merging after every step.
 
-    ``pre_merge`` additionally coarsens each input to the same tolerance
-    before convolving, which bounds intermediate support sizes; the error
-    stays within the same merge slack. Exceeding ``max_points`` candidate
-    points in one step raises, signalling that the merge tolerance is too
-    fine for the requested network.
+    Each input is first coarsened to the same tolerance, which bounds
+    intermediate support sizes; the error stays within the same merge
+    slack. Exceeding MAX_CONVOLUTION_POINTS candidate points in one step
+    raises, signalling that the merge tolerance is too fine for the
+    requested network.
     """
     pmfs = list(pmfs)
     if not pmfs:
         raise ValueError("need at least one PMF")
-    if pre_merge and merge_tol > 0:
+    if merge_tol > 0:
         pmfs = [merge_close(p, merge_tol) for p in pmfs]
     acc = pmfs[0]
     for nxt in pmfs[1:]:
-        if acc.size * nxt.size > max_points:
+        if acc.size * nxt.size > MAX_CONVOLUTION_POINTS:
             raise ValueError(
-                f"convolution support would exceed {max_points} points; "
-                "increase the merge tolerance")
+                f"convolution support would exceed {MAX_CONVOLUTION_POINTS} "
+                "points; increase the merge tolerance")
         pts = (acc.points[:, None] + nxt.points[None, :]).ravel()
         pr = (acc.probs[:, None] * nxt.probs[None, :]).ravel()
         order = np.argsort(pts, kind="stable")
@@ -300,37 +287,29 @@ def _combine_sorted(points, probs):
 
 
 def discrete_component(model: ObservationModel, network: NetworkSpec, k: int,
-                       h: int, eps_kh: float | None = None,
-                       order: str = "second", mu: float | None = None,
-                       node: NodeParams | None = None,
-                       value_rule: str = "class_mean") -> DiscretePmf:
+                       h: int, mu: float,
+                       eps_scale: float = DEFAULT_EPS_SCALE) -> DiscretePmf:
     """End-to-end PMF of the steady-state discrete component of node k.
 
-    Pipeline: truncation length from the error budget -> normalized table
-    (under h=0 the table is built on the sign-flipped variable with
-    p = 1 - p_f and then negated) -> per-neighbor affine map -> convolution
-    across neighbors with state-scale merging. ``eps_kh`` defaults to
-    0.1 * std of the continuous component. The default ``class_mean`` value
-    rule keeps the PMF mean exact; ``pattern`` reproduces the printed
-    table values.
+    Pipeline: truncation length from the error budget
+    eps_{k,h} = eps_scale * std(u) -> second-order table with class-mean
+    values, which keep the PMF mean exact (under h=0 the table is built on
+    the sign-flipped variable with p = 1 - p_f and then negated) ->
+    per-neighbor affine map -> convolution across neighbors with
+    state-scale merging.
 
     A node whose only neighbor is itself contributes nothing: the result
     is a point mass at 0.
     """
-    if node is None:
-        if mu is None:
-            raise ValueError("provide mu (or a prebuilt NodeParams)")
-        node = network.node_params(k, mu)
+    node = network.node_params(k, mu)
     neighbors = sorted(set(network.neighbors[k]) - {k})
     if not neighbors:
         return point_mass(0.0)
-    if eps_kh is None:
-        from .continuous import moments
-        eps_kh = DEFAULT_EPS_SCALE * sqrt(moments(model, node, h).variance)
+    eps_kh = eps_scale * sqrt(moments(model, node, h).variance)
     omega = omega_k(model, node, h, eps_kh)
     p = model.p_d if h == 1 else 1.0 - model.p_f
-    spec = BernoulliApproxSpec(p=p, eta=node.eta, omega=omega, order=order)
-    table = normalized_table(spec, value_rule)
+    spec = BernoulliApproxSpec(p=p, eta=node.eta, omega=omega)
+    table = table_second_order(spec, "class_mean")
     if h == 0:
         table = table.map_affine(slope=-1.0, shift=0.0)
     e0, e1 = model.message_values()

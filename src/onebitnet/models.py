@@ -41,8 +41,9 @@ class ObservationModel(ABC):
         """Phi_{x,h}(t); accepts real or complex t, vectorized."""
 
     @abstractmethod
-    def phi_coeff(self, n: int, h: int) -> complex:
-        """Coefficient of t**n in the power series of log_cf around 0."""
+    def phi_coeffs(self, n_max: int, h: int) -> np.ndarray:
+        """Coefficients of t**1 .. t**n_max in the power series of log_cf
+        around 0."""
 
     @abstractmethod
     def radius(self, h: int) -> float:
@@ -61,9 +62,6 @@ class ObservationModel(ABC):
     def support_lower(self, h: int) -> float:
         """Infimum of the support of x under h (-inf when unbounded)."""
         return -np.inf
-
-    def phi_coeffs(self, n_max: int, h: int) -> np.ndarray:
-        return np.array([self.phi_coeff(n, h) for n in range(1, n_max + 1)])
 
     def message_values(self) -> tuple[float, float]:
         """(E_0 x, E_1 x): the two one-bit message levels."""
@@ -100,12 +98,10 @@ class GaussianModel(ObservationModel):
         t = np.asarray(t)
         return 1j * t * self.mean(h) - 0.5 * t * t * self.variance(h)
 
-    def phi_coeff(self, n, h):
-        if n == 1:
-            return 1j * self.mean(h)
-        if n == 2:
-            return complex(-self.variance(h) / 2.0)
-        return 0j
+    def phi_coeffs(self, n_max, h):
+        out = np.zeros(n_max, dtype=complex)
+        out[:2] = (1j * self.mean(h), -self.variance(h) / 2.0)[:n_max]
+        return out
 
     def radius(self, h):
         return np.inf
@@ -157,11 +153,6 @@ class ExponentialModel(ObservationModel):
         t = np.asarray(t, dtype=complex)
         return -1j * t * self._log_lam - np.log(1.0 - 1j * t * self._scale(h))
 
-    def phi_coeff(self, n, h):
-        if n == 1:
-            return 1j * self.mean(h)
-        return (1j * self._scale(h)) ** n / n
-
     def phi_coeffs(self, n_max, h):
         n = np.arange(1, n_max + 1)
         out = (1j * self._scale(h)) ** n / n
@@ -197,10 +188,11 @@ def cumulant_check(model: ObservationModel, h: int, n_max: int = 6) -> np.ndarra
     n_theta = 256
     theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
     vals = model.log_cf(r * np.exp(1j * theta), h)
+    coeffs = model.phi_coeffs(n_max, h)
     residuals = np.empty(n_max)
     for n in range(1, n_max + 1):
         num = np.mean(vals * np.exp(-1j * n * theta)) / r ** n
-        ref = model.phi_coeff(n, h)
+        ref = coeffs[n - 1]
         scale = max(abs(ref), 1e-9)
         residuals[n - 1] = abs(num - ref) / scale
     return residuals

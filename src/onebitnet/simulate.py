@@ -61,6 +61,8 @@ class SimConfig:
             raise ValueError("n_iters and trials must be at least 1")
         if not 0 < self.mu < 1:
             raise ValueError("mu must be in (0,1)")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         sched = tuple((int(s), int(h)) for s, h in self.schedule)
         if not sched or sched[0][0] != 1:
             raise ValueError("schedule must start at step 1")

@@ -10,8 +10,9 @@ When the memory factor eta = (1-mu) a_k approaches one (vanishing step
 size AND dominant self-weight), both components degenerate and the
 standardized state is asymptotically standard normal instead; that regime
 is served by closed-form limit moments and a normal CDF. A small step
-size alone does not produce normality, so mode selection requires both
-eta and a_k to be large. The ``gaussian_limit`` mode is the plain normal:
+size alone does not produce normality, so ``select_mode`` takes the limit
+only when eta >= ETA_THRESHOLD and a_k >= A_THRESHOLD (fixed constants,
+0.97 and 0.95). The ``gaussian_limit`` mode is the plain normal:
 at finite eta the state keeps a skew gamma = kappa_3 / s^3, and the sup
 error of the plain normal is then about |gamma| phi(0) / 6 (the
 first-order Edgeworth term; see ``validation.limit_skewness``).
@@ -24,8 +25,7 @@ from math import sqrt
 import numpy as np
 from scipy.stats import norm
 
-from .continuous import (ContinuousCdfTable, DEFAULT_EPS_DPRIME,
-                         DEFAULT_EPS_PRIME, moments, tabulate_cdf_u)
+from .continuous import ContinuousCdfTable, DEFAULT_EPS_PRIME, tabulate_cdf_u
 from .discrete import DEFAULT_EPS_SCALE, DiscretePmf, discrete_component
 from .models import ObservationModel
 from .network import NetworkSpec, NodeParams
@@ -34,8 +34,8 @@ from .network import offdiag_square_sum
 MODE_MIXTURE = "mixture"
 MODE_GAUSSIAN_LIMIT = "gaussian_limit"
 
-DEFAULT_ETA_THRESHOLD = 0.97
-DEFAULT_A_THRESHOLD = 0.95
+ETA_THRESHOLD = 0.97
+A_THRESHOLD = 0.95
 
 # elements of the (thresholds x atoms) shift matrix evaluated at once
 _MIXTURE_BUDGET = 1 << 22
@@ -80,15 +80,14 @@ def gaussian_limit_cdf(y, m_inf: float, s_inf: float):
     return norm.cdf(np.asarray(y, dtype=float), loc=m_inf, scale=s_inf)
 
 
-def select_mode(node: NodeParams, eta_threshold: float = DEFAULT_ETA_THRESHOLD,
-                a_threshold: float = DEFAULT_A_THRESHOLD) -> str:
+def select_mode(node: NodeParams) -> str:
     """Choose mixture vs gaussian-limit evaluation.
 
     The normal limit needs eta -> 1, which requires both a small step size
     and a dominant self-weight; a tiny mu with moderate a_k stays in
     mixture mode.
     """
-    if node.eta >= eta_threshold and node.a_k >= a_threshold:
+    if node.eta >= ETA_THRESHOLD and node.a_k >= A_THRESHOLD:
         return MODE_GAUSSIAN_LIMIT
     return MODE_MIXTURE
 
@@ -143,32 +142,22 @@ class SteadyStateCdf:
 def build_steady_state(model: ObservationModel, network: NetworkSpec, k: int,
                        h: int, mu: float, *,
                        eps_prime: float = DEFAULT_EPS_PRIME,
-                       eps_dprime: float = DEFAULT_EPS_DPRIME,
-                       eps_scale: float = DEFAULT_EPS_SCALE,
-                       order: str = "second",
-                       value_rule: str = "class_mean",
-                       eta_threshold: float = DEFAULT_ETA_THRESHOLD,
-                       a_threshold: float = DEFAULT_A_THRESHOLD,
-                       cont_points: int = 1501,
-                       mode: str | None = None) -> SteadyStateCdf:
+                       eps_scale: float = DEFAULT_EPS_SCALE) -> SteadyStateCdf:
     """Construct the analytical steady-state CDF for node k under h.
 
-    In mixture mode the continuous CDF is tabulated once and reused across
-    all PMF shifts. ``mode`` forces a specific evaluation mode; by default
-    it is selected from the node's eta and self-weight.
+    The mode is selected from the node's eta and self-weight
+    (``select_mode``). In mixture mode the continuous CDF is tabulated
+    once, with aliasing budget ``eps_prime``, and reused across all PMF
+    shifts; the discrete component's truncation budget is ``eps_scale``
+    times the continuous component's std.
     """
     node = network.node_params(k, mu)
-    if mode is None:
-        mode = select_mode(node, eta_threshold, a_threshold)
+    mode = select_mode(node)
     if mode == MODE_GAUSSIAN_LIMIT:
         m, s = limit_moments(model, network, k, h, mu)
         return SteadyStateCdf(node=k, h=h, mode=mode, m_inf=m, s_inf=s)
-    mom = moments(model, node, h)
-    eps_kh = eps_scale * sqrt(mom.variance)
-    pmf = discrete_component(model, network, k, h, eps_kh=eps_kh, order=order,
-                             node=node, value_rule=value_rule)
-    table = tabulate_cdf_u(model, node, h, n_points=cont_points,
-                           eps_prime=eps_prime, eps_dprime=eps_dprime)
+    pmf = discrete_component(model, network, k, h, mu, eps_scale)
+    table = tabulate_cdf_u(model, node, h, eps_prime=eps_prime)
     return SteadyStateCdf(node=k, h=h, mode=mode, pmf=pmf, cont=table)
 
 

@@ -200,8 +200,8 @@ def check_table_oracle(quick: bool = False) -> list[CheckResult]:
     for omega in omegas:
         for p in (0.67, 0.76, 0.87, 0.9):
             for eta in (0.09, 0.225, 0.45):
+                spec = BernoulliApproxSpec(p=p, eta=eta, omega=omega)
                 for order in ("first", "second"):
-                    spec = BernoulliApproxSpec(p=p, eta=eta, omega=omega, order=order)
                     if order == "first":
                         got = table_first_order(spec)
                     else:

@@ -46,6 +46,12 @@ class TestConfigParsing:
         assert cfg.schedule == ((1, 0),)
         assert cfg.self_weight_sweep == (0.25,)
 
+    def test_shipped_reference_config(self):
+        cfg = load_config(Path(__file__).parents[1] / "configs" / "reference.yaml")
+        assert (cfg.model_kind, cfg.model_param, cfg.mu) == ("gaussian", 1.0, 0.1)
+        assert cfg.self_weight_sweep == (0.25,)
+        assert cfg.nodes == (3, 9)
+
     def test_exponential_model(self, tmp_path):
         text = BASE.replace("kind: gaussian", "kind: exponential").replace(
             "rho: 1.0", "lambda_e: 5.0")
@@ -76,9 +82,27 @@ class TestConfigParsing:
         text = BASE.replace("mu: 0.1", "mu: 1.5")
         with pytest.raises(ConfigError, match="dynamics.mu"):
             load_config(write_config(tmp_path, text))
-        text = BASE + "analysis:\n  value_rule: median\n"
-        with pytest.raises(ConfigError, match="value_rule.*'median'"):
+        for analysis, key in (("value_rule: median", "analysis.value_rule"),
+                              ("eps_dprime: 1.0e-3", "analysis.eps_dprime"),
+                              ("order: first", "analysis.order"),
+                              ("eta_threshold: 0.5", "analysis.eta_threshold"),
+                              ("eps_primer: 1.0e-4", "analysis.eps_primer"),
+                              ("gamma_grid:\n    span: 4", "analysis.gamma_grid.span")):
+            text = BASE + f"analysis:\n  {analysis}\n"
+            with pytest.raises(ConfigError, match=f"'{key}' is not a setting"):
+                load_config(write_config(tmp_path, text))
+        for analysis, key in ((" [eps_prime, 1.0e-4]", "'analysis' must be a mapping"),
+                              ("\n  gamma_grid:\n    points: -5", "gamma_grid.points"),
+                              ("\n  gamma_grid:\n    points: 1", "gamma_grid.points"),
+                              ("\n  gamma_grid:\n    std_span: 0", "gamma_grid.std_span")):
+            text = BASE + f"analysis:{analysis}\n"
+            with pytest.raises(ConfigError, match=key):
+                load_config(write_config(tmp_path, text))
+        text = BASE.replace("seed: 5", "seed: -1")
+        with pytest.raises(ConfigError, match="dynamics.seed"):
             load_config(write_config(tmp_path, text))
+        with pytest.raises(ConfigError, match="dynamics.seed"):
+            load_config(write_config(tmp_path), overrides={"seed": -3})
 
     def test_unknown_node_rejected(self, tmp_path):
         text = BASE.replace("nodes: [3, 9]", "nodes: [3, 99]")
@@ -144,6 +168,9 @@ class TestCliCommands:
         bad = tmp_path / "bad.yaml"
         bad.write_text("version: 1\nmodel: {kind: gaussian}\n")
         assert main(["cdf", "--config", str(bad)]) == 2
+        good = write_config(tmp_path)
+        assert main(["roc", "--config", str(good), "--seed", "-3"]) == 2
+        assert main(["validate", "--seed", "-3"]) == 2
 
     def test_seed_override_changes_output(self, tmp_path):
         path = write_config(tmp_path)

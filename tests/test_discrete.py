@@ -65,7 +65,7 @@ class TestOmega:
 
 class TestFirstOrderTable:
     def test_frozen_example(self):
-        spec = BernoulliApproxSpec(p=0.9, eta=0.45, omega=3, order="first")
+        spec = BernoulliApproxSpec(p=0.9, eta=0.45, omega=3)
         pmf = table_first_order(spec)
         np.testing.assert_allclose(pmf.points, [-0.1, 0.505, 0.77725, 1.0],
                                    atol=1e-15)
@@ -74,13 +74,13 @@ class TestFirstOrderTable:
         assert pmf.probs.sum() == pytest.approx(1.0, abs=1e-15)
 
     def test_near_certain_detection_degenerates(self):
-        spec = BernoulliApproxSpec(p=1 - 1e-12, eta=0.45, omega=5, order="first")
+        spec = BernoulliApproxSpec(p=1 - 1e-12, eta=0.45, omega=5)
         pmf = table_first_order(spec)
         assert pmf.probs[-1] == pytest.approx(1.0, abs=1e-10)
         assert pmf.points[-1] == 1.0
 
     def test_omega_one(self):
-        spec = BernoulliApproxSpec(p=0.8, eta=0.3, omega=1, order="first")
+        spec = BernoulliApproxSpec(p=0.8, eta=0.3, omega=1)
         pmf = table_first_order(spec)
         np.testing.assert_allclose(pmf.points, [1 - 2 * (1 - 0.3), 1.0])
         np.testing.assert_allclose(pmf.probs, [0.2, 0.8])
@@ -88,19 +88,19 @@ class TestFirstOrderTable:
 
 class TestSecondOrderTable:
     def test_omega3_row_count_and_total(self):
-        spec = BernoulliApproxSpec(p=0.9, eta=0.45, omega=3, order="second")
+        spec = BernoulliApproxSpec(p=0.9, eta=0.45, omega=3)
         pmf = table_second_order(spec, merge=False)
         assert pmf.size == 1 + 3 + 3  # pairs + singles + all-plus
         assert pmf.probs.sum() == pytest.approx(1.0, abs=1e-14)
 
     def test_sorted_even_when_tabulated_order_breaks(self):
         # above the golden-ratio conjugate the raw rows interleave
-        spec = BernoulliApproxSpec(p=0.9, eta=0.7, omega=5, order="second")
+        spec = BernoulliApproxSpec(p=0.9, eta=0.7, omega=5)
         pmf = table_second_order(spec, merge=False)
         assert np.all(np.diff(pmf.points) > 0)
 
     def test_degenerate_p(self):
-        spec = BernoulliApproxSpec(p=1 - 1e-12, eta=0.45, omega=4, order="second")
+        spec = BernoulliApproxSpec(p=1 - 1e-12, eta=0.45, omega=4)
         pmf = table_second_order(spec)
         assert pmf.probs[-1] == pytest.approx(1.0, abs=1e-10)
 
@@ -110,13 +110,13 @@ class TestSecondOrderTable:
         deficit = 1 - p ** omega - omega * p ** (omega - 1) * (1 - p) \
             - omega * (omega - 1) / 2 * p ** (omega - 2) * (1 - p) ** 2
         np.testing.assert_allclose(deficit, 0.03809179, atol=1e-8)
-        spec = BernoulliApproxSpec(p=p, eta=0.45, omega=omega, order="second")
+        spec = BernoulliApproxSpec(p=p, eta=0.45, omega=omega)
         assert table_second_order(spec).probs.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_class_mean_preserves_truncated_mean(self):
         # conditional-mean values reproduce E[zhat] exactly
         for p, eta, omega in ((0.67, 0.45, 7), (0.76, 0.225, 5), (0.9, 0.09, 4)):
-            spec = BernoulliApproxSpec(p=p, eta=eta, omega=omega, order="second")
+            spec = BernoulliApproxSpec(p=p, eta=eta, omega=omega)
             pmf = table_second_order(spec, value_rule="class_mean", merge=False)
             exact = (2 * p - 1) * (1 - eta ** omega) + eta ** omega
             np.testing.assert_allclose(pmf.mean(), exact, atol=1e-12)
@@ -130,14 +130,13 @@ class TestEnumerationOracle:
     @pytest.mark.parametrize("eta", [0.225, 0.45])
     def test_tables_match_enumeration(self, p, eta):
         for omega in range(1, 9):
-            spec1 = BernoulliApproxSpec(p=p, eta=eta, omega=omega, order="first")
+            spec = BernoulliApproxSpec(p=p, eta=eta, omega=omega)
             ref_v, ref_p = aggregate_patterns(p, eta, omega, "first")
-            got = table_first_order(spec1)
+            got = table_first_order(spec)
             np.testing.assert_allclose(got.points, ref_v, atol=1e-14)
             np.testing.assert_allclose(got.probs, ref_p, atol=1e-14)
-            spec2 = BernoulliApproxSpec(p=p, eta=eta, omega=omega, order="second")
             ref_v, ref_p = aggregate_patterns(p, eta, omega, "second")
-            got = table_second_order(spec2, merge=False)
+            got = table_second_order(spec, merge=False)
             np.testing.assert_allclose(got.points, ref_v, atol=1e-14)
             np.testing.assert_allclose(got.probs, ref_p, atol=1e-14)
 
@@ -173,8 +172,7 @@ class TestH0Symmetry:
         pmf0 = discrete_component(gauss1, net, 9, 0, mu=0.1)
         eps = 0.1 * np.sqrt(moments(gauss1, node, 0).variance)
         omega = omega_k(gauss1, node, 0, eps)
-        spec = BernoulliApproxSpec(p=1 - gauss1.p_f, eta=node.eta, omega=omega,
-                                   order="second")
+        spec = BernoulliApproxSpec(p=1 - gauss1.p_f, eta=node.eta, omega=omega)
         table = table_second_order(spec, value_rule="class_mean")
         flipped = table.map_affine(slope=-1.0, shift=0.0)
         manual = neighbor_component_pmf(flipped, gauss1, node, 7, 0)
@@ -225,8 +223,7 @@ class TestConvolve:
         pts = np.sort(rng.normal(size=2000))
         pmf = DiscretePmf(points=pts, probs=np.full(2000, 1 / 2000))
         with pytest.raises(ValueError, match="merge tolerance"):
-            convolve([pmf, pmf], merge_tol=0.0, pre_merge=False,
-                     max_points=10 ** 6)
+            convolve([pmf, pmf], merge_tol=0.0)
 
     def test_merge_keeps_mean_and_bounds_displacement(self):
         rng = np.random.default_rng(1)
@@ -309,8 +306,7 @@ class TestDiscreteComponent:
         comps = []
         eps = 0.1 * np.sqrt(moments(gauss1, node, 1).variance)
         omega = omega_k(gauss1, node, 1, eps)
-        spec = BernoulliApproxSpec(p=gauss1.p_d, eta=node.eta, omega=omega,
-                                   order="second")
+        spec = BernoulliApproxSpec(p=gauss1.p_d, eta=node.eta, omega=omega)
         table = table_second_order(spec, value_rule="class_mean")
         expected = 0.0
         for ell in sorted(set(net.neighbors[3]) - {3}):
@@ -324,9 +320,3 @@ class TestDiscreteComponent:
                 for k, h in ((3, 0), (3, 1), (9, 0), (9, 1)):
                     pmf = discrete_component(model, net, k, h, mu=0.1)
                     assert abs(pmf.probs.sum() - 1.0) < 1e-10
-
-    def test_first_order_option(self, gauss1):
-        net = make_network(0.25)
-        pmf = discrete_component(gauss1, net, 9, 1, mu=0.1, order="first")
-        assert pmf.size >= 2
-        assert abs(pmf.probs.sum() - 1.0) < 1e-12

@@ -1,3 +1,8 @@
+import importlib
+import importlib.util
+from functools import reduce
+from pathlib import Path
+
 import onebitnet
 
 
@@ -9,3 +14,15 @@ def test_star_import_and_all_resolve():
     for name in onebitnet.__all__:
         assert getattr(onebitnet, name) is namespace[name]
 
+
+def test_benchmark_trace_targets_resolve():
+    """Every function the benchmark's tracer wraps by name still exists."""
+    path = Path(__file__).parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.TARGETS
+    for module, attr, *_ in spans.TARGETS:
+        owner = importlib.import_module(f"onebitnet.{module}")
+        target = reduce(getattr, attr.split("."), owner)
+        assert callable(target), f"onebitnet.{module}.{attr}"

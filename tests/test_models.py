@@ -32,7 +32,9 @@ class TestGaussianModel:
         t = np.linspace(-3, 3, 7)
         expected = 1j * t * 1.0 - t * t * 1.0
         np.testing.assert_allclose(gauss1.log_cf(t, 1), expected, atol=1e-15)
-        assert all(gauss1.phi_coeff(n, 0) == 0 for n in range(3, 9))
+        for n_max in (1, 8):
+            np.testing.assert_array_equal(gauss1.phi_coeffs(n_max, 0),
+                                          [-1j, -1.0, 0, 0, 0, 0, 0, 0][:n_max])
         assert gauss1.radius(0) == np.inf
 
     def test_invalid_rho(self):
@@ -71,16 +73,14 @@ class TestExponentialModel:
         assert expo5.support_lower(0) == pytest.approx(-LOG5)
 
     def test_coefficients(self, expo5):
-        np.testing.assert_allclose(expo5.phi_coeff(2, 0), -0.32, atol=1e-15)
-        np.testing.assert_allclose(expo5.phi_coeff(3, 1), (4j) ** 3 / 3, atol=1e-12)
-        np.testing.assert_allclose(expo5.phi_coeffs(4, 1),
-                                   [expo5.phi_coeff(n, 1) for n in range(1, 5)])
+        np.testing.assert_allclose(expo5.phi_coeffs(2, 0)[1], -0.32, atol=1e-15)
+        np.testing.assert_allclose(expo5.phi_coeffs(3, 1)[2], (4j) ** 3 / 3, atol=1e-12)
 
     def test_coefficient_root_test(self, expo5):
         # |phi_n|^(1/n) approaches 1/radius for large n
         for h in (0, 1):
             n = 400
-            root = abs(expo5.phi_coeff(n, h)) ** (1.0 / n)
+            root = abs(expo5.phi_coeffs(n, h)[n - 1]) ** (1.0 / n)
             np.testing.assert_allclose(root, 1.0 / expo5.radius(h), rtol=0.02)
 
     def test_sampling_moments(self, expo5):
@@ -174,9 +174,9 @@ class TestCumulantCheck:
     def test_first_two_are_cumulants(self, gauss1, expo5):
         for model in (gauss1, expo5):
             for h in (0, 1):
-                np.testing.assert_allclose(model.phi_coeff(1, h),
+                np.testing.assert_allclose(model.phi_coeffs(2, h)[0],
                                            1j * model.mean(h), atol=1e-13)
-                np.testing.assert_allclose(model.phi_coeff(2, h),
+                np.testing.assert_allclose(model.phi_coeffs(2, h)[1],
                                            -model.variance(h) / 2, atol=1e-13)
 
     def test_n_max_limit(self, gauss1):

@@ -22,6 +22,9 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="scheme"):
             SimConfig(network=net_a25, model=gauss1, mu=0.1, n_iters=10,
                       trials=1, scheme="bogus")
+        with pytest.raises(ValueError, match="seed"):
+            SimConfig(network=net_a25, model=gauss1, mu=0.1, n_iters=10,
+                      trials=1, seed=-1)
 
     def test_hypothesis_steps(self, gauss1, net_a25):
         cfg = SimConfig(network=net_a25, model=gauss1, mu=0.1, n_iters=8,

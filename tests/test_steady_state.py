@@ -162,14 +162,16 @@ class TestSteadyStateCdf:
         mu = 0.05
         a = 0.9 / (1 - mu)
         net = make_network(a)
-        cdf = build_steady_state(gauss1, net, 3, 1, mu, mode=MODE_MIXTURE)
+        cdf = build_steady_state(gauss1, net, 3, 1, mu)
+        assert cdf.mode == MODE_MIXTURE
         m, s = limit_moments(gauss1, net, 3, 1, mu)
         assert abs(cdf.mean() - m) / abs(m) < 0.02
         assert abs(cdf.std() - s) / s < 0.02
         # the weakly connected node leans harder on the discrete component,
         # whose per-class collapse sheds variance at this eta; the deficit
         # is bounded and the production mode switch sits above it
-        cdf9 = build_steady_state(gauss1, net, 9, 1, mu, mode=MODE_MIXTURE)
+        cdf9 = build_steady_state(gauss1, net, 9, 1, mu)
+        assert cdf9.mode == MODE_MIXTURE
         m9, s9 = limit_moments(gauss1, net, 9, 1, mu)
         assert abs(cdf9.mean() - m9) / abs(m9) < 0.02
         assert abs(cdf9.std() - s9) / s9 < 0.05
