@@ -18,8 +18,8 @@ Library layout:
 """
 
 from .continuous import (ContinuousCdfTable, ContinuousMoments, cdf_u,
-                         cdf_u_gaussian_closed, moments, phi_w_coefficients,
-                         select_delta, tabulate_cdf_u)
+                         cdf_u_gaussian_closed, cdf_u_grid, moments,
+                         phi_w_coefficients, select_delta, tabulate_cdf_u)
 from .detection import RocCurve, default_gamma_grid, empirical_roc, pf_pd, \
     roc, threshold_for_pf
 from .discrete import (BernoulliApproxSpec, DiscretePmf, convolve,
@@ -45,8 +45,8 @@ __all__ = [
     "NetworkSpec", "NodeParams", "ONE_BIT_X", "ObservationModel",
     "QUANTIZED_STATE", "RocCurve", "SimConfig", "SteadyStateCdf",
     "TrialEnsemble", "UNQUANTIZED", "build_steady_state",
-    "build_uniform_matrix", "cdf_u", "cdf_u_gaussian_closed", "convolve",
-    "cumulant_check", "default_gamma_grid", "discrete_component",
+    "build_uniform_matrix", "cdf_u", "cdf_u_gaussian_closed", "cdf_u_grid",
+    "convolve", "cumulant_check", "default_gamma_grid", "discrete_component",
     "empirical_cdf", "empirical_roc", "from_matrix", "gaussian_limit_cdf",
     "ks_distance", "limit_moments", "make_step", "merge_close", "mixture_cdf",
     "moments", "neighbor_component_pmf", "neighbor_sets_from_edges",

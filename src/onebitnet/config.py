@@ -30,6 +30,19 @@ def _get(tree: dict, path: str, default=None, required=False):
     return node
 
 
+def _number(value, path: str, kind=float):
+    """``kind(value)``, or a ConfigError naming ``path``."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"'{path}' must be {what}, got {value!r}") from exc
+
+
+def _get_number(tree: dict, path: str, default=None, kind=float, required=False):
+    return _number(_get(tree, path, default, required), path, kind)
+
+
 def _require_range(value, path, lo, hi, lo_open=True, hi_open=True):
     ok_lo = value > lo if lo_open else value >= lo
     ok_hi = value < hi if hi_open else value <= hi
@@ -97,8 +110,8 @@ def _build_network(tree: dict, self_weight=None) -> NetworkSpec:
         neighbors = reference_topology()
     elif topo == "explicit":
         edges = _get(tree, "network.edges", required=True)
-        n_nodes = _get(tree, "network.n_nodes", required=True)
-        neighbors = neighbor_sets_from_edges(int(n_nodes), edges)
+        n_nodes = _get_number(tree, "network.n_nodes", kind=int, required=True)
+        neighbors = neighbor_sets_from_edges(n_nodes, edges)
     else:
         raise ConfigError(f"'network.topology' must be reference or explicit, got {topo!r}")
     a = self_weight if self_weight is not None else _get(
@@ -129,23 +142,24 @@ def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
 
     kind = _get(tree, "model.kind", required=True)
     if kind == "gaussian":
-        param = float(_get(tree, "model.rho", required=True))
+        param = _get_number(tree, "model.rho", required=True)
         _require_range(param, "model.rho", 0.0, float("inf"))
     elif kind == "exponential":
-        param = float(_get(tree, "model.lambda_e", required=True))
+        param = _get_number(tree, "model.lambda_e", required=True)
         _require_range(param, "model.lambda_e", 1.0, float("inf"))
     else:
         raise ConfigError(f"'model.kind' must be gaussian or exponential, got {kind!r}")
 
-    mu = float(_get(tree, "dynamics.mu", required=True))
+    mu = _get_number(tree, "dynamics.mu", required=True)
     _require_range(mu, "dynamics.mu", 0.0, 1.0)
-    n_iters = int(_get(tree, "dynamics.n_iters", 100))
-    trials = int(_get(tree, "dynamics.trials", 10_000))
+    n_iters = _get_number(tree, "dynamics.n_iters", 100, int)
+    trials = _get_number(tree, "dynamics.trials", 10_000, int)
     if n_iters < 1:
         raise ConfigError(f"'dynamics.n_iters' must be >= 1, got {n_iters}")
     if trials < 1:
         raise ConfigError(f"'dynamics.trials' must be >= 1, got {trials}")
-    seed = int(overrides.get("seed", _get(tree, "dynamics.seed", 0)))
+    seed = _number(overrides.get("seed", _get(tree, "dynamics.seed", 0)),
+                   "dynamics.seed", int)
     _require_range(seed, "dynamics.seed", 0, float("inf"), lo_open=False)
     schedule_raw = _get(tree, "dynamics.schedule", [[1, "H0"]])
     schedule = []
@@ -159,7 +173,7 @@ def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
         h = {"H0": 0, "H1": 1, 0: 0, 1: 1}.get(hyp)
         if h is None:
             raise ConfigError(f"'dynamics.schedule' hypothesis {hyp!r} must be H0 or H1")
-        schedule.append((int(start), h))
+        schedule.append((_number(start, "dynamics.schedule", int), h))
     if schedule[0][0] != 1:
         raise ConfigError("'dynamics.schedule' must start at step 1")
     scheme = _get(tree, "dynamics.scheme", "one_bit_x")
@@ -168,25 +182,28 @@ def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
 
     _require_keys(tree, "analysis", ("eps_prime", "eps_z_scale", "gamma_grid"))
     _require_keys(tree, "analysis.gamma_grid", ("points", "std_span"))
-    eps_prime = float(_get(tree, "analysis.eps_prime", 2e-5))
-    eps_scale = float(_get(tree, "analysis.eps_z_scale", 0.1))
+    eps_prime = _get_number(tree, "analysis.eps_prime", 2e-5)
+    eps_scale = _get_number(tree, "analysis.eps_z_scale", 0.1)
     _require_range(eps_prime, "analysis.eps_prime", 0.0, 1.0)
     _require_range(eps_scale, "analysis.eps_z_scale", 0.0, 1.0)
-    gamma_points = int(_get(tree, "analysis.gamma_grid.points", 241))
-    gamma_span = float(_get(tree, "analysis.gamma_grid.std_span", 6.0))
+    gamma_points = _get_number(tree, "analysis.gamma_grid.points", 241, int)
+    gamma_span = _get_number(tree, "analysis.gamma_grid.std_span", 6.0)
     _require_range(gamma_points, "analysis.gamma_grid.points", 2, float("inf"),
                    lo_open=False)
     _require_range(gamma_span, "analysis.gamma_grid.std_span", 0.0, float("inf"))
 
     out_dir = str(overrides.get("out_dir", _get(tree, "output.directory", "out")))
     network = _build_network(tree)
-    nodes = tuple(int(k) for k in _get(tree, "output.nodes", [3, 9]))
+    nodes = tuple(_number(k, "output.nodes", int)
+                  for k in _get(tree, "output.nodes", [3, 9]))
     for k in nodes:
         if not 0 <= k < network.size:
             raise ConfigError(f"'output.nodes' references node {k} outside the network")
-    sweep_a = tuple(float(v) for v in _get(tree, "sweeps.self_weight",
-                                           [_get(tree, "network.self_weight", required=True)]))
-    sweep_par = tuple(float(v) for v in _get(tree, "sweeps.model_param", [param]))
+    sweep_a = tuple(_number(v, "sweeps.self_weight")
+                    for v in _get(tree, "sweeps.self_weight",
+                                  [_get(tree, "network.self_weight", required=True)]))
+    sweep_par = tuple(_number(v, "sweeps.model_param")
+                      for v in _get(tree, "sweeps.model_param", [param]))
 
     return ExperimentConfig(
         raw=tree, network=network, model=make_model(kind, param),

@@ -10,15 +10,20 @@ The CDF is recovered by a sine-series inversion
 
     F_u(u) = 1/2 - (2/pi) sum_{n>=0} Im{exp[Phi_w(t_n) - j (u/(mu a_k)) t_n]} / (2n+1),
 
-with t_n = (2n+1) delta/2. The grid step delta is chosen from tail bounds
-so that the aliasing error stays below a prescribed budget eps_prime; the
+with t_n = (2n+1) delta/2. The step delta is chosen from tail bounds so
+that the aliasing error stays below a prescribed budget eps_prime; the
 inner coefficient series is truncated at m_bar with eta^m_bar <= eps'', a
-fixed budget (DEFAULT_EPS_DPRIME).
+fixed budget (DEFAULT_EPS_DPRIME). Past the radius of the inner power
+series, Phi_w is evaluated by iterating the functional equation
+Phi_w(t) = Phi_x(t) + Phi_w(eta t) until the argument falls inside it.
 
-Past the radius of the inner power series, Phi_w is evaluated by
-iterating the functional equation Phi_w(t) = Phi_x(t) + Phi_w(eta t) until
-the argument falls inside the radius; the outer sum stops once the
-residual tail is below the budget.
+There is one inversion engine, ``cdf_u_grid``: one step delta per uniform
+grid, the spectrum w_n = exp(Phi_w(t_n))/(2n+1) built once in blocks until
+a block's (2/pi) sum |w_n| is below eps_prime/20 (a rule that holds for
+every u, as |exp(-j u' t_n)| = 1), and one chirp-z (Bluestein) sum on
+numpy's FFT for all points (Abate & Whitt 1992; Rabiner, Schafer & Rader
+1969). ``tabulate_cdf_u`` runs it for every non-Gaussian model; ``cdf_u``
+is its one-point call.
 """
 from __future__ import annotations
 
@@ -156,46 +161,114 @@ def log_cf_w(model: ObservationModel, node: NodeParams, h: int, t) -> np.ndarray
     return acc
 
 
+def _spectrum(model: ObservationModel, node: NodeParams, h: int, delta: float,
+              eps_prime: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """Nodes t_n = (2n+1) delta/2 and weights w_n = exp(Phi_w(t_n))/(2n+1),
+    built in blocks until a block's (2/pi) sum |w_n| is below
+    eps_prime/20. Returns (t, w, that last residual)."""
+    ts, ws = [], []
+    n0 = 0
+    while True:
+        n = np.arange(n0, n0 + _TAIL_BLOCK)
+        t = (2 * n + 1) * (delta / 2.0)
+        w = np.exp(log_cf_w(model, node, h, t)) / (2 * n + 1)
+        if not np.all(np.isfinite(w)):
+            raise InversionError(
+                "non-finite term in the inversion series (coefficient overflow "
+                "near the radius); reduce delta")
+        ts.append(t)
+        ws.append(w)
+        tail = float(np.abs(w).sum() * (2.0 / pi))
+        if tail < eps_prime / 20.0:
+            return np.concatenate(ts), np.concatenate(ws), tail
+        n0 += _TAIL_BLOCK
+        if n0 >= _MAX_TERMS:
+            raise InversionError(
+                f"inversion series did not settle within {_MAX_TERMS} terms")
+
+
+def _chirp_z(x: np.ndarray, theta: float, m: int) -> np.ndarray:
+    """X_k = sum_n x_n exp(-j theta n k) for k < m (Bluestein).
+
+    With nk = (n^2 + k^2 - (k-n)^2)/2 the sum is a chirp times the linear
+    convolution of x_n c_n with conj(c), c_i = exp(-j theta i^2/2), done
+    by one zero-padded FFT product.
+    """
+    n = x.size
+    size = 1 << (n + m - 2).bit_length()  # >= n + m - 1: no wrap-around
+    i = np.arange(max(n, m), dtype=float)
+    chirp = np.exp(-0.5j * theta * (i * i))
+    kernel = np.zeros(size, dtype=complex)
+    kernel[:m] = chirp[:m].conj()
+    kernel[size - n + 1:] = chirp[n - 1:0:-1].conj()
+    conv = np.fft.ifft(np.fft.fft(x * chirp[:n], size) * np.fft.fft(kernel))
+    return chirp[:m] * conv[:m]
+
+
 def cdf_u(u: float, model: ObservationModel, node: NodeParams, h: int,
           eps_prime: float = DEFAULT_EPS_PRIME) -> float:
     """CDF of the steady-state continuous component at u, clamped to [0,1].
 
+    A one-point call of ``cdf_u_grid``, so delta is the one chosen for u.
     Requires eta in (0,1) and an absolutely continuous limit (true for any
     model whose statistic has a density).
+    """
+    return float(cdf_u_grid(u, u, 1, model, node, h, eps_prime).values[0])
+
+
+@dataclass(frozen=True, eq=False)
+class GridInversion:
+    """F_u on ``np.linspace(lo, hi, n_points)``, clamped to [0,1], with how
+    it was obtained: the common step ``delta``, the number of series
+    ``terms`` and the ``tail`` residual (2/pi) sum |w_n| of the last block
+    (nan, 0, 0 when every point is a tail shortcut)."""
+
+    values: np.ndarray
+    delta: float
+    terms: int
+    tail: float
+
+
+def cdf_u_grid(lo: float, hi: float, n_points: int, model: ObservationModel,
+               node: NodeParams, h: int,
+               eps_prime: float = DEFAULT_EPS_PRIME) -> GridInversion:
+    """F_u on a uniform grid from one step delta and one chirp-z sum.
+
+    Points at or beyond the support infimum (or the lower Chebyshev edge)
+    and the upper Chebyshev edge are 0 and 1 without a series; these are
+    also the only admissible answers where no aliasing window can be
+    placed. ``select_delta`` shrinks toward both ends of the range, so its
+    smaller value at the two extreme remaining points is valid for every
+    point in between (a smaller delta only widens the aliasing window).
+    With u' = u/(mu a_k) and theta = delta du/(mu a_k) on the grid
+    u_k = u_0 + k du,
+
+        sum_n w_n exp(-j u_k' t_n)
+            = exp(-j theta k/2) sum_n [w_n exp(-j u_0' t_n)] exp(-j theta n k),
+
+    one chirp-z sum over the spectrum built once for that delta.
     """
     if not 0.0 < node.eta < 1.0:
         raise ValueError(f"eta must be in (0,1), got {node.eta}")
     mom = moments(model, node, h)
     spread = sqrt(2.0 * mom.variance / eps_prime)
-    # Chebyshev tail shortcuts; also the only admissible answer when the
-    # window cannot be placed.
-    if u >= mom.mean + spread:
-        return 1.0
-    if u <= (mom.lower if np.isfinite(mom.lower) else mom.mean - spread):
-        return 0.0
-    delta = select_delta(model, node, h, u, eps_prime)
-    total = 0.0
-    n0 = 0
-    while True:
-        # series terms Im{exp[Phi_w(t_n) - j (u/(mu a_k)) t_n]}/(2n+1)
-        n = np.arange(n0, n0 + _TAIL_BLOCK)
-        t = (2 * n + 1) * (delta / 2.0)
-        vals = np.exp(log_cf_w(model, node, h, t)
-                      - 1j * (u / (node.mu * node.a_k)) * t)
-        if not np.all(np.isfinite(vals)):
-            raise InversionError(
-                "non-finite term in the inversion series (coefficient overflow "
-                "near the radius); reduce delta")
-        terms = np.imag(vals) / (2 * n + 1)
-        total += terms.sum()
-        if np.abs(terms).sum() * (2.0 / pi) < eps_prime / 20.0:
-            break
-        n0 += _TAIL_BLOCK
-        if n0 >= _MAX_TERMS:
-            raise InversionError(
-                f"inversion series did not settle within {_MAX_TERMS} terms")
-    raw = 0.5 - (2.0 / pi) * total
-    return float(min(1.0, max(0.0, raw)))
+    bottom = mom.lower if np.isfinite(mom.lower) else mom.mean - spread
+    grid = np.linspace(lo, hi, n_points)
+    values = (grid >= mom.mean + spread).astype(float)
+    inside = np.flatnonzero((grid > bottom) & (grid < mom.mean + spread))
+    if inside.size == 0:
+        return GridInversion(values=values, delta=np.nan, terms=0, tail=0.0)
+    i0, m = int(inside[0]), inside.size
+    u0 = grid[i0]
+    delta = min(select_delta(model, node, h, u0, eps_prime),
+                select_delta(model, node, h, grid[inside[-1]], eps_prime))
+    t, w, tail = _spectrum(model, node, h, delta, eps_prime)
+    scale = node.mu * node.a_k
+    theta = delta * ((hi - lo) / max(n_points - 1, 1)) / scale
+    s = np.exp(-0.5j * theta * np.arange(m)) * _chirp_z(
+        w * np.exp(-1j * (u0 / scale) * t), theta, m)
+    values[i0:i0 + m] = np.clip(0.5 - (2.0 / pi) * s.imag, 0.0, 1.0)
+    return GridInversion(values=values, delta=delta, terms=t.size, tail=tail)
 
 
 def cdf_u_gaussian_closed(u, model: ObservationModel, node: NodeParams, h: int):
@@ -215,12 +288,20 @@ class ContinuousCdfTable:
     grid edges already carry negligible tail mass, so out-of-range queries
     are exact to the tabulation budget. ``mean`` and ``variance`` are the
     closed-form moments of u (``moments``), not integrals of the table.
+    ``delta``, ``terms`` and ``tail`` describe the series inversion (the
+    common step, the number of terms and the last block's residual; nan,
+    0 and 0 for the Gaussian closed form); ``ripple`` is the largest drop
+    of the raw values before the cumulative-max pass.
     """
 
     grid: np.ndarray
     values: np.ndarray
     mean: float
     variance: float
+    delta: float
+    terms: int
+    tail: float
+    ripple: float
 
     def __post_init__(self):
         g = np.asarray(self.grid, dtype=float)
@@ -248,41 +329,45 @@ def tabulate_cdf_u(model: ObservationModel, node: NodeParams, h: int,
 
     The grid spans mean +/- 12 std (cut at the support infimum), widened
     until both edges carry at most 2 eps_prime of tail mass. The Gaussian
-    model uses its closed form; every other model uses the series
-    inversion, with the step delta re-derived at every grid point.
+    model uses its closed form; every other model evaluates each grid with
+    ``cdf_u_grid``: one step delta, one spectrum and one chirp-z sum.
     Raw values are clamped to [0,1] and made nondecreasing by a
     cumulative-max pass; violations beyond 5 eps_prime raise a diagnostic
     warning.
     """
     if isinstance(model, GaussianModel):
-        def cdf(us):
-            return np.asarray(cdf_u_gaussian_closed(us, model, node, h))
+        def cdf(lo, hi):
+            return GridInversion(values=np.asarray(cdf_u_gaussian_closed(
+                np.linspace(lo, hi, n_points), model, node, h)),
+                delta=np.nan, terms=0, tail=0.0)
     else:
-        def cdf(us):
-            return np.array([cdf_u(u, model, node, h, eps_prime) for u in us])
+        def cdf(lo, hi):
+            return cdf_u_grid(lo, hi, n_points, model, node, h, eps_prime)
     mom = moments(model, node, h)
     sd = sqrt(mom.variance)
     lo = max(mom.mean - _SPAN_STDS * sd,
              mom.lower - 2.0 * sd / max(n_points - 1, 1))
     hi = mom.mean + _SPAN_STDS * sd
     for _ in range(6):
-        grid = np.linspace(lo, hi, n_points)
-        f_lo, f_hi = cdf([lo, hi])
-        if f_lo <= 2.0 * eps_prime and f_hi >= 1.0 - 2.0 * eps_prime:
+        inv = cdf(lo, hi)
+        if (inv.values[0] <= 2.0 * eps_prime
+                and inv.values[-1] >= 1.0 - 2.0 * eps_prime):
             break
         lo -= 4.0 * sd
         hi += 4.0 * sd
     else:
         warnings.warn("tabulation range extension did not converge",
                       RuntimeWarning)
-        grid = np.linspace(lo, hi, n_points)
-    raw = cdf(grid)
+        inv = cdf(lo, hi)
+    raw = inv.values
     drops = np.diff(raw)
-    worst = -drops.min() if drops.size else 0.0
+    worst = max(0.0, -drops.min()) if drops.size else 0.0
     if worst > 5.0 * eps_prime:
         warnings.warn(
             f"tabulated CDF decreases by {worst:.2e} (> 5 eps_prime); "
             "truncation ripple exceeds budget", RuntimeWarning)
     vals = np.minimum(1.0, np.maximum(0.0, np.maximum.accumulate(raw)))
-    return ContinuousCdfTable(grid=grid, values=vals, mean=mom.mean,
-                              variance=mom.variance)
+    return ContinuousCdfTable(grid=np.linspace(lo, hi, n_points), values=vals,
+                              mean=mom.mean, variance=mom.variance,
+                              delta=inv.delta, terms=inv.terms, tail=inv.tail,
+                              ripple=float(worst))

@@ -5,10 +5,12 @@ patterns are enumerated exhaustively, the recursions are written out as
 their closed-form expansions, and distributions are compared through
 Kolmogorov-Smirnov distances. ``iterate_scheme`` drives the production
 update kernel (``simulate.make_step``), so the closed-form expansions
-check the step that ``run`` uses. The Theorem-2 check compares against the
-limit normal plus its first-order Edgeworth term, whose skew comes from
-closed-form cumulants. The check suite mirrors the package's acceptance
-criteria and backs the ``validate`` CLI subcommand.
+check the step that ``run`` uses, and the Gaussian series check runs the
+grid engine that ``tabulate_cdf_u`` uses for non-Gaussian models
+(``continuous.cdf_u_grid``) against the closed form. The Theorem-2 check
+compares against the limit normal plus its first-order Edgeworth term,
+whose skew comes from closed-form cumulants. The check suite mirrors the
+package's acceptance criteria and backs the ``validate`` CLI subcommand.
 """
 from __future__ import annotations
 
@@ -19,7 +21,8 @@ from math import sqrt
 import numpy as np
 from scipy.stats import norm
 
-from .continuous import cdf_u, cdf_u_gaussian_closed, moments, phi_w_coefficients
+from .continuous import (cdf_u_grid, cdf_u_gaussian_closed, moments,
+                         phi_w_coefficients)
 from .detection import RocCurve, default_gamma_grid, empirical_roc, roc
 from .discrete import (BernoulliApproxSpec, DiscretePmf,
                        table_first_order, table_second_order)
@@ -185,10 +188,10 @@ def check_gaussian_series(quick: bool = False) -> list[CheckResult]:
         for h in (0, 1):
             mom = moments(model, node, h)
             sd = sqrt(mom.variance)
-            grid = np.linspace(mom.mean - 5 * sd, mom.mean + 5 * sd,
-                               21 if quick else 101)
-            series = np.array([cdf_u(u, model, node, h) for u in grid])
-            closed = cdf_u_gaussian_closed(grid, model, node, h)
+            lo, hi, n = mom.mean - 5 * sd, mom.mean + 5 * sd, 21 if quick else 101
+            # the grid engine tabulate_cdf_u runs for non-Gaussian models
+            series = cdf_u_grid(lo, hi, n, model, node, h).values
+            closed = cdf_u_gaussian_closed(np.linspace(lo, hi, n), model, node, h)
             worst = max(worst, float(np.max(np.abs(series - closed))))
     return [_result("continuous/gaussian_series_vs_closed", worst, 1e-4)]
 

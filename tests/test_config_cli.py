@@ -25,6 +25,19 @@ output:
   nodes: [3, 9]
 """
 
+# one non-numeric value per kind of numeric key: model parameter, dynamics,
+# analysis, sweep entry, node
+NON_NUMERIC = (
+    (BASE.replace("rho: 1.0", "rho: high"), "model.rho"),
+    (BASE.replace("trials: 200", "trials: lots"), "dynamics.trials"),
+    (BASE.replace("mu: 0.1", "mu: [0.1]"), "dynamics.mu"),
+    (BASE + "analysis:\n  gamma_grid:\n    points: many\n",
+     "analysis.gamma_grid.points"),
+    (BASE + "analysis:\n  eps_prime: tiny\n", "analysis.eps_prime"),
+    (BASE + "sweeps:\n  self_weight: [0.25, half]\n", "sweeps.self_weight"),
+    (BASE.replace("nodes: [3, 9]", "nodes: [3, nine]"), "output.nodes"),
+)
+
 
 def write_config(tmp_path, text=None, **extra):
     cfg = tmp_path / "exp.yaml"
@@ -103,6 +116,9 @@ class TestConfigParsing:
             load_config(write_config(tmp_path, text))
         with pytest.raises(ConfigError, match="dynamics.seed"):
             load_config(write_config(tmp_path), overrides={"seed": -3})
+        for text, key in NON_NUMERIC:
+            with pytest.raises(ConfigError, match=f"'{key}' must be"):
+                load_config(write_config(tmp_path, text))
 
     def test_unknown_node_rejected(self, tmp_path):
         text = BASE.replace("nodes: [3, 9]", "nodes: [3, 99]")
@@ -171,6 +187,8 @@ class TestCliCommands:
         good = write_config(tmp_path)
         assert main(["roc", "--config", str(good), "--seed", "-3"]) == 2
         assert main(["validate", "--seed", "-3"]) == 2
+        for text, _ in NON_NUMERIC:
+            assert main(["roc", "--config", str(write_config(tmp_path, text))]) == 2
 
     def test_seed_override_changes_output(self, tmp_path):
         path = write_config(tmp_path)

@@ -3,10 +3,12 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import ks_2samp, norm
 
-from onebitnet import (ExponentialModel, GaussianModel, cdf_u,
-                       cdf_u_gaussian_closed, moments, phi_w_coefficients,
-                       select_delta, tabulate_cdf_u)
-from onebitnet.continuous import DeltaSelectionError, default_m_bar
+from onebitnet import (ExponentialModel, GaussianModel, build_uniform_matrix,
+                       cdf_u, cdf_u_gaussian_closed, cdf_u_grid, moments,
+                       phi_w_coefficients, reference_topology, select_delta,
+                       tabulate_cdf_u)
+from onebitnet.continuous import (DeltaSelectionError, InversionError, _chirp_z,
+                                  default_m_bar)
 from onebitnet.network import NodeParams
 from onebitnet.simulate import ks_distance
 
@@ -162,9 +164,10 @@ class TestCdfU:
         for h in (0, 1):
             mom = moments(gauss1, node, h)
             sd = np.sqrt(mom.variance)
-            grid = np.linspace(mom.mean - 5 * sd, mom.mean + 5 * sd, 101)
-            series = np.array([cdf_u(u, gauss1, node, h) for u in grid])
-            closed = cdf_u_gaussian_closed(grid, gauss1, node, h)
+            lo, hi = mom.mean - 5 * sd, mom.mean + 5 * sd
+            # the grid engine tabulate_cdf_u runs for non-Gaussian models
+            series = cdf_u_grid(lo, hi, 101, gauss1, node, h).values
+            closed = cdf_u_gaussian_closed(np.linspace(lo, hi, 101), gauss1, node, h)
             np.testing.assert_allclose(series, closed, atol=1e-4)
 
     def test_gaussian_quadrature_oracle(self, gauss1):
@@ -268,3 +271,51 @@ class TestTabulation:
         lo, hi = table.support
         assert table(lo - 1.0) == 0.0
         assert table(hi + 1.0) == 1.0
+
+
+class TestGridEngine:
+    @pytest.mark.parametrize("n,m", [(200, 30), (30, 200), (50, 2)])
+    def test_chirp_z_matches_direct_sum(self, n, m):
+        rng = np.random.default_rng(n + m)
+        x = rng.normal(size=n) + 1j * rng.normal(size=n)
+        theta = 0.013
+        direct = (x[None, :] * np.exp(-1j * theta * np.outer(np.arange(m),
+                                                             np.arange(n)))).sum(axis=1)
+        np.testing.assert_allclose(_chirp_z(x, theta, m), direct, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("a", [0.1, 0.25, 0.5])
+    @pytest.mark.parametrize("h", [0, 1])
+    def test_table_matches_pointwise_series(self, expo5, a, h):
+        # one delta and one chirp-z sum per table against a per-point delta
+        # and per-point sum, on every 15th point of the table's own grid
+        node = build_uniform_matrix(reference_topology(), a).node_params(3, 0.1)
+        table = tabulate_cdf_u(expo5, node, h)
+        pointwise = np.array([cdf_u(u, expo5, node, h) for u in table.grid[::15]])
+        assert np.max(np.abs(table.values[::15] - pointwise)) <= 2e-5
+        assert table.terms > 0 and table.tail < 2e-5 / 20
+        assert table.delta <= select_delta(expo5, node, h, table.grid[1])
+
+    def test_non_finite_term_raises_on_table_path(self):
+        class Overflowing(ExponentialModel):
+            # a spectrum that overflows at large t, as a power series
+            # evaluated past its radius would
+            def log_cf(self, t, h):
+                return super().log_cf(t, h) + np.where(
+                    np.asarray(t) > 20 * self.radius(h), 800.0, 0.0)
+
+        node = node_for(0.5)
+        with pytest.raises(InversionError, match="non-finite"), \
+                np.errstate(over="ignore", invalid="ignore"):
+            tabulate_cdf_u(Overflowing(5.0), node, 1)
+
+    def test_diagnostics_recorded(self, expo5, gauss1):
+        node = node_for(0.5)
+        table = tabulate_cdf_u(expo5, node, 1, n_points=401)
+        inv = cdf_u_grid(table.grid[0], table.grid[-1], 401, expo5, node, 1)
+        assert (table.delta, table.terms, table.tail) == (inv.delta, inv.terms,
+                                                          inv.tail)
+        drops = -np.diff(inv.values)
+        assert table.ripple == max(0.0, drops.max())
+        closed = tabulate_cdf_u(gauss1, node, 1, n_points=401)
+        assert closed.terms == 0 and closed.tail == 0.0 and np.isnan(closed.delta)
+        assert closed.ripple == 0.0

@@ -1,5 +1,8 @@
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from functools import reduce
 from pathlib import Path
 
@@ -26,3 +29,13 @@ def test_benchmark_trace_targets_resolve():
         owner = importlib.import_module(f"onebitnet.{module}")
         target = reduce(getattr, attr.split("."), owner)
         assert callable(target), f"onebitnet.{module}.{attr}"
+
+
+def test_import_leaves_scipy_signal_unloaded():
+    """The chirp-z sum runs on numpy.fft; importing scipy.signal would add
+    its load time and memory to every process that imports the package."""
+    code = "import sys, onebitnet; print('scipy.signal' in sys.modules)"
+    src = str(Path(onebitnet.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
