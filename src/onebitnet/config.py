@@ -142,13 +142,13 @@ def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
 
     kind = _get(tree, "model.kind", required=True)
     if kind == "gaussian":
-        param = _get_number(tree, "model.rho", required=True)
-        _require_range(param, "model.rho", 0.0, float("inf"))
+        param_key, param_lo = "model.rho", 0.0
     elif kind == "exponential":
-        param = _get_number(tree, "model.lambda_e", required=True)
-        _require_range(param, "model.lambda_e", 1.0, float("inf"))
+        param_key, param_lo = "model.lambda_e", 1.0
     else:
         raise ConfigError(f"'model.kind' must be gaussian or exponential, got {kind!r}")
+    param = _get_number(tree, param_key, required=True)
+    _require_range(param, param_key, param_lo, float("inf"))
 
     mu = _get_number(tree, "dynamics.mu", required=True)
     _require_range(mu, "dynamics.mu", 0.0, 1.0)
@@ -176,6 +176,8 @@ def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
         schedule.append((_number(start, "dynamics.schedule", int), h))
     if schedule[0][0] != 1:
         raise ConfigError("'dynamics.schedule' must start at step 1")
+    if any(b[0] <= a[0] for a, b in zip(schedule, schedule[1:])):
+        raise ConfigError("'dynamics.schedule' start steps must strictly increase")
     scheme = _get(tree, "dynamics.scheme", "one_bit_x")
     if scheme not in ("one_bit_x", "quantized_state", "unquantized"):
         raise ConfigError(f"'dynamics.scheme' unknown: {scheme!r}")
@@ -202,7 +204,8 @@ def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
     sweep_a = tuple(_number(v, "sweeps.self_weight")
                     for v in _get(tree, "sweeps.self_weight",
                                   [_get(tree, "network.self_weight", required=True)]))
-    sweep_par = tuple(_number(v, "sweeps.model_param")
+    sweep_par = tuple(_require_range(_number(v, "sweeps.model_param"),
+                                     "sweeps.model_param", param_lo, float("inf"))
                       for v in _get(tree, "sweeps.model_param", [param]))
 
     return ExperimentConfig(

@@ -5,15 +5,18 @@ an agent from a single observation, under both states of nature h = 0, 1.
 Besides sampling and moments, models expose the log-characteristic function
 Phi_{x,h}(t) = log E_h exp(j t x) together with its power-series
 coefficients and radius of convergence, which drive the steady-state CDF
-inversion.
+inversion. ``normal_cdf`` is the package's one normal CDF,
+Phi(x) = erfc(-x/sqrt 2)/2 on ``math.erfc`` (Cody's rational Chebyshev
+approximations, Math. Comp. 23, 1969).
 """
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from math import log, sqrt
+from math import erfc, log, sqrt
 
 import numpy as np
-from scipy.stats import norm
+
+normal_cdf = np.vectorize(lambda x: 0.5 * erfc(-x / sqrt(2.0)), otypes=[float])
 
 
 class ObservationModel(ABC):
@@ -108,11 +111,11 @@ class GaussianModel(ObservationModel):
 
     @property
     def p_d(self):
-        return float(norm.sf(0.0, loc=self.rho, scale=sqrt(2.0 * self.rho)))
+        return float(normal_cdf(self.rho / sqrt(2.0 * self.rho)))
 
     @property
     def p_f(self):
-        return float(norm.sf(0.0, loc=-self.rho, scale=sqrt(2.0 * self.rho)))
+        return float(normal_cdf(-self.rho / sqrt(2.0 * self.rho)))
 
 
 class ExponentialModel(ObservationModel):

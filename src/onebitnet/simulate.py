@@ -104,16 +104,10 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
 def draw_statistics(model: ObservationModel, h_steps: np.ndarray, n_nodes: int,
                     rng: np.random.Generator) -> np.ndarray:
     """Fresh statistics for one trial: (n_iters, S), segment by segment."""
-    n = len(h_steps)
-    x = np.empty((n, n_nodes))
-    start = 0
-    while start < n:
-        h = h_steps[start]
-        end = start
-        while end < n and h_steps[end] == h:
-            end += 1
-        x[start:end] = model.sample(int(h), rng, (end - start, n_nodes))
-        start = end
+    x = np.empty((len(h_steps), n_nodes))
+    cuts = np.flatnonzero(np.diff(h_steps)) + 1
+    for start, end in zip([0, *cuts], [*cuts, len(h_steps)]):
+        x[start:end] = model.sample(int(h_steps[start]), rng, (end - start, n_nodes))
     return x
 
 
@@ -155,6 +149,8 @@ def run(config: SimConfig, trajectory_nodes=(), y0=None,
     terminal = np.empty((config.trials, S))
     if chunk_trials is None:
         chunk_trials = max(1, min(config.trials, _CHUNK_BUDGET // (n * S)))
+    elif chunk_trials < 1:
+        raise ValueError(f"chunk_trials must be at least 1, got {chunk_trials}")
     step = make_step(config.network, config.model, config.mu, config.scheme)
     start = 0
     while start < config.trials:

@@ -9,12 +9,12 @@ neighbors' one-bit messages), so its CDF is the PMF-weighted mixture
 When the memory factor eta = (1-mu) a_k approaches one (vanishing step
 size AND dominant self-weight), both components degenerate and the
 standardized state is asymptotically standard normal instead; that regime
-is served by closed-form limit moments and a normal CDF. A small step
-size alone does not produce normality, so ``select_mode`` takes the limit
-only when eta >= ETA_THRESHOLD and a_k >= A_THRESHOLD (fixed constants,
-0.97 and 0.95). The ``gaussian_limit`` mode is the plain normal:
-at finite eta the state keeps a skew gamma = kappa_3 / s^3, and the sup
-error of the plain normal is then about |gamma| phi(0) / 6 (the
+is served by closed-form limit moments and ``models.normal_cdf`` (on
+math.erfc). A small step size alone does not produce normality, so
+``select_mode`` takes the limit only when eta >= ETA_THRESHOLD and a_k >=
+A_THRESHOLD (fixed constants, 0.97 and 0.95). ``gaussian_limit`` is the
+plain normal: at finite eta the state keeps a skew gamma = kappa_3 / s^3,
+and the plain normal's sup error is then about |gamma| phi(0) / 6 (the
 first-order Edgeworth term; see ``validation.limit_skewness``).
 """
 from __future__ import annotations
@@ -23,11 +23,10 @@ from dataclasses import dataclass
 from math import sqrt
 
 import numpy as np
-from scipy.stats import norm
 
 from .continuous import ContinuousCdfTable, DEFAULT_EPS_PRIME, tabulate_cdf_u
 from .discrete import DEFAULT_EPS_SCALE, DiscretePmf, discrete_component
-from .models import ObservationModel
+from .models import ObservationModel, normal_cdf
 from .network import NetworkSpec, NodeParams
 from .network import offdiag_square_sum
 
@@ -77,7 +76,7 @@ def gaussian_limit_cdf(y, m_inf: float, s_inf: float):
     """Normal CDF with the limit moments (the eta -> 1 regime)."""
     if s_inf <= 0:
         raise ValueError("s_inf must be positive")
-    return norm.cdf(np.asarray(y, dtype=float), loc=m_inf, scale=s_inf)
+    return normal_cdf((np.asarray(y, dtype=float) - m_inf) / s_inf)
 
 
 def select_mode(node: NodeParams) -> str:

@@ -38,6 +38,13 @@ NON_NUMERIC = (
     (BASE.replace("nodes: [3, 9]", "nodes: [3, nine]"), "output.nodes"),
 )
 
+# values that parse but that the model or simulator would reject mid-sweep
+OUT_OF_RANGE = (
+    (BASE + "sweeps:\n  model_param: [-1.0]\n", "sweeps.model_param"),
+    (BASE.replace("  seed: 5\n", "  seed: 5\n  schedule: [[1, H0], [1, H1]]\n"),
+     "dynamics.schedule"),
+)
+
 
 def write_config(tmp_path, text=None, **extra):
     cfg = tmp_path / "exp.yaml"
@@ -119,6 +126,9 @@ class TestConfigParsing:
         for text, key in NON_NUMERIC:
             with pytest.raises(ConfigError, match=f"'{key}' must be"):
                 load_config(write_config(tmp_path, text))
+        for text, key in OUT_OF_RANGE:
+            with pytest.raises(ConfigError, match=f"'{key}'"):
+                load_config(write_config(tmp_path, text))
 
     def test_unknown_node_rejected(self, tmp_path):
         text = BASE.replace("nodes: [3, 9]", "nodes: [3, 99]")
@@ -189,6 +199,8 @@ class TestCliCommands:
         assert main(["validate", "--seed", "-3"]) == 2
         for text, _ in NON_NUMERIC:
             assert main(["roc", "--config", str(write_config(tmp_path, text))]) == 2
+        for command, (text, _) in zip(("roc", "adapt"), OUT_OF_RANGE):
+            assert main([command, "--config", str(write_config(tmp_path, text))]) == 2
 
     def test_seed_override_changes_output(self, tmp_path):
         path = write_config(tmp_path)

@@ -4,8 +4,21 @@ from scipy.stats import norm
 
 from onebitnet import (ExponentialModel, GaussianModel, build_uniform_matrix,
                        cumulant_check, make_step)
+from onebitnet.models import normal_cdf
 
 LOG5 = np.log(5.0)
+
+
+def test_normal_cdf_matches_scipy():
+    x = np.linspace(-40, 40, 8001)
+    ref = norm.cdf(x)
+    got = normal_cdf(x)
+    np.testing.assert_allclose(got, ref, rtol=0, atol=2.3e-16)
+    # relative accuracy in the lower tail, down to the smallest normal double;
+    # below it (x < -37.5) scipy's erfc underflows to 0 before math.erfc does
+    left = (x < -3) & (ref >= np.finfo(float).tiny)
+    np.testing.assert_allclose(got[left], ref[left], rtol=1e-12, atol=0)
+    assert normal_cdf(0.0) == 0.5
 
 
 class TestGaussianModel:

@@ -5,7 +5,8 @@ from scipy.stats import ks_2samp
 from onebitnet import (ExponentialModel, GaussianModel, SimConfig,
                        build_uniform_matrix, empirical_cdf, ks_distance,
                        make_step, neighbor_sets_from_edges, reaction_time, run)
-from onebitnet.simulate import ONE_BIT_X, QUANTIZED_STATE, UNQUANTIZED
+from onebitnet.simulate import (ONE_BIT_X, QUANTIZED_STATE, UNQUANTIZED,
+                                draw_statistics)
 from onebitnet.validation import (explicit_one_bit_state, iterate_scheme,
                                   unquantized_matrix_state)
 from tests.conftest import make_network
@@ -133,6 +134,32 @@ class TestRunDeterminism:
         a = run(cfg)
         b = run(cfg, chunk_trials=7)
         np.testing.assert_array_equal(a.terminal_states, b.terminal_states)
+
+    @pytest.mark.parametrize("h_steps", [[0, 0, 1, 1, 1, 0, 1, 1], [1], [0, 1]])
+    def test_draws_match_step_by_step_segments(self, expo5, h_steps):
+        """Segment cuts from np.diff draw what a step-by-step scan draws."""
+        h_steps = np.array(h_steps)
+
+        def scan(rng):
+            x, start = np.empty((h_steps.size, 3)), 0
+            while start < h_steps.size:
+                end = start
+                while end < h_steps.size and h_steps[end] == h_steps[start]:
+                    end += 1
+                x[start:end] = expo5.sample(int(h_steps[start]), rng, (end - start, 3))
+                start = end
+            return x
+
+        np.testing.assert_array_equal(
+            draw_statistics(expo5, h_steps, 3, np.random.default_rng(4)),
+            scan(np.random.default_rng(4)))
+
+    @pytest.mark.parametrize("chunk", [0, -1])
+    def test_nonpositive_chunk_rejected(self, gauss1, net_a25, chunk):
+        cfg = SimConfig(network=net_a25, model=gauss1, mu=0.1, n_iters=5,
+                        trials=4)
+        with pytest.raises(ValueError, match="chunk_trials"):
+            run(cfg, chunk_trials=chunk)
 
     def test_different_seeds_differ(self, gauss1, net_a25):
         cfg1 = SimConfig(network=net_a25, model=gauss1, mu=0.1, n_iters=10,
