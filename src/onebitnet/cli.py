@@ -166,7 +166,7 @@ def cmd_validate(quick: bool, out_dir: str, seed: int) -> int:
         "seed": seed,
         "checks": [{"name": r.name, "passed": r.passed,
                     "statistic": r.statistic, "tolerance": r.tolerance,
-                    "detail": r.detail} for r in results],
+                    "noise": r.noise, "detail": r.detail} for r in results],
         "failures": n_fail,
     }
     out = Path(out_dir)

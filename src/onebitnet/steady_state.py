@@ -6,6 +6,10 @@ neighbors' one-bit messages), so its CDF is the PMF-weighted mixture
 
     F_y(y) = sum_i nu_i F_u(y - z_i).
 
+The table of F_u is exactly 0 below its grid and 1 above it, so
+``mixture_cdf`` interpolates atom i only on the band of points with y - z_i
+on the grid: its cost grows with the atoms in the band, not points x atoms.
+
 When the memory factor eta = (1-mu) a_k approaches one (vanishing step
 size AND dominant self-weight), both components degenerate and the
 standardized state is asymptotically standard normal instead; that regime
@@ -35,9 +39,6 @@ MODE_GAUSSIAN_LIMIT = "gaussian_limit"
 
 ETA_THRESHOLD = 0.97
 A_THRESHOLD = 0.95
-
-# elements of the (thresholds x atoms) shift matrix evaluated at once
-_MIXTURE_BUDGET = 1 << 22
 
 
 def message_moments(model: ObservationModel, h: int) -> tuple[float, float]:
@@ -91,16 +92,23 @@ def select_mode(node: NodeParams) -> str:
     return MODE_MIXTURE
 
 
-def mixture_cdf(y, pmf: DiscretePmf, cont_cdf) -> np.ndarray:
-    """Evaluate sum_i nu_i F_u(y - z_i) (vectorized over y, in row blocks
-    of at most _MIXTURE_BUDGET shifted points)."""
+def mixture_cdf(y, pmf: DiscretePmf, cont_cdf: ContinuousCdfTable) -> np.ndarray:
+    """Evaluate sum_i nu_i F_u(y - z_i) over each atom's band; its edges are
+    padded by 8 ulps of the operands, so only exact 0 and 1 terms are skipped."""
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    flat = y.ravel()
-    out = np.empty(flat.shape)
-    rows = max(1, _MIXTURE_BUDGET // pmf.size)
-    for i in range(0, flat.size, rows):
-        shifted = flat[i:i + rows, None] - pmf.points[None, :]
-        out[i:i + rows] = np.asarray(cont_cdf(shifted)) @ pmf.probs
+    order = np.argsort(y, axis=None, kind="stable")
+    ys = y.ravel()[order]
+    z, nu, grid = pmf.points, pmf.probs, cont_cdf.grid
+    pad = 8 * np.spacing(np.abs(z).max() + np.abs(grid[[0, -1]]).max())
+    start = np.searchsorted(ys, z + (grid[0] - pad))
+    stop = np.searchsorted(ys, z + (grid[-1] + pad), side="right")
+    acc = np.cumsum(np.bincount(stop, weights=nu, minlength=ys.size + 1)[:-1])
+    for i in np.flatnonzero(stop > start):
+        band = slice(start[i], stop[i])
+        acc[band] += nu[i] * cont_cdf(ys[band] - z[i])
+    acc[np.isnan(ys)] = np.nan
+    out = np.empty_like(acc)
+    out[order] = acc
     # clip: the weighted sum can exceed 1 by float-accumulation noise
     return np.clip(out, 0.0, 1.0).reshape(y.shape)
 

@@ -150,17 +150,25 @@ class CheckResult:
     statistic: float
     tolerance: float
     detail: str = ""
+    noise: float | None = None  # KS checks: 95% noise floor at the draw count
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
+        noise = "" if self.noise is None else f"noise={self.noise:.4g} "
         return (f"[{status}] {self.name}: stat={self.statistic:.6g} "
-                f"tol={self.tolerance:.6g} {self.detail}".rstrip())
+                f"tol={self.tolerance:.6g} {noise}{self.detail}".rstrip())
 
 
-def _result(name, stat, tol, detail="", larger_is_fail=True):
+# KS distance quantile: with n draws from the reference law, the distance
+# stays below _KS_95 / sqrt(n) with probability ~0.95
+_KS_95 = 1.358
+
+
+def _result(name, stat, tol, detail="", larger_is_fail=True, ks_draws=None):
     ok = stat <= tol if larger_is_fail else stat >= tol
+    noise = None if ks_draws is None else _KS_95 / sqrt(ks_draws)
     return CheckResult(name=name, passed=bool(ok), statistic=float(stat),
-                       tolerance=float(tol), detail=detail)
+                       tolerance=float(tol), detail=detail, noise=noise)
 
 
 def check_marginal_probabilities() -> list[CheckResult]:
@@ -329,13 +337,8 @@ def check_figure_cdfs(quick: bool = False, seed: int = 0) -> list[CheckResult]:
                     ks = ks_distance(terminal[h][:, k], cdf)
                     results.append(_result(
                         f"steady_state/ks_{model.__class__.__name__}_a{a}_h{h}_node{k}",
-                        ks, tol, f"trials={trials}"))
+                        ks, tol, f"trials={trials}", ks_draws=trials))
     return results
-
-
-# KS distance quantile: with n draws from the reference law, the distance
-# stays below _KS_95 / sqrt(n) with probability ~0.95
-_KS_95 = 1.358
 
 
 @dataclass(frozen=True)
@@ -404,7 +407,6 @@ def check_theorem2(quick: bool = False, seed: int = 0) -> list[CheckResult]:
     """
     trials = 2000 if quick else 10 ** 4
     n = 1000
-    floor = _KS_95 / sqrt(trials)
     results = []
     for model in (GaussianModel(1.0), ExponentialModel(5.0)):
         net = build_uniform_matrix(reference_topology(), 0.99)
@@ -417,10 +419,10 @@ def check_theorem2(quick: bool = False, seed: int = 0) -> list[CheckResult]:
             plain = ks_distance(z, normal_cdf)
             gap = abs(gamma) / sqrt(2.0 * pi) / 6.0
             detail = (f"n={n} trials={trials} ks_plain_normal={plain:.4f} "
-                      f"predicted_gap={gap:.4f} noise95={floor:.4f}")
+                      f"predicted_gap={gap:.4f}")
             results.append(_result(
                 f"limit/normality_{model.__class__.__name__}_h{h}", ks,
-                0.035 if quick else 0.02, detail))
+                0.035 if quick else 0.02, detail, ks_draws=trials))
         if quick:
             break
     # small step size alone must NOT give normality
@@ -435,8 +437,8 @@ def check_theorem2(quick: bool = False, seed: int = 0) -> list[CheckResult]:
         ks[k] = ks_distance((ens.terminal_states[:, k] - m) / s, normal_cdf)
     results.append(_result(
         "limit/non_normality_guard", ks[9], 0.05,
-        f"node=9 small mu, moderate a; node3_ks={ks[3]:.4f} noise95={floor:.4f}",
-        larger_is_fail=False))
+        f"node=9 small mu, moderate a; node3_ks={ks[3]:.4f}",
+        larger_is_fail=False, ks_draws=trials))
     return results
 
 

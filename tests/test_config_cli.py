@@ -221,3 +221,7 @@ class TestValidateCommand:
             report["checks"][0])
         assert code == (1 if report["failures"] else 0)
         assert report["failures"] == 0
+        # every KS check reports its 95% noise floor; the others report none
+        for check in report["checks"]:
+            ks = check["name"].startswith(("steady_state/ks_", "limit/"))
+            assert (check["noise"] is not None) == ks, check["name"]

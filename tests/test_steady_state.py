@@ -1,3 +1,6 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 from scipy.stats import norm
@@ -8,7 +11,7 @@ from onebitnet import (ExponentialModel, GaussianModel, build_steady_state,
                        tabulate_cdf_u)
 from onebitnet.discrete import DiscretePmf, point_mass
 from onebitnet.steady_state import (MODE_GAUSSIAN_LIMIT, MODE_MIXTURE,
-                                    message_moments)
+                                    SteadyStateCdf, message_moments)
 from tests.conftest import make_network
 
 
@@ -79,24 +82,37 @@ class TestMixtureCdf:
         assert mixture_cdf(np.array([1e6]), pmf, table)[0] == pytest.approx(1.0)
         assert mixture_cdf(np.array([-1e6]), pmf, table)[0] == pytest.approx(0.0)
 
-
-    def test_row_blocks_match_pointwise(self, gauss1, monkeypatch):
-        # 2,000 atoms x 3,000 points spans two blocks of the default budget
-        from onebitnet import steady_state
+    def test_band_matches_dense_sum(self, gauss1):
+        # the band skips only terms that are exactly 0 or 1; the reference
+        # is the dense sum over every (point, atom) pair. The second table
+        # keeps mass 0.05 at each grid end, so a misplaced edge term shows.
         node = make_network(0.25).node_params(3, 0.1)
         table = tabulate_cdf_u(gauss1, node, 1, n_points=401)
+        edgy = dataclasses.replace(table, values=np.linspace(0.05, 0.95, 401))
+        lo, hi = table.support
         rng = np.random.default_rng(0)
-        pmf = DiscretePmf(points=np.sort(rng.uniform(-2, 2, 2000)),
-                          probs=np.full(2000, 1 / 2000))
-        ys = np.linspace(-3, 3, 3000)
-        assert ys.size * pmf.size > steady_state._MIXTURE_BUDGET
-        blocked = mixture_cdf(ys, pmf, table)
-        pointwise = np.array([mixture_cdf(np.array([y]), pmf, table)[0] for y in ys])
-        np.testing.assert_allclose(blocked, pointwise, rtol=0, atol=1e-14)
-        # a small budget: many blocks, one of them ragged
-        monkeypatch.setattr(steady_state, "_MIXTURE_BUDGET", 7 * pmf.size)
-        np.testing.assert_allclose(mixture_cdf(ys, pmf, table), pointwise,
-                                   rtol=0, atol=1e-14)
+        wide = DiscretePmf(  # spread over 80 table widths
+            points=np.sort(rng.uniform(-40, 40, 300)) * (hi - lo),
+            probs=rng.dirichlet(np.ones(300)))
+        single = DiscretePmf(points=np.array([0.37]), probs=np.array([1.0]))
+        for cont, pmf in itertools.product((table, edgy), (wide, single)):
+            edges = np.concatenate([pmf.points + lo, pmf.points + hi])
+            ys = np.concatenate([edges, np.nextafter(edges, -np.inf),
+                                 np.nextafter(edges, np.inf),
+                                 np.linspace(pmf.points[0] + lo,
+                                             pmf.points[-1] + hi, 501),
+                                 [np.nan, np.inf, -np.inf]])
+            ys = rng.permutation(np.concatenate([ys, ys[::7]]))  # unsorted, repeated
+            dense = cont(ys[:, None] - pmf.points) @ pmf.probs
+            np.testing.assert_allclose(mixture_cdf(ys, pmf, cont), dense,
+                                       rtol=0, atol=1e-14)
+            # 2-D queries through SteadyStateCdf keep their shape
+            cdf = SteadyStateCdf(node=3, h=1, mode=MODE_MIXTURE, pmf=pmf,
+                                 cont=cont)
+            n = ys.size // 6 * 6
+            out = cdf(ys[:n].reshape(6, -1))
+            assert out.shape == (6, n // 6)
+            np.testing.assert_allclose(out.ravel(), dense[:n], rtol=0, atol=1e-14)
 
 
 class TestSteadyStateCdf:

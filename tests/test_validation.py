@@ -5,8 +5,8 @@ from scipy.stats import norm, skew
 from onebitnet import ExponentialModel, GaussianModel
 from onebitnet.models import normal_cdf
 from onebitnet.simulate import SimConfig, run
-from onebitnet.validation import (edgeworth_cdf, limit_skewness,
-                                  state_third_cumulant)
+from onebitnet.validation import (_result, edgeworth_cdf,
+                                  limit_skewness, state_third_cumulant)
 from tests.conftest import make_network
 
 
@@ -53,3 +53,14 @@ class TestEdgeworthCdf:
         gap = np.max(np.abs(edgeworth_cdf(gamma)(z) - norm.cdf(z)))
         np.testing.assert_allclose(gap, gamma * norm.pdf(0.0) / 6.0, rtol=1e-6)
         assert np.all((edgeworth_cdf(5.0)(z) >= 0) & (edgeworth_cdf(5.0)(z) <= 1))
+
+
+class TestCheckResult:
+    def test_ks_noise_floor(self):
+        res = _result("ks", 0.01, 0.02, "trials=10000", ks_draws=10 ** 4)
+        assert res.noise == pytest.approx(0.01358, abs=1e-15)
+        assert "noise=0.01358 trials=10000" in res.line()
+
+    def test_no_noise_without_draws(self):
+        res = _result("exact", 0.0, 1e-12)
+        assert res.noise is None and "noise" not in res.line()
