@@ -14,8 +14,9 @@ E_0 x otherwise. ``make_step`` builds the single update kernel; ``run`` and
 the closed-form oracle checks in ``validation`` both drive it.
 
 Each trial draws its statistics from a counter-based Philox stream keyed
-by (master seed, trial index), so results are bit-identical regardless of
-execution order or chunking; trials are the natural unit of parallel work.
+by (master seed, trial index), so terminal states are bit-identical
+regardless of execution order or chunking. ``run`` reuses one Philox, reset
+to each trial's key, and draws step-major (n_iters, trials, S) blocks.
 """
 from __future__ import annotations
 
@@ -31,9 +32,10 @@ QUANTIZED_STATE = "quantized_state"
 UNQUANTIZED = "unquantized"
 SCHEMES = (ONE_BIT_X, QUANTIZED_STATE, UNQUANTIZED)
 
-# target in-memory draw block: trials per chunk chosen so that the
-# (chunk, n_iters, S) array stays near this many doubles
+# draw block: at most _BLOCK_TRIALS trials, so that one step's (trials, S)
+# slab stays in L2, and (n_iters, trials, S) within _CHUNK_BUDGET doubles
 _CHUNK_BUDGET = 25_000_000
+_BLOCK_TRIALS = 2048
 
 
 @dataclass(frozen=True)
@@ -101,14 +103,18 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
                                                      np.uint64(trial)]))
 
 
-def draw_statistics(model: ObservationModel, h_steps: np.ndarray, n_nodes: int,
-                    rng: np.random.Generator) -> np.ndarray:
-    """Fresh statistics for one trial: (n_iters, S), segment by segment."""
-    x = np.empty((len(h_steps), n_nodes))
+def segments(h_steps: np.ndarray) -> list[tuple[int, int, int]]:
+    """(start, end, hypothesis) of each run of equal entries in ``h_steps``."""
     cuts = np.flatnonzero(np.diff(h_steps)) + 1
-    for start, end in zip([0, *cuts], [*cuts, len(h_steps)]):
-        x[start:end] = model.sample(int(h_steps[start]), rng, (end - start, n_nodes))
-    return x
+    return [(s, e, int(h_steps[s])) for s, e in zip([0, *cuts], [*cuts, len(h_steps)])]
+
+
+def draw_statistics(model: ObservationModel, segs: list, rng: np.random.Generator,
+                    out: np.ndarray) -> np.ndarray:
+    """One trial's fresh statistics into ``out`` (n_iters, S), segment by segment."""
+    for start, end, h in segs:
+        out[start:end] = model.sample(h, rng, (end - start, out.shape[1]))
+    return out
 
 
 def make_step(network: NetworkSpec, model: ObservationModel, mu: float,
@@ -140,34 +146,43 @@ def run(config: SimConfig, trajectory_nodes=(), y0=None,
     States start at zero (the transient is eliminated); ``y0`` overrides
     the start for transient studies. Trajectories (per-step mean of the
     state over trials) are accumulated only for the requested nodes.
+
+    Trials run in step-major blocks of ``chunk_trials``; trajectories are
+    summed per block, so they are bit-stable only for a fixed block split.
     """
-    S = config.network.size
-    n = config.n_iters
-    h_steps = config.hypothesis_steps()
+    S, n = config.network.size, config.n_iters
     traj_nodes = tuple(trajectory_nodes)
+    if not all(0 <= k < S for k in traj_nodes):
+        raise ValueError(f"trajectory_nodes must lie in [0, {S}), got {traj_nodes}")
+    y_start = np.asarray(0.0 if y0 is None else y0, dtype=float)
+    if y_start.ndim > 1 or y_start.size not in (1, S):
+        raise ValueError(f"y0 must broadcast to ({S},), got shape {y_start.shape}")
+    if chunk_trials is not None and chunk_trials < 1:
+        raise ValueError(f"chunk_trials must be at least 1, got {chunk_trials}")
+    default = max(1, min(_BLOCK_TRIALS, _CHUNK_BUDGET // (n * S)))
+    block = min(config.trials, chunk_trials or default)
     traj_sum = {k: np.zeros(n) for k in traj_nodes}
     terminal = np.empty((config.trials, S))
-    if chunk_trials is None:
-        chunk_trials = max(1, min(config.trials, _CHUNK_BUDGET // (n * S)))
-    elif chunk_trials < 1:
-        raise ValueError(f"chunk_trials must be at least 1, got {chunk_trials}")
     step = make_step(config.network, config.model, config.mu, config.scheme)
-    start = 0
-    while start < config.trials:
-        count = min(chunk_trials, config.trials - start)
-        x = np.empty((count, n, S))
+    segs = segments(config.hypothesis_steps())
+    bit_gen = np.random.Philox(key=[np.uint64(config.seed), np.uint64(0)])
+    rng, fresh = np.random.Generator(bit_gen), bit_gen.state
+    # a lone trial gets a spare row: numpy's one-row product (gemv) rounds unlike gemm
+    x = np.zeros((n, max(block, 2), S))
+    for start in range(0, config.trials, block):
+        count = min(block, config.trials - start)
+        rows = max(count, 2)
         for t in range(count):
-            rng = _trial_rng(config.seed, start + t)
-            x[t] = draw_statistics(config.model, h_steps, S, rng)
-        y = np.zeros((count, S))
-        if y0 is not None:
-            y[:] = np.asarray(y0, dtype=float)
+            # the state _trial_rng(seed, start + t) starts in: counter 0, no bits left
+            fresh["state"]["key"][1] = start + t
+            bit_gen.state = fresh
+            draw_statistics(config.model, segs, rng, x[:, t])
+        y = np.broadcast_to(y_start, (rows, S))
         for i in range(n):
-            y = step(y, x[:, i, :])
+            y = step(y, x[i, :rows])
             for k in traj_nodes:
-                traj_sum[k][i] += y[:, k].sum()
-        terminal[start:start + count] = y
-        start += count
+                traj_sum[k][i] += y[:count, k].sum()
+        terminal[start:start + count] = y[:count]
     trajectories = {k: traj_sum[k] / config.trials for k in traj_nodes}
     return TrialEnsemble(terminal_states=terminal, trajectories=trajectories)
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
@@ -5,8 +7,9 @@ from scipy.stats import ks_2samp
 from onebitnet import (ExponentialModel, GaussianModel, SimConfig,
                        build_uniform_matrix, empirical_cdf, ks_distance,
                        make_step, neighbor_sets_from_edges, reaction_time, run)
+from onebitnet import simulate
 from onebitnet.simulate import (ONE_BIT_X, QUANTIZED_STATE, UNQUANTIZED,
-                                draw_statistics)
+                                _trial_rng, draw_statistics, segments)
 from onebitnet.validation import (explicit_one_bit_state, iterate_scheme,
                                   unquantized_matrix_state)
 from tests.conftest import make_network
@@ -107,16 +110,19 @@ class TestClosedFormOracles:
         ens = run(cfg)
         ens_u = run(SimConfig(network=net, model=gauss1, mu=0.1, n_iters=12,
                               trials=5, seed=3, scheme=UNQUANTIZED))
-        from onebitnet.simulate import _trial_rng, draw_statistics
         for t in range(cfg.trials):
             rng = _trial_rng(cfg.seed, t)
-            x = draw_statistics(gauss1, cfg.hypothesis_steps(), net.size, rng)
+            x = draw_statistics(gauss1, segments(cfg.hypothesis_steps()), rng,
+                                np.empty((12, net.size)))
             for k in (0, 3, 9):
                 ref = explicit_one_bit_state(net, gauss1, 0.1, k, x, np.zeros(10))
                 assert abs(ens.terminal_states[t, k] - ref) < 1e-12
             ref_u = unquantized_matrix_state(net, 0.1, x, np.zeros(10))
             np.testing.assert_allclose(ens_u.terminal_states[t], ref_u, rtol=0,
                                        atol=1e-12)
+
+
+THREE_SEGMENTS = ((1, 0), (9, 1), (20, 0))
 
 
 class TestRunDeterminism:
@@ -128,12 +134,24 @@ class TestRunDeterminism:
         np.testing.assert_array_equal(a.terminal_states, b.terminal_states)
         np.testing.assert_array_equal(a.trajectories[3], b.trajectories[3])
 
-    def test_chunking_does_not_change_trials(self, gauss1, net_a25):
-        cfg = SimConfig(network=net_a25, model=gauss1, mu=0.1, n_iters=20,
-                        trials=50, seed=7)
-        a = run(cfg)
-        b = run(cfg, chunk_trials=7)
-        np.testing.assert_array_equal(a.terminal_states, b.terminal_states)
+    def test_chunking_does_not_change_trials(self, gauss1, expo5, net_a25):
+        # three segments, both models; blocks of 1, 7 (a one-trial tail) and
+        # the default, and a run of the first trial alone
+        for model, scheme in ((gauss1, ONE_BIT_X), (expo5, ONE_BIT_X),
+                              (expo5, UNQUANTIZED)):
+            cfg = SimConfig(network=net_a25, model=model, mu=0.1, n_iters=20,
+                            trials=50, scheme=scheme, schedule=THREE_SEGMENTS,
+                            seed=7)
+            a = run(cfg, trajectory_nodes=(3, 9))
+            np.testing.assert_array_equal(
+                run(replace(cfg, trials=1)).terminal_states, a.terminal_states[:1])
+            for chunk in (1, 7):
+                b = run(cfg, trajectory_nodes=(3, 9), chunk_trials=chunk)
+                np.testing.assert_array_equal(a.terminal_states, b.terminal_states)
+                # trajectories sum block by block: equal up to rounding
+                for k in (3, 9):
+                    np.testing.assert_allclose(a.trajectories[k], b.trajectories[k],
+                                               rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("h_steps", [[0, 0, 1, 1, 1, 0, 1, 1], [1], [0, 1]])
     def test_draws_match_step_by_step_segments(self, expo5, h_steps):
@@ -151,7 +169,8 @@ class TestRunDeterminism:
             return x
 
         np.testing.assert_array_equal(
-            draw_statistics(expo5, h_steps, 3, np.random.default_rng(4)),
+            draw_statistics(expo5, segments(h_steps), np.random.default_rng(4),
+                            np.empty((h_steps.size, 3))),
             scan(np.random.default_rng(4)))
 
     @pytest.mark.parametrize("chunk", [0, -1])
@@ -168,6 +187,76 @@ class TestRunDeterminism:
                          trials=8, seed=1)
         assert not np.array_equal(run(cfg1).terminal_states,
                                   run(cfg2).terminal_states)
+
+
+class TestBlocks:
+    """run() reseeds one Philox per trial and draws step-major blocks."""
+
+    @pytest.mark.parametrize("model", [GaussianModel(1.0), ExponentialModel(5.0)],
+                             ids=["gaussian", "exponential"])
+    def test_reseeded_draws_match_per_trial_generators(self, model, net_a25,
+                                                       monkeypatch):
+        # after each trial the spy leaves half a 32-bit word and a partly
+        # used Philox buffer behind; the next reseed must discard both
+        cfg = SimConfig(network=net_a25, model=model, mu=0.1, n_iters=30,
+                        trials=12, schedule=THREE_SEGMENTS, seed=5)
+        drawn, states = [], []
+
+        def spy(m, segs, rng, out):
+            drawn.append(draw_statistics(m, segs, rng, out).copy())
+            rng.integers(0, 2 ** 32, 3, dtype=np.uint32)
+            states.append(rng.bit_generator.state)
+            return out
+
+        monkeypatch.setattr(simulate, "draw_statistics", spy)
+        run(cfg, chunk_trials=5)
+        assert all(st["has_uint32"] == 1 for st in states)
+        assert any(0 < st["buffer_pos"] < 4 for st in states)
+        segs = segments(cfg.hypothesis_steps())
+        assert len(segs) == 3
+        for t, x in enumerate(drawn):
+            ref = draw_statistics(model, segs, _trial_rng(cfg.seed, t),
+                                  np.empty((30, net_a25.size)))
+            np.testing.assert_array_equal(x, ref)
+
+    def test_one_bit_generator_per_run(self, gauss1, net_a25, monkeypatch):
+        built = []
+        philox = np.random.Philox
+
+        def counting(*args, **kwargs):
+            built.append(1)
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counting)
+        for trials in (1, 30, 300):
+            built.clear()
+            run(SimConfig(network=net_a25, model=gauss1, mu=0.1, n_iters=5,
+                          trials=trials, seed=2), chunk_trials=16)
+            assert len(built) == 1
+
+    @pytest.mark.parametrize("nodes", [(10,), (-1,), (3, 12)])
+    def test_trajectory_node_out_of_range(self, gauss1, net_a25, nodes,
+                                          monkeypatch):
+        monkeypatch.setattr(simulate, "draw_statistics", None)  # a draw raises TypeError
+        cfg = SimConfig(network=net_a25, model=gauss1, mu=0.1, n_iters=5,
+                        trials=4)
+        with pytest.raises(ValueError, match="trajectory_nodes"):
+            run(cfg, trajectory_nodes=nodes)
+
+    @pytest.mark.parametrize("y0", [np.zeros(3), np.zeros((1, 10)),
+                                    np.zeros((4, 10))])
+    def test_y0_must_broadcast_to_nodes(self, gauss1, net_a25, y0, monkeypatch):
+        monkeypatch.setattr(simulate, "draw_statistics", None)  # a draw raises TypeError
+        cfg = SimConfig(network=net_a25, model=gauss1, mu=0.1, n_iters=5,
+                        trials=4)
+        with pytest.raises(ValueError, match="y0"):
+            run(cfg, y0=y0)
+
+    def test_scalar_y0_starts_every_node(self, gauss1, net_a25):
+        cfg = SimConfig(network=net_a25, model=gauss1, mu=0.1, n_iters=5,
+                        trials=4)
+        np.testing.assert_array_equal(run(cfg, y0=2.0).terminal_states,
+                                      run(cfg, y0=np.full(10, 2.0)).terminal_states)
 
 
 class TestStationarity:
