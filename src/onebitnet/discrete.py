@@ -14,6 +14,7 @@ class-mean values (the other variants serve the oracles and tests).
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import ceil, log, sqrt
 
@@ -209,17 +210,32 @@ def merge_close(pmf: DiscretePmf, tol: float) -> DiscretePmf:
     value therefore moves by less than tol and the PMF mean is preserved
     exactly. Bounding the diameter, rather than chaining, keeps densely
     spaced supports from collapsing into a single point.
+
+    The loop runs once per cluster, not once per point: the next anchor is
+    the first point j with ``pts[j] - anchor >= tol``. Bisection on
+    ``anchor + tol`` lands next to it; since that sum rounds differently
+    from the difference, the index is then stepped to where the difference
+    test itself changes (it is monotone in j on a sorted support).
     """
     if tol <= 0 or pmf.size == 1:
         return pmf
     pts, pr = pmf.points, pmf.probs
+    vals = memoryview(pts)  # float items, no copy of the support
+    n = len(vals)
     # anchor positions: each cluster spans [anchor, anchor + tol)
     starts = [0]
-    anchor = pts[0]
-    for i in range(1, len(pts)):
-        if pts[i] - anchor >= tol:
-            starts.append(i)
-            anchor = pts[i]
+    i = 0
+    while True:
+        anchor = vals[i]
+        j = bisect_left(vals, anchor + tol, i + 1)
+        while j > i + 1 and vals[j - 1] - anchor >= tol:
+            j -= 1
+        while j < n and not vals[j] - anchor >= tol:
+            j += 1
+        if j == n:
+            break
+        starts.append(j)
+        i = j
     starts = np.asarray(starts)
     mass = np.add.reduceat(pr, starts)
     weighted = np.add.reduceat(pts * pr, starts)

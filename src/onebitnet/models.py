@@ -7,7 +7,9 @@ Phi_{x,h}(t) = log E_h exp(j t x) together with its power-series
 coefficients and radius of convergence, which drive the steady-state CDF
 inversion. ``normal_cdf`` is the package's one normal CDF,
 Phi(x) = erfc(-x/sqrt 2)/2 on ``math.erfc`` (Cody's rational Chebyshev
-approximations, Math. Comp. 23, 1969).
+approximations, Math. Comp. 23, 1969): numpy scales the whole input, one
+``map`` applies ``math.erfc`` to it as a list, and the result keeps the
+input's shape.
 """
 from __future__ import annotations
 
@@ -16,7 +18,12 @@ from math import erfc, log, sqrt
 
 import numpy as np
 
-normal_cdf = np.vectorize(lambda x: 0.5 * erfc(-x / sqrt(2.0)), otypes=[float])
+
+def normal_cdf(x):
+    """Phi(x) elementwise, as a float array of x's shape (0-d for a scalar)."""
+    z = -np.asarray(x, dtype=float) / sqrt(2.0)
+    phi = 0.5 * np.fromiter(map(erfc, z.ravel().tolist()), float, z.size)
+    return phi.reshape(z.shape)
 
 
 class ObservationModel(ABC):

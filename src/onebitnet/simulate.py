@@ -34,7 +34,8 @@ SCHEMES = (ONE_BIT_X, QUANTIZED_STATE, UNQUANTIZED)
 
 # draw block: at most _BLOCK_TRIALS trials, so that one step's (trials, S)
 # slab stays in L2, and (n_iters, trials, S) within _CHUNK_BUDGET doubles
-_CHUNK_BUDGET = 25_000_000
+# (32 MB: 400 trials of 1,000 steps at S = 10)
+_CHUNK_BUDGET = 4_000_000
 _BLOCK_TRIALS = 2048
 
 

@@ -6,6 +6,7 @@ from onebitnet import (BernoulliApproxSpec, DiscretePmf, ExponentialModel,
                        discrete_component, merge_close, moments,
                        neighbor_component_pmf, omega_k, table_first_order,
                        table_second_order)
+from onebitnet import discrete
 from onebitnet.discrete import point_mass
 from onebitnet.network import NodeParams
 from onebitnet.validation import aggregate_patterns, enumerate_truncated_pmf
@@ -246,6 +247,102 @@ class TestConvolve:
         merged = merge_close(pmf, 0.1)
         assert 9 <= merged.size <= 12
         np.testing.assert_allclose(merged.mean(), pmf.mean(), atol=1e-12)
+
+
+def merge_close_loop(pmf, tol):
+    """The per-point merge loop, kept as the reference for ``merge_close``."""
+    if tol <= 0 or pmf.size == 1:
+        return pmf
+    pts, pr = pmf.points, pmf.probs
+    starts = [0]
+    anchor = pts[0]
+    for i in range(1, len(pts)):
+        if pts[i] - anchor >= tol:
+            starts.append(i)
+            anchor = pts[i]
+    starts = np.asarray(starts)
+    mass = np.add.reduceat(pr, starts)
+    weighted = np.add.reduceat(pts * pr, starts)
+    keep = mass > 0
+    return DiscretePmf(points=weighted[keep] / mass[keep], probs=mass[keep],
+                       merge_tol=tol)
+
+
+def assert_same_pmf(got, ref):
+    assert got.points.tobytes() == ref.points.tobytes()
+    assert got.probs.tobytes() == ref.probs.tobytes()
+    assert got.merge_tol == ref.merge_tol
+
+
+def random_pmf(rng, pts):
+    return DiscretePmf(points=pts, probs=rng.dirichlet(np.ones(pts.size)))
+
+
+class TestMergeClose:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_gaps_near_tol(self, seed):
+        rng = np.random.default_rng(seed)
+        for tol in (1e-3, 0.1, 0.37, 2.5):
+            gaps = tol * rng.choice([0.2, 0.5, 1 - 1e-15, 1.0, 1 + 1e-15, 1.5], 400)
+            pts = np.unique(rng.normal() + np.cumsum(gaps))
+            pmf = random_pmf(rng, pts)
+            assert_same_pmf(merge_close(pmf, tol), merge_close_loop(pmf, tol))
+            flipped = pmf.map_affine(-1.0, 0.0)  # points on a reversed view
+            assert flipped.points.strides[0] < 0
+            assert_same_pmf(merge_close(flipped, tol), merge_close_loop(flipped, tol))
+
+    def test_dyadic_differences_equal_tol(self):
+        # pts[j] - anchor == tol exactly: the point must open a new cluster
+        rng = np.random.default_rng(7)
+        pts = np.arange(-64, 65) * 0.0625
+        for tol in (0.25, 0.125, 2.0):
+            pmf = random_pmf(rng, pts)
+            got = merge_close(pmf, tol)
+            assert_same_pmf(got, merge_close_loop(pmf, tol))
+            assert got.size == pts.size // round(tol / 0.0625) + 1
+
+    def test_large_offsets(self):
+        # near +/-1e6, anchor + tol rounds unlike pts[j] - anchor; points one
+        # ulp apart around the sum must correct the bisection both ways
+        rng = np.random.default_rng(11)
+        early = late = 0
+        for _ in range(600):
+            anchor = rng.choice([-1e6, 1e6]) * rng.uniform(0.1, 2.0)
+            tol = rng.choice([rng.uniform(0.01, 1.0), 1e6 * rng.uniform(0.1, 2.0)])
+            near = anchor + tol
+            pts = np.unique(np.append(near + np.arange(-3, 4) * np.spacing(near), anchor))
+            if pts[0] != anchor:
+                continue
+            first = next((j for j in range(1, pts.size) if pts[j] - anchor >= tol),
+                         pts.size)
+            guess = int(np.searchsorted(pts, anchor + tol))
+            early += guess < first
+            late += guess > first
+            pmf = random_pmf(rng, pts)
+            assert_same_pmf(merge_close(pmf, tol), merge_close_loop(pmf, tol))
+        assert early > 0 and late > 0
+
+    def test_zero_probability_clusters_drop_out(self):
+        pmf = DiscretePmf(points=np.array([0.0, 0.05, 1.0, 1.02, 2.0, 3.0]),
+                          probs=np.array([0.25, 0.25, 0.0, 0.0, 0.5, 0.0]))
+        got = merge_close(pmf, 0.1)
+        assert_same_pmf(got, merge_close_loop(pmf, 0.1))
+        np.testing.assert_array_equal(got.points, [0.025, 2.0])
+
+    def test_trivial_inputs_returned_unchanged(self):
+        single = point_mass(3.0)
+        pmf = DiscretePmf(points=np.array([0.0, 0.01]), probs=np.array([0.5, 0.5]))
+        assert merge_close(single, 0.1) is single
+        assert merge_close(pmf, 0.0) is pmf
+        assert merge_close(pmf, -1.0) is pmf
+
+    @pytest.mark.parametrize("h", (0, 1))
+    def test_hub_pipeline_matches_reference_loop(self, gauss1, h, monkeypatch):
+        # the mu = 0.01 hub merges up to 123,963 candidate points per call
+        net = make_network(0.5)
+        got = discrete_component(gauss1, net, 3, h, mu=0.01)
+        monkeypatch.setattr(discrete, "merge_close", merge_close_loop)
+        assert_same_pmf(got, discrete_component(gauss1, net, 3, h, mu=0.01))
 
 
 class TestDiscreteComponent:

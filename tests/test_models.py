@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.stats import norm
@@ -19,6 +21,18 @@ def test_normal_cdf_matches_scipy():
     left = (x < -3) & (ref >= np.finfo(float).tiny)
     np.testing.assert_allclose(got[left], ref[left], rtol=1e-12, atol=0)
     assert normal_cdf(0.0) == 0.5
+    # exactly Phi(x) = erfc(-x / sqrt 2) / 2 per element, special values included
+    x = np.concatenate((x, [0.0, -0.0, np.inf, -np.inf, np.nan]))
+    exact = [0.5 * math.erfc(-v / math.sqrt(2.0)) for v in x.tolist()]
+    assert normal_cdf(x).tobytes() == np.array(exact).tobytes()
+    # shapes: 0-d in, 0-d out; 2-D in, 2-D out
+    assert normal_cdf(np.float64(1.5)).shape == ()
+    assert normal_cdf(1.5) == 0.5 * math.erfc(-1.5 / math.sqrt(2.0))
+    grid = x[:12].reshape(3, 4)
+    assert normal_cdf(grid).shape == (3, 4)
+    np.testing.assert_array_equal(normal_cdf(grid), normal_cdf(grid.ravel()).reshape(3, 4))
+    for model in (GaussianModel(1.0), GaussianModel(0.1)):
+        assert type(model.p_d) is float and type(model.p_f) is float
 
 
 class TestGaussianModel:
