@@ -9,7 +9,8 @@ Library layout:
                      log-characteristic-function series inversion
 * ``discrete``     - PMF of the discrete component via truncated Bernoulli
                      convolutions and star-aggregated digit patterns
-* ``steady_state`` - mixture CDF of the full state and its Gaussian limit
+* ``steady_state`` - mixture CDF of the full state (its Gaussian limit
+                     is a point mass over a normal table)
 * ``simulate``     - the update kernel of the diffusion recursions (with the
                      one-bit quantizer) and the Monte Carlo engine
 * ``detection``    - P_f/P_d, threshold calibration, ROC curves
@@ -19,7 +20,7 @@ Library layout:
 
 from .continuous import (ContinuousCdfTable, ContinuousMoments, cdf_u,
                          cdf_u_gaussian_closed, cdf_u_grid, moments,
-                         phi_w_coefficients, select_delta, tabulate_cdf_u)
+                         phi_w_coefficients, tabulate_cdf_u)
 from .detection import RocCurve, default_gamma_grid, empirical_roc, pf_pd, \
     roc, threshold_for_pf
 from .discrete import (BernoulliApproxSpec, DiscretePmf, convolve,
@@ -33,9 +34,8 @@ from .network import (NetworkSpec, NodeParams, build_uniform_matrix,
 from .simulate import (ONE_BIT_X, QUANTIZED_STATE, UNQUANTIZED, EmpiricalCdf,
                        SimConfig, TrialEnsemble, empirical_cdf, ks_distance,
                        make_step, reaction_time, run)
-from .steady_state import (SteadyStateCdf, build_steady_state,
-                           gaussian_limit_cdf, limit_moments, mixture_cdf,
-                           select_mode, steady_state_pair)
+from .steady_state import (SteadyStateCdf, build_steady_state, limit_moments,
+                           mixture_cdf, select_mode, steady_state_pair)
 
 __version__ = "0.1.0"
 
@@ -47,11 +47,11 @@ __all__ = [
     "TrialEnsemble", "UNQUANTIZED", "build_steady_state",
     "build_uniform_matrix", "cdf_u", "cdf_u_gaussian_closed", "cdf_u_grid",
     "convolve", "cumulant_check", "default_gamma_grid", "discrete_component",
-    "empirical_cdf", "empirical_roc", "from_matrix", "gaussian_limit_cdf",
+    "empirical_cdf", "empirical_roc", "from_matrix",
     "ks_distance", "limit_moments", "make_step", "merge_close", "mixture_cdf",
     "moments", "neighbor_component_pmf", "neighbor_sets_from_edges",
     "offdiag_square_sum", "omega_k", "pf_pd", "phi_w_coefficients",
-    "reaction_time", "reference_topology", "roc", "run", "select_delta",
+    "reaction_time", "reference_topology", "roc", "run",
     "select_mode", "steady_state_pair", "table_first_order",
     "table_second_order", "tabulate_cdf_u", "threshold_for_pf",
 ]

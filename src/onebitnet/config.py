@@ -31,12 +31,31 @@ def _get(tree: dict, path: str, default=None, required=False):
 
 
 def _number(value, path: str, kind=float):
-    """``kind(value)``, or a ConfigError naming ``path``."""
+    """``kind(value)``, or a ConfigError naming ``path``; an integer key
+    rejects a fraction instead of truncating it."""
+    what = "an integer" if kind is int else "a number"
     try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
-        what = "an integer" if kind is int else "a number"
+        out = kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"'{path}' must be {what}, got {value!r}") from exc
+    if kind is int and isinstance(value, float) and out != value:
+        raise ConfigError(f"'{path}' must be {what}, got {value!r}")
+    return out
+
+
+def _get_list(tree: dict, path: str, default=None, required=False) -> list:
+    value = _get(tree, path, default, required)
+    if not isinstance(value, list):
+        raise ConfigError(f"'{path}' must be a list, got {value!r}")
+    return value
+
+
+def _pair(entry, path: str):
+    try:
+        first, second = entry
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"'{path}' entry {entry!r} is not a pair") from exc
+    return first, second
 
 
 def _get_number(tree: dict, path: str, default=None, kind=float, required=False):
@@ -104,14 +123,22 @@ def make_model(kind: str, param: float) -> ObservationModel:
     raise ConfigError(f"'model.kind' must be gaussian or exponential, got {kind!r}")
 
 
-def _build_network(tree: dict, self_weight=None) -> NetworkSpec:
+def _build_network(tree: dict, self_weight=None,
+                   key: str = "network.self_weight") -> NetworkSpec:
+    """The network with ``self_weight`` (default: the ``network.self_weight``
+    setting); a rejected self-weight is reported under ``key``."""
     topo = _get(tree, "network.topology", "reference")
     if topo == "reference":
         neighbors = reference_topology()
     elif topo == "explicit":
-        edges = _get(tree, "network.edges", required=True)
+        edges_key = "network.edges"
+        edges = [[_number(v, edges_key, int) for v in _pair(e, edges_key)]
+                 for e in _get_list(tree, edges_key, required=True)]
         n_nodes = _get_number(tree, "network.n_nodes", kind=int, required=True)
-        neighbors = neighbor_sets_from_edges(n_nodes, edges)
+        try:
+            neighbors = neighbor_sets_from_edges(n_nodes, edges)
+        except ValueError as exc:
+            raise ConfigError(f"'{edges_key}': {exc}") from exc
     else:
         raise ConfigError(f"'network.topology' must be reference or explicit, got {topo!r}")
     a = self_weight if self_weight is not None else _get(
@@ -119,7 +146,7 @@ def _build_network(tree: dict, self_weight=None) -> NetworkSpec:
     try:
         return build_uniform_matrix(neighbors, a)
     except ValueError as exc:
-        raise ConfigError(f"'network.self_weight': {exc}") from exc
+        raise ConfigError(f"'{key}': {exc}") from exc
 
 
 def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
@@ -161,15 +188,12 @@ def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
     seed = _number(overrides.get("seed", _get(tree, "dynamics.seed", 0)),
                    "dynamics.seed", int)
     _require_range(seed, "dynamics.seed", 0, float("inf"), lo_open=False)
-    schedule_raw = _get(tree, "dynamics.schedule", [[1, "H0"]])
+    schedule_raw = _get_list(tree, "dynamics.schedule", [[1, "H0"]])
     schedule = []
     if not schedule_raw:
         raise ConfigError("'dynamics.schedule' must contain at least one segment")
     for seg in schedule_raw:
-        try:
-            start, hyp = seg
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"'dynamics.schedule' segment {seg!r} is not a pair") from exc
+        start, hyp = _pair(seg, "dynamics.schedule")
         h = {"H0": 0, "H1": 1, 0: 0, 1: 1}.get(hyp)
         if h is None:
             raise ConfigError(f"'dynamics.schedule' hypothesis {hyp!r} must be H0 or H1")
@@ -197,16 +221,18 @@ def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
     out_dir = str(overrides.get("out_dir", _get(tree, "output.directory", "out")))
     network = _build_network(tree)
     nodes = tuple(_number(k, "output.nodes", int)
-                  for k in _get(tree, "output.nodes", [3, 9]))
+                  for k in _get_list(tree, "output.nodes", [3, 9]))
     for k in nodes:
         if not 0 <= k < network.size:
             raise ConfigError(f"'output.nodes' references node {k} outside the network")
     sweep_a = tuple(_number(v, "sweeps.self_weight")
-                    for v in _get(tree, "sweeps.self_weight",
-                                  [_get(tree, "network.self_weight", required=True)]))
+                    for v in _get_list(tree, "sweeps.self_weight",
+                                       [_get(tree, "network.self_weight", required=True)]))
+    for a in sweep_a:  # every sweep point's network, before any artifact
+        _build_network(tree, a, "sweeps.self_weight")
     sweep_par = tuple(_require_range(_number(v, "sweeps.model_param"),
                                      "sweeps.model_param", param_lo, float("inf"))
-                      for v in _get(tree, "sweeps.model_param", [param]))
+                      for v in _get_list(tree, "sweeps.model_param", [param]))
 
     return ExperimentConfig(
         raw=tree, network=network, model=make_model(kind, param),

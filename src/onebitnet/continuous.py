@@ -10,8 +10,13 @@ The CDF is recovered by a sine-series inversion
 
     F_u(u) = 1/2 - (2/pi) sum_{n>=0} Im{exp[Phi_w(t_n) - j (u/(mu a_k)) t_n]} / (2n+1),
 
-with t_n = (2n+1) delta/2. The step delta is chosen from tail bounds so
-that the aliasing error stays below a prescribed budget eps_prime; the
+with t_n = (2n+1) delta/2. The step delta places both tails outside the
+aliasing window [u - 2 pi a_k mu / delta, u + 2 pi a_k mu / delta], so that
+the aliasing error stays below a prescribed budget eps_prime: the upper
+tail is cut at the Chebyshev edge mean + sqrt(2 var / eps_prime), the lower
+one at the support infimum, or at the mirrored Chebyshev edge for models
+unbounded below. The window shrinks toward both ends of a grid, so one
+delta, taken at the grid's two extreme interior points, serves it all. The
 inner coefficient series is truncated at m_bar with eta^m_bar <= eps'', a
 fixed budget (DEFAULT_EPS_DPRIME). Past the radius of the inner power
 series, Phi_w is evaluated by iterating the functional equation
@@ -23,8 +28,10 @@ a block's (2/pi) sum |w_n| is below eps_prime/20 (a rule that holds for
 every u, as |exp(-j u' t_n)| = 1), and one chirp-z (Bluestein) sum on
 numpy's FFT for all points (Abate & Whitt 1992; Rabiner, Schafer & Rader
 1969). ``tabulate_cdf_u`` runs it for every non-Gaussian model; ``cdf_u``
-is its one-point call. For the Gaussian model u is normal, and its CDF is
-``models.normal_cdf`` (``math.erfc``) at the closed-form moments.
+is its one-point call. For the Gaussian model u is normal, and its table
+is ``normal_table``: ``models.normal_cdf`` (``math.erfc``) at the
+closed-form moments on a 1,501-point grid; the steady state's
+eta -> 1 limit is tabulated by it too.
 """
 from __future__ import annotations
 
@@ -56,25 +63,19 @@ class InversionError(RuntimeError):
     """Numerical failure while inverting the log-characteristic function."""
 
 
-class DeltaSelectionError(InversionError):
-    """No valid inversion step for the requested point and budget."""
-
-
 @dataclass(frozen=True)
 class ContinuousMoments:
-    """Mean, variance, dispersion index and support infimum of u."""
+    """Mean, variance and support infimum of u."""
 
     mean: float
     variance: float
-    dispersion: float
     lower: float
 
 
 def moments(model: ObservationModel, node: NodeParams, h: int) -> ContinuousMoments:
     """Closed-form steady-state moments of u = a_k mu w.
 
-    mean = a_k mu E_h x / (1 - eta), variance = a_k^2 mu^2 V_h x / (1 - eta^2);
-    the dispersion index sqrt(V)/|E| shrinks like sqrt((1-eta)/(1+eta)).
+    mean = a_k mu E_h x / (1 - eta), variance = a_k^2 mu^2 V_h x / (1 - eta^2).
     The support of u is bounded below by a_k mu inf(x) / (1 - eta).
     """
     if node.eta >= 1.0:
@@ -82,16 +83,9 @@ def moments(model: ObservationModel, node: NodeParams, h: int) -> ContinuousMome
     s = node.a_k * node.mu
     mean = s * model.mean(h) / (1.0 - node.eta)
     variance = s * s * model.variance(h) / (1.0 - node.eta ** 2)
-    ex = model.mean(h)
-    if ex != 0.0:
-        dispersion = sqrt(model.variance(h)) / abs(ex) * sqrt(
-            (1.0 - node.eta) / (1.0 + node.eta))
-    else:
-        dispersion = np.inf
     lo = model.support_lower(h)
     lower = s * lo / (1.0 - node.eta) if np.isfinite(lo) else -np.inf
-    return ContinuousMoments(mean=mean, variance=variance, dispersion=dispersion,
-                             lower=lower)
+    return ContinuousMoments(mean=mean, variance=variance, lower=lower)
 
 
 def phi_w_coefficients(model: ObservationModel, node: NodeParams, h: int,
@@ -106,36 +100,6 @@ def phi_w_coefficients(model: ObservationModel, node: NodeParams, h: int,
 def default_m_bar(eta: float, eps_dprime: float) -> int:
     """Inner truncation index from the empirical criterion eta^m <= eps''."""
     return max(1, ceil(log(eps_dprime) / log(eta)))
-
-
-def select_delta(model: ObservationModel, node: NodeParams, h: int, u: float,
-                 eps_prime: float = DEFAULT_EPS_PRIME) -> float:
-    """Inversion step delta placing both distribution tails outside the
-    aliasing window [u - 2 pi a mu / delta, u + 2 pi a mu / delta].
-
-    The upper tail is bounded by Chebyshev's inequality. The lower tail
-    uses the support bound when the statistic is bounded below (the window
-    edge is pushed below the support infimum); for two-sided unbounded
-    models a symmetric Chebyshev bound is applied instead.
-    """
-    if eps_prime <= 0:
-        raise ValueError("eps_prime must be positive")
-    mom = moments(model, node, h)
-    amu = node.a_k * node.mu
-    spread = sqrt(2.0 * mom.variance / eps_prime)
-    den_hi = spread + mom.mean - u
-    if den_hi <= 0:
-        raise DeltaSelectionError(
-            f"evaluation point u={u} is beyond the upper Chebyshev window; "
-            "widen eps_prime or use the moment bound directly")
-    d_hi = 2.0 * pi * amu / den_hi
-    if np.isfinite(mom.lower):
-        den_lo = u - mom.lower
-    else:
-        den_lo = spread - mom.mean + u
-    if den_lo <= 0:
-        return d_hi
-    return min(2.0 * pi * amu / den_lo, d_hi)
 
 
 def log_cf_w(model: ObservationModel, node: NodeParams, h: int, t) -> np.ndarray:
@@ -240,13 +204,16 @@ def cdf_u_grid(lo: float, hi: float, n_points: int, model: ObservationModel,
     """F_u on a uniform grid from one step delta and one chirp-z sum.
 
     Points at or beyond the support infimum (or the lower Chebyshev edge)
-    and the upper Chebyshev edge are 0 and 1 without a series; these are
-    also the only admissible answers where no aliasing window can be
-    placed. ``select_delta`` shrinks toward both ends of the range, so its
-    smaller value at the two extreme remaining points is valid for every
-    point in between (a smaller delta only widens the aliasing window).
-    With u' = u/(mu a_k) and theta = delta du/(mu a_k) on the grid
-    u_k = u_0 + k du,
+    ``bottom`` and the upper Chebyshev edge ``top`` are 0 and 1 without a
+    series; these are also the only admissible answers where no aliasing
+    window can be placed. For the remaining points u_first..u_last,
+
+        delta = 2 pi mu a_k / max(u_last - bottom, top - u_first)
+
+    puts both edges outside every point's window (a smaller delta only
+    widens it); a one-point grid gets that point's own step, and nan when
+    the point is a tail shortcut. With u' = u/(mu a_k) and
+    theta = delta du/(mu a_k) on the grid u_k = u_0 + k du,
 
         sum_n w_n exp(-j u_k' t_n)
             = exp(-j theta k/2) sum_n [w_n exp(-j u_0' t_n)] exp(-j theta n k),
@@ -255,20 +222,23 @@ def cdf_u_grid(lo: float, hi: float, n_points: int, model: ObservationModel,
     """
     if not 0.0 < node.eta < 1.0:
         raise ValueError(f"eta must be in (0,1), got {node.eta}")
+    if not eps_prime > 0:
+        raise ValueError(f"eps_prime must be positive, got {eps_prime}")
     mom = moments(model, node, h)
     spread = sqrt(2.0 * mom.variance / eps_prime)
     bottom = mom.lower if np.isfinite(mom.lower) else mom.mean - spread
+    top = mom.mean + spread
     grid = np.linspace(lo, hi, n_points)
-    values = (grid >= mom.mean + spread).astype(float)
-    inside = np.flatnonzero((grid > bottom) & (grid < mom.mean + spread))
+    values = (grid >= top).astype(float)
+    inside = np.flatnonzero((grid > bottom) & (grid < top))
     if inside.size == 0:
         return GridInversion(values=values, delta=np.nan, terms=0, tail=0.0)
     i0, m = int(inside[0]), inside.size
     u0 = grid[i0]
-    delta = min(select_delta(model, node, h, u0, eps_prime),
-                select_delta(model, node, h, grid[inside[-1]], eps_prime))
-    t, w, tail = _spectrum(model, node, h, delta, eps_prime)
     scale = node.mu * node.a_k
+    delta = min(2.0 * pi * scale / (grid[inside[-1]] - bottom),
+                2.0 * pi * scale / (top - u0))
+    t, w, tail = _spectrum(model, node, h, delta, eps_prime)
     theta = delta * ((hi - lo) / max(n_points - 1, 1)) / scale
     s = np.exp(-0.5j * theta * np.arange(m)) * _chirp_z(
         w * np.exp(-1j * (u0 / scale) * t), theta, m)
@@ -289,13 +259,13 @@ def cdf_u_gaussian_closed(u, model: ObservationModel, node: NodeParams, h: int):
 class ContinuousCdfTable:
     """Monotone tabulation of F_u with linear interpolation.
 
-    Queries below/above the grid return 0/1; the builder verifies that the
-    grid edges already carry negligible tail mass, so out-of-range queries
-    are exact to the tabulation budget. ``mean`` and ``variance`` are the
-    closed-form moments of u (``moments``), not integrals of the table.
+    Queries below/above the grid return 0/1; both table functions keep the tail
+    mass beyond the grid edges negligible, so out-of-range queries are
+    exact to the tabulation budget. ``mean`` and ``variance`` are the
+    closed-form moments of the tabulated law, not integrals of the table.
     ``delta``, ``terms`` and ``tail`` describe the series inversion (the
     common step, the number of terms and the last block's residual; nan,
-    0 and 0 for the Gaussian closed form); ``ripple`` is the largest drop
+    0 and 0 for a ``normal_table``); ``ripple`` is the largest drop
     of the raw values before the cumulative-max pass.
     """
 
@@ -327,34 +297,58 @@ class ContinuousCdfTable:
         return float(self.grid[0]), float(self.grid[-1])
 
 
+def _monotone_table(grid, raw, mean: float, variance: float, eps_prime: float,
+                    delta: float = np.nan, terms: int = 0,
+                    tail: float = 0.0) -> ContinuousCdfTable:
+    """Clamp raw F values to [0,1] and make them nondecreasing by a
+    cumulative-max pass; the largest drop is kept as ``ripple``, and drops
+    beyond 5 eps_prime raise a diagnostic warning."""
+    drops = np.diff(raw)
+    worst = max(0.0, -drops.min()) if drops.size else 0.0
+    if worst > 5.0 * eps_prime:
+        warnings.warn(
+            f"tabulated CDF decreases by {worst:.2e} (> 5 eps_prime); "
+            "truncation ripple exceeds budget", RuntimeWarning)
+    vals = np.minimum(1.0, np.maximum(0.0, np.maximum.accumulate(raw)))
+    return ContinuousCdfTable(grid=grid, values=vals, mean=mean, variance=variance,
+                              delta=delta, terms=terms, tail=tail,
+                              ripple=float(worst))
+
+
+def normal_table(mean: float, variance: float,
+                 n_points: int = 1501) -> ContinuousCdfTable:
+    """Table of the N(mean, variance) CDF, ``models.normal_cdf``, on
+    mean +/- 12 std; each edge carries Phi(-12) ~ 1.8e-33 of tail mass.
+    Linear interpolation on it is off by at most (24/(n_points-1))^2/8
+    times phi(1) ~ 0.242, i.e. 7.7e-6 at 1,501 points."""
+    if not variance > 0:
+        raise ValueError(f"variance must be positive, got {variance}")
+    sd = sqrt(variance)
+    grid = np.linspace(mean - _SPAN_STDS * sd, mean + _SPAN_STDS * sd, n_points)
+    return _monotone_table(grid, normal_cdf((grid - mean) / sd), mean, variance,
+                           DEFAULT_EPS_PRIME)
+
+
 def tabulate_cdf_u(model: ObservationModel, node: NodeParams, h: int,
                    n_points: int = 1501,
                    eps_prime: float = DEFAULT_EPS_PRIME) -> ContinuousCdfTable:
     """Tabulate F_u on a grid, enforce monotonicity, and wrap for reuse.
 
-    The grid spans mean +/- 12 std (cut at the support infimum), widened
-    until both edges carry at most 2 eps_prime of tail mass. The Gaussian
-    model uses its closed form; every other model evaluates each grid with
-    ``cdf_u_grid``: one step delta, one spectrum and one chirp-z sum.
-    Raw values are clamped to [0,1] and made nondecreasing by a
-    cumulative-max pass; violations beyond 5 eps_prime raise a diagnostic
-    warning.
+    The Gaussian model's u is normal: ``normal_table`` at its closed-form
+    moments. Every other model evaluates each grid with ``cdf_u_grid``
+    (one step delta, one spectrum and one chirp-z sum) on mean +/- 12 std,
+    cut at the support infimum and widened until both edges carry at most
+    2 eps_prime of tail mass, then takes the same monotone pass.
     """
-    if isinstance(model, GaussianModel):
-        def cdf(lo, hi):
-            return GridInversion(values=np.asarray(cdf_u_gaussian_closed(
-                np.linspace(lo, hi, n_points), model, node, h)),
-                delta=np.nan, terms=0, tail=0.0)
-    else:
-        def cdf(lo, hi):
-            return cdf_u_grid(lo, hi, n_points, model, node, h, eps_prime)
     mom = moments(model, node, h)
+    if isinstance(model, GaussianModel):
+        return normal_table(mom.mean, mom.variance, n_points)
     sd = sqrt(mom.variance)
     lo = max(mom.mean - _SPAN_STDS * sd,
              mom.lower - 2.0 * sd / max(n_points - 1, 1))
     hi = mom.mean + _SPAN_STDS * sd
     for _ in range(6):
-        inv = cdf(lo, hi)
+        inv = cdf_u_grid(lo, hi, n_points, model, node, h, eps_prime)
         if (inv.values[0] <= 2.0 * eps_prime
                 and inv.values[-1] >= 1.0 - 2.0 * eps_prime):
             break
@@ -363,16 +357,6 @@ def tabulate_cdf_u(model: ObservationModel, node: NodeParams, h: int,
     else:
         warnings.warn("tabulation range extension did not converge",
                       RuntimeWarning)
-        inv = cdf(lo, hi)
-    raw = inv.values
-    drops = np.diff(raw)
-    worst = max(0.0, -drops.min()) if drops.size else 0.0
-    if worst > 5.0 * eps_prime:
-        warnings.warn(
-            f"tabulated CDF decreases by {worst:.2e} (> 5 eps_prime); "
-            "truncation ripple exceeds budget", RuntimeWarning)
-    vals = np.minimum(1.0, np.maximum(0.0, np.maximum.accumulate(raw)))
-    return ContinuousCdfTable(grid=np.linspace(lo, hi, n_points), values=vals,
-                              mean=mom.mean, variance=mom.variance,
-                              delta=inv.delta, terms=inv.terms, tail=inv.tail,
-                              ripple=float(worst))
+        inv = cdf_u_grid(lo, hi, n_points, model, node, h, eps_prime)
+    return _monotone_table(np.linspace(lo, hi, n_points), inv.values, mom.mean,
+                           mom.variance, eps_prime, inv.delta, inv.terms, inv.tail)

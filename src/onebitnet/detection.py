@@ -85,13 +85,12 @@ def threshold_for_pf(cdf0, target_pf: float, gammas) -> tuple[float, float]:
     return float(gammas[i]), float(pf[i])
 
 
-def roc(cdf0, cdf1, gammas, node: int | None = None,
-        source: str = "analytical") -> RocCurve:
+def roc(cdf0, cdf1, gammas, node: int | None = None) -> RocCurve:
     """Sweep thresholds over a grid and collect (P_f, P_d) pairs."""
     gammas = np.asarray(gammas, dtype=float)
     pf = 1.0 - np.asarray(cdf0(gammas), dtype=float)
     pd = 1.0 - np.asarray(cdf1(gammas), dtype=float)
-    return RocCurve(gammas=gammas, pf=pf, pd=pd, node=node, source=source)
+    return RocCurve(gammas=gammas, pf=pf, pd=pd, node=node)
 
 
 def empirical_roc(samples0, samples1, gammas, node: int | None = None) -> RocCurve:
@@ -107,11 +106,11 @@ def empirical_roc(samples0, samples1, gammas, node: int | None = None) -> RocCur
 def default_gamma_grid(cdf0, cdf1, points: int = DEFAULT_GRID_POINTS,
                        span_stds: float = DEFAULT_SPAN_STDS,
                        eps: float = 2e-5) -> np.ndarray:
-    """Threshold grid covering both distributions.
+    """Threshold grid covering both ``SteadyStateCdf`` distributions.
 
-    Union of uniform grids over mean +/- span stds per hypothesis plus the
-    discrete support points (shifted by the continuous mean) with small
-    offsets, which captures plateau edges exactly where the mixture CDF
+    Union of uniform grids over mean +/- span stds per hypothesis plus each
+    CDF's ``pmf`` support points (shifted by its ``cont`` table's mean) with
+    small offsets, which captures plateau edges exactly where the mixture CDF
     jumps. The range is extended until both tails are below eps.
     """
     pieces = []
@@ -127,10 +126,7 @@ def default_gamma_grid(cdf0, cdf1, points: int = DEFAULT_GRID_POINTS,
                 break
             hi += s
         pieces.append(np.linspace(lo, hi, points))
-        pmf = getattr(cdf, "pmf", None)
-        table = getattr(cdf, "cont", None)
-        if pmf is not None and table is not None:
-            offs = np.array([-4.0, -2.0, 0.0, 2.0, 4.0]) * max(
-                np.sqrt(table.variance), 1e-12)
-            pieces.append((pmf.points[:, None] + table.mean + offs[None, :]).ravel())
+        offs = np.array([-4.0, -2.0, 0.0, 2.0, 4.0]) * max(
+            np.sqrt(cdf.cont.variance), 1e-12)
+        pieces.append((cdf.pmf.points[:, None] + cdf.cont.mean + offs[None, :]).ravel())
     return np.unique(np.concatenate(pieces))

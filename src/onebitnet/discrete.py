@@ -138,23 +138,17 @@ def _finalize(points, probs):
     return _combine_sorted(points[order], probs[order])
 
 
-def table_first_order(spec: BernoulliApproxSpec,
-                      value_rule: str = "pattern") -> DiscretePmf:
+def table_first_order(spec: BernoulliApproxSpec) -> DiscretePmf:
     """Normalized PMF keeping patterns with at most one unlikely digit.
 
     Support (ascending): 1 - 2 eta^i (1-eta) for i = 0..omega-1, then 1;
     probabilities (1-p) p^i and p^omega. The aggregation classes are
     "first minus at digit i+1", so the probabilities telescope to one
-    exactly. ``value_rule`` chooses the value representing each class:
-    the printed pattern value, or the class conditional mean (which keeps
-    the PMF mean equal to that of the truncated variable).
+    exactly; each class is represented by its printed pattern value.
     """
-    _check_value_rule(value_rule)
     p, eta, omega = spec.p, spec.eta, spec.omega
     i = np.arange(omega)
     vals = 1.0 - 2.0 * eta ** i * (1.0 - eta)
-    if value_rule == "class_mean":
-        vals = vals - 2.0 * (1.0 - p) * (eta ** (i + 1) - eta ** omega)
     points = np.append(vals, 1.0)
     probs = np.append((1.0 - p) * p ** i, p ** omega)
     return _finalize(points, probs)

@@ -6,20 +6,23 @@ neighbors' one-bit messages), so its CDF is the PMF-weighted mixture
 
     F_y(y) = sum_i nu_i F_u(y - z_i).
 
-The table of F_u is exactly 0 below its grid and 1 above it, so
+Every ``SteadyStateCdf`` has this one shape: a PMF over a continuous
+table. The table of F_u is exactly 0 below its grid and 1 above it, so
 ``mixture_cdf`` interpolates atom i only on the band of points with y - z_i
 on the grid: its cost grows with the atoms in the band, not points x atoms.
 
 When the memory factor eta = (1-mu) a_k approaches one (vanishing step
 size AND dominant self-weight), both components degenerate and the
-standardized state is asymptotically standard normal instead; that regime
-is served by closed-form limit moments and ``models.normal_cdf`` (on
-math.erfc). A small step size alone does not produce normality, so
-``select_mode`` takes the limit only when eta >= ETA_THRESHOLD and a_k >=
-A_THRESHOLD (fixed constants, 0.97 and 0.95). ``gaussian_limit`` is the
-plain normal: at finite eta the state keeps a skew gamma = kappa_3 / s^3,
-and the plain normal's sup error is then about |gamma| phi(0) / 6 (the
-first-order Edgeworth term; see ``validation.limit_skewness``).
+standardized state is asymptotically standard normal instead (Theorem 2).
+That limit is the same shape: a point mass at 0 over a
+``continuous.normal_table`` at the closed-form ``limit_moments``, within
+7.7e-6 of the exact normal (linear interpolation on 1,501 points). A small
+step size alone does not produce normality, so ``select_mode`` takes the
+limit only when eta >= ETA_THRESHOLD and a_k >= A_THRESHOLD (fixed
+constants, 0.97 and 0.95). ``gaussian_limit`` is the plain normal: at
+finite eta the state keeps a skew gamma = kappa_3 / s^3, and the plain
+normal's sup error is then about |gamma| phi(0) / 6 (the first-order
+Edgeworth term; see ``validation.limit_skewness``).
 """
 from __future__ import annotations
 
@@ -28,9 +31,10 @@ from math import sqrt
 
 import numpy as np
 
-from .continuous import ContinuousCdfTable, DEFAULT_EPS_PRIME, tabulate_cdf_u
-from .discrete import DEFAULT_EPS_SCALE, DiscretePmf, discrete_component
-from .models import ObservationModel, normal_cdf
+from .continuous import (ContinuousCdfTable, DEFAULT_EPS_PRIME, normal_table,
+                         tabulate_cdf_u)
+from .discrete import DEFAULT_EPS_SCALE, DiscretePmf, discrete_component, point_mass
+from .models import ObservationModel
 from .network import NetworkSpec, NodeParams
 from .network import offdiag_square_sum
 
@@ -73,13 +77,6 @@ def limit_moments(model: ObservationModel, network: NetworkSpec, k: int,
     return m, sqrt(s2)
 
 
-def gaussian_limit_cdf(y, m_inf: float, s_inf: float):
-    """Normal CDF with the limit moments (the eta -> 1 regime)."""
-    if s_inf <= 0:
-        raise ValueError("s_inf must be positive")
-    return normal_cdf((np.asarray(y, dtype=float) - m_inf) / s_inf)
-
-
 def select_mode(node: NodeParams) -> str:
     """Choose mixture vs gaussian-limit evaluation.
 
@@ -115,34 +112,26 @@ def mixture_cdf(y, pmf: DiscretePmf, cont_cdf: ContinuousCdfTable) -> np.ndarray
 
 @dataclass(frozen=True, eq=False)
 class SteadyStateCdf:
-    """Evaluable CDF of the steady-state node state under one hypothesis."""
+    """Evaluable CDF of the steady-state node state under one hypothesis:
+    the mixture of ``cont`` shifted by each atom of ``pmf``. ``mode`` says
+    which law was tabulated (``select_mode``): the paper's mixture, or the
+    eta -> 1 limit normal as a point mass at 0 over a normal table."""
 
     node: int
     h: int
     mode: str
-    pmf: DiscretePmf | None = None
-    cont: ContinuousCdfTable | None = None
-    m_inf: float | None = None
-    s_inf: float | None = None
+    pmf: DiscretePmf
+    cont: ContinuousCdfTable
 
     def __call__(self, y):
         y = np.asarray(y, dtype=float)
-        scalar = y.ndim == 0
-        if self.mode == MODE_GAUSSIAN_LIMIT:
-            out = gaussian_limit_cdf(y, self.m_inf, self.s_inf)
-        else:
-            out = mixture_cdf(y.ravel(), self.pmf, self.cont)
-        return float(np.asarray(out).reshape(-1)[0]) if scalar \
-            else np.reshape(out, y.shape)
+        out = mixture_cdf(y.ravel(), self.pmf, self.cont)
+        return float(out[0]) if y.ndim == 0 else out.reshape(y.shape)
 
     def mean(self) -> float:
-        if self.mode == MODE_GAUSSIAN_LIMIT:
-            return self.m_inf
         return self.cont.mean + self.pmf.mean()
 
     def std(self) -> float:
-        if self.mode == MODE_GAUSSIAN_LIMIT:
-            return self.s_inf
         return sqrt(self.cont.variance + self.pmf.variance())
 
 
@@ -156,13 +145,15 @@ def build_steady_state(model: ObservationModel, network: NetworkSpec, k: int,
     (``select_mode``). In mixture mode the continuous CDF is tabulated
     once, with aliasing budget ``eps_prime``, and reused across all PMF
     shifts; the discrete component's truncation budget is ``eps_scale``
-    times the continuous component's std.
+    times the continuous component's std. In the limit mode the table is
+    the normal at ``limit_moments`` and the PMF a point mass at 0.
     """
     node = network.node_params(k, mu)
     mode = select_mode(node)
     if mode == MODE_GAUSSIAN_LIMIT:
         m, s = limit_moments(model, network, k, h, mu)
-        return SteadyStateCdf(node=k, h=h, mode=mode, m_inf=m, s_inf=s)
+        return SteadyStateCdf(node=k, h=h, mode=mode, pmf=point_mass(0.0),
+                              cont=normal_table(m, s * s))
     pmf = discrete_component(model, network, k, h, mu, eps_scale)
     table = tabulate_cdf_u(model, node, h, eps_prime=eps_prime)
     return SteadyStateCdf(node=k, h=h, mode=mode, pmf=pmf, cont=table)

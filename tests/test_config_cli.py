@@ -36,6 +36,13 @@ NON_NUMERIC = (
     (BASE + "analysis:\n  eps_prime: tiny\n", "analysis.eps_prime"),
     (BASE + "sweeps:\n  self_weight: [0.25, half]\n", "sweeps.self_weight"),
     (BASE.replace("nodes: [3, 9]", "nodes: [3, nine]"), "output.nodes"),
+    # a fraction for an integer key, and a scalar where a list belongs
+    (BASE.replace("nodes: [3, 9]", "nodes: [3.7]"), "output.nodes"),
+    (BASE.replace("nodes: [3, 9]", "nodes: 3"), "output.nodes"),
+    (BASE + "sweeps:\n  self_weight: 0.25\n", "sweeps.self_weight"),
+    (BASE.replace("topology: reference",
+                  "topology: explicit\n  n_nodes: 10\n  edges: 5"), "network.edges"),
+    (BASE.replace("  seed: 5\n", "  seed: 5\n  schedule: 5\n"), "dynamics.schedule"),
 )
 
 # values that parse but that the model or simulator would reject mid-sweep
@@ -43,6 +50,12 @@ OUT_OF_RANGE = (
     (BASE + "sweeps:\n  model_param: [-1.0]\n", "sweeps.model_param"),
     (BASE.replace("  seed: 5\n", "  seed: 5\n  schedule: [[1, H0], [1, H1]]\n"),
      "dynamics.schedule"),
+    (BASE + "sweeps:\n  self_weight: [0.25, 1.5]\n", "sweeps.self_weight"),
+    (BASE.replace("topology: reference",
+                  "topology: explicit\n  n_nodes: 3\n  edges: [[0, 3]]"), "network.edges"),
+    (BASE.replace("topology: reference", "topology: explicit\n  n_nodes: 10\n"
+                  "  edges: [[0, 1]]").replace("nodes: [3, 9]", "nodes: [0]")
+     .replace("self_weight: 0.25", "self_weight: 1.5"), "network.self_weight"),
 )
 
 
@@ -199,8 +212,11 @@ class TestCliCommands:
         assert main(["validate", "--seed", "-3"]) == 2
         for text, _ in NON_NUMERIC:
             assert main(["roc", "--config", str(write_config(tmp_path, text))]) == 2
-        for command, (text, _) in zip(("roc", "adapt"), OUT_OF_RANGE):
+        for i, (text, _) in enumerate(OUT_OF_RANGE):
+            command = ("roc", "adapt", "cdf")[i % 3]
             assert main([command, "--config", str(write_config(tmp_path, text))]) == 2
+        # every error is raised at load time, before any artifact is written
+        assert not (tmp_path / "out").exists()
 
     def test_seed_override_changes_output(self, tmp_path):
         path = write_config(tmp_path)

@@ -5,10 +5,8 @@ from scipy.stats import ks_2samp, norm
 
 from onebitnet import (ExponentialModel, GaussianModel, build_uniform_matrix,
                        cdf_u, cdf_u_gaussian_closed, cdf_u_grid, moments,
-                       phi_w_coefficients, reference_topology, select_delta,
-                       tabulate_cdf_u)
-from onebitnet.continuous import (DeltaSelectionError, InversionError, _chirp_z,
-                                  default_m_bar)
+                       phi_w_coefficients, reference_topology, tabulate_cdf_u)
+from onebitnet.continuous import InversionError, _chirp_z, default_m_bar
 from onebitnet.network import NodeParams
 from onebitnet.simulate import ks_distance
 
@@ -46,14 +44,6 @@ class TestMoments:
                 return 0.0
         mom = moments(Centered(1.0), node_for(0.5), 1)
         assert mom.mean == 0.0
-
-    def test_dispersion_shrinks_with_eta(self, expo5):
-        disps = [moments(expo5, node_for(a), 1).dispersion
-                 for a in (0.1, 0.3, 0.6, 0.9)]
-        assert all(d2 < d1 for d1, d2 in zip(disps, disps[1:]))
-        # second factor never exceeds one
-        base = np.sqrt(expo5.variance(1)) / abs(expo5.mean(1))
-        assert all(d <= base + 1e-12 for d in disps)
 
     def test_eta_one_rejected(self, gauss1):
         node = NodeParams(k=0, a_k=1.0, mu=0.5, eta=1.0, c_row=np.zeros(2))
@@ -106,38 +96,63 @@ class TestPhiWCoefficients:
         assert default_m_bar(1e-6, 2e-5) == 1
 
 
+def grid_step(model, node, h, u):
+    """The step delta cdf_u_grid chooses for the one-point grid at u."""
+    return cdf_u_grid(u, u, 1, model, node, h, 2e-5).delta
+
+
 class TestSelectDelta:
+    # the aliasing window cdf_u_grid places: the upper edge is Chebyshev's,
+    # the lower edge the support infimum (or the mirrored Chebyshev edge)
     def test_reference_point_frozen(self, expo5):
         # lower-bounded support: window edge pinned at the support infimum
         node = node_for(0.5)
         mom = moments(expo5, node, 0)
         d1 = 2 * np.pi / (np.log(5.0) / 0.55)          # u = 0 support-side bound
         d2 = 2 * np.pi * 0.05 / (np.sqrt(2 * mom.variance / 2e-5) + mom.mean)
-        got = select_delta(expo5, node, 0, 0.0, 2e-5)
-        np.testing.assert_allclose(got, min(d1, d2), rtol=1e-12)
+        np.testing.assert_allclose(grid_step(expo5, node, 0, 0.0), min(d1, d2),
+                                   rtol=1e-12)
 
-    def test_below_support_only_upper_bound_binds(self, expo5):
+    def test_below_support_is_zero_without_step(self, expo5):
         node = node_for(0.5)
         u_min = node.a_k * node.mu * (-np.log(5.0)) / (1 - node.eta)
-        mom = moments(expo5, node, 0)
-        got = select_delta(expo5, node, 0, u_min - 1.0, 2e-5)
-        d2 = 2 * np.pi * 0.05 / (np.sqrt(2 * mom.variance / 2e-5)
-                                 + mom.mean - (u_min - 1.0))
-        np.testing.assert_allclose(got, d2, rtol=1e-12)
+        inv = cdf_u_grid(u_min - 1.0, u_min - 1.0, 1, expo5, node, 0, 2e-5)
+        assert inv.values.tolist() == [0.0] and np.isnan(inv.delta)
+        assert (inv.terms, inv.tail) == (0, 0.0)
 
-    def test_deep_upper_tail_raises(self, expo5):
+    def test_deep_upper_tail_is_one_without_step(self, expo5):
         node = node_for(0.5)
         mom = moments(expo5, node, 0)
         deep = mom.mean + 2 * np.sqrt(2 * mom.variance / 2e-5)
-        with pytest.raises(DeltaSelectionError, match="widen eps_prime"):
-            select_delta(expo5, node, 0, deep, 2e-5)
+        inv = cdf_u_grid(deep, deep, 1, expo5, node, 0, 2e-5)
+        assert inv.values.tolist() == [1.0] and np.isnan(inv.delta)
+        assert (inv.terms, inv.tail) == (0, 0.0)
 
     def test_gaussian_two_sided(self, gauss1):
         node = node_for(0.25)
         mom = moments(gauss1, node, 1)
-        got = select_delta(gauss1, node, 1, mom.mean, 2e-5)
         spread = np.sqrt(2 * mom.variance / 2e-5)
-        np.testing.assert_allclose(got, 2 * np.pi * 0.025 / spread, rtol=1e-12)
+        np.testing.assert_allclose(grid_step(gauss1, node, 1, mom.mean),
+                                   2 * np.pi * 0.025 / spread, rtol=1e-12)
+
+    def test_rejects_nonpositive_budget(self, expo5):
+        for eps_prime in (0.0, -1e-5, np.nan):
+            with pytest.raises(ValueError, match="eps_prime must be positive"):
+                cdf_u_grid(0.0, 0.1, 3, expo5, node_for(0.5), 1, eps_prime)
+
+    @pytest.mark.parametrize("model_name", ["gauss", "expo"])
+    def test_grid_step_is_the_smaller_end_step(self, gauss1, expo5, model_name):
+        # the window shrinks toward both ends, so a grid's one step is the
+        # smaller of its two extreme points' own steps, bit for bit
+        model = gauss1 if model_name == "gauss" else expo5
+        node = node_for(0.5)
+        for h in (0, 1):
+            mom = moments(model, node, h)
+            sd = np.sqrt(mom.variance)
+            for lo, hi in ((-1, 3), (-0.5, 40), (-1, 0.5)):
+                lo, hi = mom.mean + lo * sd, mom.mean + hi * sd
+                assert cdf_u_grid(lo, hi, 2, model, node, h, 2e-5).delta == min(
+                    grid_step(model, node, h, lo), grid_step(model, node, h, hi))
 
 
 def gil_pelaez_quad(u, model, node, h):
@@ -293,7 +308,7 @@ class TestGridEngine:
         pointwise = np.array([cdf_u(u, expo5, node, h) for u in table.grid[::15]])
         assert np.max(np.abs(table.values[::15] - pointwise)) <= 2e-5
         assert table.terms > 0 and table.tail < 2e-5 / 20
-        assert table.delta <= select_delta(expo5, node, h, table.grid[1])
+        assert table.delta <= grid_step(expo5, node, h, table.grid[1])
 
     def test_non_finite_term_raises_on_table_path(self):
         class Overflowing(ExponentialModel):

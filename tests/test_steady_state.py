@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from onebitnet import (ExponentialModel, GaussianModel, build_steady_state,
-                       build_uniform_matrix, gaussian_limit_cdf, limit_moments,
-                       mixture_cdf, moments, select_mode, steady_state_pair,
-                       tabulate_cdf_u)
+from onebitnet import (ExponentialModel, GaussianModel, RocCurve,
+                       build_steady_state, build_uniform_matrix,
+                       default_gamma_grid, limit_moments, mixture_cdf, moments,
+                       roc, select_mode, steady_state_pair, tabulate_cdf_u)
+from onebitnet.continuous import normal_table
 from onebitnet.discrete import DiscretePmf, point_mass
+from onebitnet.models import normal_cdf
 from onebitnet.steady_state import (MODE_GAUSSIAN_LIMIT, MODE_MIXTURE,
                                     SteadyStateCdf, message_moments)
 from tests.conftest import make_network
@@ -44,12 +46,34 @@ class TestLimitMoments:
 
 
 class TestGaussianLimitCdf:
-    def test_center(self):
-        assert gaussian_limit_cdf(2.0, 2.0, 0.5) == pytest.approx(0.5)
+    @pytest.mark.parametrize("model_name", ["gauss", "expo"])
+    @pytest.mark.parametrize("k", [3, 9])
+    @pytest.mark.parametrize("h", [0, 1])
+    def test_point_mass_over_normal_table(self, gauss1, expo5, model_name, k, h):
+        # mu = 0.01, a = 0.99: eta = 0.9801, the limit mode. Linear
+        # interpolation on the 1,501-point table is off the exact normal by
+        # at most (24/1500)^2/8 * phi(1) = 7.7e-6; beyond +/- 12 s by 1.8e-33.
+        model = gauss1 if model_name == "gauss" else expo5
+        net = make_network(0.99)
+        pair = steady_state_pair(model, net, k, 0.01)
+        cdf = pair[h]
+        assert cdf.mode == MODE_GAUSSIAN_LIMIT
+        assert cdf.pmf.points.tolist() == [0.0] and cdf.pmf.probs.tolist() == [1.0]
+        m, s = limit_moments(model, net, k, h, 0.01)
+        assert (cdf.mean(), cdf.std()) == (m, s)
+        ys = np.linspace(m - 13 * s, m + 13 * s, 100_001)
+        assert np.max(np.abs(cdf(ys) - normal_cdf((ys - m) / s))) <= 1e-5
+        assert abs(cdf(m) - 0.5) <= 1e-15
+        curve = roc(*pair, default_gamma_grid(*pair), node=k)
+        assert isinstance(curve, RocCurve)
+        assert min(curve.pf[0], curve.pd[0]) >= 1 - 1e-4
+        assert max(curve.pf[-1], curve.pd[-1]) <= 1e-4
 
     def test_rejects_degenerate_scale(self):
-        with pytest.raises(ValueError):
-            gaussian_limit_cdf(0.0, 0.0, 0.0)
+        # normal_table, which the limit mode tabulates with
+        for variance in (0.0, -1.0, np.nan):
+            with pytest.raises(ValueError, match="variance must be positive"):
+                normal_table(0.0, variance)
 
 
 class TestSelectMode:
