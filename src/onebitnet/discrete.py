@@ -196,14 +196,23 @@ def _check_value_rule(value_rule):
 
 
 def merge_close(pmf: DiscretePmf, tol: float) -> DiscretePmf:
-    """Aggregate support points closer together than tol.
+    """Aggregate support points closer together than tol; the cluster rule
+    is ``_merge_sorted``'s."""
+    if tol <= 0 or pmf.size == 1:
+        return pmf
+    return _merge_sorted(pmf.points, pmf.probs, tol)
+
+
+def _merge_sorted(pts, pr, tol: float) -> DiscretePmf:
+    """Cluster an ascending support (ties allowed) at tol > 0.
 
     Clusters are grown left to right and bounded in diameter by tol (a
     point opens a new cluster once it is tol or further from the cluster's
     first point), then collapsed to their probability-weighted mean. Every
     value therefore moves by less than tol and the PMF mean is preserved
     exactly. Bounding the diameter, rather than chaining, keeps densely
-    spaced supports from collapsing into a single point.
+    spaced supports from collapsing into a single point. Equal points
+    share a cluster, since their gap 0 is below tol.
 
     The loop runs once per cluster, not once per point: the next anchor is
     the first point j with ``pts[j] - anchor >= tol``. Bisection on
@@ -211,9 +220,6 @@ def merge_close(pmf: DiscretePmf, tol: float) -> DiscretePmf:
     from the difference, the index is then stepped to where the difference
     test itself changes (it is monotone in j on a sorted support).
     """
-    if tol <= 0 or pmf.size == 1:
-        return pmf
-    pts, pr = pmf.points, pmf.probs
     vals = memoryview(pts)  # float items, no copy of the support
     n = len(vals)
     # anchor positions: each cluster spans [anchor, anchor + tol)
@@ -262,9 +268,12 @@ def convolve(pmfs, merge_tol: float) -> DiscretePmf:
 
     Each input is first coarsened to the same tolerance, which bounds
     intermediate support sizes; the error stays within the same merge
-    slack. Exceeding MAX_CONVOLUTION_POINTS candidate points in one step
-    raises, signalling that the merge tolerance is too fine for the
-    requested network.
+    slack. With merge_tol > 0 a step sorts the outer sum once and
+    clusters the raw candidates (``_merge_sorted``): exact ties land in
+    one cluster, so they need no collapsing pass of their own. With
+    merge_tol = 0 ties are combined and nothing else is merged. Exceeding
+    MAX_CONVOLUTION_POINTS candidate points in one step raises, signalling
+    that the merge tolerance is too fine for the requested network.
     """
     pmfs = list(pmfs)
     if not pmfs:
@@ -279,10 +288,12 @@ def convolve(pmfs, merge_tol: float) -> DiscretePmf:
                 "points; increase the merge tolerance")
         pts = (acc.points[:, None] + nxt.points[None, :]).ravel()
         pr = (acc.probs[:, None] * nxt.probs[None, :]).ravel()
-        order = np.argsort(pts, kind="stable")
-        acc = _combine_sorted(pts[order], pr[order])
-        if merge_tol > 0:
-            acc = merge_close(acc, merge_tol)
+        if merge_tol > 0 and pts.size > 1:  # one point: unmerged, as in merge_close
+            order = np.argsort(pts)
+            acc = _merge_sorted(pts[order], pr[order], merge_tol)
+        else:
+            order = np.argsort(pts, kind="stable")
+            acc = _combine_sorted(pts[order], pr[order])
     return acc
 
 

@@ -8,6 +8,7 @@ neighborhoods.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Number
 
 import numpy as np
 
@@ -23,8 +24,8 @@ def neighbor_sets_from_edges(n_nodes: int, edges) -> tuple[frozenset[int], ...]:
     if n_nodes < 1:
         raise NetworkError("need at least one node")
     sets = [{k} for k in range(n_nodes)]
-    for i, j in edges:
-        i, j = int(i), int(j)
+    for edge in edges:
+        i, j = (_node_id(v, edge) for v in edge)
         if not (0 <= i < n_nodes and 0 <= j < n_nodes):
             raise NetworkError(f"edge ({i},{j}) references a node outside 0..{n_nodes - 1}")
         if i == j:
@@ -32,6 +33,18 @@ def neighbor_sets_from_edges(n_nodes: int, edges) -> tuple[frozenset[int], ...]:
         sets[i].add(j)
         sets[j].add(i)
     return tuple(frozenset(s) for s in sets)
+
+
+def _node_id(value, edge) -> int:
+    """``int(value)``, or a NetworkError naming ``edge``: a fractional, nan
+    or infinite id is rejected instead of truncated."""
+    try:
+        out = int(value)
+    except (TypeError, ValueError, OverflowError):
+        out = None
+    if out is None or (isinstance(value, Number) and out != value):
+        raise NetworkError(f"edge {edge!r}: node id {value!r} is not an integer")
+    return out
 
 
 def reference_topology() -> tuple[frozenset[int], ...]:

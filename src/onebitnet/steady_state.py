@@ -7,9 +7,11 @@ neighbors' one-bit messages), so its CDF is the PMF-weighted mixture
     F_y(y) = sum_i nu_i F_u(y - z_i).
 
 Every ``SteadyStateCdf`` has this one shape: a PMF over a continuous
-table. The table of F_u is exactly 0 below its grid and 1 above it, so
-``mixture_cdf`` interpolates atom i only on the band of points with y - z_i
-on the grid: its cost grows with the atoms in the band, not points x atoms.
+table. The table of F_u is exactly 0 below its grid and 1 above it; its
+live part runs from its last value below 2^-64 to its first exact 1, so
+``mixture_cdf`` interpolates atom i only on the band of points with
+y - z_i on that part: its cost grows with the atoms in the band, not
+points x atoms.
 
 When the memory factor eta = (1-mu) a_k approaches one (vanishing step
 size AND dominant self-weight), both components degenerate and the
@@ -90,15 +92,19 @@ def select_mode(node: NodeParams) -> str:
 
 
 def mixture_cdf(y, pmf: DiscretePmf, cont_cdf: ContinuousCdfTable) -> np.ndarray:
-    """Evaluate sum_i nu_i F_u(y - z_i) over each atom's band; its edges are
-    padded by 8 ulps of the operands, so only exact 0 and 1 terms are skipped."""
+    """Evaluate sum_i nu_i F_u(y - z_i) over each atom's band: y - z_i on the
+    table's live part, from its last value below 2^-64 to its first exact 1.
+    The band's edges are padded by 8 ulps of the operands, so the terms
+    skipped are those below 2^-64 and those exactly 1 (counted whole)."""
     y = np.atleast_1d(np.asarray(y, dtype=float))
     order = np.argsort(y, axis=None, kind="stable")
     ys = y.ravel()[order]
-    z, nu, grid = pmf.points, pmf.probs, cont_cdf.grid
+    z, nu, grid, vals = pmf.points, pmf.probs, cont_cdf.grid, cont_cdf.values
+    lo = grid[max(np.searchsorted(vals, 2.0 ** -64) - 1, 0)]
+    hi = grid[min(np.searchsorted(vals, 1.0), grid.size - 1)]
     pad = 8 * np.spacing(np.abs(z).max() + np.abs(grid[[0, -1]]).max())
-    start = np.searchsorted(ys, z + (grid[0] - pad))
-    stop = np.searchsorted(ys, z + (grid[-1] + pad), side="right")
+    start = np.searchsorted(ys, z + (lo - pad))
+    stop = np.searchsorted(ys, z + (hi + pad), side="right")
     acc = np.cumsum(np.bincount(stop, weights=nu, minlength=ys.size + 1)[:-1])
     for i in np.flatnonzero(stop > start):
         band = slice(start[i], stop[i])

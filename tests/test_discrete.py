@@ -206,6 +206,27 @@ class TestAffineMap:
             neighbor_component_pmf(pmf, gauss1, node, 0, 1)
 
 
+def convolve_reference(pmfs, merge_tol):
+    """Each step sorted stably, its exact ties combined into a PMF, then
+    merged: the clusters ``convolve`` forms from the raw candidates."""
+    pmfs = [merge_close(p, merge_tol) for p in pmfs]
+    acc = pmfs[0]
+    for nxt in pmfs[1:]:
+        pts = (acc.points[:, None] + nxt.points[None, :]).ravel()
+        pr = (acc.probs[:, None] * nxt.probs[None, :]).ravel()
+        order = np.argsort(pts, kind="stable")
+        acc = merge_close(discrete._combine_sorted(pts[order], pr[order]), merge_tol)
+    return acc
+
+
+def assert_close_pmf(got, ref):
+    # tied probabilities are added in another order: rounding apart only
+    assert got.size == ref.size
+    assert got.merge_tol == ref.merge_tol
+    np.testing.assert_allclose(got.points, ref.points, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(got.probs, ref.probs, rtol=0, atol=1e-16)
+
+
 class TestConvolve:
     def test_point_mass_identity(self):
         pmf = DiscretePmf(points=np.array([-0.5, 0.5]), probs=np.array([0.3, 0.7]))
@@ -225,6 +246,48 @@ class TestConvolve:
         pmf = DiscretePmf(points=pts, probs=np.full(2000, 1 / 2000))
         with pytest.raises(ValueError, match="merge tolerance"):
             convolve([pmf, pmf], merge_tol=0.0)
+
+    def test_support_cap_with_merging(self):
+        # points tol apart survive the coarsening: 2,000^2 candidates
+        pmf = DiscretePmf(points=np.arange(2000.0), probs=np.full(2000, 1 / 2000))
+        with pytest.raises(ValueError, match="support would exceed"):
+            convolve([pmf, pmf], merge_tol=0.5)
+
+    def test_tie_heavy_dyadic_matches_reference(self):
+        three = DiscretePmf(points=np.array([-1.0, 0.0, 1.0]),
+                            probs=np.array([0.25, 0.5, 0.25]))
+        quarter = DiscretePmf(points=np.array([0.0, 0.25, 0.75]),
+                              probs=np.array([0.125, 0.375, 0.5]))
+        for pmfs in ([three] * 6, [quarter, three] * 3):
+            for tol in (0.125, 0.25, 0.5, 1.0, 1.5):
+                got = convolve(pmfs, tol)
+                assert_close_pmf(got, convolve_reference(pmfs, tol))
+        # ties alone: the six-fold sum of {-1, 0, 1} keeps its 13 values
+        got = convolve([three] * 6, 0.5)
+        np.testing.assert_array_equal(got.points, np.arange(-6.0, 7.0))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_supports_match_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        pmfs = [random_pmf(rng, np.unique(rng.normal(size=rng.integers(20, 60))))
+                for _ in range(4)]
+        for tol in (1e-3, 0.02, 0.3):
+            assert_close_pmf(convolve(pmfs, tol), convolve_reference(pmfs, tol))
+
+    @pytest.mark.parametrize("h", (0, 1))
+    def test_hub_components_match_reference(self, gauss1, h, monkeypatch):
+        # the mu = 0.01 hub: up to 124,520 candidate points in one step
+        seen = []
+
+        def record(pmfs, merge_tol):
+            seen.append((list(pmfs), merge_tol))
+            return convolve(*seen[-1])
+
+        monkeypatch.setattr(discrete, "convolve", record)
+        got = discrete_component(gauss1, make_network(0.5), 3, h, mu=0.01)
+        (pmfs, tol), = seen
+        assert tol > 0 and len(pmfs) == 5
+        assert_close_pmf(got, convolve_reference(pmfs, tol))
 
     def test_merge_keeps_mean_and_bounds_displacement(self):
         rng = np.random.default_rng(1)

@@ -77,6 +77,22 @@ class TestReferenceTopology:
         assert net.is_connected()
 
 
+class TestEdgeList:
+    def test_integral_ids_accepted(self):
+        edges = [(0, 1), (np.int64(1), np.int32(2)), (2.0, np.float64(3.0))]
+        sets = neighbor_sets_from_edges(4, edges)
+        assert sets == neighbor_sets_from_edges(4, [(0, 1), (1, 2), (2, 3)])
+        assert all(type(k) is int for s in sets for k in s)
+
+    @pytest.mark.parametrize("bad", [1.5, np.float64(0.5), np.float32(2.25),
+                                     float("nan"), float("inf"), -float("inf")])
+    def test_fractional_or_nonfinite_ids_rejected(self, bad):
+        with pytest.raises(NetworkError, match=r"edge \(0, .*not an integer"):
+            neighbor_sets_from_edges(3, [(0, 1), (0, bad)])
+        with pytest.raises(NetworkError, match="not an integer"):
+            neighbor_sets_from_edges(3, [(bad, 2)])
+
+
 class TestOffdiagSquareSum:
     def test_uniform_row_attains_local_lower_bound(self):
         net = build_uniform_matrix(reference_topology(), 0.25)

@@ -107,9 +107,10 @@ class TestMixtureCdf:
         assert mixture_cdf(np.array([-1e6]), pmf, table)[0] == pytest.approx(0.0)
 
     def test_band_matches_dense_sum(self, gauss1):
-        # the band skips only terms that are exactly 0 or 1; the reference
-        # is the dense sum over every (point, atom) pair. The second table
-        # keeps mass 0.05 at each grid end, so a misplaced edge term shows.
+        # the band skips only terms below 2^-64 or exactly 1; the reference
+        # is the dense sum over every (point, atom) pair. The first table's
+        # live part is inside its grid; the second keeps mass 0.05 at each
+        # grid end, so a misplaced edge term shows.
         node = make_network(0.25).node_params(3, 0.1)
         table = tabulate_cdf_u(gauss1, node, 1, n_points=401)
         edgy = dataclasses.replace(table, values=np.linspace(0.05, 0.95, 401))
@@ -120,7 +121,13 @@ class TestMixtureCdf:
             probs=rng.dirichlet(np.ones(300)))
         single = DiscretePmf(points=np.array([0.37]), probs=np.array([1.0]))
         for cont, pmf in itertools.product((table, edgy), (wide, single)):
-            edges = np.concatenate([pmf.points + lo, pmf.points + hi])
+            below = np.flatnonzero(cont.values < 2.0 ** -64)
+            ones = np.flatnonzero(cont.values == 1.0)
+            assert (below.size > 0 and ones.size > 0) == (cont is table)
+            live = cont.grid[[below[-1] if below.size else 0,
+                              ones[0] if ones.size else -1]]
+            edges = np.concatenate([pmf.points + lo, pmf.points + hi,
+                                    pmf.points + live[0], pmf.points + live[1]])
             ys = np.concatenate([edges, np.nextafter(edges, -np.inf),
                                  np.nextafter(edges, np.inf),
                                  np.linspace(pmf.points[0] + lo,
