@@ -35,7 +35,8 @@ from .simulate import (ONE_BIT_X, QUANTIZED_STATE, UNQUANTIZED, EmpiricalCdf,
                        SimConfig, TrialEnsemble, empirical_cdf, ks_distance,
                        make_step, reaction_time, run)
 from .steady_state import (SteadyStateCdf, build_steady_state, limit_moments,
-                           mixture_cdf, select_mode, steady_state_pair)
+                           mixture_cdf, select_mode, state_cumulants,
+                           steady_state_pair)
 
 __version__ = "0.1.0"
 
@@ -52,6 +53,6 @@ __all__ = [
     "moments", "neighbor_component_pmf", "neighbor_sets_from_edges",
     "offdiag_square_sum", "omega_k", "pf_pd", "phi_w_coefficients",
     "reaction_time", "reference_topology", "roc", "run",
-    "select_mode", "steady_state_pair", "table_first_order",
+    "select_mode", "state_cumulants", "steady_state_pair", "table_first_order",
     "table_second_order", "tabulate_cdf_u", "threshold_for_pf",
 ]

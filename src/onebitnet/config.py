@@ -11,6 +11,7 @@ import yaml
 from .models import ExponentialModel, GaussianModel, ObservationModel
 from .network import (NetworkSpec, build_uniform_matrix,
                       neighbor_sets_from_edges, reference_topology)
+from .simulate import SCHEMES
 
 SCHEMA_VERSION = 1
 
@@ -203,7 +204,7 @@ def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
     if any(b[0] <= a[0] for a, b in zip(schedule, schedule[1:])):
         raise ConfigError("'dynamics.schedule' start steps must strictly increase")
     scheme = _get(tree, "dynamics.scheme", "one_bit_x")
-    if scheme not in ("one_bit_x", "quantized_state", "unquantized"):
+    if scheme not in SCHEMES:
         raise ConfigError(f"'dynamics.scheme' unknown: {scheme!r}")
 
     _require_keys(tree, "analysis", ("eps_prime", "eps_z_scale", "gamma_grid"))

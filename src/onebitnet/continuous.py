@@ -78,8 +78,6 @@ def moments(model: ObservationModel, node: NodeParams, h: int) -> ContinuousMome
     mean = a_k mu E_h x / (1 - eta), variance = a_k^2 mu^2 V_h x / (1 - eta^2).
     The support of u is bounded below by a_k mu inf(x) / (1 - eta).
     """
-    if node.eta >= 1.0:
-        raise ValueError("eta must be below 1; use the gaussian-limit mode instead")
     s = node.a_k * node.mu
     mean = s * model.mean(h) / (1.0 - node.eta)
     variance = s * s * model.variance(h) / (1.0 - node.eta ** 2)
@@ -179,8 +177,8 @@ def cdf_u(u: float, model: ObservationModel, node: NodeParams, h: int,
     """CDF of the steady-state continuous component at u, clamped to [0,1].
 
     A one-point call of ``cdf_u_grid``, so delta is the one chosen for u.
-    Requires eta in (0,1) and an absolutely continuous limit (true for any
-    model whose statistic has a density).
+    Requires an absolutely continuous limit (true for any model whose
+    statistic has a density).
     """
     return float(cdf_u_grid(u, u, 1, model, node, h, eps_prime).values[0])
 
@@ -220,8 +218,6 @@ def cdf_u_grid(lo: float, hi: float, n_points: int, model: ObservationModel,
 
     one chirp-z sum over the spectrum built once for that delta.
     """
-    if not 0.0 < node.eta < 1.0:
-        raise ValueError(f"eta must be in (0,1), got {node.eta}")
     if not eps_prime > 0:
         raise ValueError(f"eps_prime must be positive, got {eps_prime}")
     mom = moments(model, node, h)

@@ -119,8 +119,6 @@ def omega_k(model: ObservationModel, node: NodeParams, h: int,
     omega = ceil( log[(E1x - E0x) / (eps (1 - eta))] / log(1/eta) ), at
     least 1. Increasing eta at fixed eps never decreases omega.
     """
-    if node.eta >= 1.0:
-        raise ValueError("eta must be below 1")
     if eps_kh <= 0:
         raise ValueError("eps_kh must be positive")
     e0, e1 = model.message_values()

@@ -30,12 +30,10 @@ class ObservationModel(ABC):
     """Distribution of the marginal statistic under both hypotheses.
 
     Immutable; sampling takes an externally supplied generator so that
-    concurrent trials never share state. ``gamma_loc`` is the local
-    decision threshold; it is 0 for the shipped log-likelihood-ratio
-    models but kept as data so non-LLR statistics remain expressible.
+    concurrent trials never share state. The local decision threshold is
+    0: x is a log-likelihood ratio, and every closed form (p_d, p_f, the
+    analytic CDFs) and the simulator's quantizer are taken at it.
     """
-
-    gamma_loc: float = 0.0
 
     @abstractmethod
     def mean(self, h: int) -> float: ...
@@ -62,12 +60,12 @@ class ObservationModel(ABC):
     @property
     @abstractmethod
     def p_d(self) -> float:
-        """Marginal detection probability P_1(x >= gamma_loc)."""
+        """Marginal detection probability P_1(x >= 0)."""
 
     @property
     @abstractmethod
     def p_f(self) -> float:
-        """Marginal false-alarm probability P_0(x >= gamma_loc)."""
+        """Marginal false-alarm probability P_0(x >= 0)."""
 
     def support_lower(self, h: int) -> float:
         """Infimum of the support of x under h (-inf when unbounded)."""

@@ -64,14 +64,14 @@ def reference_topology() -> tuple[frozenset[int], ...]:
 class NodeParams:
     """Per-node quantities entering the steady-state analysis.
 
-    eta = (1 - mu) * a_k is the geometric memory factor of the node; c_row
-    holds the off-diagonal combination weights (c_row[k] == 0).
+    eta = (1 - mu) * a_k is the geometric memory factor of the node, in
+    (0, 1) by the checks below; c_row holds the off-diagonal combination
+    weights (c_row[k] == 0).
     """
 
     k: int
     a_k: float
     mu: float
-    eta: float
     c_row: np.ndarray
 
     def __post_init__(self):
@@ -80,6 +80,10 @@ class NodeParams:
         if not 0 < self.a_k <= 1:
             raise NetworkError(f"self-weight must be in (0,1], got {self.a_k}")
         object.__setattr__(self, "c_row", np.asarray(self.c_row, dtype=float))
+
+    @property
+    def eta(self) -> float:
+        return (1.0 - self.mu) * self.a_k
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,10 +132,11 @@ class NetworkSpec:
         return len(self.neighbors[k])
 
     def node_params(self, k: int, mu: float) -> NodeParams:
-        a_k = self.self_weight(k)
+        if not 0 <= k < self.size:
+            raise NetworkError(f"node {k} is outside 0..{self.size - 1}")
         c_row = self.A[k].copy()
         c_row[k] = 0.0
-        return NodeParams(k=k, a_k=a_k, mu=mu, eta=(1.0 - mu) * a_k, c_row=c_row)
+        return NodeParams(k=k, a_k=self.self_weight(k), mu=mu, c_row=c_row)
 
     def is_connected(self) -> bool:
         seen = {0}
@@ -199,5 +204,5 @@ def offdiag_square_sum(spec: NetworkSpec, k: int) -> float:
     For any valid row this lies in [(1-a_k)^2/(S-1), 1-a_k]; equal neighbor
     weights attain the analogous lower bound with S replaced by |N_k|.
     """
-    row = spec.A[k]
-    return float(row @ row - row[k] ** 2)
+    row = np.delete(spec.A[k], k)
+    return float(row @ row)

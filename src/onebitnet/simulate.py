@@ -9,8 +9,8 @@ with what the neighbors send:
 * ``unquantized`` - their full-precision intermediate states (classical
   diffusion, combined with the whole row of A).
 
-The one-bit quantizer sends E_1 x when its input is at least gamma_loc and
-E_0 x otherwise. ``make_step`` builds the single update kernel; ``run`` and
+The one-bit quantizer sends E_1 x when its input is at least 0 and E_0 x
+otherwise. ``make_step`` builds the single update kernel; ``run`` and
 the closed-form oracle checks in ``validation`` both drive it.
 
 Each trial draws its statistics from a counter-based Philox stream keyed
@@ -128,13 +128,12 @@ def make_step(network: NetworkSpec, model: ObservationModel, mu: float,
     c_t = (network.A - np.diag(a)).T
     a_t = network.A.T
     e0, e1 = model.message_values()
-    gamma = model.gamma_loc
 
     def step(y, x):
         v = y + mu * (x - y)
         if scheme == UNQUANTIZED:
             return v @ a_t
-        msg = np.where((x if scheme == ONE_BIT_X else v) >= gamma, e1, e0)
+        msg = np.where((x if scheme == ONE_BIT_X else v) >= 0.0, e1, e0)
         return a * v + msg @ c_t
 
     return step
@@ -225,17 +224,16 @@ def ks_distance(sample, cdf) -> float:
 
 
 def reaction_time(trajectory, switch_time: int, target_fraction: float = 0.9,
-                  post_end: int | None = None,
-                  settle_window: int | None = None) -> int:
+                  post_end: int | None = None) -> int:
     """Steps needed after a hypothesis switch to cross a fraction of the
     gap between the pre-switch and post-switch steady levels.
 
     ``trajectory[i]`` is the mean state at step i+1; ``switch_time`` is the
     first step governed by the new hypothesis; ``post_end`` bounds the
     post-switch segment (defaults to the end of the trace). Steady levels
-    are averaged over a settle window at the end of each segment. Returns
-    the 1-based count of post-switch steps; raises if the trace never
-    crosses the target ("unreached").
+    are averaged over the last max(1, min(200, post-switch length // 4))
+    steps of each segment. Returns the 1-based count of post-switch steps;
+    raises if the trace never crosses the target ("unreached").
     """
     traj = np.asarray(trajectory, dtype=float)
     n = len(traj)
@@ -244,7 +242,7 @@ def reaction_time(trajectory, switch_time: int, target_fraction: float = 0.9,
     if post_end is None:
         post_end = n
     seg_len = post_end - switch_time + 1
-    w = settle_window or max(1, min(200, seg_len // 4))
+    w = max(1, min(200, seg_len // 4))
     pre = float(np.mean(traj[max(0, switch_time - 1 - w):switch_time - 1]))
     post = float(np.mean(traj[post_end - w:post_end]))
     if post == pre:

@@ -13,18 +13,24 @@ live part runs from its last value below 2^-64 to its first exact 1, so
 y - z_i on that part: its cost grows with the atoms in the band, not
 points x atoms.
 
+The state's closed-form cumulants kappa_1..3 live in one function,
+``state_cumulants``: the own statistics and the two-point messages each
+add their n-th cumulant, weighted by (mu a_k)^n and c_kl^n, over
+1 - eta^n.
+
 When the memory factor eta = (1-mu) a_k approaches one (vanishing step
 size AND dominant self-weight), both components degenerate and the
 standardized state is asymptotically standard normal instead (Theorem 2).
 That limit is the same shape: a point mass at 0 over a
-``continuous.normal_table`` at the closed-form ``limit_moments``, within
-7.7e-6 of the exact normal (linear interpolation on 1,501 points). A small
-step size alone does not produce normality, so ``select_mode`` takes the
-limit only when eta >= ETA_THRESHOLD and a_k >= A_THRESHOLD (fixed
-constants, 0.97 and 0.95). ``gaussian_limit`` is the plain normal: at
-finite eta the state keeps a skew gamma = kappa_3 / s^3, and the plain
-normal's sup error is then about |gamma| phi(0) / 6 (the first-order
-Edgeworth term; see ``validation.limit_skewness``).
+``continuous.normal_table`` at ``limit_moments`` (kappa_1 and
+sqrt(kappa_2)), within 7.7e-6 of the exact normal (linear interpolation on
+1,501 points). A small step size alone does not produce normality, so
+``select_mode`` takes the limit only when eta >= ETA_THRESHOLD and
+a_k >= A_THRESHOLD (fixed constants, 0.97 and 0.95). ``gaussian_limit`` is
+the plain normal: at finite eta the state keeps a skew
+gamma = kappa_3 / kappa_2^1.5, and the plain normal's sup error is then
+about |gamma| phi(0) / 6 (the first-order Edgeworth term; see
+``validation.limit_skewness``).
 """
 from __future__ import annotations
 
@@ -33,12 +39,11 @@ from math import sqrt
 
 import numpy as np
 
-from .continuous import (ContinuousCdfTable, DEFAULT_EPS_PRIME, normal_table,
-                         tabulate_cdf_u)
+from .continuous import (ContinuousCdfTable, DEFAULT_EPS_PRIME, moments,
+                         normal_table, phi_w_coefficients, tabulate_cdf_u)
 from .discrete import DEFAULT_EPS_SCALE, DiscretePmf, discrete_component, point_mass
 from .models import ObservationModel
 from .network import NetworkSpec, NodeParams
-from .network import offdiag_square_sum
 
 MODE_MIXTURE = "mixture"
 MODE_GAUSSIAN_LIMIT = "gaussian_limit"
@@ -47,33 +52,37 @@ ETA_THRESHOLD = 0.97
 A_THRESHOLD = 0.95
 
 
-def message_moments(model: ObservationModel, h: int) -> tuple[float, float]:
-    """Mean and variance of the one-bit message under hypothesis h."""
+def state_cumulants(model: ObservationModel, network: NetworkSpec, k: int,
+                    h: int, mu: float) -> tuple[float, float, float]:
+    """Closed-form mean, variance and third cumulant of node k's state,
+
+        kappa_n = [(mu a_k)^n kappa_n(x) + sum_l c_kl^n kappa_n(xt)] / (1 - eta^n).
+
+    The own part is u's: ``continuous.moments`` for n = 1, 2 and the t^3
+    coefficient of Phi_w, kappa_3 = Re(6j phi_w,3), for n = 3. The message
+    xt is e_0 + d b with b ~ Bernoulli(p), d = e_1 - e_0 and p = p_d under
+    h=1, p_f under h=0, so kappa_1..3(xt) = e_0 + p d, p(1-p) d^2 and
+    p(1-p)(1-2p) d^3.
+    """
+    node = network.node_params(k, mu)
+    mom = moments(model, node, h)
+    kappa3_w = float(np.real(6j * phi_w_coefficients(model, node, h, 3)[2]))
+    own = (mom.mean, mom.variance, (mu * node.a_k) ** 3 * kappa3_w)
     e0, e1 = model.message_values()
+    d = e1 - e0
     p = model.p_d if h == 1 else model.p_f
-    mean = p * e1 + (1.0 - p) * e0
-    var = p * (1.0 - p) * (e1 - e0) ** 2
-    return mean, var
+    q = p * (1.0 - p)
+    msg = (e0 + p * d, q * d * d, q * (1.0 - 2.0 * p) * d ** 3)
+    return tuple(o + float(np.sum(node.c_row ** n)) * m / (1.0 - node.eta ** n)
+                 for n, (o, m) in enumerate(zip(own, msg), start=1))
 
 
 def limit_moments(model: ObservationModel, network: NetworkSpec, k: int,
                   h: int, mu: float) -> tuple[float, float]:
-    """Steady-state mean and standard deviation of the node state.
-
-    m = [mu a_k E_h x + (1 - a_k) E_h xt] / (1 - eta)
-    s^2 = [mu^2 a_k^2 V_h x + V_h xt * sum_{l != k} a_kl^2] / (1 - eta^2)
-
-    where xt is the one-bit message. These are exact for any eta < 1 and
-    are the centering/scaling of the near-unity-eta normal limit.
-    """
-    node = network.node_params(k, mu)
-    if node.eta >= 1.0:
-        raise ValueError("eta must be below 1")
-    em, ev = message_moments(model, h)
-    a_k = node.a_k
-    m = (mu * a_k * model.mean(h) + (1.0 - a_k) * em) / (1.0 - node.eta)
-    s2 = (mu ** 2 * a_k ** 2 * model.variance(h)
-          + ev * offdiag_square_sum(network, k)) / (1.0 - node.eta ** 2)
+    """Steady-state mean and standard deviation of the node state
+    (``state_cumulants``): the centering/scaling of the near-unity-eta
+    normal limit."""
+    m, s2, _ = state_cumulants(model, network, k, h, mu)
     if s2 <= 0:
         raise ValueError("degenerate steady state: zero variance")
     return m, sqrt(s2)

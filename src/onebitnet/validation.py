@@ -20,8 +20,7 @@ from math import pi, sqrt
 
 import numpy as np
 
-from .continuous import (cdf_u_grid, cdf_u_gaussian_closed, moments,
-                         phi_w_coefficients)
+from .continuous import cdf_u_grid, cdf_u_gaussian_closed, moments
 from .detection import RocCurve, default_gamma_grid, empirical_roc, roc
 from .discrete import (BernoulliApproxSpec, DiscretePmf,
                        table_first_order, table_second_order)
@@ -31,7 +30,8 @@ from .network import NetworkSpec, build_uniform_matrix, neighbor_sets_from_edges
 from .simulate import (ONE_BIT_X, QUANTIZED_STATE, UNQUANTIZED, SimConfig,
                        hypothesis_ensembles, ks_distance, make_step,
                        reaction_time, run)
-from .steady_state import build_steady_state, limit_moments, steady_state_pair
+from .steady_state import (build_steady_state, limit_moments, state_cumulants,
+                           steady_state_pair)
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +104,7 @@ def explicit_one_bit_state(network: NetworkSpec, model, mu: float, k: int,
     c_row = network.A[k].copy()
     c_row[k] = 0.0
     e0, e1 = model.message_values()
-    msg = np.where(x >= model.gamma_loc, e1, e0)
+    msg = np.where(x >= 0.0, e1, e0)
     i = np.arange(1, n + 1)
     weights = eta ** (i - 1.0)
     own = mu * a_k * float(weights @ x[::-1][:, k])
@@ -341,42 +341,11 @@ def check_figure_cdfs(quick: bool = False, seed: int = 0) -> list[CheckResult]:
     return results
 
 
-@dataclass(frozen=True)
-class StateThirdCumulant:
-    """Third cumulant of a node's steady state, split by source."""
-
-    own: float       # (mu a_k)^3 kappa_3(w), the node's own statistics
-    message: float   # neighbours' one-bit messages
-
-    @property
-    def total(self) -> float:
-        return self.own + self.message
-
-
-def state_third_cumulant(model, network: NetworkSpec, k: int, h: int,
-                         mu: float) -> StateThirdCumulant:
-    """Closed-form third cumulant of the one-bit steady state at node k.
-
-    The own term is (mu a_k)^3 kappa_3(w), read from the t^3 coefficient of
-    Phi_w as kappa_3 = Re(6j phi_w,3). The message term is
-    sum_l c_kl^3 p(1-p)(1-2p)(e_1-e_0)^3 / (1-eta^3), with p = p_d under
-    h=1 and p_f under h=0.
-    """
-    node = network.node_params(k, mu)
-    kappa3_w = float(np.real(6j * phi_w_coefficients(model, node, h, 3)[2]))
-    e0, e1 = model.message_values()
-    p = model.p_d if h == 1 else model.p_f
-    kappa3_msg = p * (1.0 - p) * (1.0 - 2.0 * p) * (e1 - e0) ** 3
-    return StateThirdCumulant(
-        own=(mu * node.a_k) ** 3 * kappa3_w,
-        message=float(np.sum(node.c_row ** 3)) * kappa3_msg / (1.0 - node.eta ** 3))
-
-
 def limit_skewness(model, network: NetworkSpec, k: int, h: int, mu: float) -> float:
-    """Standardised skew gamma = kappa_3 / s^3 of the node-k steady state;
-    it vanishes as eta -> 1."""
-    _, s = limit_moments(model, network, k, h, mu)
-    return state_third_cumulant(model, network, k, h, mu).total / s ** 3
+    """Standardised skew gamma = kappa_3 / kappa_2^1.5 of the node-k steady
+    state (``state_cumulants``); it vanishes as eta -> 1."""
+    _, kappa2, kappa3 = state_cumulants(model, network, k, h, mu)
+    return kappa3 / kappa2 ** 1.5
 
 
 def edgeworth_cdf(gamma: float):

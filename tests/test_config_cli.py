@@ -6,6 +6,7 @@ import pytest
 
 from onebitnet.cli import main
 from onebitnet.config import ConfigError, load_config
+from onebitnet.simulate import SCHEMES
 
 BASE = """
 version: 1
@@ -56,6 +57,8 @@ OUT_OF_RANGE = (
     (BASE.replace("topology: reference", "topology: explicit\n  n_nodes: 10\n"
                   "  edges: [[0, 1]]").replace("nodes: [3, 9]", "nodes: [0]")
      .replace("self_weight: 0.25", "self_weight: 1.5"), "network.self_weight"),
+    (BASE.replace("  seed: 5\n", "  seed: 5\n  scheme: two_bit_x\n"),
+     "dynamics.scheme"),
 )
 
 
@@ -142,6 +145,11 @@ class TestConfigParsing:
         for text, key in OUT_OF_RANGE:
             with pytest.raises(ConfigError, match=f"'{key}'"):
                 load_config(write_config(tmp_path, text))
+
+    def test_every_scheme_accepted(self, tmp_path):
+        for scheme in SCHEMES:
+            text = BASE.replace("  seed: 5\n", f"  seed: 5\n  scheme: {scheme}\n")
+            assert load_config(write_config(tmp_path, text)).scheme == scheme
 
     def test_unknown_node_rejected(self, tmp_path):
         text = BASE.replace("nodes: [3, 9]", "nodes: [3, 99]")

@@ -14,7 +14,7 @@ from onebitnet.simulate import ks_distance
 def node_for(a, mu=0.1, k=0, n_nodes=2):
     c_row = np.zeros(n_nodes)
     c_row[(k + 1) % n_nodes] = 1.0 - a
-    return NodeParams(k=k, a_k=a, mu=mu, eta=(1 - mu) * a, c_row=c_row)
+    return NodeParams(k=k, a_k=a, mu=mu, c_row=c_row)
 
 
 def simulate_u(model, node, h, n_samples, seed):
@@ -44,11 +44,6 @@ class TestMoments:
                 return 0.0
         mom = moments(Centered(1.0), node_for(0.5), 1)
         assert mom.mean == 0.0
-
-    def test_eta_one_rejected(self, gauss1):
-        node = NodeParams(k=0, a_k=1.0, mu=0.5, eta=1.0, c_row=np.zeros(2))
-        with pytest.raises(ValueError, match="gaussian-limit"):
-            moments(gauss1, node, 0)
 
     def test_mc_agreement(self, expo5):
         node = node_for(0.5)

@@ -15,7 +15,7 @@ from tests.conftest import make_network
 
 def node_for(a, mu=0.1):
     c_row = np.array([0.0, 1.0 - a])
-    return NodeParams(k=0, a_k=a, mu=mu, eta=(1 - mu) * a, c_row=c_row)
+    return NodeParams(k=0, a_k=a, mu=mu, c_row=c_row)
 
 
 class TestDiscretePmf:
@@ -51,7 +51,7 @@ class TestOmega:
         eps = 0.01
         etas = np.linspace(0.05, 0.9, 18)
         omegas = [omega_k(gauss1, NodeParams(k=0, a_k=e / 0.9, mu=0.1,
-                                             eta=e, c_row=np.array([0.0, 1.0])),
+                                             c_row=np.array([0.0, 1.0])),
                           1, eps) for e in etas]
         assert all(o2 >= o1 for o1, o2 in zip(omegas, omegas[1:]))
 
@@ -192,8 +192,7 @@ class TestAffineMap:
 
     def test_interior_point(self, gauss1):
         # z = 0.505 with link weight 0.15 and eta = 0.45 (hub-row slice)
-        node = NodeParams(k=0, a_k=0.5, mu=0.1, eta=0.45,
-                          c_row=np.array([0.0, 0.15]))
+        node = NodeParams(k=0, a_k=0.5, mu=0.1, c_row=np.array([0.0, 0.15]))
         pmf = DiscretePmf(points=np.array([0.505]), probs=np.array([1.0]))
         mapped = neighbor_component_pmf(pmf, gauss1, node, 1, 1)
         np.testing.assert_allclose(mapped.points[0], 0.15 * 0.505 / 0.55, atol=1e-12)

@@ -1,9 +1,13 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from onebitnet import (NetworkSpec, build_uniform_matrix, from_matrix,
-                       neighbor_sets_from_edges, offdiag_square_sum,
-                       reference_topology)
+from onebitnet import (GaussianModel, NetworkSpec, build_steady_state,
+                       build_uniform_matrix, discrete_component, from_matrix,
+                       limit_moments, neighbor_sets_from_edges,
+                       offdiag_square_sum, reference_topology, state_cumulants,
+                       steady_state_pair)
 from onebitnet.network import NetworkError
 
 
@@ -105,6 +109,15 @@ class TestOffdiagSquareSum:
         net = build_uniform_matrix(reference_topology(), 1.0)
         assert offdiag_square_sum(net, 4) == 0.0
 
+    @pytest.mark.parametrize("k", [3, 9])
+    def test_matches_exact_sum_near_unit_self_weight(self, k):
+        # at a = 0.99, row . row - a^2 cancels to ~1e-12; the direct sum
+        # stays within an ulp of the exact rational sum of the float weights
+        net = build_uniform_matrix(reference_topology(), 0.99)
+        exact = sum(Fraction(float(c)) ** 2 for c in np.delete(net.A[k], k))
+        got = offdiag_square_sum(net, k)
+        assert abs(Fraction(got) - exact) <= Fraction(1e-15) * exact
+
     def test_global_bounds_over_random_networks(self):
         rng = np.random.default_rng(11)
         for _ in range(40):
@@ -138,6 +151,20 @@ class TestMatrixValidation:
         A = np.array([[0.5, 0.5], [0.0, 1.0]])
         with pytest.raises(NetworkError, match="neighborhood"):
             NetworkSpec(neighbors=neighbors, A=A)
+
+    @pytest.mark.parametrize("k", [-1, 10])
+    def test_node_id_out_of_range_rejected(self, k):
+        net = build_uniform_matrix(reference_topology(), 0.5)
+        model = GaussianModel(1.0)
+        calls = (lambda: net.node_params(k, 0.1),
+                 lambda: limit_moments(model, net, k, 1, 0.1),
+                 lambda: state_cumulants(model, net, k, 1, 0.1),
+                 lambda: discrete_component(model, net, k, 1, 0.1),
+                 lambda: build_steady_state(model, net, k, 1, 0.1),
+                 lambda: steady_state_pair(model, net, k, 0.1))
+        for call in calls:
+            with pytest.raises(NetworkError, match=rf"node {k} is outside 0\.\.9"):
+                call()
 
     def test_node_params(self):
         net = build_uniform_matrix(reference_topology(), 0.5)

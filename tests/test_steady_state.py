@@ -13,7 +13,7 @@ from onebitnet.continuous import normal_table
 from onebitnet.discrete import DiscretePmf, point_mass
 from onebitnet.models import normal_cdf
 from onebitnet.steady_state import (MODE_GAUSSIAN_LIMIT, MODE_MIXTURE,
-                                    SteadyStateCdf, message_moments)
+                                    SteadyStateCdf)
 from tests.conftest import make_network
 
 
@@ -37,12 +37,17 @@ class TestLimitMoments:
         np.testing.assert_allclose(m, mom.mean, atol=1e-14)
         np.testing.assert_allclose(s ** 2, mom.variance, atol=1e-14)
 
-    def test_message_moments(self, gauss1):
-        em, ev = message_moments(gauss1, 1)
-        np.testing.assert_allclose(em, 2 * gauss1.p_d - 1, atol=1e-14)
-        np.testing.assert_allclose(ev, 4 * gauss1.p_d * (1 - gauss1.p_d),
-                                   atol=1e-14)
-        assert ev <= (gauss1.mean(1) - gauss1.mean(0)) ** 2 / 4 + 1e-14
+    @pytest.mark.parametrize("h", [0, 1])
+    def test_variance_closed_form(self, gauss1, h):
+        # s^2 = [mu^2 a^2 V x + sum_l c_l^2 V xt] / (1 - eta^2) with V x = 2 rho
+        # = 2, V xt = (e_1 - e_0)^2 p (1 - p) = 4 p (1 - p) and five links of
+        # weight 0.002 at node 3
+        net = make_network(0.99)
+        _, s = limit_moments(gauss1, net, 3, h, 0.01)
+        p = norm.cdf(np.sqrt(0.5) * (1 if h == 1 else -1))
+        expected = ((0.01 * 0.99) ** 2 * 2 + 5 * 0.002 ** 2 * 4 * p * (1 - p)) \
+            / (1 - 0.9801 ** 2)
+        np.testing.assert_allclose(s ** 2, expected, rtol=1e-13)
 
 
 class TestGaussianLimitCdf:

@@ -5,30 +5,49 @@ from scipy.stats import norm, skew
 from onebitnet import ExponentialModel, GaussianModel
 from onebitnet.models import normal_cdf
 from onebitnet.simulate import SimConfig, run
-from onebitnet.validation import (_result, edgeworth_cdf,
-                                  limit_skewness, state_third_cumulant)
+from onebitnet.steady_state import state_cumulants
+from onebitnet.validation import _result, edgeworth_cdf, limit_skewness
 from tests.conftest import make_network
+
+
+def message_kappa3(model, net, k, h, mu):
+    """sum_l c_kl^3 p(1-p)(1-2p)(e_1-e_0)^3 / (1-eta^3) from the matrix row."""
+    c = np.delete(net.A[k], k)
+    eta = (1.0 - mu) * net.A[k, k]
+    e0, e1 = model.message_values()
+    p = model.p_d if h == 1 else model.p_f
+    return (np.sum(c ** 3) * p * (1 - p) * (1 - 2 * p) * (e1 - e0) ** 3
+            / (1.0 - eta ** 3))
 
 
 class TestStateThirdCumulant:
     @pytest.mark.parametrize("h", [0, 1])
     def test_gaussian_own_term_vanishes(self, gauss1, h):
-        cum = state_third_cumulant(gauss1, make_network(0.99), 3, h, 0.01)
-        assert cum.own == 0.0
-        assert cum.message != 0.0
+        # kappa_3 of a Gaussian statistic is 0: only the messages skew
+        net = make_network(0.99)
+        _, _, kappa3 = state_cumulants(gauss1, net, 3, h, 0.01)
+        expected = message_kappa3(gauss1, net, 3, h, 0.01)
+        # rho = 1: p_f = 1 - p_d = Phi(-sqrt(1/2)), e_1 - e_0 = 2, c = 0.002
+        p = norm.cdf(np.sqrt(0.5) * (1 if h == 1 else -1))
+        np.testing.assert_allclose(
+            expected, 5 * 0.002 ** 3 * p * (1 - p) * (1 - 2 * p) * 8
+            / (1 - 0.9801 ** 3), rtol=1e-12)
+        assert expected != 0.0
+        np.testing.assert_allclose(kappa3, expected, rtol=1e-14, atol=0)
 
     @pytest.mark.parametrize("h", [0, 1])
     @pytest.mark.parametrize("k", [3, 9])
     def test_exponential_own_term(self, expo5, h, k):
+        # kappa_3 of an exponential with scale s_h is 2 s_h^3
         net = make_network(0.5)
         mu = 0.1
         a_k = net.self_weight(k)
         eta = (1.0 - mu) * a_k
         s_h = np.sqrt(expo5.variance(h))
-        cum = state_third_cumulant(expo5, net, k, h, mu)
+        _, _, kappa3 = state_cumulants(expo5, net, k, h, mu)
         np.testing.assert_allclose(
-            cum.own, 2.0 * s_h ** 3 * (mu * a_k) ** 3 / (1.0 - eta ** 3),
-            rtol=1e-12)
+            kappa3, 2.0 * s_h ** 3 * (mu * a_k) ** 3 / (1.0 - eta ** 3)
+            + message_kappa3(expo5, net, k, h, mu), rtol=1e-12)
 
     @pytest.mark.parametrize("h", [0, 1])
     def test_skew_matches_monte_carlo(self, expo5, h):
