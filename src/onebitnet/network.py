@@ -35,14 +35,20 @@ def neighbor_sets_from_edges(n_nodes: int, edges) -> tuple[frozenset[int], ...]:
     return tuple(frozenset(s) for s in sets)
 
 
-def _node_id(value, edge) -> int:
-    """``int(value)``, or a NetworkError naming ``edge``: a fractional, nan
-    or infinite id is rejected instead of truncated."""
+def whole_number(value) -> int | None:
+    """``int(value)``, or None where that fails or would truncate: a
+    fractional, nan or infinite number is rejected, not rounded."""
     try:
         out = int(value)
     except (TypeError, ValueError, OverflowError):
-        out = None
-    if out is None or (isinstance(value, Number) and out != value):
+        return None
+    return None if isinstance(value, Number) and out != value else out
+
+
+def _node_id(value, edge) -> int:
+    """``whole_number(value)``, or a NetworkError naming ``edge``."""
+    out = whole_number(value)
+    if out is None:
         raise NetworkError(f"edge {edge!r}: node id {value!r} is not an integer")
     return out
 
@@ -124,16 +130,22 @@ class NetworkSpec:
     def size(self) -> int:
         return len(self.neighbors)
 
+    def _check_node(self, k: int) -> None:
+        # numpy and tuple indexing would read node S - 1 for k = -1
+        if not 0 <= k < self.size:
+            raise NetworkError(f"node {k} is outside 0..{self.size - 1}")
+
     def self_weight(self, k: int) -> float:
+        self._check_node(k)
         return float(self.A[k, k])
 
     def degree(self, k: int) -> int:
         """Neighborhood size including the node itself."""
+        self._check_node(k)
         return len(self.neighbors[k])
 
     def node_params(self, k: int, mu: float) -> NodeParams:
-        if not 0 <= k < self.size:
-            raise NetworkError(f"node {k} is outside 0..{self.size - 1}")
+        self._check_node(k)
         c_row = self.A[k].copy()
         c_row[k] = 0.0
         return NodeParams(k=k, a_k=self.self_weight(k), mu=mu, c_row=c_row)
@@ -204,5 +216,6 @@ def offdiag_square_sum(spec: NetworkSpec, k: int) -> float:
     For any valid row this lies in [(1-a_k)^2/(S-1), 1-a_k]; equal neighbor
     weights attain the analogous lower bound with S replaced by |N_k|.
     """
+    spec._check_node(k)
     row = np.delete(spec.A[k], k)
     return float(row @ row)

@@ -15,8 +15,12 @@ the closed-form oracle checks in ``validation`` both drive it.
 
 Each trial draws its statistics from a counter-based Philox stream keyed
 by (master seed, trial index), so terminal states are bit-identical
-regardless of execution order or chunking. ``run`` reuses one Philox, reset
-to each trial's key, and draws step-major (n_iters, trials, S) blocks.
+regardless of execution order or tiling. ``run`` reuses one Philox and
+works in step-major tiles of at most B trials x C steps x S nodes, B * C * S
+within a fixed budget of doubles whatever n_iters is: a trial block draws
+and steps C steps at a time. A trial's first tile resets the Philox to the
+trial's key; each later tile restores the generator state saved after the
+trial's previous tile, so every trial draws exactly its own stream.
 """
 from __future__ import annotations
 
@@ -25,18 +29,26 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .models import ObservationModel
-from .network import NetworkSpec
+from .network import NetworkSpec, whole_number
 
 ONE_BIT_X = "one_bit_x"
 QUANTIZED_STATE = "quantized_state"
 UNQUANTIZED = "unquantized"
 SCHEMES = (ONE_BIT_X, QUANTIZED_STATE, UNQUANTIZED)
 
-# draw block: at most _BLOCK_TRIALS trials, so that one step's (trials, S)
-# slab stays in L2, and (n_iters, trials, S) within _CHUNK_BUDGET doubles
-# (32 MB: 400 trials of 1,000 steps at S = 10)
-_CHUNK_BUDGET = 4_000_000
-_BLOCK_TRIALS = 2048
+# tile: B = _BLOCK_TRIALS trials, so that one step's (trials, S) slab stays
+# in L2, by C steps, with the (C, B, S) draws within _TILE_BUDGET doubles
+# (8 MB: 409 steps of 256 trials at S = 10), whatever n_iters is
+_TILE_BUDGET = 2 ** 20
+_BLOCK_TRIALS = 256
+
+
+def _whole(name: str, value) -> int:
+    """``whole_number(value)``, or a ValueError naming ``name``."""
+    out = whole_number(value)
+    if out is None:
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return out
 
 
 @dataclass(frozen=True)
@@ -60,6 +72,8 @@ class SimConfig:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
+        for name in ("n_iters", "trials", "seed"):
+            object.__setattr__(self, name, _whole(name, getattr(self, name)))
         if self.n_iters < 1 or self.trials < 1:
             raise ValueError("n_iters and trials must be at least 1")
         if not 0 < self.mu < 1:
@@ -127,14 +141,21 @@ def make_step(network: NetworkSpec, model: ObservationModel, mu: float,
     a = np.diag(network.A)
     c_t = (network.A - np.diag(a)).T
     a_t = network.A.T
-    e0, e1 = model.message_values()
+    levels = np.array(model.message_values())
 
     def step(y, x):
-        v = y + mu * (x - y)
+        # y + mu (x - y) and a v + msg @ c_t, in place on fresh arrays only:
+        # x may be a view of the draws and y read-only
+        v = x - y
+        v *= mu
+        v += y
         if scheme == UNQUANTIZED:
             return v @ a_t
-        msg = np.where((x if scheme == ONE_BIT_X else v) >= 0.0, e1, e0)
-        return a * v + msg @ c_t
+        msg = levels.take(((x if scheme == ONE_BIT_X else v) >= 0.0).view(np.uint8))
+        out = msg @ c_t
+        v *= a
+        out += v
+        return out
 
     return step
 
@@ -147,8 +168,12 @@ def run(config: SimConfig, trajectory_nodes=(), y0=None,
     the start for transient studies. Trajectories (per-step mean of the
     state over trials) are accumulated only for the requested nodes.
 
-    Trials run in step-major blocks of ``chunk_trials``; trajectories are
-    summed per block, so they are bit-stable only for a fixed block split.
+    Trials run in blocks of ``chunk_trials`` (default 256), each drawn and
+    stepped in tiles of C steps, so the draws held at once are at most
+    B x C x S doubles with C = min(n_iters, budget // (B S)). Between a
+    trial's tiles its Philox state is saved and restored, so terminal
+    states do not depend on the block or tile split. Trajectories are
+    summed per block, so they are bit-stable only for a fixed block size.
     """
     S, n = config.network.size, config.n_iters
     traj_nodes = tuple(trajectory_nodes)
@@ -157,31 +182,43 @@ def run(config: SimConfig, trajectory_nodes=(), y0=None,
     y_start = np.asarray(0.0 if y0 is None else y0, dtype=float)
     if y_start.ndim > 1 or y_start.size not in (1, S):
         raise ValueError(f"y0 must broadcast to ({S},), got shape {y_start.shape}")
-    if chunk_trials is not None and chunk_trials < 1:
-        raise ValueError(f"chunk_trials must be at least 1, got {chunk_trials}")
-    default = max(1, min(_BLOCK_TRIALS, _CHUNK_BUDGET // (n * S)))
-    block = min(config.trials, chunk_trials or default)
+    if chunk_trials is not None:
+        chunk_trials = _whole("chunk_trials", chunk_trials)
+        if chunk_trials < 1:
+            raise ValueError(f"chunk_trials must be at least 1, got {chunk_trials}")
+    block = min(config.trials, chunk_trials or _BLOCK_TRIALS)
+    # a lone trial gets a spare row: numpy's one-row product (gemv) rounds unlike gemm
+    width = max(block, 2)
+    span = max(1, min(n, _TILE_BUDGET // (width * S)))
     traj_sum = {k: np.zeros(n) for k in traj_nodes}
     terminal = np.empty((config.trials, S))
     step = make_step(config.network, config.model, config.mu, config.scheme)
-    segs = segments(config.hypothesis_steps())
+    h_steps = config.hypothesis_steps()
     bit_gen = np.random.Philox(key=[np.uint64(config.seed), np.uint64(0)])
     rng, fresh = np.random.Generator(bit_gen), bit_gen.state
-    # a lone trial gets a spare row: numpy's one-row product (gemv) rounds unlike gemm
-    x = np.zeros((n, max(block, 2), S))
+    x = np.zeros((span, width, S))
     for start in range(0, config.trials, block):
         count = min(block, config.trials - start)
         rows = max(count, 2)
-        for t in range(count):
-            # the state _trial_rng(seed, start + t) starts in: counter 0, no bits left
-            fresh["state"]["key"][1] = start + t
-            bit_gen.state = fresh
-            draw_statistics(config.model, segs, rng, x[:, t])
+        saved = [None] * count
         y = np.broadcast_to(y_start, (rows, S))
-        for i in range(n):
-            y = step(y, x[i, :rows])
-            for k in traj_nodes:
-                traj_sum[k][i] += y[:count, k].sum()
+        for c0 in range(0, n, span):
+            c1 = min(n, c0 + span)
+            segs = segments(h_steps[c0:c1])
+            for t in range(count):
+                if c0 == 0:
+                    # the state _trial_rng(seed, start + t) starts in: counter 0, no bits left
+                    fresh["state"]["key"][1] = start + t
+                    bit_gen.state = fresh
+                else:
+                    bit_gen.state = saved[t]
+                draw_statistics(config.model, segs, rng, x[:c1 - c0, t])
+                if c1 < n:
+                    saved[t] = bit_gen.state
+            for i in range(c1 - c0):
+                y = step(y, x[i, :rows])
+                for k in traj_nodes:
+                    traj_sum[k][c0 + i] += y[:count, k].sum()
         terminal[start:start + count] = y[:count]
     trajectories = {k: traj_sum[k] / config.trials for k in traj_nodes}
     return TrialEnsemble(terminal_states=terminal, trajectories=trajectories)

@@ -156,7 +156,10 @@ class TestMatrixValidation:
     def test_node_id_out_of_range_rejected(self, k):
         net = build_uniform_matrix(reference_topology(), 0.5)
         model = GaussianModel(1.0)
-        calls = (lambda: net.node_params(k, 0.1),
+        calls = (lambda: net.self_weight(k),
+                 lambda: net.degree(k),
+                 lambda: offdiag_square_sum(net, k),
+                 lambda: net.node_params(k, 0.1),
                  lambda: limit_moments(model, net, k, 1, 0.1),
                  lambda: state_cumulants(model, net, k, 1, 0.1),
                  lambda: discrete_component(model, net, k, 1, 0.1),
@@ -165,6 +168,14 @@ class TestMatrixValidation:
         for call in calls:
             with pytest.raises(NetworkError, match=rf"node {k} is outside 0\.\.9"):
                 call()
+
+    def test_accessors_at_valid_ids(self):
+        # the edge ids 0 and S - 1 and the hub pass the node-id check unchanged
+        net = build_uniform_matrix(reference_topology(), 0.5)
+        got = [(net.self_weight(k), net.degree(k), offdiag_square_sum(net, k))
+               for k in (0, 3, 9)]
+        assert got == [(0.5, 3, 2 * 0.25 ** 2), (0.5, 6, 5 * 0.1 ** 2),
+                       (0.5, 2, 0.25)]
 
     def test_node_params(self):
         net = build_uniform_matrix(reference_topology(), 0.5)

@@ -30,6 +30,22 @@ class TestSimConfig:
             SimConfig(network=net_a25, model=gauss1, mu=0.1, n_iters=10,
                       trials=1, seed=-1)
 
+    @pytest.mark.parametrize("field", ["n_iters", "trials", "seed"])
+    @pytest.mark.parametrize("bad", [2.5, float("nan"), float("inf"), "2.5", None])
+    def test_fractional_or_nonfinite_sizes_rejected(self, gauss1, net_a25,
+                                                   field, bad):
+        sizes = {"n_iters": 10, "trials": 4, "seed": 0, field: bad}
+        with pytest.raises(ValueError, match=f"{field} must be a whole number"):
+            SimConfig(network=net_a25, model=gauss1, mu=0.1, **sizes)
+
+    @pytest.mark.parametrize("value", [7, np.int64(7), np.uint8(7), 7.0,
+                                       np.float64(7.0)])
+    def test_integral_sizes_stored_as_int(self, gauss1, net_a25, value):
+        cfg = SimConfig(network=net_a25, model=gauss1, mu=0.1, n_iters=value,
+                        trials=value, seed=value)
+        assert all(type(v) is int and v == 7
+                   for v in (cfg.n_iters, cfg.trials, cfg.seed))
+
     def test_hypothesis_steps(self, gauss1, net_a25):
         cfg = SimConfig(network=net_a25, model=gauss1, mu=0.1, n_iters=8,
                         trials=1, schedule=((1, 0), (4, 1), (7, 0)))
@@ -74,6 +90,49 @@ class TestSingleSteps:
         # all intermediate states are 0.03 >= 0, so every message is E1 x = 1
         expected_9 = 0.25 * (0.1 * 0.3) + 0.75 * 1.0
         np.testing.assert_allclose(got[9], expected_9, atol=1e-15)
+
+
+def reference_step(network, model, mu, scheme):
+    """The update as one expression per scheme, allocating freely."""
+    a = np.diag(network.A)
+    c_t = (network.A - np.diag(a)).T
+    e0, e1 = model.message_values()
+
+    def step(y, x):
+        v = y + mu * (x - y)
+        if scheme == UNQUANTIZED:
+            return v @ network.A.T
+        m = x if scheme == ONE_BIT_X else v
+        return a * (y + mu * (x - y)) + np.where(m >= 0, e1, e0) @ c_t
+
+    return step
+
+
+class TestKernel:
+    """make_step's in-place kernel computes the reference expression bit for bit."""
+
+    @pytest.mark.parametrize("scheme", [ONE_BIT_X, QUANTIZED_STATE, UNQUANTIZED])
+    @pytest.mark.parametrize("model", [GaussianModel(1.0), ExponentialModel(5.0)],
+                             ids=["gaussian", "exponential"])
+    def test_matches_reference_expression(self, model, scheme, net_a25):
+        step = make_step(net_a25, model, 0.1, scheme)
+        ref = reference_step(net_a25, model, 0.1, scheme)
+        y2, x2 = np.random.default_rng(8).normal(0.0, 1.0, (2, 6, 10))
+        # signed zeros and non-finite statistics in x; v = y + mu (x - y) is
+        # exactly 0 where x and y are zeros of either sign
+        x2[0, :5] = [0.0, -0.0, np.nan, np.inf, -np.inf]
+        x2[-1, :3] = [0.0, -0.0, -0.0]
+        y2[-1, :3] = [0.0, -0.0, 0.0]
+        v = y2 + 0.1 * (x2 - y2)
+        assert np.count_nonzero(v[-1, :3] == 0.0) == 3
+        for y, x in ((y2, x2), (y2[0], x2[0]), (y2[-1], x2[-1])):
+            y, x = y.copy(), x.copy()
+            y.setflags(write=False)
+            x.setflags(write=False)
+            with np.errstate(invalid="ignore"):  # inf * 0 in the full matrix
+                got, want = step(y, x), ref(y, x)
+            assert got.shape == want.shape == x.shape
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestClosedFormOracles:
@@ -173,12 +232,20 @@ class TestRunDeterminism:
                             np.empty((h_steps.size, 3))),
             scan(np.random.default_rng(4)))
 
-    @pytest.mark.parametrize("chunk", [0, -1])
+    @pytest.mark.parametrize("chunk", [0, -1, 2.5, float("nan"), float("inf")])
     def test_nonpositive_chunk_rejected(self, gauss1, net_a25, chunk):
         cfg = SimConfig(network=net_a25, model=gauss1, mu=0.1, n_iters=5,
                         trials=4)
         with pytest.raises(ValueError, match="chunk_trials"):
             run(cfg, chunk_trials=chunk)
+
+    def test_integral_chunk_accepted(self, gauss1, net_a25):
+        cfg = SimConfig(network=net_a25, model=gauss1, mu=0.1, n_iters=5,
+                        trials=7)
+        ref = run(cfg, chunk_trials=3).terminal_states
+        for chunk in (np.int64(3), 3.0):
+            np.testing.assert_array_equal(run(cfg, chunk_trials=chunk).terminal_states,
+                                          ref)
 
     def test_different_seeds_differ(self, gauss1, net_a25):
         cfg1 = SimConfig(network=net_a25, model=gauss1, mu=0.1, n_iters=10,
@@ -257,6 +324,67 @@ class TestBlocks:
                         trials=4)
         np.testing.assert_array_equal(run(cfg, y0=2.0).terminal_states,
                                       run(cfg, y0=np.full(10, 2.0)).terminal_states)
+
+
+class TestTiles:
+    """run() draws and steps (trials x steps x S) tiles within _TILE_BUDGET."""
+
+    def test_tiles_match_single_tile_run(self, gauss1, expo5, net_a25,
+                                         monkeypatch):
+        # 12 trials of 10 nodes under a 480-double budget step 4 at a time:
+        # the switch into step 9 (index 8) falls on a tile edge, the one
+        # into step 20 (index 19) inside a tile; blocks of 5 leave a 2-trial tail
+        y0 = np.linspace(-1.0, 1.0, 10)
+        cases = [(model, scheme, chunk) for model in (gauss1, expo5)
+                 for scheme in (ONE_BIT_X, QUANTIZED_STATE, UNQUANTIZED)
+                 for chunk in (None, 5)]
+        single = {}
+        for model, scheme, chunk in cases:
+            cfg = SimConfig(network=net_a25, model=model, mu=0.1, n_iters=30,
+                            trials=12, scheme=scheme, schedule=THREE_SEGMENTS,
+                            seed=9)
+            single[model, scheme, chunk] = run(cfg, (3, 9), y0, chunk)
+        tiles = []
+
+        def spy(m, segs, rng, out):
+            tiles.append((out.shape[0], segs))
+            return draw_statistics(m, segs, rng, out)
+
+        monkeypatch.setattr(simulate, "_TILE_BUDGET", 12 * 4 * 10)
+        monkeypatch.setattr(simulate, "draw_statistics", spy)
+        for model, scheme, chunk in cases:
+            cfg = SimConfig(network=net_a25, model=model, mu=0.1, n_iters=30,
+                            trials=12, scheme=scheme, schedule=THREE_SEGMENTS,
+                            seed=9)
+            tiled = run(cfg, (3, 9), y0, chunk)
+            ref = single[model, scheme, chunk]
+            np.testing.assert_array_equal(tiled.terminal_states, ref.terminal_states)
+            for k in (3, 9):
+                np.testing.assert_array_equal(tiled.trajectories[k],
+                                              ref.trajectories[k])
+        # the first case draws tile by tile, each tile for all 12 trials
+        first = tiles[:96:12]
+        assert [n for n, _ in first] == [4] * 7 + [2]
+        assert first[2][1] == [(0, 4, 1)] and first[4][1] == [(0, 3, 1), (3, 4, 0)]
+
+    @pytest.mark.parametrize("n_iters", [1, 100, 3000])
+    def test_draws_stay_within_budget(self, gauss1, net_a25, n_iters,
+                                      monkeypatch):
+        budget = simulate._TILE_BUDGET
+        seen = []
+
+        def spy(m, segs, rng, out):
+            seen.append((out.shape[0], out.base.size))
+            return draw_statistics(m, segs, rng, out)
+
+        monkeypatch.setattr(simulate, "draw_statistics", spy)
+        cfg = SimConfig(network=net_a25, model=gauss1, mu=0.1, n_iters=n_iters,
+                        trials=300, seed=1)
+        run(cfg)
+        # 256 + 44 trials, each drawing all n_iters steps over its tiles
+        assert sum(steps for steps, _ in seen) == 300 * n_iters
+        for steps, held in seen:
+            assert steps * 256 * 10 <= budget and held <= budget
 
 
 class TestStationarity:
