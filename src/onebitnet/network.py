@@ -130,22 +130,26 @@ class NetworkSpec:
     def size(self) -> int:
         return len(self.neighbors)
 
-    def _check_node(self, k: int) -> None:
-        # numpy and tuple indexing would read node S - 1 for k = -1
-        if not 0 <= k < self.size:
+    def _check_node(self, k) -> int:
+        """``k`` as an int: numpy and tuple indexing would read node S - 1
+        for k = -1, and reject k = 2.5 without naming it."""
+        out = whole_number(k)
+        if out is None:
+            raise NetworkError(f"node id {k!r} is not an integer")
+        if not 0 <= out < self.size:
             raise NetworkError(f"node {k} is outside 0..{self.size - 1}")
+        return out
 
     def self_weight(self, k: int) -> float:
-        self._check_node(k)
+        k = self._check_node(k)
         return float(self.A[k, k])
 
     def degree(self, k: int) -> int:
         """Neighborhood size including the node itself."""
-        self._check_node(k)
-        return len(self.neighbors[k])
+        return len(self.neighbors[self._check_node(k)])
 
     def node_params(self, k: int, mu: float) -> NodeParams:
-        self._check_node(k)
+        k = self._check_node(k)
         c_row = self.A[k].copy()
         c_row[k] = 0.0
         return NodeParams(k=k, a_k=self.self_weight(k), mu=mu, c_row=c_row)
@@ -216,6 +220,6 @@ def offdiag_square_sum(spec: NetworkSpec, k: int) -> float:
     For any valid row this lies in [(1-a_k)^2/(S-1), 1-a_k]; equal neighbor
     weights attain the analogous lower bound with S replaced by |N_k|.
     """
-    spec._check_node(k)
+    k = spec._check_node(k)
     row = np.delete(spec.A[k], k)
     return float(row @ row)

@@ -176,9 +176,11 @@ def run(config: SimConfig, trajectory_nodes=(), y0=None,
     summed per block, so they are bit-stable only for a fixed block size.
     """
     S, n = config.network.size, config.n_iters
-    traj_nodes = tuple(trajectory_nodes)
-    if not all(0 <= k < S for k in traj_nodes):
-        raise ValueError(f"trajectory_nodes must lie in [0, {S}), got {traj_nodes}")
+    requested = tuple(trajectory_nodes)
+    traj_nodes = tuple(map(whole_number, requested))
+    if not all(k is not None and 0 <= k < S for k in traj_nodes):
+        raise ValueError(f"trajectory_nodes must be whole numbers in [0, {S}), "
+                         f"got {requested}")
     y_start = np.asarray(0.0 if y0 is None else y0, dtype=float)
     if y_start.ndim > 1 or y_start.size not in (1, S):
         raise ValueError(f"y0 must broadcast to ({S},), got shape {y_start.shape}")

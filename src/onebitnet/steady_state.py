@@ -7,11 +7,17 @@ neighbors' one-bit messages), so its CDF is the PMF-weighted mixture
     F_y(y) = sum_i nu_i F_u(y - z_i).
 
 Every ``SteadyStateCdf`` has this one shape: a PMF over a continuous
-table. The table of F_u is exactly 0 below its grid and 1 above it; its
-live part runs from its last value below 2^-64 to its first exact 1, so
-``mixture_cdf`` interpolates atom i only on the band of points with
-y - z_i on that part: its cost grows with the atoms in the band, not
-points x atoms.
+table. The table of F_u is exactly 0 below its uniform grid, 1 above it
+and linear between its knots, so on a lattice of the table's own step the
+mixture is one discrete convolution (linear binning plus FFT: Silverman,
+AS 176, 1982; Wand, 1994). ``mixture_table`` bins each atom linearly onto
+that lattice (keeping its mass and mean), convolves the weights with the
+table's values in one real FFT product and returns F_y as one monotone
+table; ``SteadyStateCdf`` builds it once, on its first query. At the
+lattice points the table is the direct sum except where a shifted query
+lands within one step outside the continuous grid (at most the mass the
+grid leaves at its ends); between them its error is at most a quarter of
+the table's largest second difference more (``SteadyStateCdf.table_error``).
 
 The state's closed-form cumulants kappa_1..3 live in one function,
 ``state_cumulants``: the own statistics and the two-point messages each
@@ -35,12 +41,13 @@ about |gamma| phi(0) / 6 (the first-order Edgeworth term; see
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import sqrt
 
 import numpy as np
 
-from .continuous import (ContinuousCdfTable, DEFAULT_EPS_PRIME, moments,
-                         normal_table, phi_w_coefficients, tabulate_cdf_u)
+from .continuous import (ContinuousCdfTable, DEFAULT_EPS_PRIME, _monotone_table,
+                         moments, normal_table, phi_w_coefficients, tabulate_cdf_u)
 from .discrete import DEFAULT_EPS_SCALE, DiscretePmf, discrete_component, point_mass
 from .models import ObservationModel
 from .network import NetworkSpec, NodeParams
@@ -100,29 +107,53 @@ def select_mode(node: NodeParams) -> str:
     return MODE_MIXTURE
 
 
+def mixture_table(pmf: DiscretePmf, cont: ContinuousCdfTable) -> ContinuousCdfTable:
+    """F_y(y) = sum_i nu_i F_u(y - z_i) as one monotone table.
+
+    Each atom is binned linearly onto a lattice of ``cont``'s grid step
+    (the first atom of each stretch on a lattice point), which keeps its
+    mass and mean. Atoms more than a table width (plus three steps) apart
+    start a new stretch, and F_y is flat between stretches. The stretches
+    lie end to end in one array, each as its lattice points and the n + 1
+    points past them (n the continuous table's size); index m of a stretch
+    reads y = (its first atom) + grid[0] + (m - its first index) step. One
+    FFT product gives sum_j w_j values[m - j] over 0 <= m - j < n, and one
+    cumulative sum adds the weights with m - j >= n, where the table
+    reads 1 (earlier stretches included).
+    """
+    grid, vals = cont.grid, cont.values
+    n = grid.size
+    step = (grid[-1] - grid[0]) / max(n - 1, 1)
+    if n < 2 or np.ptp(np.diff(grid)) > 1e-6 * step:
+        raise ValueError("the continuous table needs a uniform grid of at least 2 points")
+    z, nu = pmf.points, pmf.probs
+    opens = np.diff(z, prepend=-np.inf) > grid[-1] - grid[0] + 3 * step
+    stretch = np.cumsum(opens) - 1
+    first = np.flatnonzero(opens)
+    last = np.append(first[1:], z.size) - 1
+    spans = np.maximum(np.ceil((z[last] - z[first]) / step), 1).astype(np.int64)
+    sizes = spans + n + 2  # the lattice, then n + 1 points past it
+    starts = np.cumsum(sizes) - sizes  # index of each stretch's y - step
+    total = int(sizes.sum())
+    pos = (z - z[first][stretch]) / step
+    j = np.minimum(np.floor(pos), spans[stretch] - 1)
+    frac = pos - j
+    idx = starts[stretch] + 1 + j.astype(np.int64)
+    w = (np.bincount(idx, nu * (1.0 - frac), total)
+         + np.bincount(idx + 1, nu * frac, total))
+    size = 1 << (total + n - 2).bit_length()  # >= total + n - 1: no wrap-around
+    raw = np.fft.irfft(np.fft.rfft(w, size) * np.fft.rfft(vals, size), size)[:total]
+    raw[n:] += np.cumsum(w)[:total - n]
+    offset = np.arange(total) - np.repeat(starts + 1, sizes)
+    ys = np.repeat(z[first] + grid[0], sizes) + offset * step
+    return _monotone_table(ys, raw, cont.mean + pmf.mean(),
+                           cont.variance + pmf.variance(), DEFAULT_EPS_PRIME)
+
+
 def mixture_cdf(y, pmf: DiscretePmf, cont_cdf: ContinuousCdfTable) -> np.ndarray:
-    """Evaluate sum_i nu_i F_u(y - z_i) over each atom's band: y - z_i on the
-    table's live part, from its last value below 2^-64 to its first exact 1.
-    The band's edges are padded by 8 ulps of the operands, so the terms
-    skipped are those below 2^-64 and those exactly 1 (counted whole)."""
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    order = np.argsort(y, axis=None, kind="stable")
-    ys = y.ravel()[order]
-    z, nu, grid, vals = pmf.points, pmf.probs, cont_cdf.grid, cont_cdf.values
-    lo = grid[max(np.searchsorted(vals, 2.0 ** -64) - 1, 0)]
-    hi = grid[min(np.searchsorted(vals, 1.0), grid.size - 1)]
-    pad = 8 * np.spacing(np.abs(z).max() + np.abs(grid[[0, -1]]).max())
-    start = np.searchsorted(ys, z + (lo - pad))
-    stop = np.searchsorted(ys, z + (hi + pad), side="right")
-    acc = np.cumsum(np.bincount(stop, weights=nu, minlength=ys.size + 1)[:-1])
-    for i in np.flatnonzero(stop > start):
-        band = slice(start[i], stop[i])
-        acc[band] += nu[i] * cont_cdf(ys[band] - z[i])
-    acc[np.isnan(ys)] = np.nan
-    out = np.empty_like(acc)
-    out[order] = acc
-    # clip: the weighted sum can exceed 1 by float-accumulation noise
-    return np.clip(out, 0.0, 1.0).reshape(y.shape)
+    """sum_i nu_i F_u(y - z_i) at the points y (an array of y's shape, at
+    least 1-D), read off ``mixture_table``."""
+    return mixture_table(pmf, cont_cdf)(np.atleast_1d(np.asarray(y, dtype=float)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,7 +161,12 @@ class SteadyStateCdf:
     """Evaluable CDF of the steady-state node state under one hypothesis:
     the mixture of ``cont`` shifted by each atom of ``pmf``. ``mode`` says
     which law was tabulated (``select_mode``): the paper's mixture, or the
-    eta -> 1 limit normal as a point mass at 0 over a normal table."""
+    eta -> 1 limit normal as a point mass at 0 over a normal table.
+
+    A query reads ``table``, the mixture tabulated by ``mixture_table`` on
+    the first query and kept (copies and pickles carry it once built);
+    ``table_error`` bounds its distance to the direct mixture sum.
+    """
 
     node: int
     h: int
@@ -138,10 +174,24 @@ class SteadyStateCdf:
     pmf: DiscretePmf
     cont: ContinuousCdfTable
 
+    @cached_property
+    def table(self) -> ContinuousCdfTable:
+        return mixture_table(self.pmf, self.cont)
+
+    @property
+    def table_error(self) -> float:
+        """B = max|second difference of V| / 4 + max(v_0, 1 - v_last), with
+        v the continuous table's values and V = (0, v, 1) the values its
+        interpolation takes, limits included; the first term is the linear
+        interpolation error between lattice points, the second what a
+        query within one step outside the grid may miss."""
+        v = np.concatenate(([0.0], self.cont.values, [1.0]))
+        return float(np.abs(np.diff(v, 2)).max() / 4.0 + max(v[1], 1.0 - v[-2]))
+
     def __call__(self, y):
         y = np.asarray(y, dtype=float)
-        out = mixture_cdf(y.ravel(), self.pmf, self.cont)
-        return float(out[0]) if y.ndim == 0 else out.reshape(y.shape)
+        out = self.table(y)
+        return float(out) if y.ndim == 0 else out
 
     def mean(self) -> float:
         return self.cont.mean + self.pmf.mean()

@@ -337,7 +337,8 @@ def check_figure_cdfs(quick: bool = False, seed: int = 0) -> list[CheckResult]:
                     ks = ks_distance(terminal[h][:, k], cdf)
                     results.append(_result(
                         f"steady_state/ks_{model.__class__.__name__}_a{a}_h{h}_node{k}",
-                        ks, tol, f"trials={trials}", ks_draws=trials))
+                        ks, tol, f"trials={trials} table_error={cdf.table_error:.2g}",
+                        ks_draws=trials))
     return results
 
 

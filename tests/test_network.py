@@ -169,6 +169,38 @@ class TestMatrixValidation:
             with pytest.raises(NetworkError, match=rf"node {k} is outside 0\.\.9"):
                 call()
 
+    @pytest.mark.parametrize("k", [2.5, np.nan, np.inf, "x"])
+    def test_self_weight_rejects_non_integer_id(self, k):
+        net = build_uniform_matrix(reference_topology(), 0.5)
+        with pytest.raises(NetworkError, match="is not an integer"):
+            net.self_weight(k)
+
+    @pytest.mark.parametrize("k", [2.5, np.nan, np.inf, "x"])
+    def test_degree_rejects_non_integer_id(self, k):
+        net = build_uniform_matrix(reference_topology(), 0.5)
+        with pytest.raises(NetworkError, match="is not an integer"):
+            net.degree(k)
+
+    @pytest.mark.parametrize("k", [2.5, np.nan, np.inf, "x"])
+    def test_node_params_rejects_non_integer_id(self, k):
+        net = build_uniform_matrix(reference_topology(), 0.5)
+        with pytest.raises(NetworkError, match="is not an integer"):
+            net.node_params(k, 0.1)
+
+    @pytest.mark.parametrize("k", [2.5, np.nan, np.inf, "x"])
+    def test_offdiag_square_sum_rejects_non_integer_id(self, k):
+        net = build_uniform_matrix(reference_topology(), 0.5)
+        with pytest.raises(NetworkError, match="is not an integer"):
+            offdiag_square_sum(net, k)
+
+    def test_integral_ids_read_as_int(self):
+        net = build_uniform_matrix(reference_topology(), 0.5)
+        for k in (3.0, np.int64(3), np.float64(3.0), Fraction(3)):
+            assert (net.self_weight(k), net.degree(k),
+                    offdiag_square_sum(net, k)) == (0.5, 6, 5 * 0.1 ** 2)
+            node = net.node_params(k, 0.1)
+            assert type(node.k) is int and node.k == 3
+
     def test_accessors_at_valid_ids(self):
         # the edge ids 0 and S - 1 and the hub pass the node-id check unchanged
         net = build_uniform_matrix(reference_topology(), 0.5)

@@ -310,6 +310,24 @@ class TestBlocks:
         with pytest.raises(ValueError, match="trajectory_nodes"):
             run(cfg, trajectory_nodes=nodes)
 
+    @pytest.mark.parametrize("nodes", [(2.5,), (3, np.nan), (np.inf,), ("x",)])
+    def test_trajectory_node_not_integer(self, gauss1, net_a25, nodes,
+                                         monkeypatch):
+        # rejected before the first draw, which would raise TypeError here
+        monkeypatch.setattr(simulate, "draw_statistics", None)
+        cfg = SimConfig(network=net_a25, model=gauss1, mu=0.1, n_iters=5,
+                        trials=4)
+        with pytest.raises(ValueError, match="trajectory_nodes must be whole numbers"):
+            run(cfg, trajectory_nodes=nodes)
+
+    def test_integral_trajectory_node_read_as_int(self, gauss1, net_a25):
+        cfg = SimConfig(network=net_a25, model=gauss1, mu=0.1, n_iters=5,
+                        trials=4, seed=3)
+        a = run(cfg, trajectory_nodes=(3,))
+        b = run(cfg, trajectory_nodes=(3.0,))
+        assert list(b.trajectories) == [3]
+        np.testing.assert_array_equal(a.trajectories[3], b.trajectories[3])
+
     @pytest.mark.parametrize("y0", [np.zeros(3), np.zeros((1, 10)),
                                     np.zeros((4, 10))])
     def test_y0_must_broadcast_to_nodes(self, gauss1, net_a25, y0, monkeypatch):

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -9,11 +11,11 @@ from onebitnet import (ExponentialModel, GaussianModel, RocCurve,
                        build_steady_state, build_uniform_matrix,
                        default_gamma_grid, limit_moments, mixture_cdf, moments,
                        roc, select_mode, steady_state_pair, tabulate_cdf_u)
-from onebitnet.continuous import normal_table
+from onebitnet.continuous import ContinuousCdfTable, normal_table
 from onebitnet.discrete import DiscretePmf, point_mass
 from onebitnet.models import normal_cdf
 from onebitnet.steady_state import (MODE_GAUSSIAN_LIMIT, MODE_MIXTURE,
-                                    SteadyStateCdf)
+                                    SteadyStateCdf, mixture_table)
 from tests.conftest import make_network
 
 
@@ -111,11 +113,13 @@ class TestMixtureCdf:
         assert mixture_cdf(np.array([1e6]), pmf, table)[0] == pytest.approx(1.0)
         assert mixture_cdf(np.array([-1e6]), pmf, table)[0] == pytest.approx(0.0)
 
-    def test_band_matches_dense_sum(self, gauss1):
-        # the band skips only terms below 2^-64 or exactly 1; the reference
-        # is the dense sum over every (point, atom) pair. The first table's
-        # live part is inside its grid; the second keeps mass 0.05 at each
-        # grid end, so a misplaced edge term shows.
+    def test_table_matches_dense_sum(self, gauss1):
+        # the reference is the dense sum over every (point, atom) pair. At the
+        # table's lattice points the table is that sum up to rounding, except
+        # within one step outside the continuous grid (the edge term); between
+        # them it is within table_error. The first table is 0 and 1 well inside
+        # its grid; the second keeps mass 0.05 at each grid end, so a
+        # misplaced edge term shows.
         node = make_network(0.25).node_params(3, 0.1)
         table = tabulate_cdf_u(gauss1, node, 1, n_points=401)
         edgy = dataclasses.replace(table, values=np.linspace(0.05, 0.95, 401))
@@ -126,11 +130,19 @@ class TestMixtureCdf:
             probs=rng.dirichlet(np.ones(300)))
         single = DiscretePmf(points=np.array([0.37]), probs=np.array([1.0]))
         for cont, pmf in itertools.product((table, edgy), (wide, single)):
+            edge = max(cont.values[0], 1.0 - cont.values[-1])
+            assert (edge < 1e-30) == (cont is table)
             below = np.flatnonzero(cont.values < 2.0 ** -64)
             ones = np.flatnonzero(cont.values == 1.0)
-            assert (below.size > 0 and ones.size > 0) == (cont is table)
             live = cont.grid[[below[-1] if below.size else 0,
                               ones[0] if ones.size else -1]]
+            cdf = SteadyStateCdf(node=3, h=1, mode=MODE_MIXTURE, pmf=pmf,
+                                 cont=cont)
+            lattice = mixture_table(pmf, cont)
+            knots = lattice.grid[::3]
+            dense = cont(knots[:, None] - pmf.points) @ pmf.probs
+            np.testing.assert_allclose(lattice.values[::3], dense, rtol=0,
+                                       atol=1e-13 + edge)
             edges = np.concatenate([pmf.points + lo, pmf.points + hi,
                                     pmf.points + live[0], pmf.points + live[1]])
             ys = np.concatenate([edges, np.nextafter(edges, -np.inf),
@@ -141,14 +153,106 @@ class TestMixtureCdf:
             ys = rng.permutation(np.concatenate([ys, ys[::7]]))  # unsorted, repeated
             dense = cont(ys[:, None] - pmf.points) @ pmf.probs
             np.testing.assert_allclose(mixture_cdf(ys, pmf, cont), dense,
-                                       rtol=0, atol=1e-14)
+                                       rtol=0, atol=cdf.table_error)
             # 2-D queries through SteadyStateCdf keep their shape
-            cdf = SteadyStateCdf(node=3, h=1, mode=MODE_MIXTURE, pmf=pmf,
-                                 cont=cont)
             n = ys.size // 6 * 6
             out = cdf(ys[:n].reshape(6, -1))
             assert out.shape == (6, n // 6)
-            np.testing.assert_allclose(out.ravel(), dense[:n], rtol=0, atol=1e-14)
+            np.testing.assert_allclose(out.ravel(), dense[:n], rtol=0,
+                                       atol=cdf.table_error)
+
+    def test_table_error(self, gauss1):
+        # B = max|second difference of (0, v, 1)| / 4 + max(v_0, 1 - v_last):
+        # the normal table's curvature term is (24/1500)^2 phi(1)/4 ~ 1.5e-5;
+        # a uniform law's table has no interior curvature, only its two kinks
+        cdf = build_steady_state(gauss1, make_network(0.25), 3, 1, 0.1)
+        assert 1.4e-5 < cdf.table_error < 1.6e-5
+        uniform = ContinuousCdfTable(grid=np.linspace(0.0, 1.0, 11),
+                                     values=np.linspace(0.0, 1.0, 11), mean=0.5,
+                                     variance=1 / 12, delta=np.nan, terms=0,
+                                     tail=0.0, ripple=0.0)
+        cdf = SteadyStateCdf(node=3, h=1, mode=MODE_MIXTURE, cont=uniform,
+                             pmf=DiscretePmf(points=np.array([0.0, 0.05]),
+                                             probs=np.array([0.5, 0.5])))
+        assert cdf.table_error == pytest.approx(0.1 / 4, abs=1e-15)
+        ys = np.linspace(-0.2, 1.2, 14_001)
+        dense = uniform(ys[:, None] - cdf.pmf.points) @ cdf.pmf.probs
+        worst = np.max(np.abs(cdf(ys) - dense))
+        assert 0.0 < worst <= cdf.table_error
+
+    def test_rejects_nonuniform_grid(self, gauss1):
+        node = make_network(0.25).node_params(3, 0.1)
+        table = tabulate_cdf_u(gauss1, node, 1, n_points=401)
+        bent = dataclasses.replace(table, grid=table.grid ** 3)
+        with pytest.raises(ValueError, match="uniform grid"):
+            mixture_table(point_mass(0.0), bent)
+
+
+class TestMixtureTable:
+    def test_flat_and_split_between_clusters(self, gauss1):
+        # node 9, a = 0.1: the atoms sit in clusters near -0.9 and +0.9, far
+        # more than a table width (24 std(u) ~ 0.34) apart; the table starts
+        # a new stretch there and is flat at the mass below the gap
+        cdf = build_steady_state(gauss1, make_network(0.1), 9, 1, 0.1)
+        table, z = cdf.table, cdf.pmf.points
+        step = np.diff(cdf.cont.grid).mean()
+        jumps = np.flatnonzero(np.diff(table.grid) > 1.5 * step)
+        width = cdf.cont.grid[-1] - cdf.cont.grid[0]
+        gap = np.flatnonzero(np.diff(z) > width)
+        assert jumps.size == gap.size == 1
+        below = cdf.pmf.probs[:gap[0] + 1].sum()
+        left, right = table.grid[jumps[0]], table.grid[jumps[0] + 1]
+        assert z[gap[0]] + cdf.cont.grid[-1] < left < right < z[gap[0] + 1] + cdf.cont.grid[0]
+        ys = np.linspace(left, right, 101)
+        np.testing.assert_allclose(cdf(ys), below, rtol=0, atol=1e-15)
+        # a single stretch would span the whole atom range in table steps
+        assert table.grid.size < (z[-1] - z[0]) / step
+
+    @pytest.mark.parametrize("extra_steps", [-0.5, 0.5, 2.0, 2.9, 3.1, 4.0, 1000.0])
+    def test_gap_near_a_table_width(self, gauss1, extra_steps):
+        # two atoms a table width plus a few steps apart, on either side of
+        # the split: the stretches must not overlap, and the table stays
+        # within table_error of the dense sum
+        cont = tabulate_cdf_u(gauss1, make_network(0.25).node_params(3, 0.1), 1,
+                              n_points=401)
+        width = cont.grid[-1] - cont.grid[0]
+        step = width / 400
+        pmf = DiscretePmf(points=np.array([0.1, 0.1 + width + extra_steps * step]),
+                          probs=np.array([0.3, 0.7]))
+        cdf = SteadyStateCdf(node=3, h=1, mode=MODE_MIXTURE, pmf=pmf, cont=cont)
+        ys = np.linspace(cont.grid[0], pmf.points[-1] + cont.grid[-1] + step, 5001)
+        dense = cont(ys[:, None] - pmf.points) @ pmf.probs
+        np.testing.assert_allclose(cdf(ys), dense, rtol=0, atol=cdf.table_error)
+
+    @pytest.mark.parametrize("built", [False, True])
+    def test_copies_and_pickles(self, gauss1, built):
+        cdf = build_steady_state(gauss1, make_network(0.25), 9, 0, 0.1)
+        ys = np.linspace(cdf.mean() - 6 * cdf.std(), cdf.mean() + 6 * cdf.std(), 301)
+        expected = mixture_cdf(ys, cdf.pmf, cdf.cont)
+        if built:
+            cdf(0.0)
+        assert ("table" in vars(cdf)) == built
+        for twin in (copy.deepcopy(cdf), pickle.loads(pickle.dumps(cdf))):
+            assert ("table" in vars(twin)) == built
+            np.testing.assert_array_equal(twin(ys), expected)
+            assert twin.table_error == cdf.table_error
+        np.testing.assert_array_equal(cdf(ys), expected)
+
+    def test_limit_point_mass_reproduces_normal_table(self, gauss1):
+        net = make_network(0.99)
+        cdf = build_steady_state(gauss1, net, 3, 1, 0.01)
+        assert cdf.mode == MODE_GAUSSIAN_LIMIT
+        np.testing.assert_allclose(cdf(cdf.cont.grid), cdf.cont.values,
+                                   rtol=0, atol=1e-13)
+
+    def test_lattice_stays_small_at_small_mu_hub(self, gauss1):
+        # mu = 0.001, a = 0.1, hub: about 16,000 atoms spread over some
+        # 870,000 table steps; the split stretches hold about 290,000 points
+        cdf = build_steady_state(gauss1, make_network(0.1), 3, 0, 0.001)
+        size = cdf.table.grid.size
+        assert size < cdf.pmf.size * cdf.cont.grid.size
+        step = np.diff(cdf.cont.grid).mean()
+        assert size < (cdf.pmf.points[-1] - cdf.pmf.points[0]) / step / 2
 
 
 class TestSteadyStateCdf:

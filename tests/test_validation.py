@@ -83,3 +83,18 @@ class TestCheckResult:
     def test_no_noise_without_draws(self):
         res = _result("exact", 0.0, 1e-12)
         assert res.noise is None and "noise" not in res.line()
+
+
+def test_figure_cdf_lines_report_table_error():
+    # criterion 05's detail line carries each CDF's table_error, the bound
+    # on the mixture table's distance to the direct mixture sum
+    from onebitnet.steady_state import build_steady_state
+    from onebitnet.validation import check_figure_cdfs
+    results = check_figure_cdfs(quick=True, seed=0)
+    assert len(results) == 4
+    net = make_network(0.25)
+    for res in results:
+        h, k = int(res.name.split("_h")[1][0]), int(res.name.rsplit("node", 1)[1])
+        bound = build_steady_state(GaussianModel(1.0), net, k, h, 0.1).table_error
+        assert f"table_error={bound:.2g}" in res.line()
+        assert 0 < bound < 2e-5
