@@ -262,7 +262,9 @@ class ContinuousCdfTable:
     ``delta``, ``terms`` and ``tail`` describe the series inversion (the
     common step, the number of terms and the last block's residual; nan,
     0 and 0 for a ``normal_table``); ``ripple`` is the largest drop
-    of the raw values before the cumulative-max pass.
+    of the raw values before the cumulative-max pass. ``grid`` and
+    ``values`` are read-only: ``build_steady_state`` shares one table
+    between nodes.
     """
 
     grid: np.ndarray
@@ -281,6 +283,8 @@ class ContinuousCdfTable:
             raise ValueError("grid and values must be matching 1-D arrays")
         if np.any(np.diff(g) <= 0):
             raise ValueError("grid must be strictly increasing")
+        g.setflags(write=False)
+        v.setflags(write=False)
         object.__setattr__(self, "grid", g)
         object.__setattr__(self, "values", v)
 

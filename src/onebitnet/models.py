@@ -29,11 +29,21 @@ def normal_cdf(x):
 class ObservationModel(ABC):
     """Distribution of the marginal statistic under both hypotheses.
 
-    Immutable; sampling takes an externally supplied generator so that
+    Immutable, as ``steady_state`` keys its table cache on the model
+    object: assigning or deleting an attribute raises AttributeError, and
+    ``__init__`` sets parameters with ``object.__setattr__``. Sampling takes an externally supplied generator so that
     concurrent trials never share state. The local decision threshold is
     0: x is a log-likelihood ratio, and every closed form (p_d, p_f, the
     analytic CDFs) and the simulator's quantizer are taken at it.
     """
+
+    def __setattr__(self, name, value):
+        raise AttributeError(
+            f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(
+            f"{type(self).__name__} is immutable: cannot delete {name!r}")
 
     @abstractmethod
     def mean(self, h: int) -> float: ...
@@ -88,7 +98,7 @@ class GaussianModel(ObservationModel):
     def __init__(self, rho: float):
         if rho <= 0:
             raise ValueError(f"rho must be positive, got {rho}")
-        self.rho = float(rho)
+        object.__setattr__(self, "rho", float(rho))
 
     def __repr__(self):
         return f"GaussianModel(rho={self.rho})"
@@ -139,8 +149,8 @@ class ExponentialModel(ObservationModel):
     def __init__(self, lambda_e: float):
         if lambda_e <= 1:
             raise ValueError(f"lambda_e must exceed 1, got {lambda_e}")
-        self.lambda_e = float(lambda_e)
-        self._log_lam = log(self.lambda_e)
+        object.__setattr__(self, "lambda_e", float(lambda_e))
+        object.__setattr__(self, "_log_lam", log(self.lambda_e))
 
     def __repr__(self):
         return f"ExponentialModel(lambda_e={self.lambda_e})"

@@ -268,11 +268,12 @@ def reaction_time(trajectory, switch_time: int, target_fraction: float = 0.9,
     gap between the pre-switch and post-switch steady levels.
 
     ``trajectory[i]`` is the mean state at step i+1; ``switch_time`` is the
-    first step governed by the new hypothesis; ``post_end`` bounds the
-    post-switch segment (defaults to the end of the trace). Steady levels
-    are averaged over the last max(1, min(200, post-switch length // 4))
-    steps of each segment. Returns the 1-based count of post-switch steps;
-    raises if the trace never crosses the target ("unreached").
+    first step governed by the new hypothesis; ``post_end``, the last step
+    of the post-switch segment, lies in [switch_time, len(trajectory)]
+    (default: the end of the trace). Steady levels are averaged over the
+    last max(1, min(200, post-switch length // 4)) steps of each segment.
+    Returns the 1-based count of post-switch steps; raises if the trace
+    never crosses the target ("unreached").
     """
     traj = np.asarray(trajectory, dtype=float)
     n = len(traj)
@@ -280,6 +281,9 @@ def reaction_time(trajectory, switch_time: int, target_fraction: float = 0.9,
         raise ValueError("switch_time must lie inside the trajectory")
     if post_end is None:
         post_end = n
+    if not switch_time <= post_end <= n:
+        raise ValueError(f"post_end must lie in [switch_time, len(trajectory)] "
+                         f"= [{switch_time}, {n}], got {post_end}")
     seg_len = post_end - switch_time + 1
     w = max(1, min(200, seg_len // 4))
     pre = float(np.mean(traj[max(0, switch_time - 1 - w):switch_time - 1]))

@@ -7,17 +7,20 @@ neighbors' one-bit messages), so its CDF is the PMF-weighted mixture
     F_y(y) = sum_i nu_i F_u(y - z_i).
 
 Every ``SteadyStateCdf`` has this one shape: a PMF over a continuous
-table. The table of F_u is exactly 0 below its uniform grid, 1 above it
-and linear between its knots, so on a lattice of the table's own step the
-mixture is one discrete convolution (linear binning plus FFT: Silverman,
-AS 176, 1982; Wand, 1994). ``mixture_table`` bins each atom linearly onto
-that lattice (keeping its mass and mean), convolves the weights with the
-table's values in one real FFT product and returns F_y as one monotone
-table; ``SteadyStateCdf`` builds it once, on its first query. At the
-lattice points the table is the direct sum except where a shifted query
-lands within one step outside the continuous grid (at most the mass the
-grid leaves at its ends); between them its error is at most a quarter of
-the table's largest second difference more (``SteadyStateCdf.table_error``).
+table. F_u depends on the node only through (model, a_k, mu, h), so
+``build_steady_state`` tabulates it once per such key, and nodes with the
+same self-weight share one read-only table. The table of F_u is exactly 0
+below its uniform grid, 1 above it and linear between its knots, so on a
+lattice of the table's own step the mixture is one discrete convolution
+(linear binning plus FFT: Silverman, AS 176, 1982; Wand, 1994).
+``mixture_table`` bins each atom linearly onto that lattice (keeping its
+mass and mean), convolves the weights with the table's values in one real
+FFT product and returns F_y as one monotone table; ``SteadyStateCdf``
+builds it once, on its first query. At the lattice points the table is
+the direct sum except where a shifted query lands within one step outside
+the continuous grid (at most the mass the grid leaves at its ends);
+between them its error is at most a quarter of the table's largest second
+difference more (``SteadyStateCdf.table_error``).
 
 The state's closed-form cumulants kappa_1..3 live in one function,
 ``state_cumulants``: the own statistics and the two-point messages each
@@ -41,7 +44,7 @@ about |gamma| phi(0) / 6 (the first-order Edgeworth term; see
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import sqrt
 
 import numpy as np
@@ -57,6 +60,10 @@ MODE_GAUSSIAN_LIMIT = "gaussian_limit"
 
 ETA_THRESHOLD = 0.97
 A_THRESHOLD = 0.95
+
+# continuous tables kept by ``build_steady_state``: both hypotheses of 16
+# (model, a_k, mu) keys
+_TABLE_CACHE_SIZE = 32
 
 
 def state_cumulants(model: ObservationModel, network: NetworkSpec, k: int,
@@ -200,6 +207,16 @@ class SteadyStateCdf:
         return sqrt(self.cont.variance + self.pmf.variance())
 
 
+@lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _continuous_table(model: ObservationModel, a_k: float, mu: float, h: int,
+                      eps_prime: float) -> ContinuousCdfTable:
+    """``tabulate_cdf_u`` for every node with self-weight a_k at step size
+    mu: F_u reads the node only through a_k, mu and eta, never its
+    neighbours. Models key by identity."""
+    node = NodeParams(k=0, a_k=a_k, mu=mu, c_row=np.zeros(1))
+    return tabulate_cdf_u(model, node, h, eps_prime=eps_prime)
+
+
 def build_steady_state(model: ObservationModel, network: NetworkSpec, k: int,
                        h: int, mu: float, *,
                        eps_prime: float = DEFAULT_EPS_PRIME,
@@ -208,10 +225,13 @@ def build_steady_state(model: ObservationModel, network: NetworkSpec, k: int,
 
     The mode is selected from the node's eta and self-weight
     (``select_mode``). In mixture mode the continuous CDF is tabulated
-    once, with aliasing budget ``eps_prime``, and reused across all PMF
-    shifts; the discrete component's truncation budget is ``eps_scale``
-    times the continuous component's std. In the limit mode the table is
-    the normal at ``limit_moments`` and the PMF a point mass at 0.
+    with aliasing budget ``eps_prime`` once per (model, a_k, mu, h,
+    eps_prime) and shared, read-only, by every node with that self-weight
+    (``_continuous_table``, up to ``_TABLE_CACHE_SIZE`` tables); a cache
+    hit does not repeat ``_monotone_table``'s ripple warning. The
+    discrete component's truncation budget is ``eps_scale`` times the
+    continuous component's std. In the limit mode the table is the normal
+    at ``limit_moments`` and the PMF a point mass at 0.
     """
     node = network.node_params(k, mu)
     mode = select_mode(node)
@@ -220,7 +240,7 @@ def build_steady_state(model: ObservationModel, network: NetworkSpec, k: int,
         return SteadyStateCdf(node=k, h=h, mode=mode, pmf=point_mass(0.0),
                               cont=normal_table(m, s * s))
     pmf = discrete_component(model, network, k, h, mu, eps_scale)
-    table = tabulate_cdf_u(model, node, h, eps_prime=eps_prime)
+    table = _continuous_table(model, node.a_k, node.mu, h, eps_prime)
     return SteadyStateCdf(node=k, h=h, mode=mode, pmf=pmf, cont=table)
 
 

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -135,6 +137,33 @@ class TestExponentialModel:
     def test_invalid_lambda(self):
         with pytest.raises(ValueError):
             ExponentialModel(1.0)
+
+
+class TestImmutability:
+    @pytest.mark.parametrize("model,name", [
+        (GaussianModel(1.0), "rho"),
+        (ExponentialModel(5.0), "lambda_e"),
+        (ExponentialModel(5.0), "_log_lam"),
+        (GaussianModel(1.0), "extra"),
+    ])
+    def test_assignment_and_deletion_raise(self, model, name):
+        before = repr(model)
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(model, name, 2.0)
+        if hasattr(model, name):
+            with pytest.raises(AttributeError, match="immutable"):
+                delattr(model, name)
+        assert repr(model) == before
+
+    @pytest.mark.parametrize("model", [GaussianModel(0.5), ExponentialModel(3.0)])
+    def test_copies_and_pickles(self, model):
+        t = np.linspace(0.0, 0.2, 5)
+        for twin in (copy.deepcopy(model), pickle.loads(pickle.dumps(model))):
+            assert type(twin) is type(model) and repr(twin) == repr(model)
+            assert vars(twin) == vars(model)
+            np.testing.assert_array_equal(twin.log_cf(t, 1), model.log_cf(t, 1))
+            with pytest.raises(AttributeError, match="immutable"):
+                twin.rho = 1.0
 
 
 def sent_levels(model, xs):

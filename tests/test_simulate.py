@@ -478,6 +478,18 @@ class TestReactionTime:
         traj = np.concatenate([np.ones(50), np.zeros(50)])
         assert reaction_time(traj, 51) == 1
 
+    @pytest.mark.parametrize("post_end", [150, 101, 40, 50])
+    def test_post_end_outside_the_trace_raises(self, post_end):
+        # past the end (an empty or clipped slice) or before the switch
+        traj = np.concatenate([np.zeros(50), np.ones(50)])
+        with pytest.raises(ValueError, match="post_end must lie in"):
+            reaction_time(traj, 51, post_end=post_end)
+
+    @pytest.mark.parametrize("post_end", [51, 100])
+    def test_post_end_at_either_bound(self, post_end):
+        traj = np.concatenate([np.zeros(50), np.ones(50)])
+        assert reaction_time(traj, 51, post_end=post_end) == 1
+
 
 class TestSchemeOrdering:
     def test_reaction_ordering_small_scale(self):

@@ -9,13 +9,16 @@ from scipy.stats import norm
 
 from onebitnet import (ExponentialModel, GaussianModel, RocCurve,
                        build_steady_state, build_uniform_matrix,
-                       default_gamma_grid, limit_moments, mixture_cdf, moments,
-                       roc, select_mode, steady_state_pair, tabulate_cdf_u)
+                       default_gamma_grid, from_matrix, limit_moments,
+                       mixture_cdf, moments, roc, select_mode,
+                       steady_state_pair, tabulate_cdf_u)
+from onebitnet import steady_state
 from onebitnet.continuous import ContinuousCdfTable, normal_table
 from onebitnet.discrete import DiscretePmf, point_mass
 from onebitnet.models import normal_cdf
 from onebitnet.steady_state import (MODE_GAUSSIAN_LIMIT, MODE_MIXTURE,
-                                    SteadyStateCdf, mixture_table)
+                                    SteadyStateCdf, _continuous_table,
+                                    _TABLE_CACHE_SIZE, mixture_table)
 from tests.conftest import make_network
 
 
@@ -238,6 +241,22 @@ class TestMixtureTable:
             assert twin.table_error == cdf.table_error
         np.testing.assert_array_equal(cdf(ys), expected)
 
+    @pytest.mark.parametrize("model_name", ["gauss", "expo"])
+    def test_tables_are_read_only(self, gauss1, expo5, model_name):
+        model = gauss1 if model_name == "gauss" else expo5
+        cdf = build_steady_state(model, make_network(0.5), 3, 1, 0.1)
+        cdf(0.0)
+        for table in (cdf.cont, cdf.table):
+            for arr in (table.grid, table.values):
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0] = 0.5
+                with pytest.raises(ValueError, match="read-only"):
+                    arr *= 2.0
+        ys = cdf.cont.grid[::50]
+        for twin in (copy.deepcopy(cdf), pickle.loads(pickle.dumps(cdf))):
+            np.testing.assert_array_equal(twin.cont.values, cdf.cont.values)
+            np.testing.assert_array_equal(twin(ys), cdf(ys))
+
     def test_limit_point_mass_reproduces_normal_table(self, gauss1):
         net = make_network(0.99)
         cdf = build_steady_state(gauss1, net, 3, 1, 0.01)
@@ -346,3 +365,93 @@ class TestSteadyStateCdf:
         assert cdf0.h == 0 and cdf1.h == 1
         # detection shifts the distribution upward
         assert cdf1.mean() > cdf0.mean()
+
+
+def same_table(a, b):
+    """Every field of two continuous tables equal, arrays bit for bit."""
+    return (a.grid.tobytes() == b.grid.tobytes()
+            and a.values.tobytes() == b.values.tobytes()
+            and (a.mean, a.variance, a.terms, a.tail, a.ripple)
+            == (b.mean, b.variance, b.terms, b.tail, b.ripple)
+            and np.array_equal(a.delta, b.delta, equal_nan=True))
+
+
+class TestContinuousTableCache:
+    """``build_steady_state`` tabulates F_u once per (model, a_k, mu, h,
+    eps_prime) and shares the table between nodes."""
+
+    @pytest.mark.parametrize("model_name", ["gauss", "expo"])
+    def test_nodes_with_equal_self_weight_share_one_table(self, gauss1, expo5,
+                                                          model_name):
+        model = gauss1 if model_name == "gauss" else expo5
+        net = make_network(0.5)
+        for h in (0, 1):
+            hub = build_steady_state(model, net, 3, h, 0.1)
+            leaf = build_steady_state(model, net, 9, h, 0.1)
+            assert hub.mode == leaf.mode == MODE_MIXTURE
+            assert hub.cont is leaf.cont
+            assert hub.pmf.size != leaf.pmf.size
+        assert (build_steady_state(model, net, 3, 0, 0.1).cont
+                is not build_steady_state(model, net, 3, 1, 0.1).cont)
+
+    def test_a_shared_table_equals_a_fresh_one(self, expo5):
+        net = make_network(0.5)
+        shared = build_steady_state(expo5, net, 9, 1, 0.1).cont
+        assert build_steady_state(expo5, net, 3, 1, 0.1).cont is shared
+        for k in (3, 9):
+            fresh = tabulate_cdf_u(expo5, net.node_params(k, 0.1), 1)
+            assert fresh is not shared
+            assert same_table(fresh, shared)
+
+    @pytest.mark.parametrize("change", ["h", "mu", "eps_prime", "model", "a_k"])
+    def test_any_other_key_gets_its_own_table(self, expo5, change):
+        net = make_network(0.5)
+        base = build_steady_state(expo5, net, 3, 1, 0.1).cont
+        model, k, h, mu, kwargs = expo5, 3, 1, 0.1, {}
+        if change == "h":
+            h = 0
+        elif change == "mu":
+            mu = 0.2
+        elif change == "eps_prime":
+            kwargs = {"eps_prime": 1e-5}
+        elif change == "model":
+            model = ExponentialModel(5.0)  # equal parameters, another object
+        else:
+            # node 0 keeps a_k = 0.5, node 1 has a_k = 0.6
+            net, k = from_matrix([[0.5, 0.5], [0.4, 0.6]]), 1
+        other = build_steady_state(model, net, k, h, mu, **kwargs).cont
+        assert other is not base
+        fresh = tabulate_cdf_u(model, net.node_params(k, mu), h, **kwargs)
+        assert same_table(other, fresh)
+        if change == "a_k":
+            # equal a_k and mu in another network: the same table
+            assert build_steady_state(expo5, net, 0, 1, 0.1).cont is base
+
+    def test_one_build_per_key_through_the_module_name(self, monkeypatch):
+        # a fresh model object, so no earlier test's table is reused; the
+        # cache calls tabulate_cdf_u by its module name at call time
+        calls = []
+        real = steady_state.tabulate_cdf_u
+
+        def record(*args, **kwargs):
+            calls.append(args[2])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(steady_state, "tabulate_cdf_u", record)
+        model, net = ExponentialModel(5.0), make_network(0.5)
+        for k in (3, 9):
+            steady_state_pair(model, net, k, 0.1)
+        assert calls == [0, 1]
+
+    def test_direct_tabulation_is_never_cached(self, expo5):
+        node = make_network(0.5).node_params(3, 0.1)
+        first, second = tabulate_cdf_u(expo5, node, 1), tabulate_cdf_u(expo5, node, 1)
+        assert first is not second and same_table(first, second)
+
+    def test_cache_stays_within_its_bound(self, gauss1):
+        net = make_network(0.5)
+        for i in range(_TABLE_CACHE_SIZE + 5):
+            build_steady_state(GaussianModel(1.0 + i / 64), net, 9, 1, 0.1)
+        info = _continuous_table.cache_info()
+        assert info.maxsize == _TABLE_CACHE_SIZE
+        assert info.currsize == _TABLE_CACHE_SIZE
