@@ -7,10 +7,10 @@ Library layout:
                      their one-bit message levels
 * ``continuous``   - steady-state CDF of the continuous state component by
                      log-characteristic-function series inversion
-* ``discrete``     - PMF of the discrete component via truncated Bernoulli
-                     convolutions and star-aggregated digit patterns
-* ``steady_state`` - mixture CDF of the full state (its Gaussian limit
-                     is a point mass over a normal table)
+* ``discrete``     - the paper's PMF of the one-bit messages (truncated,
+                     star-aggregated digit patterns) and PMF convolution
+* ``steady_state`` - exact CDF of the full state: the messages' closed-form
+                     CF folded into the continuous component's table
 * ``simulate``     - the update kernel of the diffusion recursions (with the
                      one-bit quantizer) and the Monte Carlo engine
 * ``detection``    - P_f/P_d, threshold calibration, ROC curves
@@ -35,8 +35,7 @@ from .simulate import (ONE_BIT_X, QUANTIZED_STATE, UNQUANTIZED, EmpiricalCdf,
                        SimConfig, TrialEnsemble, empirical_cdf, ks_distance,
                        make_step, reaction_time, run)
 from .steady_state import (SteadyStateCdf, build_steady_state, limit_moments,
-                           mixture_cdf, select_mode, state_cumulants,
-                           steady_state_pair)
+                           mixture_cdf, state_cumulants, steady_state_pair)
 
 __version__ = "0.1.0"
 
@@ -53,6 +52,6 @@ __all__ = [
     "moments", "neighbor_component_pmf", "neighbor_sets_from_edges",
     "offdiag_square_sum", "omega_k", "pf_pd", "phi_w_coefficients",
     "reaction_time", "reference_topology", "roc", "run",
-    "select_mode", "state_cumulants", "steady_state_pair", "table_first_order",
+    "state_cumulants", "steady_state_pair", "table_first_order",
     "table_second_order", "tabulate_cdf_u", "threshold_for_pf",
 ]

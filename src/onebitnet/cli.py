@@ -61,7 +61,6 @@ def _sweep(cfg: ExperimentConfig):
     """Walk the model and self-weight sweeps: run both single-hypothesis
     ensembles once per sweep point, then yield, per output node,
     ((param, a), k, (cdf0, cdf1), (node-k terminal states under h=0, h=1))."""
-    kwargs = dict(eps_prime=cfg.eps_prime, eps_scale=cfg.eps_scale)
     for param in cfg.model_param_sweep:
         model = cfg.model_for(param)
         for a in cfg.self_weight_sweep:
@@ -70,7 +69,8 @@ def _sweep(cfg: ExperimentConfig):
                                             cfg.trials, cfg.seed, cfg.scheme)
             for k in cfg.nodes:
                 yield ((param, a), k,
-                       steady_state_pair(model, network, k, cfg.mu, **kwargs),
+                       steady_state_pair(model, network, k, cfg.mu,
+                                         eps_prime=cfg.eps_prime),
                        (terminal[0][:, k], terminal[1][:, k]))
 
 

@@ -97,7 +97,6 @@ class ExperimentConfig:
     schedule: tuple[tuple[int, int], ...]
     scheme: str
     eps_prime: float
-    eps_scale: float
     gamma_points: int
     gamma_span: float
     out_dir: str
@@ -207,12 +206,10 @@ def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
     if scheme not in SCHEMES:
         raise ConfigError(f"'dynamics.scheme' unknown: {scheme!r}")
 
-    _require_keys(tree, "analysis", ("eps_prime", "eps_z_scale", "gamma_grid"))
+    _require_keys(tree, "analysis", ("eps_prime", "gamma_grid"))
     _require_keys(tree, "analysis.gamma_grid", ("points", "std_span"))
     eps_prime = _get_number(tree, "analysis.eps_prime", 2e-5)
-    eps_scale = _get_number(tree, "analysis.eps_z_scale", 0.1)
     _require_range(eps_prime, "analysis.eps_prime", 0.0, 1.0)
-    _require_range(eps_scale, "analysis.eps_z_scale", 0.0, 1.0)
     gamma_points = _get_number(tree, "analysis.gamma_grid.points", 241, int)
     gamma_span = _get_number(tree, "analysis.gamma_grid.std_span", 6.0)
     _require_range(gamma_points, "analysis.gamma_grid.points", 2, float("inf"),
@@ -239,6 +236,6 @@ def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
         raw=tree, network=network, model=make_model(kind, param),
         model_kind=kind, model_param=param, mu=mu, n_iters=n_iters,
         trials=trials, seed=seed, schedule=tuple(schedule), scheme=scheme,
-        eps_prime=eps_prime, eps_scale=eps_scale, gamma_points=gamma_points,
+        eps_prime=eps_prime, gamma_points=gamma_points,
         gamma_span=gamma_span, out_dir=out_dir, nodes=nodes,
         self_weight_sweep=sweep_a, model_param_sweep=sweep_par)

@@ -30,8 +30,7 @@ numpy's FFT for all points (Abate & Whitt 1992; Rabiner, Schafer & Rader
 1969). ``tabulate_cdf_u`` runs it for every non-Gaussian model; ``cdf_u``
 is its one-point call. For the Gaussian model u is normal, and its table
 is ``normal_table``: ``models.normal_cdf`` (``math.erfc``) at the
-closed-form moments on a 1,501-point grid; the steady state's
-eta -> 1 limit is tabulated by it too.
+closed-form moments on a 1,501-point grid.
 """
 from __future__ import annotations
 
@@ -57,6 +56,12 @@ _SERIES_BLOCK = 4096
 _TAIL_BLOCK = 512
 _MAX_TERMS = 4_000_000
 _SPAN_STDS = 12.0  # half-width of the initial tabulation range, in stds
+
+
+def _freeze_copy(self, state):
+    """``__setstate__`` restoring the read-only flag pickle and deepcopy drop."""
+    self.__dict__.update(state)
+    self.__post_init__()
 
 
 class InversionError(RuntimeError):
@@ -103,14 +108,17 @@ def default_m_bar(eta: float, eps_dprime: float) -> int:
 def log_cf_w(model: ObservationModel, node: NodeParams, h: int, t) -> np.ndarray:
     """Phi_w evaluated at real t >= 0 of any size.
 
-    Arguments beyond a safe fraction of the radius are folded down with
+    Arguments beyond a safe fraction of the radius tau are folded down with
     Phi_w(t) = Phi_x(t) + Phi_w(eta t); the remaining small argument uses
-    the power series with enough terms for budget-level accuracy.
+    the power series with enough terms for budget-level accuracy, summed
+    as phi_n tau^n / (1 - eta^n) against (t/tau)^n (tau = 1 if infinite), so
+    no coefficient overflows however many terms eta -> 1 needs.
     """
     t_cur = np.array(t, dtype=float, ndmin=1)
     eta = node.eta
     tau = model.radius(h)
     acc = np.zeros(t_cur.shape, dtype=complex)
+    scale = tau if np.isfinite(tau) else 1.0
     if np.isfinite(tau):
         thr = _SERIES_ARG_FRACTION * tau
         while True:
@@ -121,7 +129,8 @@ def log_cf_w(model: ObservationModel, node: NodeParams, h: int, t) -> np.ndarray
             t_cur[mask] *= eta
     m_terms = max(_MIN_SERIES_TERMS, default_m_bar(eta, DEFAULT_EPS_DPRIME))
     m = np.arange(1, m_terms + 1)
-    coef = phi_w_coefficients(model, node, h, m_terms)
+    coef = model.phi_coeffs(m_terms, h, scale) / (1.0 - eta ** m)
+    t_cur /= scale
     step = max(1, _SERIES_BLOCK // m_terms)
     for i in range(0, t_cur.size, step):
         acc[i:i + step] += (t_cur[i:i + step, None] ** m * coef).sum(axis=1)
@@ -263,8 +272,8 @@ class ContinuousCdfTable:
     common step, the number of terms and the last block's residual; nan,
     0 and 0 for a ``normal_table``); ``ripple`` is the largest drop
     of the raw values before the cumulative-max pass. ``grid`` and
-    ``values`` are read-only: ``build_steady_state`` shares one table
-    between nodes.
+    ``values`` are read-only, in copies too: ``build_steady_state`` shares
+    one table between nodes.
     """
 
     grid: np.ndarray
@@ -287,6 +296,8 @@ class ContinuousCdfTable:
         v.setflags(write=False)
         object.__setattr__(self, "grid", g)
         object.__setattr__(self, "values", v)
+
+    __setstate__ = _freeze_copy
 
     def __call__(self, u):
         return np.interp(np.asarray(u, dtype=float), self.grid, self.values,

@@ -2,15 +2,15 @@
 
 Each neighbor contributes a geometric series of normalized +/-1 message
 symbols with memory factor eta, i.e. an asymmetric Bernoulli convolution.
-It is approximated by truncating the series after omega digits (assuming
-the remaining digits take the likely value +1) and compressing the 2^omega
-digit patterns to the patterns with at most one (first order) or two
-(second order) unlikely digits; every discarded pattern's probability is
-folded into the retained pattern that shares its leading unlikely digits
-(star aggregation). Affine mapping to the state scale and cross-neighbor
-convolution with value merging yield the PMF of the full discrete
-component; ``discrete_component`` uses the second-order table with
-class-mean values (the other variants serve the oracles and tests).
+The paper approximates it by truncating the series after omega digits
+(assuming the remaining digits take the likely value +1) and compressing
+the 2^omega digit patterns to the patterns with at most one (first order)
+or two (second order) unlikely digits; every discarded pattern's
+probability is folded into the retained pattern that shares its leading
+unlikely digits (star aggregation). Affine mapping to the state scale and
+cross-neighbor convolution with value merging yield the PMF of the full
+discrete component; ``discrete_component`` uses the second-order table
+with class-mean values. ``steady_state`` uses the messages' exact law.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ from math import ceil, log, sqrt
 
 import numpy as np
 
-from .continuous import moments
+from .continuous import _freeze_copy, moments
 from .models import ObservationModel
 from .network import NetworkSpec, NodeParams
 
@@ -36,7 +36,7 @@ class DiscretePmf:
 
     Points are strictly ascending with gaps at least ``merge_tol`` (the
     spacing below which values were aggregated; 0 when never merged) and
-    the probabilities sum to one.
+    the probabilities sum to one. Both arrays are read-only, in copies too.
     """
 
     points: np.ndarray      # strictly ascending support
@@ -59,6 +59,8 @@ class DiscretePmf:
         pr.setflags(write=False)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "probs", pr)
+
+    __setstate__ = _freeze_copy
 
     @property
     def size(self) -> int:

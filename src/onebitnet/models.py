@@ -59,9 +59,9 @@ class ObservationModel(ABC):
         """Phi_{x,h}(t); accepts real or complex t, vectorized."""
 
     @abstractmethod
-    def phi_coeffs(self, n_max: int, h: int) -> np.ndarray:
-        """Coefficients of t**1 .. t**n_max in the power series of log_cf
-        around 0."""
+    def phi_coeffs(self, n_max: int, h: int, scale: float = 1.0) -> np.ndarray:
+        """Coefficients of (t/scale)**1 .. (t/scale)**n_max in the power
+        series of log_cf around 0, i.e. phi_n scale**n."""
 
     @abstractmethod
     def radius(self, h: int) -> float:
@@ -116,9 +116,10 @@ class GaussianModel(ObservationModel):
         t = np.asarray(t)
         return 1j * t * self.mean(h) - 0.5 * t * t * self.variance(h)
 
-    def phi_coeffs(self, n_max, h):
+    def phi_coeffs(self, n_max, h, scale=1.0):
         out = np.zeros(n_max, dtype=complex)
-        out[:2] = (1j * self.mean(h), -self.variance(h) / 2.0)[:n_max]
+        out[:2] = (1j * self.mean(h) * scale,
+                   -self.variance(h) * scale * scale / 2.0)[:n_max]
         return out
 
     def radius(self, h):
@@ -171,10 +172,10 @@ class ExponentialModel(ObservationModel):
         t = np.asarray(t, dtype=complex)
         return -1j * t * self._log_lam - np.log(1.0 - 1j * t * self._scale(h))
 
-    def phi_coeffs(self, n_max, h):
+    def phi_coeffs(self, n_max, h, scale=1.0):
         n = np.arange(1, n_max + 1)
-        out = (1j * self._scale(h)) ** n / n
-        out[0] = 1j * self.mean(h)
+        out = (1j * self._scale(h) * scale) ** n / n
+        out[0] = 1j * self.mean(h) * scale
         return out
 
     def radius(self, h):

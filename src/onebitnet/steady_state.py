@@ -1,69 +1,39 @@
 """Full steady-state CDF of a node's decision state.
 
-The steady state is the sum of the continuous component (the node's own
-geometrically weighted statistics) and the discrete component (its
-neighbors' one-bit messages), so its CDF is the PMF-weighted mixture
-
-    F_y(y) = sum_i nu_i F_u(y - z_i).
-
-Every ``SteadyStateCdf`` has this one shape: a PMF over a continuous
-table. F_u depends on the node only through (model, a_k, mu, h), so
-``build_steady_state`` tabulates it once per such key, and nodes with the
-same self-weight share one read-only table. The table of F_u is exactly 0
-below its uniform grid, 1 above it and linear between its knots, so on a
-lattice of the table's own step the mixture is one discrete convolution
-(linear binning plus FFT: Silverman, AS 176, 1982; Wand, 1994).
-``mixture_table`` bins each atom linearly onto that lattice (keeping its
-mass and mean), convolves the weights with the table's values in one real
-FFT product and returns F_y as one monotone table; ``SteadyStateCdf``
-builds it once, on its first query. At the lattice points the table is
-the direct sum except where a shifted query lands within one step outside
-the continuous grid (at most the mass the grid leaves at its ends);
-between them its error is at most a quarter of the table's largest second
-difference more (``SteadyStateCdf.table_error``).
-
-The state's closed-form cumulants kappa_1..3 live in one function,
-``state_cumulants``: the own statistics and the two-point messages each
-add their n-th cumulant, weighted by (mu a_k)^n and c_kl^n, over
-1 - eta^n.
-
-When the memory factor eta = (1-mu) a_k approaches one (vanishing step
-size AND dominant self-weight), both components degenerate and the
-standardized state is asymptotically standard normal instead (Theorem 2).
-That limit is the same shape: a point mass at 0 over a
-``continuous.normal_table`` at ``limit_moments`` (kappa_1 and
-sqrt(kappa_2)), within 7.7e-6 of the exact normal (linear interpolation on
-1,501 points). A small step size alone does not produce normality, so
-``select_mode`` takes the limit only when eta >= ETA_THRESHOLD and
-a_k >= A_THRESHOLD (fixed constants, 0.97 and 0.95). ``gaussian_limit`` is
-the plain normal: at finite eta the state keeps a skew
-gamma = kappa_3 / kappa_2^1.5, and the plain normal's sup error is then
-about |gamma| phi(0) / 6 (the first-order Edgeworth term; see
-``validation.limit_skewness``).
+Under ``one_bit_x`` node k's state is y = u + sum_l c_kl sum_i eta^i m_l,i,
+u the geometric sum of its own statistics (``continuous``) and m_l,i the
+one-bit messages e_0 + d b, d = e_1 - e_0, b ~ Bernoulli(p_d under h=1,
+p_f under h=0). Their characteristic function is the closed-form
+product prod_l prod_i (1 - p + p e^{j w c_kl eta^i d}) (Peres, Schlag &
+Solomyak, 2000): ``build_steady_state`` multiplies it into the Fourier
+transform of u's table, so one inversion gives the whole state's law in
+every regime, eta -> 1 included (Abate & Whitt, 1992). Digit levels too
+coarse for the table's lattice form an exact head PMF, and every
+``SteadyStateCdf`` is that PMF over the folded table. The closed-form
+cumulants live in ``state_cumulants``; the paper's star-aggregated
+message table (``discrete.discrete_component``) is measured against this
+law by ``validation.check_figure_cdfs``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import sqrt
+from math import ceil, factorial, pi, sqrt
 
 import numpy as np
 
 from .continuous import (ContinuousCdfTable, DEFAULT_EPS_PRIME, _monotone_table,
-                         moments, normal_table, phi_w_coefficients, tabulate_cdf_u)
-from .discrete import DEFAULT_EPS_SCALE, DiscretePmf, discrete_component, point_mass
+                         moments, phi_w_coefficients, tabulate_cdf_u)
+from .discrete import DiscretePmf, convolve, point_mass
 from .models import ObservationModel
 from .network import NetworkSpec, NodeParams
 
-MODE_MIXTURE = "mixture"
-MODE_GAUSSIAN_LIMIT = "gaussian_limit"
-
-ETA_THRESHOLD = 0.97
-A_THRESHOLD = 0.95
-
-# continuous tables kept by ``build_steady_state``: both hypotheses of 16
-# (model, a_k, mu) keys
+# tables of u kept: both hypotheses of 16 (model, a_k, mu) keys
 _TABLE_CACHE_SIZE = 32
+# digit levels move into the head until the folded table fits in this
+_MAX_LATTICE = 1 << 18
+# digits with omega_K w below this enter through four cumulants
+_EXPLICIT_DIGIT = 0.1
 
 
 def state_cumulants(model: ObservationModel, network: NetworkSpec, k: int,
@@ -102,31 +72,19 @@ def limit_moments(model: ObservationModel, network: NetworkSpec, k: int,
     return m, sqrt(s2)
 
 
-def select_mode(node: NodeParams) -> str:
-    """Choose mixture vs gaussian-limit evaluation.
-
-    The normal limit needs eta -> 1, which requires both a small step size
-    and a dominant self-weight; a tiny mu with moderate a_k stays in
-    mixture mode.
-    """
-    if node.eta >= ETA_THRESHOLD and node.a_k >= A_THRESHOLD:
-        return MODE_GAUSSIAN_LIMIT
-    return MODE_MIXTURE
-
-
 def mixture_table(pmf: DiscretePmf, cont: ContinuousCdfTable) -> ContinuousCdfTable:
-    """F_y(y) = sum_i nu_i F_u(y - z_i) as one monotone table.
+    """F_y(y) = sum_i nu_i F_u(y - z_i) as one monotone table (linear
+    binning plus FFT: Silverman, AS 176, 1982; Wand, 1994); one atom only
+    shifts the table.
 
     Each atom is binned linearly onto a lattice of ``cont``'s grid step
     (the first atom of each stretch on a lattice point), which keeps its
     mass and mean. Atoms more than a table width (plus three steps) apart
     start a new stretch, and F_y is flat between stretches. The stretches
     lie end to end in one array, each as its lattice points and the n + 1
-    points past them (n the continuous table's size); index m of a stretch
-    reads y = (its first atom) + grid[0] + (m - its first index) step. One
-    FFT product gives sum_j w_j values[m - j] over 0 <= m - j < n, and one
-    cumulative sum adds the weights with m - j >= n, where the table
-    reads 1 (earlier stretches included).
+    points past them (n the continuous table's size). One FFT product
+    gives sum_j w_j values[m - j] over 0 <= m - j < n, and one cumulative
+    sum adds the weights with m - j >= n, where the table reads 1.
     """
     grid, vals = cont.grid, cont.values
     n = grid.size
@@ -134,6 +92,9 @@ def mixture_table(pmf: DiscretePmf, cont: ContinuousCdfTable) -> ContinuousCdfTa
     if n < 2 or np.ptp(np.diff(grid)) > 1e-6 * step:
         raise ValueError("the continuous table needs a uniform grid of at least 2 points")
     z, nu = pmf.points, pmf.probs
+    if z.size == 1:
+        return ContinuousCdfTable(grid + z[0], vals, cont.mean + z[0], cont.variance,
+                                  cont.delta, cont.terms, cont.tail, cont.ripple)
     opens = np.diff(z, prepend=-np.inf) > grid[-1] - grid[0] + 3 * step
     stretch = np.cumsum(opens) - 1
     first = np.flatnonzero(opens)
@@ -166,18 +127,14 @@ def mixture_cdf(y, pmf: DiscretePmf, cont_cdf: ContinuousCdfTable) -> np.ndarray
 @dataclass(frozen=True, eq=False)
 class SteadyStateCdf:
     """Evaluable CDF of the steady-state node state under one hypothesis:
-    the mixture of ``cont`` shifted by each atom of ``pmf``. ``mode`` says
-    which law was tabulated (``select_mode``): the paper's mixture, or the
-    eta -> 1 limit normal as a point mass at 0 over a normal table.
-
-    A query reads ``table``, the mixture tabulated by ``mixture_table`` on
-    the first query and kept (copies and pickles carry it once built);
-    ``table_error`` bounds its distance to the direct mixture sum.
+    the head ``pmf`` over the folded table ``cont`` (``build_steady_state``).
+    A query reads ``table``, ``mixture_table``'s result, built on the first
+    query and kept (copies and pickles carry it once built); ``table_error``
+    bounds its distance to the direct mixture sum.
     """
 
     node: int
     h: int
-    mode: str
     pmf: DiscretePmf
     cont: ContinuousCdfTable
 
@@ -217,31 +174,79 @@ def _continuous_table(model: ObservationModel, a_k: float, mu: float, h: int,
     return tabulate_cdf_u(model, node, h, eps_prime=eps_prime)
 
 
+def _fft_length(n: int) -> int:
+    """The smallest 2^i 3^j 5^k >= n."""
+    return min(f << (-(-n // f) - 1).bit_length()
+               for f in (3 ** j * 5 ** k for j in range(12) for k in range(8)))
+
+
+def _fold_digits(u: ContinuousCdfTable, w: np.ndarray, n: np.ndarray, p: float,
+                 eta: float, eps_prime: float) -> np.ndarray:
+    """F of u + sum_g w_g sum_i eta^i B_g,i, B_g,i ~ Binomial(n_g, p), on
+    u's lattice from u.grid[0] over the table plus the digits' span.
+
+    The rfft Q of u's cell masses is multiplied below the first bin K with
+    (2/pi) sum_{i>=K} |Q_i|/i < eps_prime/20 (``continuous._spectrum``'s
+    rule; later bins are dropped) by the digits' closed-form CF, digit by
+    digit while omega_K w_g eta^i >= ``_EXPLICIT_DIGIT``, then by four
+    cumulants summed over i; an irfft and a cumulative sum give F.
+    """
+    step = (u.grid[-1] - u.grid[0]) / (u.grid.size - 1)
+    size = u.grid.size + 1 + ceil(float(n @ w) / (1.0 - eta) / step)
+    length = _fft_length(size)
+    spec = np.fft.rfft(np.diff(u.values, prepend=0.0, append=1.0), length)
+    tail = np.cumsum(np.abs(spec[:0:-1]) / np.arange(spec.size - 1, 0, -1))[::-1]
+    cut = 1 + int(np.argmax(np.append(tail * (2.0 / pi), 0.0) < eps_prime / 20.0))
+    omega = 2.0 * pi / (length * step) * np.arange(cut + 1)
+    q = 1.0 - p
+    kappa = (p, p * q, p * q * (q - p), p * q * (1.0 - 6.0 * p * q))
+    rest = np.zeros(cut, dtype=complex)
+    for weight, count in zip(w, n):
+        digits = np.ones(cut, dtype=complex)
+        while omega[-1] * weight >= _EXPLICIT_DIGIT:
+            digits *= q + p * np.exp(-1j * weight * omega[:-1])
+            weight *= eta
+        spec[:cut] *= digits ** count
+        coef = [count * kap / (factorial(r) * (1.0 - eta ** r))
+                for r, kap in enumerate(kappa, start=1)]
+        rest += np.polyval([*coef[::-1], 0.0], -1j * weight * omega[:-1])
+    spec[:cut] *= np.exp(rest)
+    spec[cut:] = 0.0
+    return np.cumsum(np.fft.irfft(spec, length)[:size])
+
+
 def build_steady_state(model: ObservationModel, network: NetworkSpec, k: int,
                        h: int, mu: float, *,
-                       eps_prime: float = DEFAULT_EPS_PRIME,
-                       eps_scale: float = DEFAULT_EPS_SCALE) -> SteadyStateCdf:
+                       eps_prime: float = DEFAULT_EPS_PRIME) -> SteadyStateCdf:
     """Construct the analytical steady-state CDF for node k under h.
 
-    The mode is selected from the node's eta and self-weight
-    (``select_mode``). In mixture mode the continuous CDF is tabulated
-    with aliasing budget ``eps_prime`` once per (model, a_k, mu, h,
-    eps_prime) and shared, read-only, by every node with that self-weight
-    (``_continuous_table``, up to ``_TABLE_CACHE_SIZE`` tables); a cache
-    hit does not repeat ``_monotone_table``'s ripple warning. The
-    discrete component's truncation budget is ``eps_scale`` times the
-    continuous component's std. In the limit mode the table is the normal
-    at ``limit_moments`` and the PMF a point mass at 0.
+    Neighbours with equal c_kl form a group g of n_g, whose digit level i
+    adds c_g eta^i d Binomial(n_g, p). While the folded table would exceed
+    ``_MAX_LATTICE`` points, whole digit levels move into the exact head
+    PMF; ``_fold_digits`` folds the rest into F_u (aliasing budget
+    ``eps_prime``; one shared read-only table per (model, a_k, mu, h,
+    eps_prime), ``_continuous_table``). The folded table's mean and
+    variance are ``state_cumulants``' kappa_1 and kappa_2 minus the head's.
     """
     node = network.node_params(k, mu)
-    mode = select_mode(node)
-    if mode == MODE_GAUSSIAN_LIMIT:
-        m, s = limit_moments(model, network, k, h, mu)
-        return SteadyStateCdf(node=k, h=h, mode=mode, pmf=point_mass(0.0),
-                              cont=normal_table(m, s * s))
-    pmf = discrete_component(model, network, k, h, mu, eps_scale)
-    table = _continuous_table(model, node.a_k, node.mu, h, eps_prime)
-    return SteadyStateCdf(node=k, h=h, mode=mode, pmf=pmf, cont=table)
+    u = _continuous_table(model, node.a_k, node.mu, h, eps_prime)
+    e0, e1 = model.message_values()
+    p = model.p_d if h == 1 else model.p_f
+    c, n = np.unique(node.c_row[node.c_row > 0], return_counts=True)
+    w, eta = c * (e1 - e0), node.eta
+    step = (u.grid[-1] - u.grid[0]) / (u.grid.size - 1)
+    levels = 0
+    while u.grid.size + float(n @ w) * eta ** levels / (1.0 - eta) / step > _MAX_LATTICE:
+        levels += 1
+    head = convolve([DiscretePmf(np.array([0.0, wl * eta ** i]), np.array([1.0 - p, p]))
+                     for i in range(levels) for wl in np.repeat(w, n)] or [point_mass(0.0)],
+                    merge_tol=0.0)
+    values = _fold_digits(u, w * eta ** levels, n, p, eta, eps_prime)
+    grid = u.grid[0] + float(n @ c) * e0 / (1.0 - eta) + step * np.arange(values.size)
+    kappa1, kappa2, _ = state_cumulants(model, network, k, h, mu)
+    cont = _monotone_table(grid, values, kappa1 - head.mean(),
+                           kappa2 - head.variance(), eps_prime)
+    return SteadyStateCdf(node=k, h=h, pmf=head, cont=cont)
 
 
 def steady_state_pair(model: ObservationModel, network: NetworkSpec, k: int,

@@ -20,9 +20,9 @@ from math import pi, sqrt
 
 import numpy as np
 
-from .continuous import cdf_u_grid, cdf_u_gaussian_closed, moments
+from .continuous import cdf_u_grid, cdf_u_gaussian_closed, moments, tabulate_cdf_u
 from .detection import RocCurve, default_gamma_grid, empirical_roc, roc
-from .discrete import (BernoulliApproxSpec, DiscretePmf,
+from .discrete import (BernoulliApproxSpec, DiscretePmf, discrete_component,
                        table_first_order, table_second_order)
 from .models import ExponentialModel, GaussianModel, normal_cdf
 from .network import NetworkSpec, build_uniform_matrix, neighbor_sets_from_edges, \
@@ -30,8 +30,8 @@ from .network import NetworkSpec, build_uniform_matrix, neighbor_sets_from_edges
 from .simulate import (ONE_BIT_X, QUANTIZED_STATE, UNQUANTIZED, SimConfig,
                        hypothesis_ensembles, ks_distance, make_step,
                        reaction_time, run)
-from .steady_state import (build_steady_state, limit_moments, state_cumulants,
-                           steady_state_pair)
+from .steady_state import (build_steady_state, limit_moments, mixture_table,
+                           state_cumulants, steady_state_pair)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +318,7 @@ def check_matrix_invariants(seed: int = 0) -> list[CheckResult]:
 def check_figure_cdfs(quick: bool = False, seed: int = 0) -> list[CheckResult]:
     """Analytical steady-state CDFs vs Monte Carlo, at the benchmark
     settings (both models, nodes 3 and 9, three self-weights, both
-    hypotheses)."""
+    hypotheses), and the paper's star table over F_u against each CDF."""
     trials = 10 ** 3 if quick else 10 ** 4
     # tolerance = KS noise quantile at the trial count plus approximation slack
     tol = 0.07 if quick else 0.02
@@ -334,11 +334,17 @@ def check_figure_cdfs(quick: bool = False, seed: int = 0) -> list[CheckResult]:
             for h in (0, 1):
                 for k in (3, 9):
                     cdf = build_steady_state(model, net, k, h, 0.1)
+                    tag = f"{model.__class__.__name__}_a{a}_h{h}_node{k}"
                     ks = ks_distance(terminal[h][:, k], cdf)
                     results.append(_result(
-                        f"steady_state/ks_{model.__class__.__name__}_a{a}_h{h}_node{k}",
-                        ks, tol, f"trials={trials} table_error={cdf.table_error:.2g}",
+                        f"steady_state/ks_{tag}", ks, tol,
+                        f"trials={trials} table_error={cdf.table_error:.2g}",
                         ks_draws=trials))
+                    paper = mixture_table(discrete_component(model, net, k, h, 0.1),
+                                          tabulate_cdf_u(model, net.node_params(k, 0.1), h))
+                    knots = np.concatenate([paper.grid, cdf.table.grid])
+                    results.append(_result(f"steady_state/paper_sup_{tag}", np.max(np.abs(
+                        paper(knots) - cdf(knots))), 0.02, "sup|F_paper - F| at the knots"))
     return results
 
 
@@ -491,7 +497,6 @@ def check_mixture_invariants(seed: int = 0) -> list[CheckResult]:
         for a in (0.1, 0.5):
             net = build_uniform_matrix(reference_topology(), a)
             for (k, h) in ((3, 0), (9, 1)):
-                node = net.node_params(k, 0.1)
                 cdf = build_steady_state(model, net, k, h, 0.1)
                 worst_pmf = max(worst_pmf, abs(cdf.pmf.probs.sum() - 1.0))
                 m, s = cdf.mean(), cdf.std()
@@ -499,14 +504,14 @@ def check_mixture_invariants(seed: int = 0) -> list[CheckResult]:
                 vals = cdf(ys)
                 worst_mono = max(worst_mono, float(np.max(np.maximum(0, -np.diff(vals)))))
                 # the mean read off F alone (Stieltjes sum of y dF on a grid
-                # widened until F < 1e-6 and F > 1 - 1e-6 at its ends), since
-                # cdf.mean() is the closed form below by construction
+                # widened until F < 1e-6 and F > 1 - 1e-6 at its ends) against
+                # kappa_1, which cdf.mean() is by construction
                 lo, hi = m - 6 * s, m + 6 * s
                 while cdf(lo) >= 1e-6 or cdf(hi) <= 1.0 - 1e-6:
                     lo, hi = lo - (hi - lo), hi + (hi - lo)
                 ys = np.linspace(lo, hi, 20001)
                 integrated = float(0.5 * (ys[:-1] + ys[1:]) @ np.diff(cdf(ys)))
-                expected = moments(model, node, h).mean + cdf.pmf.mean()
+                expected = state_cumulants(model, net, k, h, 0.1)[0]
                 scale = max(abs(expected), 1e-9)
                 worst_mean = max(worst_mean, abs(integrated - expected) / scale)
     results.append(_result("steady_state/pmf_total_probability", worst_pmf, 1e-10))

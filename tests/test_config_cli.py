@@ -120,6 +120,7 @@ class TestConfigParsing:
             load_config(write_config(tmp_path, text))
         for analysis, key in (("value_rule: median", "analysis.value_rule"),
                               ("eps_dprime: 1.0e-3", "analysis.eps_dprime"),
+                              ("eps_z_scale: 0.1", "analysis.eps_z_scale"),
                               ("order: first", "analysis.order"),
                               ("eta_threshold: 0.5", "analysis.eta_threshold"),
                               ("eps_primer: 1.0e-4", "analysis.eps_primer"),

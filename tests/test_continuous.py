@@ -6,7 +6,8 @@ from scipy.stats import ks_2samp, norm
 from onebitnet import (ExponentialModel, GaussianModel, build_uniform_matrix,
                        cdf_u, cdf_u_gaussian_closed, cdf_u_grid, moments,
                        phi_w_coefficients, reference_topology, tabulate_cdf_u)
-from onebitnet.continuous import InversionError, _chirp_z, default_m_bar
+from onebitnet.continuous import (InversionError, _chirp_z, default_m_bar,
+                                  log_cf_w)
 from onebitnet.network import NodeParams
 from onebitnet.simulate import ks_distance
 
@@ -85,6 +86,25 @@ class TestPhiWCoefficients:
         phw = (t[:, None] ** m[None, :] * coeffs[None, :]).sum(axis=1)
         phw_eta = ((node.eta * t)[:, None] ** m[None, :] * coeffs[None, :]).sum(axis=1)
         np.testing.assert_allclose(phw - phw_eta, gauss1.log_cf(t, 1), atol=1e-8)
+
+    @pytest.mark.parametrize("h", [0, 1])
+    def test_log_cf_w_series_is_radius_scaled(self, expo5, h):
+        # at a = 0.5 log_cf_w is the plain series sum phi_w,n t^n (40
+        # terms); at eta = 0.9801 the series needs 540 terms, phi_n (4^n/n
+        # under h=1) overflows, and the coefficients phi_n tau^n against
+        # (t/tau)^n stay finite and keep the functional equation
+        tau = expo5.radius(h)
+        t = np.linspace(0.0, 0.45 * tau, 31)
+        node = node_for(0.5)
+        m = np.arange(1, 41)
+        plain = (t[:, None] ** m * phi_w_coefficients(expo5, node, h, 40)).sum(axis=1)
+        np.testing.assert_allclose(log_cf_w(expo5, node, h, t), plain, rtol=1e-13,
+                                   atol=1e-15)
+        node = node_for(0.99, mu=0.01)
+        got = log_cf_w(expo5, node, h, t)
+        assert np.all(np.isfinite(got))
+        np.testing.assert_allclose(got - log_cf_w(expo5, node, h, node.eta * t),
+                                   expo5.log_cf(t, h), atol=1e-10)
 
     def test_m_bar_rule(self):
         assert default_m_bar(0.45, 2e-5) == int(np.ceil(np.log(2e-5) / np.log(0.45)))
