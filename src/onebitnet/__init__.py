@@ -19,8 +19,7 @@ Library layout:
 """
 
 from .continuous import (ContinuousCdfTable, ContinuousMoments, cdf_u,
-                         cdf_u_gaussian_closed, cdf_u_grid, moments,
-                         phi_w_coefficients, tabulate_cdf_u)
+                         cdf_u_gaussian_closed, cdf_u_grid, moments, tabulate_cdf_u)
 from .detection import RocCurve, default_gamma_grid, empirical_roc, pf_pd, \
     roc, threshold_for_pf
 from .discrete import (BernoulliApproxSpec, DiscretePmf, convolve,
@@ -50,8 +49,8 @@ __all__ = [
     "empirical_cdf", "empirical_roc", "from_matrix",
     "ks_distance", "limit_moments", "make_step", "merge_close", "mixture_cdf",
     "moments", "neighbor_component_pmf", "neighbor_sets_from_edges",
-    "offdiag_square_sum", "omega_k", "pf_pd", "phi_w_coefficients",
-    "reaction_time", "reference_topology", "roc", "run",
+    "offdiag_square_sum", "omega_k", "pf_pd", "reaction_time",
+    "reference_topology", "roc", "run",
     "state_cumulants", "steady_state_pair", "table_first_order",
     "table_second_order", "tabulate_cdf_u", "threshold_for_pf",
 ]

@@ -2,9 +2,8 @@
 
 The continuous component of a node's steady state is u = a_k mu w, where
 w is the geometric sum of the node's own i.i.d. statistics with memory
-factor eta = (1-mu) a_k. Its log-characteristic function satisfies the
-functional equation Phi_w(t) - Phi_w(eta t) = Phi_x(t) and expands as
-Phi_w(t) = sum_n phi_n t^n / (1 - eta^n) inside the radius of Phi_x.
+factor eta = (1-mu) a_k. Its log-characteristic function is
+Phi_w(t) = sum_{i>=0} Phi_x(eta^i t), so Phi_w(t) - Phi_w(eta t) = Phi_x(t).
 
 The CDF is recovered by a sine-series inversion
 
@@ -16,11 +15,9 @@ the aliasing error stays below a prescribed budget eps_prime: the upper
 tail is cut at the Chebyshev edge mean + sqrt(2 var / eps_prime), the lower
 one at the support infimum, or at the mirrored Chebyshev edge for models
 unbounded below. The window shrinks toward both ends of a grid, so one
-delta, taken at the grid's two extreme interior points, serves it all. The
-inner coefficient series is truncated at m_bar with eta^m_bar <= eps'', a
-fixed budget (DEFAULT_EPS_DPRIME). Past the radius of the inner power
-series, Phi_w is evaluated by iterating the functional equation
-Phi_w(t) = Phi_x(t) + Phi_w(eta t) until the argument falls inside it.
+delta, taken at the grid's two extreme interior points, serves it all.
+Phi_w is ``geometric_log_cf``: explicit terms Phi_x(eta^i t) down to a
+small fraction of Phi_x's radius, then four cumulants in closed form.
 
 There is one inversion engine, ``cdf_u_grid``: one step delta per uniform
 grid, the spectrum w_n = exp(Phi_w(t_n))/(2n+1) built once in blocks until
@@ -36,7 +33,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from math import ceil, log, pi, sqrt
+from math import factorial, pi, sqrt
 
 import numpy as np
 
@@ -44,15 +41,9 @@ from .models import GaussianModel, ObservationModel, normal_cdf
 from .network import NodeParams
 
 DEFAULT_EPS_PRIME = 2e-5
-DEFAULT_EPS_DPRIME = 2e-5
 
-# power-series arguments are kept below this fraction of the radius when
-# evaluating Phi_w by functional-equation folding
-_SERIES_ARG_FRACTION = 0.5
-_MIN_SERIES_TERMS = 40
-# (points x terms) elements per block of the inner power series; blocks this
-# small reuse heap memory instead of being mapped and faulted in per call
-_SERIES_BLOCK = 4096
+# geometric sums take explicit terms down to this fraction of the radius
+_TAIL_ARG = 0.01
 _TAIL_BLOCK = 512
 _MAX_TERMS = 4_000_000
 _SPAN_STDS = 12.0  # half-width of the initial tabulation range, in stds
@@ -91,50 +82,28 @@ def moments(model: ObservationModel, node: NodeParams, h: int) -> ContinuousMome
     return ContinuousMoments(mean=mean, variance=variance, lower=lower)
 
 
-def phi_w_coefficients(model: ObservationModel, node: NodeParams, h: int,
-                       m_bar: int) -> np.ndarray:
-    """First m_bar power-series coefficients of Phi_w: phi_n / (1 - eta^n)."""
-    if m_bar < 1:
-        raise ValueError("m_bar must be at least 1")
-    n = np.arange(1, m_bar + 1)
-    return model.phi_coeffs(m_bar, h) / (1.0 - node.eta ** n)
-
-
-def default_m_bar(eta: float, eps_dprime: float) -> int:
-    """Inner truncation index from the empirical criterion eta^m <= eps''."""
-    return max(1, ceil(log(eps_dprime) / log(eta)))
+def geometric_log_cf(log_cf, kappa, radius: float, eta: float, t) -> np.ndarray:
+    """sum_{i>=0} log_cf(eta^i t) at real or complex t: explicit terms while
+    the largest |eta^i t| is at least ``_TAIL_ARG`` radius (that of log_cf's
+    power series, may be inf), then the four cumulants kappa summed over i,
+    sum_r kappa_r (j s)^r / (r! (1 - eta^r)) at the arguments s reached
+    (exact when log_cf is a polynomial of degree at most 4)."""
+    s = np.array(t, dtype=np.result_type(t, 1.0), ndmin=1)
+    acc = np.zeros(s.shape, dtype=complex)
+    top = float(np.max(np.abs(s), initial=0.0))
+    while _TAIL_ARG * radius <= top < np.inf:
+        acc += log_cf(s)
+        s *= eta
+        top *= eta
+    coef = [k / (factorial(r) * (1.0 - eta ** r)) for r, k in enumerate(kappa, start=1)]
+    return acc + np.polyval([*coef[::-1], 0.0], 1j * s)
 
 
 def log_cf_w(model: ObservationModel, node: NodeParams, h: int, t) -> np.ndarray:
-    """Phi_w evaluated at real t >= 0 of any size.
-
-    Arguments beyond a safe fraction of the radius tau are folded down with
-    Phi_w(t) = Phi_x(t) + Phi_w(eta t); the remaining small argument uses
-    the power series with enough terms for budget-level accuracy, summed
-    as phi_n tau^n / (1 - eta^n) against (t/tau)^n (tau = 1 if infinite), so
-    no coefficient overflows however many terms eta -> 1 needs.
-    """
-    t_cur = np.array(t, dtype=float, ndmin=1)
-    eta = node.eta
-    tau = model.radius(h)
-    acc = np.zeros(t_cur.shape, dtype=complex)
-    scale = tau if np.isfinite(tau) else 1.0
-    if np.isfinite(tau):
-        thr = _SERIES_ARG_FRACTION * tau
-        while True:
-            mask = t_cur > thr
-            if not mask.any():
-                break
-            acc[mask] += model.log_cf(t_cur[mask], h)
-            t_cur[mask] *= eta
-    m_terms = max(_MIN_SERIES_TERMS, default_m_bar(eta, DEFAULT_EPS_DPRIME))
-    m = np.arange(1, m_terms + 1)
-    coef = model.phi_coeffs(m_terms, h, scale) / (1.0 - eta ** m)
-    t_cur /= scale
-    step = max(1, _SERIES_BLOCK // m_terms)
-    for i in range(0, t_cur.size, step):
-        acc[i:i + step] += (t_cur[i:i + step, None] ** m * coef).sum(axis=1)
-    return acc
+    """Phi_w(t) = sum_{i>=0} Phi_x(eta^i t) at real or complex t of any size
+    (``geometric_log_cf`` over the model's log-CF)."""
+    return geometric_log_cf(lambda s: model.log_cf(s, h), model.cumulants(h),
+                            model.radius(h), node.eta, t)
 
 
 def _spectrum(model: ObservationModel, node: NodeParams, h: int, delta: float,
@@ -150,8 +119,8 @@ def _spectrum(model: ObservationModel, node: NodeParams, h: int, delta: float,
         w = np.exp(log_cf_w(model, node, h, t)) / (2 * n + 1)
         if not np.all(np.isfinite(w)):
             raise InversionError(
-                "non-finite term in the inversion series (coefficient overflow "
-                "near the radius); reduce delta")
+                "non-finite term in the inversion series (Phi_w is not "
+                "finite at some t_n); reduce delta")
         ts.append(t)
         ws.append(w)
         tail = float(np.abs(w).sum() * (2.0 / pi))

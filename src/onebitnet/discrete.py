@@ -24,7 +24,7 @@ from .continuous import _freeze_copy, moments
 from .models import ObservationModel
 from .network import NetworkSpec, NodeParams
 
-DEFAULT_EPS_SCALE = 0.1  # eps_{k,h} = scale * std(u) unless overridden
+DEFAULT_EPS_SCALE = 0.1  # the paper's eps_{k,h} = 0.1 std(u)
 MAX_CONVOLUTION_POINTS = 10 ** 6
 
 _VALUE_RULES = ("pattern", "class_mean")
@@ -308,12 +308,11 @@ def _combine_sorted(points, probs):
 
 
 def discrete_component(model: ObservationModel, network: NetworkSpec, k: int,
-                       h: int, mu: float,
-                       eps_scale: float = DEFAULT_EPS_SCALE) -> DiscretePmf:
+                       h: int, mu: float) -> DiscretePmf:
     """End-to-end PMF of the steady-state discrete component of node k.
 
     Pipeline: truncation length from the error budget
-    eps_{k,h} = eps_scale * std(u) -> second-order table with class-mean
+    eps_{k,h} = DEFAULT_EPS_SCALE * std(u) -> second-order table with class-mean
     values, which keep the PMF mean exact (under h=0 the table is built on
     the sign-flipped variable with p = 1 - p_f and then negated) ->
     per-neighbor affine map -> convolution across neighbors with
@@ -326,7 +325,7 @@ def discrete_component(model: ObservationModel, network: NetworkSpec, k: int,
     neighbors = sorted(set(network.neighbors[k]) - {k})
     if not neighbors:
         return point_mass(0.0)
-    eps_kh = eps_scale * sqrt(moments(model, node, h).variance)
+    eps_kh = DEFAULT_EPS_SCALE * sqrt(moments(model, node, h).variance)
     omega = omega_k(model, node, h, eps_kh)
     p = model.p_d if h == 1 else 1.0 - model.p_f
     spec = BernoulliApproxSpec(p=p, eta=node.eta, omega=omega)

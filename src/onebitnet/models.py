@@ -3,8 +3,8 @@
 Each model describes the distribution of the scalar statistic x computed by
 an agent from a single observation, under both states of nature h = 0, 1.
 Besides sampling and moments, models expose the log-characteristic function
-Phi_{x,h}(t) = log E_h exp(j t x) together with its power-series
-coefficients and radius of convergence, which drive the steady-state CDF
+Phi_{x,h}(t) = log E_h exp(j t x) together with its first four cumulants
+and the radius of its power series, which drive the steady-state CDF
 inversion. ``normal_cdf`` is the package's one normal CDF,
 Phi(x) = erfc(-x/sqrt 2)/2 on ``math.erfc`` (Cody's rational Chebyshev
 approximations, Math. Comp. 23, 1969): numpy scales the whole input, one
@@ -14,7 +14,7 @@ input's shape.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from math import erfc, log, sqrt
+from math import erfc, factorial, log, sqrt
 
 import numpy as np
 
@@ -59,9 +59,8 @@ class ObservationModel(ABC):
         """Phi_{x,h}(t); accepts real or complex t, vectorized."""
 
     @abstractmethod
-    def phi_coeffs(self, n_max: int, h: int, scale: float = 1.0) -> np.ndarray:
-        """Coefficients of (t/scale)**1 .. (t/scale)**n_max in the power
-        series of log_cf around 0, i.e. phi_n scale**n."""
+    def cumulants(self, h: int) -> tuple[float, float, float, float]:
+        """kappa_1..kappa_4 of x: log_cf(t) = sum_r kappa_r (j t)^r / r! + O(t^5)."""
 
     @abstractmethod
     def radius(self, h: int) -> float:
@@ -91,8 +90,8 @@ class GaussianModel(ObservationModel):
 
     x ~ N(-rho, 2 rho) under h=0 and N(rho, 2 rho) under h=1, where rho is
     the symmetric Kullback-Leibler divergence between the two observation
-    densities. The log-CF is exactly quadratic, so the series coefficients
-    vanish beyond n = 2 and the radius is infinite.
+    densities. The log-CF is exactly quadratic, so the cumulants vanish
+    beyond the second and the radius is infinite.
     """
 
     def __init__(self, rho: float):
@@ -116,11 +115,8 @@ class GaussianModel(ObservationModel):
         t = np.asarray(t)
         return 1j * t * self.mean(h) - 0.5 * t * t * self.variance(h)
 
-    def phi_coeffs(self, n_max, h, scale=1.0):
-        out = np.zeros(n_max, dtype=complex)
-        out[:2] = (1j * self.mean(h) * scale,
-                   -self.variance(h) * scale * scale / 2.0)[:n_max]
-        return out
+    def cumulants(self, h):
+        return self.mean(h), self.variance(h), 0.0, 0.0
 
     def radius(self, h):
         return np.inf
@@ -141,10 +137,12 @@ class ExponentialModel(ObservationModel):
     lambda_1 < lambda_0 under h=1; only the ratio lambda_e = lambda_0 /
     lambda_1 > 1 matters. The statistic is x = s_h e - log lambda_e with e
     a unit exponential and scale s_0 = 1 - 1/lambda_e, s_1 = lambda_e - 1,
-    so x >= -log lambda_e. The log-CF series has finite radius 1/s_h.
+    so x >= -log lambda_e, with cumulants kappa_r = (r-1)! s_h^r for r >= 2.
+    The log-CF series has finite radius 1/s_h, the distance to log_cf's
+    singularity at t = -j/s_h.
 
     Note: V_1 x = (lambda_e - 1)^2, consistent with the H1 density, the
-    closed-form log-CF and its coefficients.
+    closed-form log-CF and its cumulants.
     """
 
     def __init__(self, lambda_e: float):
@@ -172,11 +170,9 @@ class ExponentialModel(ObservationModel):
         t = np.asarray(t, dtype=complex)
         return -1j * t * self._log_lam - np.log(1.0 - 1j * t * self._scale(h))
 
-    def phi_coeffs(self, n_max, h, scale=1.0):
-        n = np.arange(1, n_max + 1)
-        out = (1j * self._scale(h) * scale) ** n / n
-        out[0] = 1j * self.mean(h) * scale
-        return out
+    def cumulants(self, h):
+        s = self._scale(h)
+        return self.mean(h), s ** 2, 2.0 * s ** 3, 6.0 * s ** 4
 
     def radius(self, h):
         return 1.0 / self._scale(h)
@@ -193,25 +189,26 @@ class ExponentialModel(ObservationModel):
         return self.lambda_e ** (-self.lambda_e / (self.lambda_e - 1.0))
 
 
-def cumulant_check(model: ObservationModel, h: int, n_max: int = 6) -> np.ndarray:
-    """Relative residuals between shipped series coefficients and numerical
-    derivatives of log_cf at the origin.
+def cumulant_check(model: ObservationModel, h: int, n_max: int = 4) -> np.ndarray:
+    """Relative residuals between the shipped cumulants, as the power-series
+    coefficients kappa_n j^n / n! of log_cf, and numerical derivatives of
+    log_cf at the origin.
 
     The derivatives are extracted by trapezoid quadrature of the Cauchy
     integral on a circle of radius min(radius/2, 1), which is spectrally
     accurate for the analytic log-CFs handled here.
     """
-    if n_max > 6:
-        raise ValueError("n_max is limited to 6")
+    if not 1 <= n_max <= 4:
+        raise ValueError("n_max must be between 1 and 4")
     r = min(model.radius(h) / 2.0, 1.0)
     n_theta = 256
     theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
     vals = model.log_cf(r * np.exp(1j * theta), h)
-    coeffs = model.phi_coeffs(n_max, h)
+    kappa = model.cumulants(h)
     residuals = np.empty(n_max)
     for n in range(1, n_max + 1):
         num = np.mean(vals * np.exp(-1j * n * theta)) / r ** n
-        ref = coeffs[n - 1]
+        ref = kappa[n - 1] * 1j ** n / factorial(n)
         scale = max(abs(ref), 1e-9)
         residuals[n - 1] = abs(num - ref) / scale
     return residuals

@@ -17,13 +17,13 @@ law by ``validation.check_figure_cdfs``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from math import ceil, factorial, pi, sqrt
+from functools import cached_property, lru_cache, partial
+from math import ceil, pi, sqrt
 
 import numpy as np
 
 from .continuous import (ContinuousCdfTable, DEFAULT_EPS_PRIME, _monotone_table,
-                         moments, phi_w_coefficients, tabulate_cdf_u)
+                         geometric_log_cf, tabulate_cdf_u)
 from .discrete import DiscretePmf, convolve, point_mass
 from .models import ObservationModel
 from .network import NetworkSpec, NodeParams
@@ -32,33 +32,41 @@ from .network import NetworkSpec, NodeParams
 _TABLE_CACHE_SIZE = 32
 # digit levels move into the head until the folded table fits in this
 _MAX_LATTICE = 1 << 18
-# digits with omega_K w below this enter through four cumulants
-_EXPLICIT_DIGIT = 0.1
+
+
+def _bit_cumulants(p: float) -> tuple[float, float, float, float]:
+    """kappa_1..kappa_4 of a Bernoulli(p) bit."""
+    q = 1.0 - p
+    return p, p * q, p * q * (q - p), p * q * (1.0 - 6.0 * p * q)
+
+
+def _bit_log_cf(p: float, x: np.ndarray) -> np.ndarray:
+    """log(q + p e^{jx}) at real x in real arithmetic: half the log of
+    |q + p e^{jx}|^2 = 1 - 2pq(1 - cos x), plus j times its angle. Its
+    power series' radius is at least pi."""
+    q, c = 1.0 - p, np.cos(x)
+    return (0.5 * np.log1p(2.0 * p * q * (c - 1.0))
+            + 1j * np.arctan2(p * np.sin(x), q + p * c))
 
 
 def state_cumulants(model: ObservationModel, network: NetworkSpec, k: int,
                     h: int, mu: float) -> tuple[float, float, float]:
     """Closed-form mean, variance and third cumulant of node k's state,
 
-        kappa_n = [(mu a_k)^n kappa_n(x) + sum_l c_kl^n kappa_n(xt)] / (1 - eta^n).
+        kappa_n = [(mu a_k)^n kappa_n(x) + sum_l c_kl^n kappa_n(xt)] / (1 - eta^n),
 
-    The own part is u's: ``continuous.moments`` for n = 1, 2 and the t^3
-    coefficient of Phi_w, kappa_3 = Re(6j phi_w,3), for n = 3. The message
-    xt is e_0 + d b with b ~ Bernoulli(p), d = e_1 - e_0 and p = p_d under
-    h=1, p_f under h=0, so kappa_1..3(xt) = e_0 + p d, p(1-p) d^2 and
-    p(1-p)(1-2p) d^3.
+    with kappa_n(x) from ``model.cumulants``. The message xt is e_0 + d b
+    with b ~ Bernoulli(p), d = e_1 - e_0 and p = p_d under h=1, p_f under
+    h=0, so kappa_n(xt) = [n = 1] e_0 + d^n kappa_n(b), the bit's cumulants
+    being the ones ``_fold_digits`` folds.
     """
     node = network.node_params(k, mu)
-    mom = moments(model, node, h)
-    kappa3_w = float(np.real(6j * phi_w_coefficients(model, node, h, 3)[2]))
-    own = (mom.mean, mom.variance, (mu * node.a_k) ** 3 * kappa3_w)
     e0, e1 = model.message_values()
-    d = e1 - e0
-    p = model.p_d if h == 1 else model.p_f
-    q = p * (1.0 - p)
-    msg = (e0 + p * d, q * d * d, q * (1.0 - 2.0 * p) * d ** 3)
-    return tuple(o + float(np.sum(node.c_row ** n)) * m / (1.0 - node.eta ** n)
-                 for n, (o, m) in enumerate(zip(own, msg), start=1))
+    x = model.cumulants(h)
+    b = _bit_cumulants(model.p_d if h == 1 else model.p_f)
+    return tuple(((mu * node.a_k) ** n * x[n - 1] + float(np.sum(node.c_row ** n))
+                  * ((n == 1) * e0 + (e1 - e0) ** n * b[n - 1])) / (1.0 - node.eta ** n)
+                 for n in (1, 2, 3))
 
 
 def limit_moments(model: ObservationModel, network: NetworkSpec, k: int,
@@ -77,14 +85,14 @@ def mixture_table(pmf: DiscretePmf, cont: ContinuousCdfTable) -> ContinuousCdfTa
     binning plus FFT: Silverman, AS 176, 1982; Wand, 1994); one atom only
     shifts the table.
 
-    Each atom is binned linearly onto a lattice of ``cont``'s grid step
-    (the first atom of each stretch on a lattice point), which keeps its
-    mass and mean. Atoms more than a table width (plus three steps) apart
-    start a new stretch, and F_y is flat between stretches. The stretches
-    lie end to end in one array, each as its lattice points and the n + 1
-    points past them (n the continuous table's size). One FFT product
-    gives sum_j w_j values[m - j] over 0 <= m - j < n, and one cumulative
-    sum adds the weights with m - j >= n, where the table reads 1.
+    Atoms more than a table width (plus three steps) apart start a new
+    stretch, and F_y is flat between stretches. Each stretch bins its atoms
+    linearly onto a lattice of ``cont``'s grid step (its first atom on a
+    lattice point), which keeps their mass and mean, and covers the lattice
+    and the n + 1 points past it (n the continuous table's size). One FFT
+    product gives sum_j w_j values[m - j] over 0 <= m - j < n, and a
+    cumulative sum adds the weights with m - j >= n, where the table reads
+    1, to the earlier stretches' mass; the stretches are joined end to end.
     """
     grid, vals = cont.grid, cont.values
     n = grid.size
@@ -95,26 +103,22 @@ def mixture_table(pmf: DiscretePmf, cont: ContinuousCdfTable) -> ContinuousCdfTa
     if z.size == 1:
         return ContinuousCdfTable(grid + z[0], vals, cont.mean + z[0], cont.variance,
                                   cont.delta, cont.terms, cont.tail, cont.ripple)
-    opens = np.diff(z, prepend=-np.inf) > grid[-1] - grid[0] + 3 * step
-    stretch = np.cumsum(opens) - 1
-    first = np.flatnonzero(opens)
-    last = np.append(first[1:], z.size) - 1
-    spans = np.maximum(np.ceil((z[last] - z[first]) / step), 1).astype(np.int64)
-    sizes = spans + n + 2  # the lattice, then n + 1 points past it
-    starts = np.cumsum(sizes) - sizes  # index of each stretch's y - step
-    total = int(sizes.sum())
-    pos = (z - z[first][stretch]) / step
-    j = np.minimum(np.floor(pos), spans[stretch] - 1)
-    frac = pos - j
-    idx = starts[stretch] + 1 + j.astype(np.int64)
-    w = (np.bincount(idx, nu * (1.0 - frac), total)
-         + np.bincount(idx + 1, nu * frac, total))
-    size = 1 << (total + n - 2).bit_length()  # >= total + n - 1: no wrap-around
-    raw = np.fft.irfft(np.fft.rfft(w, size) * np.fft.rfft(vals, size), size)[:total]
-    raw[n:] += np.cumsum(w)[:total - n]
-    offset = np.arange(total) - np.repeat(starts + 1, sizes)
-    ys = np.repeat(z[first] + grid[0], sizes) + offset * step
-    return _monotone_table(ys, raw, cont.mean + pmf.mean(),
+    opens = np.flatnonzero(np.diff(z) > grid[-1] - grid[0] + 3 * step) + 1
+    ys, raws, below = [], [], 0.0  # below: the mass of the earlier stretches
+    for zs, ws in zip(np.split(z, opens), np.split(nu, opens)):
+        span = max(ceil((zs[-1] - zs[0]) / step), 1)
+        size = span + n + 2  # y - step, the lattice, then n + 1 points past it
+        pos = (zs - zs[0]) / step
+        j = np.minimum(np.floor(pos), span - 1)
+        frac, idx = pos - j, 1 + j.astype(np.int64)
+        w = np.bincount(idx, ws * (1.0 - frac), size) + np.bincount(idx + 1, ws * frac, size)
+        length = _fft_length(size + n - 1)  # no wrap-around
+        raw = np.fft.irfft(np.fft.rfft(w, length) * np.fft.rfft(vals, length), length)[:size]
+        raw[n:] += np.cumsum(w)[:size - n]
+        raws.append(raw + below)
+        below += ws.sum()
+        ys.append(zs[0] + grid[0] + step * np.arange(-1, size - 1))
+    return _monotone_table(np.concatenate(ys), np.concatenate(raws), cont.mean + pmf.mean(),
                            cont.variance + pmf.variance(), DEFAULT_EPS_PRIME)
 
 
@@ -187,9 +191,10 @@ def _fold_digits(u: ContinuousCdfTable, w: np.ndarray, n: np.ndarray, p: float,
 
     The rfft Q of u's cell masses is multiplied below the first bin K with
     (2/pi) sum_{i>=K} |Q_i|/i < eps_prime/20 (``continuous._spectrum``'s
-    rule; later bins are dropped) by the digits' closed-form CF, digit by
-    digit while omega_K w_g eta^i >= ``_EXPLICIT_DIGIT``, then by four
-    cumulants summed over i; an irfft and a cumulative sum give F.
+    rule; later bins are dropped) by the digits' closed-form CF
+    exp(sum_g n_g sum_i log(q + p e^{-j w_g eta^i omega})), each group's sum
+    one ``geometric_log_cf`` of ``_bit_log_cf``; an irfft and a cumulative
+    sum give F.
     """
     step = (u.grid[-1] - u.grid[0]) / (u.grid.size - 1)
     size = u.grid.size + 1 + ceil(float(n @ w) / (1.0 - eta) / step)
@@ -197,20 +202,10 @@ def _fold_digits(u: ContinuousCdfTable, w: np.ndarray, n: np.ndarray, p: float,
     spec = np.fft.rfft(np.diff(u.values, prepend=0.0, append=1.0), length)
     tail = np.cumsum(np.abs(spec[:0:-1]) / np.arange(spec.size - 1, 0, -1))[::-1]
     cut = 1 + int(np.argmax(np.append(tail * (2.0 / pi), 0.0) < eps_prime / 20.0))
-    omega = 2.0 * pi / (length * step) * np.arange(cut + 1)
-    q = 1.0 - p
-    kappa = (p, p * q, p * q * (q - p), p * q * (1.0 - 6.0 * p * q))
-    rest = np.zeros(cut, dtype=complex)
-    for weight, count in zip(w, n):
-        digits = np.ones(cut, dtype=complex)
-        while omega[-1] * weight >= _EXPLICIT_DIGIT:
-            digits *= q + p * np.exp(-1j * weight * omega[:-1])
-            weight *= eta
-        spec[:cut] *= digits ** count
-        coef = [count * kap / (factorial(r) * (1.0 - eta ** r))
-                for r, kap in enumerate(kappa, start=1)]
-        rest += np.polyval([*coef[::-1], 0.0], -1j * weight * omega[:-1])
-    spec[:cut] *= np.exp(rest)
+    omega = 2.0 * pi / (length * step) * np.arange(cut)
+    bit, kappa = partial(_bit_log_cf, p), _bit_cumulants(p)
+    spec[:cut] *= np.exp(sum(count * geometric_log_cf(bit, kappa, pi, eta, -weight * omega)
+                             for weight, count in zip(w, n)))
     spec[cut:] = 0.0
     return np.cumsum(np.fft.irfft(spec, length)[:size])
 

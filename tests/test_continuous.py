@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -5,11 +7,12 @@ from scipy.stats import ks_2samp, norm
 
 from onebitnet import (ExponentialModel, GaussianModel, build_uniform_matrix,
                        cdf_u, cdf_u_gaussian_closed, cdf_u_grid, moments,
-                       phi_w_coefficients, reference_topology, tabulate_cdf_u)
-from onebitnet.continuous import (InversionError, _chirp_z, default_m_bar,
+                       reference_topology, tabulate_cdf_u)
+from onebitnet.continuous import (InversionError, _chirp_z, geometric_log_cf,
                                   log_cf_w)
 from onebitnet.network import NodeParams
 from onebitnet.simulate import ks_distance
+from onebitnet.steady_state import _bit_cumulants, _bit_log_cf
 
 
 def node_for(a, mu=0.1, k=0, n_nodes=2):
@@ -55,60 +58,125 @@ class TestMoments:
 
 
 class TestPhiWCoefficients:
+    """Phi_w = log_cf_w, the log-CF of the geometric sum w."""
+
     def test_first_coefficient_gaussian(self, gauss1):
+        # Phi_w(t) = j t E x / (1 - eta) - t^2 V x / (2 (1 - eta^2)) exactly
         node = node_for(0.5)
-        coeffs = phi_w_coefficients(gauss1, node, 1, 3)
-        np.testing.assert_allclose(coeffs[0], 1j / 0.55, atol=1e-12)
-        np.testing.assert_allclose(coeffs[0], 1.8182j, atol=1e-4)
+        t = np.linspace(-3, 3, 13)
+        expected = 1j * t / 0.55 - t * t * 2.0 / (2 * (1 - 0.45 ** 2))
+        np.testing.assert_allclose(log_cf_w(gauss1, node, 1, t), expected,
+                                   rtol=1e-14, atol=1e-14)
+        np.testing.assert_allclose(1 / 0.55, 1.8182, atol=1e-4)
 
     def test_small_eta_reduces_to_model_coefficients(self, expo5):
         node = node_for(1e-9, mu=1 - 1e-9)  # eta ~ 1e-18
-        coeffs = phi_w_coefficients(expo5, node, 1, 5)
-        np.testing.assert_allclose(coeffs, expo5.phi_coeffs(5, 1), rtol=1e-12)
+        for h in (0, 1):
+            t = np.linspace(-3, 3, 25) * expo5.radius(h)
+            np.testing.assert_allclose(log_cf_w(expo5, node, h, t), expo5.log_cf(t, h),
+                                       rtol=1e-12, atol=1e-15)
 
     @pytest.mark.parametrize("h", [0, 1])
     def test_functional_equation_partial_sums(self, expo5, h):
-        # Phi_w(t) - Phi_w(eta t) = Phi_x(t) on |t| <= tau/2 with 60 terms
+        # Phi_w(t) - Phi_w(eta t) = Phi_x(t) on both sides of the radius
         node = node_for(0.5)
-        coeffs = phi_w_coefficients(expo5, node, h, 60)
         tau = expo5.radius(h)
-        t = np.linspace(-tau / 2, tau / 2, 21)
-        m = np.arange(1, 61)
-        phw = (t[:, None] ** m[None, :] * coeffs[None, :]).sum(axis=1)
-        phw_eta = ((node.eta * t)[:, None] ** m[None, :] * coeffs[None, :]).sum(axis=1)
-        np.testing.assert_allclose(phw - phw_eta, expo5.log_cf(t, h), atol=1e-8)
+        t = np.linspace(-10 * tau, 10 * tau, 81)
+        np.testing.assert_allclose(
+            log_cf_w(expo5, node, h, t) - log_cf_w(expo5, node, h, node.eta * t),
+            expo5.log_cf(t, h), atol=1e-8)
 
     def test_functional_equation_gaussian(self, gauss1):
         node = node_for(0.25)
-        coeffs = phi_w_coefficients(gauss1, node, 1, 60)
         t = np.linspace(-3, 3, 13)
-        m = np.arange(1, 61)
-        phw = (t[:, None] ** m[None, :] * coeffs[None, :]).sum(axis=1)
-        phw_eta = ((node.eta * t)[:, None] ** m[None, :] * coeffs[None, :]).sum(axis=1)
-        np.testing.assert_allclose(phw - phw_eta, gauss1.log_cf(t, 1), atol=1e-8)
+        np.testing.assert_allclose(
+            log_cf_w(gauss1, node, 1, t) - log_cf_w(gauss1, node, 1, node.eta * t),
+            gauss1.log_cf(t, 1), atol=1e-12)
 
     @pytest.mark.parametrize("h", [0, 1])
     def test_log_cf_w_series_is_radius_scaled(self, expo5, h):
-        # at a = 0.5 log_cf_w is the plain series sum phi_w,n t^n (40
-        # terms); at eta = 0.9801 the series needs 540 terms, phi_n (4^n/n
-        # under h=1) overflows, and the coefficients phi_n tau^n against
-        # (t/tau)^n stay finite and keep the functional equation
+        # at eta = 0.9801 the old power series needed 540 terms and its
+        # coefficients (4^n/n under h=1) overflowed; the explicit terms and
+        # four-cumulant tail stay finite and keep the functional equation
         tau = expo5.radius(h)
-        t = np.linspace(0.0, 0.45 * tau, 31)
-        node = node_for(0.5)
-        m = np.arange(1, 41)
-        plain = (t[:, None] ** m * phi_w_coefficients(expo5, node, h, 40)).sum(axis=1)
-        np.testing.assert_allclose(log_cf_w(expo5, node, h, t), plain, rtol=1e-13,
-                                   atol=1e-15)
+        t = np.linspace(0.0, 3 * tau, 31)
         node = node_for(0.99, mu=0.01)
         got = log_cf_w(expo5, node, h, t)
         assert np.all(np.isfinite(got))
         np.testing.assert_allclose(got - log_cf_w(expo5, node, h, node.eta * t),
-                                   expo5.log_cf(t, h), atol=1e-10)
+                                   expo5.log_cf(t, h), atol=1e-8)
 
-    def test_m_bar_rule(self):
-        assert default_m_bar(0.45, 2e-5) == int(np.ceil(np.log(2e-5) / np.log(0.45)))
-        assert default_m_bar(1e-6, 2e-5) == 1
+
+def brute_geometric_sum(log_cf, kappa_1, eta, t):
+    """sum_i log_cf(eta^i t) term by term until |eta^i t| < 1e-12 |t|, then
+    the first cumulant's share j kappa_1 s / (1 - eta) of the rest."""
+    s = np.array(t, dtype=complex)
+    acc = np.zeros_like(s)
+    top = np.max(np.abs(s))
+    while np.max(np.abs(s)) >= 1e-12 * top:
+        acc += log_cf(s)
+        s = s * eta
+    return acc + 1j * kappa_1 * s / (1 - eta)
+
+
+ETAS = [0.09, 0.45, 0.9801, 0.992]
+
+
+def oracle_arguments(tau):
+    """Real t of both signs up to 10 tau (finely through the explicit
+    terms' cutoff) and complex t inside and past the radius, 2j tau among
+    them: a power series summed there, or at -3 tau, is far off."""
+    real = np.concatenate((np.linspace(-10, 10, 401), np.geomspace(1e-3, 1, 200)))
+    ring = np.outer(np.geomspace(0.01, 3, 40), np.exp(1j * np.linspace(0, 2 * np.pi, 24)))
+    return tau * np.concatenate((real, -real, ring.ravel(), np.linspace(0, 10, 41) + 0.5j,
+                                 [2j]))
+
+
+class TestGeometricLogCf:
+    """One routine sums log_cf(eta^i t) over i for the node's own statistic
+    (log_cf_w) and for its neighbours' bits (``_fold_digits``); both agree
+    with the term-by-term sum within 1e-8 at real and complex t."""
+
+    @pytest.mark.parametrize("eta", ETAS)
+    @pytest.mark.parametrize("model_name", ["gauss", "expo"])
+    def test_log_cf_w_matches_brute_force(self, gauss1, expo5, model_name, eta):
+        model = gauss1 if model_name == "gauss" else expo5
+        node = node_for(min(1.0, eta / 0.9), mu=1 - eta / min(1.0, eta / 0.9))
+        assert node.eta == pytest.approx(eta, rel=1e-12)
+        for h in (0, 1):
+            tau = model.radius(h) if np.isfinite(model.radius(h)) else 1.0
+            t = oracle_arguments(tau)
+            ref = brute_geometric_sum(lambda s: model.log_cf(s, h),
+                                      model.cumulants(h)[0], node.eta, t)
+            np.testing.assert_allclose(log_cf_w(model, node, h, t), ref, rtol=0, atol=1e-8)
+
+    @pytest.mark.parametrize("eta", ETAS)
+    @pytest.mark.parametrize("p", [0.76, 0.13])
+    def test_bit_sum_matches_brute_force(self, p, eta):
+        def exact(x):
+            return np.log(1 - p + p * np.exp(1j * x))
+        kappa = _bit_cumulants(p)
+        t = oracle_arguments(np.pi)
+        ref = brute_geometric_sum(exact, p, eta, t)
+        real = t.imag == 0
+        got = geometric_log_cf(lambda x: _bit_log_cf(p, x), kappa, np.pi, eta, t[real].real)
+        np.testing.assert_allclose(got, ref[real], rtol=0, atol=1e-8)
+        # complex arguments take the complex log, inside and past the radius
+        np.testing.assert_allclose(geometric_log_cf(exact, kappa, np.pi, eta, t), ref,
+                                   rtol=0, atol=1e-8)
+
+    def test_gaussian_is_the_tail_alone(self, gauss1):
+        # an infinite radius takes no explicit term: the tail is exact
+        calls = []
+
+        def log_cf(s):
+            calls.append(s)
+            return gauss1.log_cf(s, 0)
+        t = np.linspace(-50, 50, 11)
+        got = geometric_log_cf(log_cf, gauss1.cumulants(0), np.inf, 0.992, t)
+        assert not calls
+        np.testing.assert_allclose(got, -1j * t / 0.008 - t * t / (1 - 0.992 ** 2),
+                                   rtol=1e-13)
 
 
 def grid_step(model, node, h, u):
@@ -178,10 +246,10 @@ def gil_pelaez_quad(u, model, node, h):
     x = u / scale
 
     def integrand(t):
-        m = np.arange(1, 3)
-        coeffs = model.phi_coeffs(2, h) / (1 - node.eta ** m)
-        val = np.exp(np.sum(coeffs * t ** m) - 1j * t * x)
-        return val.imag / t
+        kappa = model.cumulants(h)[:2]
+        log_cf = sum(k * (1j * t) ** r / (math.factorial(r) * (1 - node.eta ** r))
+                     for r, k in enumerate(kappa, start=1))
+        return np.exp(log_cf - 1j * t * x).imag / t
 
     val, err = quad(integrand, 0, np.inf, limit=400)
     return 0.5 - val / np.pi

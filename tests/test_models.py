@@ -61,9 +61,8 @@ class TestGaussianModel:
         t = np.linspace(-3, 3, 7)
         expected = 1j * t * 1.0 - t * t * 1.0
         np.testing.assert_allclose(gauss1.log_cf(t, 1), expected, atol=1e-15)
-        for n_max in (1, 8):
-            np.testing.assert_array_equal(gauss1.phi_coeffs(n_max, 0),
-                                          [-1j, -1.0, 0, 0, 0, 0, 0, 0][:n_max])
+        # kappa_3 = kappa_4 = 0: the four-cumulant tail is the whole log-CF
+        assert gauss1.cumulants(0) == (-1.0, 2.0, 0.0, 0.0)
         assert gauss1.radius(0) == np.inf
 
     def test_invalid_rho(self):
@@ -102,15 +101,24 @@ class TestExponentialModel:
         assert expo5.support_lower(0) == pytest.approx(-LOG5)
 
     def test_coefficients(self, expo5):
-        np.testing.assert_allclose(expo5.phi_coeffs(2, 0)[1], -0.32, atol=1e-15)
-        np.testing.assert_allclose(expo5.phi_coeffs(3, 1)[2], (4j) ** 3 / 3, atol=1e-12)
+        # kappa_r = (r-1)! s^r past the mean, s = 0.8 under h=0 and 4 under h=1
+        np.testing.assert_allclose(expo5.cumulants(0), (0.8 - LOG5, 0.64, 1.024, 2.4576),
+                                   rtol=1e-14)
+        np.testing.assert_allclose(expo5.cumulants(1), (4.0 - LOG5, 16.0, 128.0, 1536.0),
+                                   rtol=1e-14)
 
     def test_coefficient_root_test(self, expo5):
-        # |phi_n|^(1/n) approaches 1/radius for large n
+        # the radius 1/limsup |phi_n|^(1/n) is the distance to log_cf's one
+        # singularity, t = -j radius: there log_cf(t) = -tau (1-e) log 5 - log e
+        # at t = -j tau (1-e), while the whole circle just inside is finite
         for h in (0, 1):
-            n = 400
-            root = abs(expo5.phi_coeffs(n, h)[n - 1]) ** (1.0 / n)
-            np.testing.assert_allclose(root, 1.0 / expo5.radius(h), rtol=0.02)
+            tau = expo5.radius(h)
+            for e in (1e-3, 1e-6):
+                np.testing.assert_allclose(expo5.log_cf(-1j * tau * (1 - e), h),
+                                           -tau * (1 - e) * LOG5 - np.log(e), atol=1e-8)
+            circle = tau * (1 - 1e-6) * np.exp(1j * np.linspace(0, 2 * np.pi, 1001))
+            vals = expo5.log_cf(circle, h)
+            assert np.all(np.isfinite(vals)) and np.abs(vals).max() < 15
 
     def test_sampling_moments(self, expo5):
         rng = np.random.default_rng(1)
@@ -224,17 +232,16 @@ class TestCumulantCheck:
     def test_all_models_small_residuals(self, gauss1, expo5):
         for model in (gauss1, expo5):
             for h in (0, 1):
-                res = cumulant_check(model, h, n_max=6)
+                res = cumulant_check(model, h, n_max=4)
                 assert np.all(res < 1e-6)
 
     def test_first_two_are_cumulants(self, gauss1, expo5):
         for model in (gauss1, expo5):
             for h in (0, 1):
-                np.testing.assert_allclose(model.phi_coeffs(2, h)[0],
-                                           1j * model.mean(h), atol=1e-13)
-                np.testing.assert_allclose(model.phi_coeffs(2, h)[1],
-                                           -model.variance(h) / 2, atol=1e-13)
+                kappa_1, kappa_2 = model.cumulants(h)[:2]
+                np.testing.assert_allclose(kappa_1, model.mean(h), atol=1e-13)
+                np.testing.assert_allclose(kappa_2, model.variance(h), atol=1e-13)
 
     def test_n_max_limit(self, gauss1):
         with pytest.raises(ValueError):
-            cumulant_check(gauss1, 0, n_max=7)
+            cumulant_check(gauss1, 0, n_max=5)

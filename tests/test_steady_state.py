@@ -12,7 +12,7 @@ from onebitnet import (ExponentialModel, GaussianModel, RocCurve,
                        default_gamma_grid, discrete_component, from_matrix,
                        limit_moments, mixture_cdf, moments, roc,
                        state_cumulants, steady_state_pair, tabulate_cdf_u)
-from onebitnet import steady_state
+from onebitnet import continuous, steady_state
 from onebitnet.continuous import (ContinuousCdfTable, DEFAULT_EPS_PRIME,
                                   normal_table)
 from onebitnet.discrete import DiscretePmf, point_mass
@@ -534,16 +534,21 @@ class TestExactLaw:
         assert gap <= split.table_error + whole.table_error
 
     def test_explicit_digit_cutoff(self, gauss1, expo5, monkeypatch):
-        # multiplying digits in down to omega_K w = 1e-4 instead of 0.1
-        # moves no CDF by more than 1e-6
+        # taking explicit terms down to a tenth of continuous._TAIL_ARG, both
+        # in u's table and in the digits' fold, moves no table by more than 1e-9
         cases = [(gauss1, make_network(0.5), 9, 0.01), (gauss1, make_network(0.1), 3, 0.1),
-                 (expo5, make_network(0.99), 3, 0.01), (expo5, from_matrix(UNEQUAL), 0, 0.1)]
+                 (expo5, make_network(0.99), 3, 0.01), (expo5, from_matrix(UNEQUAL), 0, 0.1),
+                 (expo5, make_network(0.995), 3, 0.003)]
         coarse = [steady_state_pair(m, net, k, mu) for m, net, k, mu in cases]
-        monkeypatch.setattr(steady_state, "_EXPLICIT_DIGIT", 1e-4)
-        for (m, net, k, mu), pair in zip(cases, coarse):
-            for a, b in zip(pair, steady_state_pair(m, net, k, mu)):
-                np.testing.assert_array_equal(a.cont.grid, b.cont.grid)
-                assert np.max(np.abs(a.cont.values - b.cont.values)) <= 1e-6
+        monkeypatch.setattr(continuous, "_TAIL_ARG", continuous._TAIL_ARG / 10)
+        _continuous_table.cache_clear()
+        try:
+            for (m, net, k, mu), pair in zip(cases, coarse):
+                for a, b in zip(pair, steady_state_pair(m, net, k, mu)):
+                    np.testing.assert_array_equal(a.cont.grid, b.cont.grid)
+                    assert np.max(np.abs(a.cont.values - b.cont.values)) <= 1e-9
+        finally:
+            _continuous_table.cache_clear()
 
     @pytest.mark.parametrize("a,mu", [(0.99, 0.01), (0.995, 0.003)])
     def test_exponential_builds_near_unit_eta(self, a, mu):
