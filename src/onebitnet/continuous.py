@@ -42,7 +42,7 @@ from .network import NodeParams
 
 DEFAULT_EPS_PRIME = 2e-5
 
-# geometric sums take explicit terms down to this fraction of the radius
+# geometric sums' explicit terms stop near this fraction of the radius
 _TAIL_ARG = 0.01
 _TAIL_BLOCK = 512
 _MAX_TERMS = 4_000_000
@@ -84,24 +84,29 @@ def moments(model: ObservationModel, node: NodeParams, h: int) -> ContinuousMome
 
 def geometric_log_cf(log_cf, kappa, radius: float, eta: float, t) -> np.ndarray:
     """sum_{i>=0} log_cf(eta^i t) at real or complex t: explicit terms while
-    the largest |eta^i t| is at least ``_TAIL_ARG`` radius (that of log_cf's
-    power series, may be inf), then the four cumulants kappa summed over i,
-    sum_r kappa_r (j s)^r / (r! (1 - eta^r)) at the arguments s reached
-    (exact when log_cf is a polynomial of degree at most 4)."""
+    |eta^i t| >= bar, then the four cumulants kappa summed over i at the last
+    s, sum_r kappa_r (j s)^r / (r! (1 - eta^r)), exact for a quartic log_cf.
+    That tail's first omitted term grows as |s|^5 / (1 - eta^5), so bar =
+    ``_TAIL_ARG`` radius (1 - eta^5)^(1/5) (radius of log_cf's series, may be
+    inf) holds it across eta."""
     s = np.array(t, dtype=np.result_type(t, 1.0), ndmin=1)
-    acc = np.zeros(s.shape, dtype=complex)
-    top = float(np.max(np.abs(s), initial=0.0))
-    while _TAIL_ARG * radius <= top < np.inf:
-        acc += log_cf(s)
-        s *= eta
-        top *= eta
+    bar = _TAIL_ARG * radius * (1.0 - eta ** 5) ** 0.2
+    # sorted by decreasing |t|, the arguments still taking terms are a prefix
+    key = np.where(np.isfinite(s), -np.abs(s), 0.0).ravel()
+    order = np.argsort(key)
+    key, x, acc = key[order], s.ravel()[order], np.zeros(s.size, dtype=complex)
+    live = s.size
+    while live := key[:live].searchsorted(-bar, side="right"):
+        acc[:live] += log_cf(x[:live])
+        x[:live] *= eta
+        bar /= eta
     coef = [k / (factorial(r) * (1.0 - eta ** r)) for r, k in enumerate(kappa, start=1)]
-    return acc + np.polyval([*coef[::-1], 0.0], 1j * s)
+    acc[order] = acc + np.polyval([*coef[::-1], 0.0], 1j * x)
+    return acc.reshape(s.shape)
 
 
 def log_cf_w(model: ObservationModel, node: NodeParams, h: int, t) -> np.ndarray:
-    """Phi_w(t) = sum_{i>=0} Phi_x(eta^i t) at real or complex t of any size
-    (``geometric_log_cf`` over the model's log-CF)."""
+    """Phi_w(t) = sum_{i>=0} Phi_x(eta^i t) at real or complex t (``geometric_log_cf``)."""
     return geometric_log_cf(lambda s: model.log_cf(s, h), model.cumulants(h),
                             model.radius(h), node.eta, t)
 
