@@ -72,12 +72,15 @@ def _require_range(value, path, lo, hi, lo_open=True, hi_open=True):
 
 
 def _require_keys(tree: dict, path: str, allowed: tuple[str, ...]) -> None:
-    node = _get(tree, path)
+    """Reject keys of the mapping at ``path`` ("" for the top level) that
+    are not in ``allowed``."""
+    node = _get(tree, path) if path else tree
     if node is not None and not isinstance(node, dict):
         raise ConfigError(f"'{path}' must be a mapping")
     for key in node or {}:
         if key not in allowed:
-            raise ConfigError(f"'{path}.{key}' is not a setting "
+            name = f"{path}.{key}" if path else key
+            raise ConfigError(f"'{name}' is not a setting "
                               f"(allowed: {', '.join(allowed)})")
 
 
@@ -166,14 +169,23 @@ def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
     if version != SCHEMA_VERSION:
         raise ConfigError(f"'version' must be {SCHEMA_VERSION}, got {version}")
     overrides = overrides or {}
+    _require_keys(tree, "", ("version", "network", "model", "dynamics", "analysis",
+                              "sweeps", "output"))
+    _require_keys(tree, "network", ("topology", "self_weight", "n_nodes", "edges"))
+    _require_keys(tree, "dynamics", ("mu", "n_iters", "trials", "seed", "schedule",
+                                     "scheme"))
+    _require_keys(tree, "sweeps", ("self_weight", "model_param"))
+    _require_keys(tree, "output", ("directory", "nodes"))
 
     kind = _get(tree, "model.kind", required=True)
     if kind == "gaussian":
-        param_key, param_lo = "model.rho", 0.0
+        param_name, param_lo = "rho", 0.0
     elif kind == "exponential":
-        param_key, param_lo = "model.lambda_e", 1.0
+        param_name, param_lo = "lambda_e", 1.0
     else:
         raise ConfigError(f"'model.kind' must be gaussian or exponential, got {kind!r}")
+    _require_keys(tree, "model", ("kind", param_name))
+    param_key = f"model.{param_name}"
     param = _get_number(tree, param_key, required=True)
     _require_range(param, param_key, param_lo, float("inf"))
 

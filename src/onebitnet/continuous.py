@@ -246,8 +246,10 @@ class ContinuousCdfTable:
     common step, the number of terms and the last block's residual; nan,
     0 and 0 for a ``normal_table``); ``ripple`` is the largest drop
     of the raw values before the cumulative-max pass. ``grid`` and
-    ``values`` are read-only, in copies too: ``build_steady_state`` shares
-    one table between nodes.
+    ``values`` are read-only views, in copies too: ``build_steady_state``
+    shares one table between nodes. Queries read the private writable
+    arrays behind them, since ``np.interp`` copies read-only inputs on
+    every call; copies and pickles carry each array once.
     """
 
     grid: np.ndarray
@@ -260,22 +262,25 @@ class ContinuousCdfTable:
     ripple: float
 
     def __post_init__(self):
-        g = np.asarray(self.grid, dtype=float)
-        v = np.asarray(self.values, dtype=float)
+        g = np.array(self.grid, dtype=float)
+        v = np.array(self.values, dtype=float)
         if g.ndim != 1 or g.shape != v.shape:
             raise ValueError("grid and values must be matching 1-D arrays")
         if np.any(np.diff(g) <= 0):
             raise ValueError("grid must be strictly increasing")
-        g.setflags(write=False)
-        v.setflags(write=False)
-        object.__setattr__(self, "grid", g)
-        object.__setattr__(self, "values", v)
+        for name, arr in (("grid", g), ("values", v)):
+            view = arr.view()
+            view.setflags(write=False)
+            object.__setattr__(self, "_" + name, arr)
+            object.__setattr__(self, name, view)
+
+    def __getstate__(self):
+        return {k: v for k, v in vars(self).items() if k not in ("_grid", "_values")}
 
     __setstate__ = _freeze_copy
 
     def __call__(self, u):
-        return np.interp(np.asarray(u, dtype=float), self.grid, self.values,
-                         left=0.0, right=1.0)
+        return np.interp(np.asarray(u, dtype=float), self._grid, self._values, 0.0, 1.0)
 
     @property
     def support(self) -> tuple[float, float]:

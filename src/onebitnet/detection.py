@@ -47,7 +47,7 @@ class RocCurve:
     def pd_at_pf(self, pf_query) -> np.ndarray:
         """Upper-envelope detection probability at given false-alarm levels.
 
-        Where the false-alarm probability plateaus (CDF jumps), several
+        Where the false-alarm probability plateaus (a flat CDF), several
         thresholds share one P_f; the largest attainable P_d is reported.
         """
         pf_query = np.asarray(pf_query, dtype=float)
@@ -108,10 +108,11 @@ def default_gamma_grid(cdf0, cdf1, points: int = DEFAULT_GRID_POINTS,
                        eps: float = 2e-5) -> np.ndarray:
     """Threshold grid covering both ``SteadyStateCdf`` distributions.
 
-    Union of uniform grids over mean +/- span stds per hypothesis plus each
-    CDF's ``pmf`` support points (shifted by its ``cont`` table's mean) with
-    small offsets, which captures plateau edges exactly where the mixture CDF
-    jumps. The range is extended until both tails are below eps.
+    Union of uniform grids over mean +/- span stds per hypothesis plus five
+    thresholds per atom of each CDF's head ``pmf``: the atom shifted by its
+    ``cont`` table's mean, and -4, -2, 2 and 4 of that table's stds around
+    it, where the atom's share of the CDF rises. The range is extended until
+    both tails are below eps.
     """
     pieces = []
     for cdf in (cdf0, cdf1):

@@ -34,9 +34,11 @@ _VALUE_RULES = ("pattern", "class_mean")
 class DiscretePmf:
     """Finite support {z_i} with probabilities {nu_i}.
 
-    Points are strictly ascending with gaps at least ``merge_tol`` (the
-    spacing below which values were aggregated; 0 when never merged) and
-    the probabilities sum to one. Both arrays are read-only, in copies too.
+    Points are strictly ascending and the probabilities sum to one.
+    Merging at ``merge_tol`` (0 when never merged) moved no original value
+    by ``merge_tol`` or more and kept the mean; neighbouring points may
+    still lie closer than it, as each cluster collapses to its weighted
+    mean. Both arrays are read-only, in copies too.
     """
 
     points: np.ndarray      # strictly ascending support

@@ -9,7 +9,8 @@ Solomyak, 2000): ``build_steady_state`` multiplies it into the Fourier
 transform of u's table, so one inversion gives the whole state's law in
 every regime, eta -> 1 included (Abate & Whitt, 1992). Digit levels too
 coarse for the table's lattice form an exact head PMF, and every
-``SteadyStateCdf`` is that PMF over the folded table. The closed-form
+``SteadyStateCdf`` is that PMF over the folded table, read as the direct
+sum sum_i nu_i F(y - z_i) (``mixture_cdf``). The closed-form
 cumulants live in ``state_cumulants``; the paper's star-aggregated
 message table (``discrete.discrete_component``) is measured against this
 law by ``validation.check_figure_cdfs``.
@@ -17,7 +18,7 @@ law by ``validation.check_figure_cdfs``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache, partial
 from math import ceil, pi, sqrt
 
 import numpy as np
@@ -80,61 +81,25 @@ def limit_moments(model: ObservationModel, network: NetworkSpec, k: int,
     return m, sqrt(s2)
 
 
-def mixture_table(pmf: DiscretePmf, cont: ContinuousCdfTable) -> ContinuousCdfTable:
-    """F_y(y) = sum_i nu_i F_u(y - z_i) as one monotone table (linear
-    binning plus FFT: Silverman, AS 176, 1982; Wand, 1994); one atom only
-    shifts the table.
-
-    Atoms more than a table width (plus three steps) apart start a new
-    stretch, and F_y is flat between stretches. Each stretch bins its atoms
-    linearly onto a lattice of ``cont``'s grid step (its first atom on a
-    lattice point), which keeps their mass and mean, and covers the lattice
-    and the n + 1 points past it (n the continuous table's size). One FFT
-    product gives sum_j w_j values[m - j] over 0 <= m - j < n, and a
-    cumulative sum adds the weights with m - j >= n, where the table reads
-    1, to the earlier stretches' mass; the stretches are joined end to end.
-    """
-    grid, vals = cont.grid, cont.values
-    n = grid.size
-    step = (grid[-1] - grid[0]) / max(n - 1, 1)
-    if n < 2 or np.ptp(np.diff(grid)) > 1e-6 * step:
-        raise ValueError("the continuous table needs a uniform grid of at least 2 points")
-    z, nu = pmf.points, pmf.probs
-    if z.size == 1:
-        return ContinuousCdfTable(grid + z[0], vals, cont.mean + z[0], cont.variance,
-                                  cont.delta, cont.terms, cont.tail, cont.ripple)
-    opens = np.flatnonzero(np.diff(z) > grid[-1] - grid[0] + 3 * step) + 1
-    ys, raws, below = [], [], 0.0  # below: the mass of the earlier stretches
-    for zs, ws in zip(np.split(z, opens), np.split(nu, opens)):
-        span = max(ceil((zs[-1] - zs[0]) / step), 1)
-        size = span + n + 2  # y - step, the lattice, then n + 1 points past it
-        pos = (zs - zs[0]) / step
-        j = np.minimum(np.floor(pos), span - 1)
-        frac, idx = pos - j, 1 + j.astype(np.int64)
-        w = np.bincount(idx, ws * (1.0 - frac), size) + np.bincount(idx + 1, ws * frac, size)
-        length = _fft_length(size + n - 1)  # no wrap-around
-        raw = np.fft.irfft(np.fft.rfft(w, length) * np.fft.rfft(vals, length), length)[:size]
-        raw[n:] += np.cumsum(w)[:size - n]
-        raws.append(raw + below)
-        below += ws.sum()
-        ys.append(zs[0] + grid[0] + step * np.arange(-1, size - 1))
-    return _monotone_table(np.concatenate(ys), np.concatenate(raws), cont.mean + pmf.mean(),
-                           cont.variance + pmf.variance(), DEFAULT_EPS_PRIME)
-
-
-def mixture_cdf(y, pmf: DiscretePmf, cont_cdf: ContinuousCdfTable) -> np.ndarray:
-    """sum_i nu_i F_u(y - z_i) at the points y (an array of y's shape, at
-    least 1-D), read off ``mixture_table``."""
-    return mixture_table(pmf, cont_cdf)(np.atleast_1d(np.asarray(y, dtype=float)))
+def mixture_cdf(y, pmf: DiscretePmf, cont: ContinuousCdfTable) -> np.ndarray:
+    """F(y) = sum_i nu_i F_u(y - z_i) at the points y, clipped to [0, 1]: an
+    array of y's shape, at least 1-D. One table query per atom, summed in
+    place, so memory stays at one array of y's size; every term is
+    nonnegative, so capping the sum at 1 clips it."""
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    atoms = zip(pmf.points.tolist(), pmf.probs.tolist())
+    z, nu = next(atoms)  # the first term starts the sum: most heads are one atom
+    out = nu * cont(y - z)
+    for z, nu in atoms:
+        out += nu * cont(y - z)
+    return np.minimum(out, 1.0, out=out)
 
 
 @dataclass(frozen=True, eq=False)
 class SteadyStateCdf:
     """Evaluable CDF of the steady-state node state under one hypothesis:
-    the head ``pmf`` over the folded table ``cont`` (``build_steady_state``).
-    A query reads ``table``, ``mixture_table``'s result, built on the first
-    query and kept (copies and pickles carry it once built); ``table_error``
-    bounds its distance to the direct mixture sum.
+    the head ``pmf`` over the folded table ``cont`` (``build_steady_state``),
+    each query the direct sum ``mixture_cdf``.
     """
 
     node: int
@@ -142,24 +107,21 @@ class SteadyStateCdf:
     pmf: DiscretePmf
     cont: ContinuousCdfTable
 
-    @cached_property
-    def table(self) -> ContinuousCdfTable:
-        return mixture_table(self.pmf, self.cont)
-
     @property
     def table_error(self) -> float:
         """B = max|second difference of V| / 4 + max(v_0, 1 - v_last), with
-        v the continuous table's values and V = (0, v, 1) the values its
-        interpolation takes, limits included; the first term is the linear
-        interpolation error between lattice points, the second what a
-        query within one step outside the grid may miss."""
+        v the folded table's values and V = (0, v, 1) the values its
+        interpolation takes, limits included: the first term bounds the
+        linear interpolation error between lattice points, the second what
+        a query within one step outside the grid may miss. The head's
+        weights sum to one, so every query inherits B."""
         v = np.concatenate(([0.0], self.cont.values, [1.0]))
         return float(np.abs(np.diff(v, 2)).max() / 4.0 + max(v[1], 1.0 - v[-2]))
 
     def __call__(self, y):
         y = np.asarray(y, dtype=float)
-        out = self.table(y)
-        return float(out) if y.ndim == 0 else out
+        out = mixture_cdf(y, self.pmf, self.cont)
+        return float(out[0]) if y.ndim == 0 else out
 
     def mean(self) -> float:
         return self.cont.mean + self.pmf.mean()

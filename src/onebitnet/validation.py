@@ -30,7 +30,7 @@ from .network import NetworkSpec, build_uniform_matrix, neighbor_sets_from_edges
 from .simulate import (ONE_BIT_X, QUANTIZED_STATE, UNQUANTIZED, SimConfig,
                        hypothesis_ensembles, ks_distance, make_step,
                        reaction_time, run)
-from .steady_state import (build_steady_state, limit_moments, mixture_table,
+from .steady_state import (build_steady_state, limit_moments, mixture_cdf,
                            state_cumulants, steady_state_pair)
 
 
@@ -340,11 +340,17 @@ def check_figure_cdfs(quick: bool = False, seed: int = 0) -> list[CheckResult]:
                         f"steady_state/ks_{tag}", ks, tol,
                         f"trials={trials} table_error={cdf.table_error:.2g}",
                         ks_draws=trials))
-                    paper = mixture_table(discrete_component(model, net, k, h, 0.1),
-                                          tabulate_cdf_u(model, net.node_params(k, 0.1), h))
-                    knots = np.concatenate([paper.grid, cdf.table.grid])
+                    pmf = discrete_component(model, net, k, h, 0.1)
+                    u = tabulate_cdf_u(model, net.node_params(k, 0.1), h)
+                    # the exact law's knots and a u-step lattice over the paper's PMF
+                    step = (u.grid[-1] - u.grid[0]) / (u.grid.size - 1)
+                    lattice = pmf.points[0] + u.grid[0] + step * np.arange(
+                        -1, (pmf.points[-1] - pmf.points[0]) / step + u.grid.size + 1)
+                    knots = np.concatenate([(cdf.pmf.points[:, None] + cdf.cont.grid).ravel(),
+                                            lattice])
                     results.append(_result(f"steady_state/paper_sup_{tag}", np.max(np.abs(
-                        paper(knots) - cdf(knots))), 0.02, "sup|F_paper - F| at the knots"))
+                        mixture_cdf(knots, pmf, u) - cdf(knots))), 0.02,
+                        "sup|F_paper - F| at the knots"))
     return results
 
 

@@ -61,6 +61,20 @@ OUT_OF_RANGE = (
      "dynamics.scheme"),
 )
 
+# one misspelt or stray key per section: top level, network, model (a typo,
+# and the other kind's parameter), dynamics, sweeps, output
+MISSPELT = (
+    (BASE + "sweep:\n  self_weight: [0.5]\n", "sweep"),
+    (BASE.replace("  self_weight: 0.25\n", "  self_weight: 0.25\n  selfweight: 0.5\n"),
+     "network.selfweight"),
+    (BASE.replace("kind: gaussian", "kind: exponential").replace("rho: 1.0", "lamda_e: 8.0"),
+     "model.lamda_e"),
+    (BASE.replace("rho: 1.0", "rho: 1.0\n  lambda_e: 8.0"), "model.lambda_e"),
+    (BASE.replace("n_iters: 40", "n_iter: 7"), "dynamics.n_iter"),
+    (BASE + "sweeps:\n  self_weights: [0.5]\n", "sweeps.self_weights"),
+    (BASE.replace("nodes: [3, 9]", "node: [0]"), "output.node"),
+)
+
 
 def write_config(tmp_path, text=None, **extra):
     cfg = tmp_path / "exp.yaml"
@@ -146,6 +160,14 @@ class TestConfigParsing:
         for text, key in OUT_OF_RANGE:
             with pytest.raises(ConfigError, match=f"'{key}'"):
                 load_config(write_config(tmp_path, text))
+
+    @pytest.mark.parametrize("text,key", MISSPELT, ids=[key for _, key in MISSPELT])
+    def test_misspelt_key_named(self, tmp_path, text, key):
+        # a key the loader does not read is an error, not a silent default
+        with pytest.raises(ConfigError, match=f"'{key}' is not a setting"):
+            load_config(write_config(tmp_path, text))
+        assert main(["roc", "--config", str(write_config(tmp_path, text))]) == 2
+        assert not (tmp_path / "out").exists()
 
     def test_every_scheme_accepted(self, tmp_path):
         for scheme in SCHEMES:

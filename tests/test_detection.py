@@ -117,18 +117,20 @@ class TestRoc:
         assert np.all(pds[3] >= pds[9] - 0.01)
 
     def test_small_mu_hub_matches_dense_sum(self):
-        # mu = 0.01 hub: about 3,000 atoms per hypothesis. The mixture table
-        # is the dense sum up to rounding at its lattice points (the normal
-        # table leaves ~1.8e-33 at its ends) and within table_error anywhere
-        cdf0, cdf1 = steady_state_pair(GaussianModel(1.0), make_network(0.5),
-                                       3, 0.01)
-        gammas = default_gamma_grid(cdf0, cdf1)[::50]
+        # lambda_e = 8, a = 0.1, mu = 0.001 hub: the digits span millions of
+        # u-table steps, so two digit levels of Binomial(5, p) move into the
+        # head under h0 (36 atoms) and one under h1 (6 atoms; u's step is
+        # eight times wider there). The ROC and the CDF are the dense sum
+        # over every (threshold, atom) pair up to rounding
+        cdf0, cdf1 = steady_state_pair(ExponentialModel(8.0), make_network(0.1),
+                                       3, 0.001)
+        assert (cdf0.pmf.size, cdf1.pmf.size) == (36, 6)
+        gammas = default_gamma_grid(cdf0, cdf1)
         curve = roc(cdf0, cdf1, gammas)
         for cdf, rate in ((cdf0, curve.pf), (cdf1, curve.pd)):
             dense = cdf.cont(gammas[:, None] - cdf.pmf.points) @ cdf.pmf.probs
-            np.testing.assert_allclose(rate, 1.0 - dense, rtol=0,
-                                       atol=cdf.table_error)
-            knots = cdf.table.grid[::50]
+            np.testing.assert_allclose(rate, 1.0 - dense, rtol=0, atol=1e-13)
+            knots = (cdf.pmf.points[:, None] + cdf.cont.grid[::50]).ravel()
             dense = cdf.cont(knots[:, None] - cdf.pmf.points) @ cdf.pmf.probs
             np.testing.assert_allclose(cdf(knots), dense, rtol=0, atol=1e-13)
 

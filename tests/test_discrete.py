@@ -34,6 +34,23 @@ class TestDiscretePmf:
         np.testing.assert_allclose(pmf.cdf([-2.0, -1.0, 0.0, 1.0, 2.0]),
                                    [0.0, 0.25, 0.25, 1.0, 1.0])
 
+    def test_merge_tol_bounds_displacement_not_gaps(self, gauss1):
+        # merge_tol says that merging moved no value by merge_tol or more and
+        # kept the mean; the means of neighbouring clusters may sit closer
+        # than it. The hub's PMF at a = 0.25, h = 1 has a gap of 3.0e-4 at
+        # merge_tol 1.49e-3
+        hub = discrete_component(gauss1, make_network(0.25), 3, 1, 0.1)
+        assert np.diff(hub.points).min() < hub.merge_tol / 4
+        rng = np.random.default_rng(0)
+        pts = np.sort(rng.uniform(0, 1, 2000))
+        probs = rng.dirichlet(np.ones(2000))
+        merged = merge_close(DiscretePmf(points=pts, probs=probs), 0.01)
+        assert np.diff(merged.points).min() < merged.merge_tol
+        # each value's cluster is the one holding the middle of its mass
+        cluster = np.searchsorted(np.cumsum(merged.probs), np.cumsum(probs) - probs / 2)
+        assert np.all(np.abs(pts - merged.points[cluster]) < merged.merge_tol)
+        assert merged.mean() == pytest.approx(pts @ probs, abs=1e-15)
+
 
 class TestOmega:
     def test_reference_value(self, gauss1):
