@@ -227,12 +227,18 @@ class TestMixtureTable:
         dense = cont(ys[:, None] - pmf.points) @ pmf.probs
         np.testing.assert_allclose(cdf(ys), dense, rtol=0, atol=1e-13)
 
-    def test_copies_and_pickles(self, gauss1):
+    @pytest.mark.parametrize("queried", [False, True])
+    def test_copies_and_pickles(self, gauss1, queried):
         # a copy answers as the original, and a pickle carries the folded
-        # table's two arrays once each
+        # table's two arrays once each, whether or not the CDF was queried
+        # first: a query leaves nothing behind for a copy to carry
         cdf = build_steady_state(gauss1, make_network(0.25), 9, 0, 0.1)
         ys = np.linspace(cdf.mean() - 6 * cdf.std(), cdf.mean() + 6 * cdf.std(), 301)
         expected = mixture_cdf(ys, cdf.pmf, cdf.cont)
+        state = dict(vars(cdf))
+        if queried:
+            cdf(ys)
+        assert vars(cdf).keys() == state.keys()
         blob = pickle.dumps(cdf)
         assert len(blob) < 1.1 * (cdf.cont.grid.nbytes + cdf.cont.values.nbytes)
         for twin in (copy.deepcopy(cdf), pickle.loads(blob)):
