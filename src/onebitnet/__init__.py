@@ -5,8 +5,8 @@ Library layout:
 * ``network``      - agent graphs and combination matrices
 * ``models``       - observation models (Gaussian / exponential LLR) and
                      their one-bit message levels
-* ``continuous``   - steady-state CDF of the continuous state component by
-                     log-characteristic-function series inversion
+* ``continuous``   - steady-state CDF of the continuous state component: a
+                     lattice Fourier series of its log-characteristic function
 * ``discrete``     - the paper's PMF of the one-bit messages (truncated,
                      star-aggregated digit patterns) and PMF convolution
 * ``steady_state`` - exact CDF of the full state: the messages' closed-form
@@ -19,7 +19,7 @@ Library layout:
 """
 
 from .continuous import (ContinuousCdfTable, ContinuousMoments, cdf_u,
-                         cdf_u_gaussian_closed, cdf_u_grid, moments, tabulate_cdf_u)
+                         cdf_u_gaussian_closed, moments, tabulate_cdf_u)
 from .detection import RocCurve, default_gamma_grid, empirical_roc, pf_pd, \
     roc, threshold_for_pf
 from .discrete import (BernoulliApproxSpec, DiscretePmf, convolve,
@@ -44,7 +44,7 @@ __all__ = [
     "NetworkSpec", "NodeParams", "ONE_BIT_X", "ObservationModel",
     "QUANTIZED_STATE", "RocCurve", "SimConfig", "SteadyStateCdf",
     "TrialEnsemble", "UNQUANTIZED", "build_steady_state",
-    "build_uniform_matrix", "cdf_u", "cdf_u_gaussian_closed", "cdf_u_grid",
+    "build_uniform_matrix", "cdf_u", "cdf_u_gaussian_closed",
     "convolve", "cumulant_check", "default_gamma_grid", "discrete_component",
     "empirical_cdf", "empirical_roc", "from_matrix",
     "ks_distance", "limit_moments", "make_step", "merge_close", "mixture_cdf",

@@ -5,29 +5,20 @@ w is the geometric sum of the node's own i.i.d. statistics with memory
 factor eta = (1-mu) a_k. Its log-characteristic function is
 Phi_w(t) = sum_{i>=0} Phi_x(eta^i t), so Phi_w(t) - Phi_w(eta t) = Phi_x(t).
 
-The CDF is recovered by a sine-series inversion
-
-    F_u(u) = 1/2 - (2/pi) sum_{n>=0} Im{exp[Phi_w(t_n) - j (u/(mu a_k)) t_n]} / (2n+1),
-
-with t_n = (2n+1) delta/2. The step delta places both tails outside the
-aliasing window [u - 2 pi a_k mu / delta, u + 2 pi a_k mu / delta], so that
-the aliasing error stays below a prescribed budget eps_prime: the upper
-tail is cut at the Chebyshev edge mean + sqrt(2 var / eps_prime), the lower
-one at the support infimum, or at the mirrored Chebyshev edge for models
-unbounded below. The window shrinks toward both ends of a grid, so one
-delta, taken at the grid's two extreme interior points, serves it all.
 Phi_w is ``geometric_log_cf``: explicit terms Phi_x(eta^i t) down to a
 small fraction of Phi_x's radius, then four cumulants in closed form.
 
-There is one inversion engine, ``cdf_u_grid``: one step delta per uniform
-grid, the spectrum w_n = exp(Phi_w(t_n))/(2n+1) built once in blocks until
-a block's (2/pi) sum |w_n| is below eps_prime/20 (a rule that holds for
-every u, as |exp(-j u' t_n)| = 1), and one chirp-z (Bluestein) sum on
-numpy's FFT for all points (Abate & Whitt 1992; Rabiner, Schafer & Rader
-1969). ``tabulate_cdf_u`` runs it for every non-Gaussian model; ``cdf_u``
-is its one-point call. For the Gaussian model u is normal, and its table
-is ``normal_table``: ``models.normal_cdf`` (``math.erfc``) at the
-closed-form moments on a 1,501-point grid.
+There is one inversion engine, ``_lattice_cdf``: the Fourier-series method
+(Abate & Whitt 1992) on the lattice of a table's own knots. u is
+periodized over L knots, at least twice the table's span, so F_u at every
+knot is one inverse FFT of the coefficients
+exp(Phi_w(-a_k mu omega_k))/(j 2 pi k), omega_k = 2 pi k/(L step), folded
+mod L: exact up to the mass outside one period, and up to the terms left
+out, taken in blocks until a block's share of any F is below eps_prime/20.
+``tabulate_cdf_u`` runs it for every non-Gaussian model; ``cdf_u`` runs it
+on the same lattice shifted so that its point is a knot. For the Gaussian
+model u is normal, and its table is ``normal_table``: ``models.normal_cdf``
+(``math.erfc``) at the closed-form moments on a 1,501-point grid.
 """
 from __future__ import annotations
 
@@ -47,6 +38,7 @@ _TAIL_ARG = 0.01
 _TAIL_BLOCK = 512
 _MAX_TERMS = 4_000_000
 _SPAN_STDS = 12.0  # half-width of the initial tabulation range, in stds
+_TABLE_POINTS = 1501
 
 
 def _freeze_copy(self, state):
@@ -111,118 +103,98 @@ def log_cf_w(model: ObservationModel, node: NodeParams, h: int, t) -> np.ndarray
                             model.radius(h), node.eta, t)
 
 
-def _spectrum(model: ObservationModel, node: NodeParams, h: int, delta: float,
-              eps_prime: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """Nodes t_n = (2n+1) delta/2 and weights w_n = exp(Phi_w(t_n))/(2n+1),
-    built in blocks until a block's (2/pi) sum |w_n| is below
-    eps_prime/20. Returns (t, w, that last residual)."""
-    ts, ws = [], []
-    n0 = 0
+def _fft_length(n: int) -> int:
+    """The smallest 2^i 3^j 5^k >= n."""
+    return min(f << (-(-n // f) - 1).bit_length()
+               for f in (3 ** j * 5 ** k for j in range(12) for k in range(8)))
+
+
+def _lattice_cdf(model: ObservationModel, node: NodeParams, h: int, lo: float,
+                 step: float, n: int,
+                 eps_prime: float) -> tuple[np.ndarray, float, int, float]:
+    """F_u at the knots lo + i step, i < n, clamped to [0, 1], by the
+    Fourier-series method on their lattice (Abate & Whitt 1992).
+
+    The period L step, L = ``_fft_length``(2 (n - 1)), starts at
+    c = lo - g step with g = (L - n + 1) // 2, so the knots sit mid-period.
+    With omega_k = 2 pi k / (L step) and
+    b_k = exp(Phi_w(-a_k mu omega_k) + j omega_k c) / (j 2 pi k),
+
+        F(c + i step) = i/L + sum_{k != 0} b_k (e^{j 2 pi k i/L} - 1),
+
+    exact up to the mass of u outside [c, c + L step). As b_{-k} is the
+    conjugate of b_k, the sum is twice the real part of one inverse FFT of
+    the b_k, k >= 1, folded mod L. They come in blocks until a block's
+    (2/pi) sum |exp(Phi_w)|/k, its largest share of any F, is below
+    eps_prime/20. Returns (F, delta, terms, tail): delta = a_k mu omega_1,
+    the step of Phi_w's arguments, the number of terms and the last
+    block's bound.
+    """
+    if not eps_prime > 0:
+        raise ValueError(f"eps_prime must be positive, got {eps_prime}")
+    length = _fft_length(2 * max(n - 1, 1))
+    gap = (length - n + 1) // 2
+    omega = 2.0 * pi / (length * step)
+    shift = omega * (lo - gap * step)
+    blocks = []
     while True:
-        n = np.arange(n0, n0 + _TAIL_BLOCK)
-        t = (2 * n + 1) * (delta / 2.0)
-        w = np.exp(log_cf_w(model, node, h, t)) / (2 * n + 1)
-        if not np.all(np.isfinite(w)):
+        k = len(blocks) * _TAIL_BLOCK + np.arange(1, _TAIL_BLOCK + 1)
+        phi = np.exp(log_cf_w(model, node, h, -(node.a_k * node.mu * omega) * k))
+        if not np.all(np.isfinite(phi)):
             raise InversionError(
                 "non-finite term in the inversion series (Phi_w is not "
-                "finite at some t_n); reduce delta")
-        ts.append(t)
-        ws.append(w)
-        tail = float(np.abs(w).sum() * (2.0 / pi))
+                "finite at some omega_k)")
+        blocks.append(phi * np.exp(1j * shift * k) / (2j * pi * k))
+        tail = float(np.sum(np.abs(phi) / k)) * (2.0 / pi)
         if tail < eps_prime / 20.0:
-            return np.concatenate(ts), np.concatenate(ws), tail
-        n0 += _TAIL_BLOCK
-        if n0 >= _MAX_TERMS:
+            break
+        if k[-1] >= _MAX_TERMS:
             raise InversionError(
                 f"inversion series did not settle within {_MAX_TERMS} terms")
+    terms = int(k[-1])
+    coef = np.zeros(length * (terms // length + 1), dtype=complex)
+    coef[1:terms + 1] = np.concatenate(blocks)
+    series = np.fft.ifft(coef.reshape(-1, length).sum(axis=0))[gap:gap + n]
+    values = np.arange(gap, gap + n) / length + 2.0 * (length * series.real
+                                                       - coef.sum().real)
+    return np.clip(values, 0.0, 1.0), node.a_k * node.mu * omega, terms, tail
 
 
-def _chirp_z(x: np.ndarray, theta: float, m: int) -> np.ndarray:
-    """X_k = sum_n x_n exp(-j theta n k) for k < m (Bluestein).
-
-    With nk = (n^2 + k^2 - (k-n)^2)/2 the sum is a chirp times the linear
-    convolution of x_n c_n with conj(c), c_i = exp(-j theta i^2/2), done
-    by one zero-padded FFT product.
-    """
-    n = x.size
-    size = 1 << (n + m - 2).bit_length()  # >= n + m - 1: no wrap-around
-    i = np.arange(max(n, m), dtype=float)
-    chirp = np.exp(-0.5j * theta * (i * i))
-    kernel = np.zeros(size, dtype=complex)
-    kernel[:m] = chirp[:m].conj()
-    kernel[size - n + 1:] = chirp[n - 1:0:-1].conj()
-    conv = np.fft.ifft(np.fft.fft(x * chirp[:n], size) * np.fft.fft(kernel))
-    return chirp[:m] * conv[:m]
+def _table_span(model: ObservationModel, node: NodeParams, h: int, n_points: int,
+                eps_prime: float) -> tuple[float, float, tuple]:
+    """(lo, hi, ``_lattice_cdf`` on np.linspace(lo, hi, n_points)) for u's
+    table: mean +/- 12 std, cut at the support infimum and widened by 4 std
+    a side until both edges carry at most 2 eps_prime of tail mass."""
+    mom = moments(model, node, h)
+    sd, cells = sqrt(mom.variance), max(n_points - 1, 1)
+    lo = max(mom.mean - _SPAN_STDS * sd, mom.lower - 2.0 * sd / cells)
+    hi = mom.mean + _SPAN_STDS * sd
+    for _ in range(6):
+        inv = _lattice_cdf(model, node, h, lo, (hi - lo) / cells, n_points, eps_prime)
+        if inv[0][0] <= 2.0 * eps_prime and inv[0][-1] >= 1.0 - 2.0 * eps_prime:
+            return lo, hi, inv
+        lo -= 4.0 * sd
+        hi += 4.0 * sd
+    warnings.warn("tabulation range extension did not converge", RuntimeWarning)
+    return lo, hi, _lattice_cdf(model, node, h, lo, (hi - lo) / cells, n_points, eps_prime)
 
 
 def cdf_u(u: float, model: ObservationModel, node: NodeParams, h: int,
           eps_prime: float = DEFAULT_EPS_PRIME) -> float:
     """CDF of the steady-state continuous component at u, clamped to [0,1].
 
-    A one-point call of ``cdf_u_grid``, so delta is the one chosen for u.
-    Requires an absolutely continuous limit (true for any model whose
-    statistic has a density).
+    ``_lattice_cdf`` on the lattice of u's table (``tabulate_cdf_u``'s range
+    and step, for every model), shifted so that u is a knot; 0 below that
+    range and 1 above it, as the table reads. Requires an absolutely
+    continuous limit (true for any model whose statistic has a density).
     """
-    return float(cdf_u_grid(u, u, 1, model, node, h, eps_prime).values[0])
-
-
-@dataclass(frozen=True, eq=False)
-class GridInversion:
-    """F_u on ``np.linspace(lo, hi, n_points)``, clamped to [0,1], with how
-    it was obtained: the common step ``delta``, the number of series
-    ``terms`` and the ``tail`` residual (2/pi) sum |w_n| of the last block
-    (nan, 0, 0 when every point is a tail shortcut)."""
-
-    values: np.ndarray
-    delta: float
-    terms: int
-    tail: float
-
-
-def cdf_u_grid(lo: float, hi: float, n_points: int, model: ObservationModel,
-               node: NodeParams, h: int,
-               eps_prime: float = DEFAULT_EPS_PRIME) -> GridInversion:
-    """F_u on a uniform grid from one step delta and one chirp-z sum.
-
-    Points at or beyond the support infimum (or the lower Chebyshev edge)
-    ``bottom`` and the upper Chebyshev edge ``top`` are 0 and 1 without a
-    series; these are also the only admissible answers where no aliasing
-    window can be placed. For the remaining points u_first..u_last,
-
-        delta = 2 pi mu a_k / max(u_last - bottom, top - u_first)
-
-    puts both edges outside every point's window (a smaller delta only
-    widens it); a one-point grid gets that point's own step, and nan when
-    the point is a tail shortcut. With u' = u/(mu a_k) and
-    theta = delta du/(mu a_k) on the grid u_k = u_0 + k du,
-
-        sum_n w_n exp(-j u_k' t_n)
-            = exp(-j theta k/2) sum_n [w_n exp(-j u_0' t_n)] exp(-j theta n k),
-
-    one chirp-z sum over the spectrum built once for that delta.
-    """
-    if not eps_prime > 0:
-        raise ValueError(f"eps_prime must be positive, got {eps_prime}")
-    mom = moments(model, node, h)
-    spread = sqrt(2.0 * mom.variance / eps_prime)
-    bottom = mom.lower if np.isfinite(mom.lower) else mom.mean - spread
-    top = mom.mean + spread
-    grid = np.linspace(lo, hi, n_points)
-    values = (grid >= top).astype(float)
-    inside = np.flatnonzero((grid > bottom) & (grid < top))
-    if inside.size == 0:
-        return GridInversion(values=values, delta=np.nan, terms=0, tail=0.0)
-    i0, m = int(inside[0]), inside.size
-    u0 = grid[i0]
-    scale = node.mu * node.a_k
-    delta = min(2.0 * pi * scale / (grid[inside[-1]] - bottom),
-                2.0 * pi * scale / (top - u0))
-    t, w, tail = _spectrum(model, node, h, delta, eps_prime)
-    theta = delta * ((hi - lo) / max(n_points - 1, 1)) / scale
-    s = np.exp(-0.5j * theta * np.arange(m)) * _chirp_z(
-        w * np.exp(-1j * (u0 / scale) * t), theta, m)
-    values[i0:i0 + m] = np.clip(0.5 - (2.0 / pi) * s.imag, 0.0, 1.0)
-    return GridInversion(values=values, delta=delta, terms=t.size, tail=tail)
+    lo, hi, _ = _table_span(model, node, h, _TABLE_POINTS, eps_prime)
+    if not lo <= u <= hi:
+        return float(u > hi)
+    step = (hi - lo) / (_TABLE_POINTS - 1)
+    i = min(int((u - lo) // step), _TABLE_POINTS - 1)
+    return float(_lattice_cdf(model, node, h, u - i * step, step, _TABLE_POINTS,
+                              eps_prime)[0][i])
 
 
 def cdf_u_gaussian_closed(u, model: ObservationModel, node: NodeParams, h: int):
@@ -242,9 +214,10 @@ class ContinuousCdfTable:
     mass beyond the grid edges negligible, so out-of-range queries are
     exact to the tabulation budget. ``mean`` and ``variance`` are the
     closed-form moments of the tabulated law, not integrals of the table.
-    ``delta``, ``terms`` and ``tail`` describe the series inversion (the
-    common step, the number of terms and the last block's residual; nan,
-    0 and 0 for a ``normal_table``); ``ripple`` is the largest drop
+    ``delta``, ``terms`` and ``tail`` describe the lattice series
+    (``_lattice_cdf``): the frequency step, as the step of Phi_w's
+    arguments; the number of terms summed; and the last block's residual
+    (nan, 0 and 0 for a ``normal_table``). ``ripple`` is the largest drop
     of the raw values before the cumulative-max pass. ``grid`` and
     ``values`` are read-only views, in copies too: ``build_steady_state``
     shares one table between nodes. Queries read the private writable
@@ -306,7 +279,7 @@ def _monotone_table(grid, raw, mean: float, variance: float, eps_prime: float,
 
 
 def normal_table(mean: float, variance: float,
-                 n_points: int = 1501) -> ContinuousCdfTable:
+                 n_points: int = _TABLE_POINTS) -> ContinuousCdfTable:
     """Table of the N(mean, variance) CDF, ``models.normal_cdf``, on
     mean +/- 12 std; each edge carries Phi(-12) ~ 1.8e-33 of tail mass.
     Linear interpolation on it is off by at most (24/(n_points-1))^2/8
@@ -320,33 +293,20 @@ def normal_table(mean: float, variance: float,
 
 
 def tabulate_cdf_u(model: ObservationModel, node: NodeParams, h: int,
-                   n_points: int = 1501,
+                   n_points: int = _TABLE_POINTS,
                    eps_prime: float = DEFAULT_EPS_PRIME) -> ContinuousCdfTable:
     """Tabulate F_u on a grid, enforce monotonicity, and wrap for reuse.
 
     The Gaussian model's u is normal: ``normal_table`` at its closed-form
-    moments. Every other model evaluates each grid with ``cdf_u_grid``
-    (one step delta, one spectrum and one chirp-z sum) on mean +/- 12 std,
-    cut at the support infimum and widened until both edges carry at most
-    2 eps_prime of tail mass, then takes the same monotone pass.
+    moments. Every other model takes ``_lattice_cdf`` (one inverse FFT of
+    the lattice Fourier series) on mean +/- 12 std, cut at the support
+    infimum and widened until both edges carry at most 2 eps_prime of tail
+    mass, then the same monotone pass.
     """
     mom = moments(model, node, h)
     if isinstance(model, GaussianModel):
         return normal_table(mom.mean, mom.variance, n_points)
-    sd = sqrt(mom.variance)
-    lo = max(mom.mean - _SPAN_STDS * sd,
-             mom.lower - 2.0 * sd / max(n_points - 1, 1))
-    hi = mom.mean + _SPAN_STDS * sd
-    for _ in range(6):
-        inv = cdf_u_grid(lo, hi, n_points, model, node, h, eps_prime)
-        if (inv.values[0] <= 2.0 * eps_prime
-                and inv.values[-1] >= 1.0 - 2.0 * eps_prime):
-            break
-        lo -= 4.0 * sd
-        hi += 4.0 * sd
-    else:
-        warnings.warn("tabulation range extension did not converge",
-                      RuntimeWarning)
-        inv = cdf_u_grid(lo, hi, n_points, model, node, h, eps_prime)
-    return _monotone_table(np.linspace(lo, hi, n_points), inv.values, mom.mean,
-                           mom.variance, eps_prime, inv.delta, inv.terms, inv.tail)
+    lo, hi, (values, delta, terms, tail) = _table_span(model, node, h, n_points,
+                                                       eps_prime)
+    return _monotone_table(np.linspace(lo, hi, n_points), values, mom.mean,
+                           mom.variance, eps_prime, delta, terms, tail)

@@ -38,7 +38,8 @@ class DiscretePmf:
     Merging at ``merge_tol`` (0 when never merged) moved no original value
     by ``merge_tol`` or more and kept the mean; neighbouring points may
     still lie closer than it, as each cluster collapses to its weighted
-    mean. Both arrays are read-only, in copies too.
+    mean. Both arrays are read-only copies of the caller's, in copies of
+    the PMF too.
     """
 
     points: np.ndarray      # strictly ascending support
@@ -47,8 +48,8 @@ class DiscretePmf:
                             # displaced by this much or more (0: never merged)
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        pr = np.asarray(self.probs, dtype=float)
+        pts = np.array(self.points, dtype=float)
+        pr = np.array(self.probs, dtype=float)
         if pts.ndim != 1 or pts.shape != pr.shape or pts.size == 0:
             raise ValueError("points and probs must be matching nonempty 1-D arrays")
         if np.any(pr < 0):

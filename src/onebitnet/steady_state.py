@@ -23,8 +23,8 @@ from math import ceil, pi, sqrt
 
 import numpy as np
 
-from .continuous import (ContinuousCdfTable, DEFAULT_EPS_PRIME, _monotone_table,
-                         geometric_log_cf, tabulate_cdf_u)
+from .continuous import (ContinuousCdfTable, DEFAULT_EPS_PRIME, _fft_length,
+                         _monotone_table, geometric_log_cf, tabulate_cdf_u)
 from .discrete import DiscretePmf, convolve, point_mass
 from .models import ObservationModel
 from .network import NetworkSpec, NodeParams
@@ -140,19 +140,13 @@ def _continuous_table(model: ObservationModel, a_k: float, mu: float, h: int,
     return tabulate_cdf_u(model, node, h, eps_prime=eps_prime)
 
 
-def _fft_length(n: int) -> int:
-    """The smallest 2^i 3^j 5^k >= n."""
-    return min(f << (-(-n // f) - 1).bit_length()
-               for f in (3 ** j * 5 ** k for j in range(12) for k in range(8)))
-
-
 def _fold_digits(u: ContinuousCdfTable, w: np.ndarray, n: np.ndarray, p: float,
                  eta: float, eps_prime: float) -> np.ndarray:
     """F of u + sum_g w_g sum_i eta^i B_g,i, B_g,i ~ Binomial(n_g, p), on
     u's lattice from u.grid[0] over the table plus the digits' span.
 
     The rfft Q of u's cell masses is multiplied below the first bin K with
-    (2/pi) sum_{i>=K} |Q_i|/i < eps_prime/20 (``continuous._spectrum``'s
+    (2/pi) sum_{i>=K} |Q_i|/i < eps_prime/20 (``continuous._lattice_cdf``'s
     rule; later bins are dropped) by the digits' closed-form CF
     exp(sum_g n_g sum_i log(q + p e^{-j w_g eta^i omega})), each group's sum
     one ``geometric_log_cf`` of ``_bit_log_cf``; an irfft and a cumulative

@@ -6,9 +6,10 @@ from scipy.integrate import quad
 from scipy.stats import ks_2samp, norm
 
 from onebitnet import (ExponentialModel, GaussianModel, build_uniform_matrix,
-                       cdf_u, cdf_u_gaussian_closed, cdf_u_grid, moments,
-                       reference_topology, tabulate_cdf_u)
-from onebitnet.continuous import (InversionError, _chirp_z, geometric_log_cf,
+                       cdf_u, cdf_u_gaussian_closed, moments, reference_topology,
+                       tabulate_cdf_u)
+from onebitnet import continuous
+from onebitnet.continuous import (InversionError, _lattice_cdf, geometric_log_cf,
                                   log_cf_w)
 from onebitnet.network import NodeParams
 from onebitnet.simulate import ks_distance
@@ -185,63 +186,57 @@ class TestGeometricLogCf:
                                    rtol=1e-13)
 
 
-def grid_step(model, node, h, u):
-    """The step delta cdf_u_grid chooses for the one-point grid at u."""
-    return cdf_u_grid(u, u, 1, model, node, h, 2e-5).delta
+def count_lattice_calls(monkeypatch):
+    """Record the arguments of every ``_lattice_cdf`` call."""
+    calls = []
+    real = continuous._lattice_cdf
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(continuous, "_lattice_cdf", spy)
+    return calls
 
 
 class TestSelectDelta:
-    # the aliasing window cdf_u_grid places: the upper edge is Chebyshev's,
-    # the lower edge the support infimum (or the mirrored Chebyshev edge)
+    # the lattice series' frequency step follows from the table's knots
     def test_reference_point_frozen(self, expo5):
-        # lower-bounded support: window edge pinned at the support infimum
+        # lower-bounded support: the range starts 2 std/1500 below the
+        # support infimum and ends 12 std above the mean; 1,501 knots take
+        # a 3,000-knot period, so delta = 2 pi a mu / (3000 step)
         node = node_for(0.5)
         mom = moments(expo5, node, 0)
-        d1 = 2 * np.pi / (np.log(5.0) / 0.55)          # u = 0 support-side bound
-        d2 = 2 * np.pi * 0.05 / (np.sqrt(2 * mom.variance / 2e-5) + mom.mean)
-        np.testing.assert_allclose(grid_step(expo5, node, 0, 0.0), min(d1, d2),
+        sd = np.sqrt(mom.variance)
+        lower = 0.05 * (-np.log(5.0)) / 0.55
+        step = (mom.mean + 12 * sd - (lower - 2 * sd / 1500)) / 1500
+        table = tabulate_cdf_u(expo5, node, 0)
+        assert table.grid[0] == pytest.approx(lower - 2 * sd / 1500, rel=1e-12)
+        np.testing.assert_allclose(table.delta, 2 * np.pi * 0.05 / (3000 * step),
                                    rtol=1e-12)
 
-    def test_below_support_is_zero_without_step(self, expo5):
+    def test_below_support_is_zero_without_step(self, expo5, monkeypatch):
+        # below the table's range cdf_u reads 0 from the range's own
+        # inversion, with no lattice shifted to the point
         node = node_for(0.5)
         u_min = node.a_k * node.mu * (-np.log(5.0)) / (1 - node.eta)
-        inv = cdf_u_grid(u_min - 1.0, u_min - 1.0, 1, expo5, node, 0, 2e-5)
-        assert inv.values.tolist() == [0.0] and np.isnan(inv.delta)
-        assert (inv.terms, inv.tail) == (0, 0.0)
+        calls = count_lattice_calls(monkeypatch)
+        assert cdf_u(u_min - 1.0, expo5, node, 0) == 0.0
+        assert len(calls) == 1
 
-    def test_deep_upper_tail_is_one_without_step(self, expo5):
+    def test_deep_upper_tail_is_one_without_step(self, expo5, monkeypatch):
         node = node_for(0.5)
         mom = moments(expo5, node, 0)
         deep = mom.mean + 2 * np.sqrt(2 * mom.variance / 2e-5)
-        inv = cdf_u_grid(deep, deep, 1, expo5, node, 0, 2e-5)
-        assert inv.values.tolist() == [1.0] and np.isnan(inv.delta)
-        assert (inv.terms, inv.tail) == (0, 0.0)
-
-    def test_gaussian_two_sided(self, gauss1):
-        node = node_for(0.25)
-        mom = moments(gauss1, node, 1)
-        spread = np.sqrt(2 * mom.variance / 2e-5)
-        np.testing.assert_allclose(grid_step(gauss1, node, 1, mom.mean),
-                                   2 * np.pi * 0.025 / spread, rtol=1e-12)
+        calls = count_lattice_calls(monkeypatch)
+        assert cdf_u(deep, expo5, node, 0) == 1.0
+        assert len(calls) == 1
 
     def test_rejects_nonpositive_budget(self, expo5):
         for eps_prime in (0.0, -1e-5, np.nan):
             with pytest.raises(ValueError, match="eps_prime must be positive"):
-                cdf_u_grid(0.0, 0.1, 3, expo5, node_for(0.5), 1, eps_prime)
-
-    @pytest.mark.parametrize("model_name", ["gauss", "expo"])
-    def test_grid_step_is_the_smaller_end_step(self, gauss1, expo5, model_name):
-        # the window shrinks toward both ends, so a grid's one step is the
-        # smaller of its two extreme points' own steps, bit for bit
-        model = gauss1 if model_name == "gauss" else expo5
-        node = node_for(0.5)
-        for h in (0, 1):
-            mom = moments(model, node, h)
-            sd = np.sqrt(mom.variance)
-            for lo, hi in ((-1, 3), (-0.5, 40), (-1, 0.5)):
-                lo, hi = mom.mean + lo * sd, mom.mean + hi * sd
-                assert cdf_u_grid(lo, hi, 2, model, node, h, 2e-5).delta == min(
-                    grid_step(model, node, h, lo), grid_step(model, node, h, hi))
+                cdf_u(0.1, expo5, node_for(0.5), 1, eps_prime)
+            with pytest.raises(ValueError, match="eps_prime must be positive"):
+                tabulate_cdf_u(expo5, node_for(0.5), 1, eps_prime=eps_prime)
 
 
 def gil_pelaez_quad(u, model, node, h):
@@ -269,8 +264,8 @@ class TestCdfU:
             mom = moments(gauss1, node, h)
             sd = np.sqrt(mom.variance)
             lo, hi = mom.mean - 5 * sd, mom.mean + 5 * sd
-            # the grid engine tabulate_cdf_u runs for non-Gaussian models
-            series = cdf_u_grid(lo, hi, 101, gauss1, node, h).values
+            # the lattice series tabulate_cdf_u runs for non-Gaussian models
+            series = _lattice_cdf(gauss1, node, h, lo, (hi - lo) / 100, 101, 2e-5)[0]
             closed = cdf_u_gaussian_closed(np.linspace(lo, hi, 101), gauss1, node, h)
             np.testing.assert_allclose(series, closed, atol=1e-4)
 
@@ -353,7 +348,35 @@ class TestDistributionalFixedPoint:
         assert gap > 0.01
 
 
+def hypoexponential_cdf(x, rates):
+    """P(sum_i e_i / rates_i <= x) for unit exponentials e_i and distinct
+    rates: 1 - sum_i C_i exp(-rates_i x), C_i = prod_{j != i} r_j/(r_j - r_i)."""
+    r = np.asarray(rates, dtype=float)
+    gap = r[None, :] - r[:, None]
+    np.fill_diagonal(gap, 1.0)
+    ratio = r[None, :] / gap
+    np.fill_diagonal(ratio, 1.0)
+    x = np.maximum(np.asarray(x, dtype=float), 0.0)
+    return 1.0 - np.exp(-np.outer(x, r)) @ ratio.prod(axis=1)
+
+
 class TestTabulation:
+    @pytest.mark.parametrize("lam", [5.0, 8.0])
+    @pytest.mark.parametrize("a,mu", [(0.05, 0.1), (0.1, 0.1), (0.02, 0.5)])
+    @pytest.mark.parametrize("h", [0, 1])
+    def test_exponential_matches_hypoexponential(self, lam, a, mu, h):
+        # an oracle with no Fourier method: u <= t iff
+        # sum_i a mu s_h eta^i e_i <= t + a mu log(lambda_e) / (1 - eta), and
+        # the first six digits' sum is hypoexponential; the omitted digits
+        # add at most 5e-8 in state units at these small eta
+        model, node = ExponentialModel(lam), node_for(a, mu=mu)
+        table = tabulate_cdf_u(model, node, h)
+        scale = a * mu * np.sqrt(model.variance(h))
+        rates = 1.0 / (scale * node.eta ** np.arange(6))
+        exact = hypoexponential_cdf(table.grid + a * mu * np.log(lam) / (1 - node.eta),
+                                    rates)
+        assert np.max(np.abs(table.values - exact)) <= 1e-5
+
     def test_monotone_clamped_and_moments(self, expo5):
         node = node_for(0.25)
         table = tabulate_cdf_u(expo5, node, 1, n_points=1201)
@@ -378,34 +401,30 @@ class TestTabulation:
 
 
 class TestGridEngine:
-    @pytest.mark.parametrize("n,m", [(200, 30), (30, 200), (50, 2)])
-    def test_chirp_z_matches_direct_sum(self, n, m):
-        rng = np.random.default_rng(n + m)
-        x = rng.normal(size=n) + 1j * rng.normal(size=n)
-        theta = 0.013
-        direct = (x[None, :] * np.exp(-1j * theta * np.outer(np.arange(m),
-                                                             np.arange(n)))).sum(axis=1)
-        np.testing.assert_allclose(_chirp_z(x, theta, m), direct, rtol=0, atol=1e-12)
-
     @pytest.mark.parametrize("a", [0.1, 0.25, 0.5])
     @pytest.mark.parametrize("h", [0, 1])
     def test_table_matches_pointwise_series(self, expo5, a, h):
-        # one delta and one chirp-z sum per table against a per-point delta
-        # and per-point sum, on every 15th point of the table's own grid
+        # cdf_u shifts the table's lattice so that its point is a knot: at
+        # every 15th knot it reads the table, and half a step on it lies
+        # between the two knots' values
         node = build_uniform_matrix(reference_topology(), a).node_params(3, 0.1)
         table = tabulate_cdf_u(expo5, node, h)
-        pointwise = np.array([cdf_u(u, expo5, node, h) for u in table.grid[::15]])
-        assert np.max(np.abs(table.values[::15] - pointwise)) <= 2e-5
+        step = table.grid[1] - table.grid[0]
+        knots = table.grid[:-1:15]
+        pointwise = np.array([cdf_u(u, expo5, node, h) for u in knots])
+        assert np.max(np.abs(table.values[:-1:15] - pointwise)) <= 2e-5
+        half = np.array([cdf_u(u + step / 2, expo5, node, h) for u in knots])
+        assert np.all(half >= table.values[:-1:15] - 2e-5)
+        assert np.all(half <= table.values[1::15] + 2e-5)
         assert table.terms > 0 and table.tail < 2e-5 / 20
-        assert table.delta <= grid_step(expo5, node, h, table.grid[1])
 
     def test_non_finite_term_raises_on_table_path(self):
         class Overflowing(ExponentialModel):
-            # a spectrum that overflows at large t, as a power series
+            # a spectrum that overflows at large |t|, as a power series
             # evaluated past its radius would
             def log_cf(self, t, h):
                 return super().log_cf(t, h) + np.where(
-                    np.asarray(t) > 20 * self.radius(h), 800.0, 0.0)
+                    np.abs(np.asarray(t)) > 20 * self.radius(h), 800.0, 0.0)
 
         node = node_for(0.5)
         with pytest.raises(InversionError, match="non-finite"), \
@@ -415,10 +434,14 @@ class TestGridEngine:
     def test_diagnostics_recorded(self, expo5, gauss1):
         node = node_for(0.5)
         table = tabulate_cdf_u(expo5, node, 1, n_points=401)
-        inv = cdf_u_grid(table.grid[0], table.grid[-1], 401, expo5, node, 1)
-        assert (table.delta, table.terms, table.tail) == (inv.delta, inv.terms,
-                                                          inv.tail)
-        drops = -np.diff(inv.values)
+        step = (table.grid[-1] - table.grid[0]) / 400
+        values, delta, terms, tail = _lattice_cdf(expo5, node, 1, table.grid[0], step,
+                                                  401, 2e-5)
+        assert (table.delta, table.terms, table.tail) == (delta, terms, tail)
+        # 401 knots take an 800-knot period; delta steps Phi_w's argument
+        np.testing.assert_allclose(delta, 2 * np.pi * 0.05 / (800 * step), rtol=1e-12)
+        assert terms % 512 == 0 and 0 < tail < 2e-5 / 20
+        drops = -np.diff(values)
         assert table.ripple == max(0.0, drops.max())
         closed = tabulate_cdf_u(gauss1, node, 1, n_points=401)
         assert closed.terms == 0 and closed.tail == 0.0 and np.isnan(closed.delta)

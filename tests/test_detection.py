@@ -150,3 +150,43 @@ class TestRoc:
         with pytest.raises(ValueError, match="nonincreasing"):
             RocCurve(gammas=np.array([0.0, 1.0]), pf=np.array([0.2, 0.5]),
                      pd=np.array([0.9, 0.5]))
+
+
+def loop_gamma_grid(cdf0, cdf1, points=241, span_stds=6.0, eps=2e-5):
+    """``default_gamma_grid`` with each tail extension a loop of one-point
+    queries."""
+    pieces = []
+    for cdf in (cdf0, cdf1):
+        m, s = cdf.mean(), cdf.std()
+        lo, hi = m - span_stds * s, m + span_stds * s
+        for _ in range(40):
+            if float(cdf(lo)) <= eps:
+                break
+            lo -= s
+        for _ in range(40):
+            if float(cdf(hi)) >= 1.0 - eps:
+                break
+            hi += s
+        pieces.append(np.linspace(lo, hi, points))
+        offs = np.array([-4.0, -2.0, 0.0, 2.0, 4.0]) * max(
+            np.sqrt(cdf.cont.variance), 1e-12)
+        pieces.append((cdf.pmf.points[:, None] + cdf.cont.mean + offs[None, :]).ravel())
+    return np.unique(np.concatenate(pieces))
+
+
+class TestGammaGrid:
+    @pytest.mark.parametrize("case", ["gauss_one_atom", "expo_right_tail", "head_36_atoms"])
+    def test_one_query_equals_the_loop(self, cdf_pair_g1, expo5, case):
+        if case == "gauss_one_atom":
+            pair = cdf_pair_g1
+        elif case == "expo_right_tail":
+            pair = steady_state_pair(expo5, make_network(0.9), 3, 0.5)
+            # mean + 6 std leaves more than eps above it: the loop extends
+            assert all(float(c(c.mean() + 6 * c.std())) < 1 - 2e-5 for c in pair)
+        else:
+            pair = steady_state_pair(ExponentialModel(8.0), make_network(0.1), 3, 0.001)
+            assert pair[0].pmf.size == 36
+        np.testing.assert_array_equal(default_gamma_grid(*pair), loop_gamma_grid(*pair))
+        # a rule no candidate meets takes the 41st on both sides
+        np.testing.assert_array_equal(default_gamma_grid(*pair, eps=-1.0),
+                                      loop_gamma_grid(*pair, eps=-1.0))

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -26,6 +29,19 @@ class TestDiscretePmf:
             DiscretePmf(points=np.array([1.0, 0.0]), probs=np.array([0.5, 0.5]))
         with pytest.raises(ValueError, match="nonnegative"):
             DiscretePmf(points=np.array([0.0, 1.0]), probs=np.array([1.1, -0.1]))
+
+    def test_keeps_the_callers_arrays_writable(self):
+        # the PMF freezes copies of its inputs, never the caller's arrays
+        p, q = np.array([0.0, 1.0]), np.array([0.25, 0.75])
+        pmf = DiscretePmf(points=p, probs=q)
+        p[0], q[:] = 2.0, 0.5
+        assert pmf.points.tolist() == [0.0, 1.0] and pmf.probs.tolist() == [0.25, 0.75]
+        for twin in (pmf, copy.deepcopy(pmf), pickle.loads(pickle.dumps(pmf))):
+            for arr in (twin.points, twin.probs):
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0] = 3.0
+            assert twin.points.tolist() == [0.0, 1.0]
 
     def test_moments_and_cdf(self):
         pmf = DiscretePmf(points=np.array([-1.0, 1.0]), probs=np.array([0.25, 0.75]))
@@ -366,9 +382,14 @@ class TestMergeClose:
             pts = np.unique(rng.normal() + np.cumsum(gaps))
             pmf = random_pmf(rng, pts)
             assert_same_pmf(merge_close(pmf, tol), merge_close_loop(pmf, tol))
-            flipped = pmf.map_affine(-1.0, 0.0)  # points on a reversed view
-            assert flipped.points.strides[0] < 0
+            flipped = pmf.map_affine(-1.0, 0.0)
             assert_same_pmf(merge_close(flipped, tol), merge_close_loop(flipped, tol))
+            # a PMF holds its own contiguous copies; hand the cluster rule
+            # the same support on a reversed view
+            rev_pts, rev_pr = pmf.points[::-1].copy()[::-1], pmf.probs[::-1].copy()[::-1]
+            assert rev_pts.strides[0] < 0
+            assert_same_pmf(discrete._merge_sorted(rev_pts, rev_pr, tol),
+                            merge_close_loop(pmf, tol))
 
     def test_dyadic_differences_equal_tol(self):
         # pts[j] - anchor == tol exactly: the point must open a new cluster

@@ -33,8 +33,8 @@ def test_benchmark_trace_targets_resolve():
 
 def test_import_leaves_scipy_unloaded():
     """The package runs on numpy alone (the normal CDF is on math.erfc, the
-    chirp-z sum on numpy.fft); importing any part of scipy would add its
-    load time and memory to every process that imports the package."""
+    lattice Fourier series on numpy.fft); importing any part of scipy would
+    add its load time and memory to every process that imports the package."""
     code = ("import sys, onebitnet, onebitnet.cli; "
             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
     src = str(Path(onebitnet.__file__).parents[1])

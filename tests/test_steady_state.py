@@ -5,6 +5,7 @@ import pickle
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 from scipy.stats import norm
 
 from onebitnet import (ExponentialModel, GaussianModel, RocCurve,
@@ -571,3 +572,35 @@ class TestExactLaw:
             zs = np.linspace(-8, 8, 3201)
             edgeworth = np.max(np.abs(cdf(m + s * zs) - edgeworth_cdf(gamma)(zs)))
             assert edgeworth <= abs(gamma) / np.sqrt(2 * np.pi) / 60 + 1e-5
+
+    @pytest.mark.parametrize("rho,a", [(1.0, 0.25), (0.5, 0.1)])
+    @pytest.mark.parametrize("h", [0, 1])
+    def test_gaussian_leaf_matches_every_digit_pattern(self, rho, a, h):
+        # an oracle with no Fourier method: node 9's one neighbour sends
+        # c (e_0 + d b_i) eta^i; all 2^14 patterns of its first 14 bits,
+        # the rest at their mean, mix normal CDFs of u. The rest's spread
+        # moves F by at most 2e-8
+        model, net = GaussianModel(rho), make_network(a)
+        node = net.node_params(9, 0.1)
+        (c,) = node.c_row[node.c_row > 0]
+        e0, e1 = model.message_values()
+        p, eta, n_bits = (model.p_d if h == 1 else model.p_f), node.eta, 14
+        bits = (np.arange(2 ** n_bits)[:, None] >> np.arange(n_bits)) & 1
+        z = c * (e0 / (1 - eta) + (e1 - e0) * (bits @ eta ** np.arange(n_bits)
+                                                + p * eta ** n_bits / (1 - eta)))
+        prob = np.prod(np.where(bits == 1, p, 1 - p), axis=1)
+        order = np.argsort(z)
+        z, prob = z[order], prob[order]
+        below = np.concatenate(([0.0], np.cumsum(prob)))
+        mom = moments(model, node, h)
+        sd = np.sqrt(mom.variance)
+        cdf = build_steady_state(model, net, 9, h, 0.1)
+        assert cdf.pmf.points.tolist() == [0.0]
+        knots = cdf.cont.grid
+        exact = np.empty_like(knots)
+        for i in range(0, knots.size, 64):
+            # patterns more than 9 sd below a knot add their whole weight
+            x = knots[i:i + 64] - mom.mean
+            lo, hi = np.searchsorted(z, [x[0] - 9 * sd, x[-1] + 9 * sd])
+            exact[i:i + 64] = below[lo] + ndtr((x[:, None] - z[lo:hi]) / sd) @ prob[lo:hi]
+        assert np.max(np.abs(cdf(knots) - exact)) <= 1e-6
