@@ -90,7 +90,7 @@ def cmd_cdf(cfg: ExperimentConfig) -> int:
             _write_csv(out / f"empirical_cdf_node{k}_{_tag(param, a)}_H{h}.csv",
                        ["y", "F_hat"], [sample, femp], _stamp(cfg))
             ks_rows.append((k, param, a, h, ks_distance(sample, cdf), len(sample)))
-    rows = list(zip(*ks_rows)) if ks_rows else [[]] * 6
+    rows = list(zip(*ks_rows))
     _write_csv(out / "ks_summary.csv",
                ["node", "model_param", "self_weight", "hypothesis", "ks", "trials"],
                [np.asarray(r) for r in rows], _stamp(cfg))

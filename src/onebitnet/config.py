@@ -10,7 +10,7 @@ import yaml
 
 from .models import ExponentialModel, GaussianModel, ObservationModel
 from .network import (NetworkSpec, build_uniform_matrix,
-                      neighbor_sets_from_edges, reference_topology)
+                      neighbor_sets_from_edges, reference_topology, whole_number)
 from .simulate import SCHEMES
 
 SCHEMA_VERSION = 1
@@ -32,14 +32,15 @@ def _get(tree: dict, path: str, default=None, required=False):
 
 
 def _number(value, path: str, kind=float):
-    """``kind(value)``, or a ConfigError naming ``path``; an integer key
-    rejects a fraction instead of truncating it."""
+    """``kind(value)``, or a ConfigError naming ``path``: a bool is not a
+    number, and an integer key rejects a fraction instead of truncating it
+    (``whole_number``)."""
     what = "an integer" if kind is int else "a number"
     try:
-        out = kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"'{path}' must be {what}, got {value!r}") from exc
-    if kind is int and isinstance(value, float) and out != value:
+        out = whole_number(value) if kind is int else float(value)
+    except (TypeError, ValueError, OverflowError):
+        out = None
+    if out is None or isinstance(value, bool):
         raise ConfigError(f"'{path}' must be {what}, got {value!r}")
     return out
 
@@ -144,7 +145,7 @@ def _build_network(tree: dict, self_weight=None,
             raise ConfigError(f"'{edges_key}': {exc}") from exc
     else:
         raise ConfigError(f"'network.topology' must be reference or explicit, got {topo!r}")
-    a = self_weight if self_weight is not None else _get(
+    a = self_weight if self_weight is not None else _get_number(
         tree, "network.self_weight", required=True)
     try:
         return build_uniform_matrix(neighbors, a)
@@ -243,6 +244,10 @@ def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
     sweep_par = tuple(_require_range(_number(v, "sweeps.model_param"),
                                      "sweeps.model_param", param_lo, float("inf"))
                       for v in _get_list(tree, "sweeps.model_param", [param]))
+    for key, values in (("output.nodes", nodes), ("sweeps.self_weight", sweep_a),
+                        ("sweeps.model_param", sweep_par)):
+        if not values:
+            raise ConfigError(f"'{key}' must list at least one value")
 
     return ExperimentConfig(
         raw=tree, network=network, model=make_model(kind, param),

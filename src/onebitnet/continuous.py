@@ -15,15 +15,17 @@ knot is one inverse FFT of the coefficients
 exp(Phi_w(-a_k mu omega_k))/(j 2 pi k), omega_k = 2 pi k/(L step), folded
 mod L: exact up to the mass outside one period, and up to the terms left
 out, taken in blocks until a block's share of any F is below eps_prime/20.
-``tabulate_cdf_u`` runs it for every non-Gaussian model; ``cdf_u`` runs it
-on the same lattice shifted so that its point is a knot. For the Gaussian
-model u is normal, and its table is ``normal_table``: ``models.normal_cdf``
-(``math.erfc``) at the closed-form moments on a 1,501-point grid.
+``tabulate_cdf_u`` runs it for every non-Gaussian model and keeps one table
+per (model, a_k, mu, h, eps_prime); ``cdf_u`` runs it on that table's
+lattice shifted so that its point is a knot. For the Gaussian model u is
+normal: ``normal_table``, ``models.normal_cdf`` (``math.erfc``) at the
+closed-form moments on 1,501 knots.
 """
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from math import factorial, pi, sqrt
 
 import numpy as np
@@ -39,6 +41,7 @@ _TAIL_BLOCK = 512
 _MAX_TERMS = 4_000_000
 _SPAN_STDS = 12.0  # half-width of the initial tabulation range, in stds
 _TABLE_POINTS = 1501
+_TABLE_CACHE_SIZE = 32  # tables of u kept: both hypotheses of 16 (model, a_k, mu)
 
 
 def _freeze_copy(self, state):
@@ -160,41 +163,22 @@ def _lattice_cdf(model: ObservationModel, node: NodeParams, h: int, lo: float,
     return np.clip(values, 0.0, 1.0), node.a_k * node.mu * omega, terms, tail
 
 
-def _table_span(model: ObservationModel, node: NodeParams, h: int, n_points: int,
-                eps_prime: float) -> tuple[float, float, tuple]:
-    """(lo, hi, ``_lattice_cdf`` on np.linspace(lo, hi, n_points)) for u's
-    table: mean +/- 12 std, cut at the support infimum and widened by 4 std
-    a side until both edges carry at most 2 eps_prime of tail mass."""
-    mom = moments(model, node, h)
-    sd, cells = sqrt(mom.variance), max(n_points - 1, 1)
-    lo = max(mom.mean - _SPAN_STDS * sd, mom.lower - 2.0 * sd / cells)
-    hi = mom.mean + _SPAN_STDS * sd
-    for _ in range(6):
-        inv = _lattice_cdf(model, node, h, lo, (hi - lo) / cells, n_points, eps_prime)
-        if inv[0][0] <= 2.0 * eps_prime and inv[0][-1] >= 1.0 - 2.0 * eps_prime:
-            return lo, hi, inv
-        lo -= 4.0 * sd
-        hi += 4.0 * sd
-    warnings.warn("tabulation range extension did not converge", RuntimeWarning)
-    return lo, hi, _lattice_cdf(model, node, h, lo, (hi - lo) / cells, n_points, eps_prime)
-
-
 def cdf_u(u: float, model: ObservationModel, node: NodeParams, h: int,
           eps_prime: float = DEFAULT_EPS_PRIME) -> float:
     """CDF of the steady-state continuous component at u, clamped to [0,1].
 
-    ``_lattice_cdf`` on the lattice of u's table (``tabulate_cdf_u``'s range
-    and step, for every model), shifted so that u is a knot; 0 below that
-    range and 1 above it, as the table reads. Requires an absolutely
-    continuous limit (true for any model whose statistic has a density).
+    ``_lattice_cdf`` on the lattice of u's shared table (``tabulate_cdf_u``,
+    for every model), shifted so that u is a knot; 0 below that range and 1
+    above it, as the table reads. Requires an absolutely continuous limit
+    (true for any model whose statistic has a density).
     """
-    lo, hi, _ = _table_span(model, node, h, _TABLE_POINTS, eps_prime)
+    table = tabulate_cdf_u(model, node, h, eps_prime=eps_prime)
+    (lo, hi), n = table.support, table.grid.size
     if not lo <= u <= hi:
         return float(u > hi)
-    step = (hi - lo) / (_TABLE_POINTS - 1)
-    i = min(int((u - lo) // step), _TABLE_POINTS - 1)
-    return float(_lattice_cdf(model, node, h, u - i * step, step, _TABLE_POINTS,
-                              eps_prime)[0][i])
+    step = (hi - lo) / (n - 1)
+    i = min(int((u - lo) // step), n - 1)
+    return float(_lattice_cdf(model, node, h, u - i * step, step, n, eps_prime)[0][i])
 
 
 def cdf_u_gaussian_closed(u, model: ObservationModel, node: NodeParams, h: int):
@@ -219,8 +203,8 @@ class ContinuousCdfTable:
     arguments; the number of terms summed; and the last block's residual
     (nan, 0 and 0 for a ``normal_table``). ``ripple`` is the largest drop
     of the raw values before the cumulative-max pass. ``grid`` and
-    ``values`` are read-only views, in copies too: ``build_steady_state``
-    shares one table between nodes. Queries read the private writable
+    ``values`` are read-only views, in copies too: ``tabulate_cdf_u``
+    shares one table between callers. Queries read the private writable
     arrays behind them, since ``np.interp`` copies read-only inputs on
     every call; copies and pickles carry each array once.
     """
@@ -278,35 +262,53 @@ def _monotone_table(grid, raw, mean: float, variance: float, eps_prime: float,
                               ripple=float(worst))
 
 
-def normal_table(mean: float, variance: float,
-                 n_points: int = _TABLE_POINTS) -> ContinuousCdfTable:
-    """Table of the N(mean, variance) CDF, ``models.normal_cdf``, on
-    mean +/- 12 std; each edge carries Phi(-12) ~ 1.8e-33 of tail mass.
-    Linear interpolation on it is off by at most (24/(n_points-1))^2/8
-    times phi(1) ~ 0.242, i.e. 7.7e-6 at 1,501 points."""
+def normal_table(mean: float, variance: float) -> ContinuousCdfTable:
+    """Table of the N(mean, variance) CDF, ``models.normal_cdf``, at 1,501
+    knots on mean +/- 12 std; each edge carries Phi(-12) ~ 1.8e-33 of tail
+    mass. Linear interpolation on it is off by at most (24/1500)^2/8 times
+    phi(1) ~ 0.242, i.e. 7.7e-6."""
     if not variance > 0:
         raise ValueError(f"variance must be positive, got {variance}")
     sd = sqrt(variance)
-    grid = np.linspace(mean - _SPAN_STDS * sd, mean + _SPAN_STDS * sd, n_points)
+    grid = np.linspace(mean - _SPAN_STDS * sd, mean + _SPAN_STDS * sd, _TABLE_POINTS)
     return _monotone_table(grid, normal_cdf((grid - mean) / sd), mean, variance,
                            DEFAULT_EPS_PRIME)
 
 
 def tabulate_cdf_u(model: ObservationModel, node: NodeParams, h: int,
-                   n_points: int = _TABLE_POINTS,
                    eps_prime: float = DEFAULT_EPS_PRIME) -> ContinuousCdfTable:
-    """Tabulate F_u on a grid, enforce monotonicity, and wrap for reuse.
-
-    The Gaussian model's u is normal: ``normal_table`` at its closed-form
-    moments. Every other model takes ``_lattice_cdf`` (one inverse FFT of
-    the lattice Fourier series) on mean +/- 12 std, cut at the support
-    infimum and widened until both edges carry at most 2 eps_prime of tail
+    """F_u's monotone read-only table, one per (model, a_k, mu, h, eps_prime),
+    models keyed by identity, shared by every caller: F_u reads a node only
+    through a_k and mu. The Gaussian model's u is normal: ``normal_table``
+    at its closed-form moments. Every other model takes ``_lattice_cdf`` at
+    1,501 knots on mean +/- 12 std, cut at the support infimum and widened
+    by 4 std a side until both edges carry at most 2 eps_prime of tail
     mass, then the same monotone pass.
     """
+    return _table(model, node.a_k, node.mu, h, eps_prime)
+
+
+@lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _table(model: ObservationModel, a_k: float, mu: float, h: int,
+           eps_prime: float) -> ContinuousCdfTable:
+    """``tabulate_cdf_u``'s builder."""
+    node = NodeParams(k=0, a_k=a_k, mu=mu, c_row=np.zeros(1))
     mom = moments(model, node, h)
     if isinstance(model, GaussianModel):
-        return normal_table(mom.mean, mom.variance, n_points)
-    lo, hi, (values, delta, terms, tail) = _table_span(model, node, h, n_points,
-                                                       eps_prime)
-    return _monotone_table(np.linspace(lo, hi, n_points), values, mom.mean,
-                           mom.variance, eps_prime, delta, terms, tail)
+        return normal_table(mom.mean, mom.variance)
+    sd, cells = sqrt(mom.variance), _TABLE_POINTS - 1
+    lo = max(mom.mean - _SPAN_STDS * sd, mom.lower - 2.0 * sd / cells)
+    hi = mom.mean + _SPAN_STDS * sd
+    for _ in range(6):
+        values, *series = _lattice_cdf(model, node, h, lo, (hi - lo) / cells,
+                                       _TABLE_POINTS, eps_prime)
+        if values[0] <= 2.0 * eps_prime and values[-1] >= 1.0 - 2.0 * eps_prime:
+            break
+        lo -= 4.0 * sd
+        hi += 4.0 * sd
+    else:
+        warnings.warn("tabulation range extension did not converge", RuntimeWarning)
+        values, *series = _lattice_cdf(model, node, h, lo, (hi - lo) / cells,
+                                       _TABLE_POINTS, eps_prime)
+    return _monotone_table(np.linspace(lo, hi, _TABLE_POINTS), values, mom.mean,
+                           mom.variance, eps_prime, *series)

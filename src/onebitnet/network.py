@@ -36,8 +36,10 @@ def neighbor_sets_from_edges(n_nodes: int, edges) -> tuple[frozenset[int], ...]:
 
 
 def whole_number(value) -> int | None:
-    """``int(value)``, or None where that fails or would truncate: a
-    fractional, nan or infinite number is rejected, not rounded."""
+    """``int(value)``, or None for a bool and where ``int`` fails or would
+    truncate: a fractional, nan or infinite number is rejected, not rounded."""
+    if isinstance(value, (bool, np.bool_)):
+        return None
     try:
         out = int(value)
     except (TypeError, ValueError, OverflowError):

@@ -270,17 +270,17 @@ def reaction_time(trajectory, switch_time: int, target_fraction: float = 0.9,
     ``trajectory[i]`` is the mean state at step i+1; ``switch_time`` is the
     first step governed by the new hypothesis; ``post_end``, the last step
     of the post-switch segment, lies in [switch_time, len(trajectory)]
-    (default: the end of the trace). Steady levels are averaged over the
-    last max(1, min(200, post-switch length // 4)) steps of each segment.
-    Returns the 1-based count of post-switch steps; raises if the trace
-    never crosses the target ("unreached").
+    (default: the end of the trace); both are whole numbers. Steady levels
+    are averaged over the last max(1, min(200, post-switch length // 4))
+    steps of each segment. Returns the 1-based count of post-switch steps;
+    raises if the trace never crosses the target ("unreached").
     """
     traj = np.asarray(trajectory, dtype=float)
     n = len(traj)
+    switch_time = _whole("switch_time", switch_time)
     if not 1 < switch_time <= n:
         raise ValueError("switch_time must lie inside the trajectory")
-    if post_end is None:
-        post_end = n
+    post_end = n if post_end is None else _whole("post_end", post_end)
     if not switch_time <= post_end <= n:
         raise ValueError(f"post_end must lie in [switch_time, len(trajectory)] "
                          f"= [{switch_time}, {n}], got {post_end}")

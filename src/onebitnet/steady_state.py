@@ -6,7 +6,8 @@ one-bit messages e_0 + d b, d = e_1 - e_0, b ~ Bernoulli(p_d under h=1,
 p_f under h=0). Their characteristic function is the closed-form
 product prod_l prod_i (1 - p + p e^{j w c_kl eta^i d}) (Peres, Schlag &
 Solomyak, 2000): ``build_steady_state`` multiplies it into the Fourier
-transform of u's table, so one inversion gives the whole state's law in
+transform of u's table (``continuous.tabulate_cdf_u``, which nodes with
+equal a_k share), so one inversion gives the whole state's law in
 every regime, eta -> 1 included (Abate & Whitt, 1992). Digit levels too
 coarse for the table's lattice form an exact head PMF, and every
 ``SteadyStateCdf`` is that PMF over the folded table, read as the direct
@@ -18,7 +19,7 @@ law by ``validation.check_figure_cdfs``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from math import ceil, pi, sqrt
 
 import numpy as np
@@ -27,10 +28,8 @@ from .continuous import (ContinuousCdfTable, DEFAULT_EPS_PRIME, _fft_length,
                          _monotone_table, geometric_log_cf, tabulate_cdf_u)
 from .discrete import DiscretePmf, convolve, point_mass
 from .models import ObservationModel
-from .network import NetworkSpec, NodeParams
+from .network import NetworkSpec
 
-# tables of u kept: both hypotheses of 16 (model, a_k, mu) keys
-_TABLE_CACHE_SIZE = 32
 # digit levels move into the head until the folded table fits in this
 _MAX_LATTICE = 1 << 18
 
@@ -130,16 +129,6 @@ class SteadyStateCdf:
         return sqrt(self.cont.variance + self.pmf.variance())
 
 
-@lru_cache(maxsize=_TABLE_CACHE_SIZE)
-def _continuous_table(model: ObservationModel, a_k: float, mu: float, h: int,
-                      eps_prime: float) -> ContinuousCdfTable:
-    """``tabulate_cdf_u`` for every node with self-weight a_k at step size
-    mu: F_u reads the node only through a_k, mu and eta, never its
-    neighbours. Models key by identity."""
-    node = NodeParams(k=0, a_k=a_k, mu=mu, c_row=np.zeros(1))
-    return tabulate_cdf_u(model, node, h, eps_prime=eps_prime)
-
-
 def _fold_digits(u: ContinuousCdfTable, w: np.ndarray, n: np.ndarray, p: float,
                  eta: float, eps_prime: float) -> np.ndarray:
     """F of u + sum_g w_g sum_i eta^i B_g,i, B_g,i ~ Binomial(n_g, p), on
@@ -174,13 +163,13 @@ def build_steady_state(model: ObservationModel, network: NetworkSpec, k: int,
     Neighbours with equal c_kl form a group g of n_g, whose digit level i
     adds c_g eta^i d Binomial(n_g, p). While the folded table would exceed
     ``_MAX_LATTICE`` points, whole digit levels move into the exact head
-    PMF; ``_fold_digits`` folds the rest into F_u (aliasing budget
-    ``eps_prime``; one shared read-only table per (model, a_k, mu, h,
-    eps_prime), ``_continuous_table``). The folded table's mean and
-    variance are ``state_cumulants``' kappa_1 and kappa_2 minus the head's.
+    PMF; ``_fold_digits`` folds the rest into u's shared read-only table
+    from ``tabulate_cdf_u`` (aliasing budget ``eps_prime``). The folded
+    table's mean and variance are ``state_cumulants``' kappa_1 and kappa_2
+    minus the head's.
     """
     node = network.node_params(k, mu)
-    u = _continuous_table(model, node.a_k, node.mu, h, eps_prime)
+    u = tabulate_cdf_u(model, node, h, eps_prime=eps_prime)
     e0, e1 = model.message_values()
     p = model.p_d if h == 1 else model.p_f
     c, n = np.unique(node.c_row[node.c_row > 0], return_counts=True)

@@ -1,6 +1,6 @@
-"""The benchmark's own correctness checks on one pass of each analytic
-workload (``perfbench/worker.py --check``), so that a wrong output shows in
-the test suite before a benchmark run reports it."""
+"""The benchmark's own correctness checks on one pass of each workload
+(``perfbench/worker.py --check``), so that a wrong output shows in the test
+suite before a benchmark run reports it."""
 import json
 import subprocess
 import sys
@@ -11,7 +11,8 @@ import pytest
 ROOT = Path(__file__).parents[1]
 
 
-@pytest.mark.parametrize("workload", ["analytic_gaussian", "analytic_exponential"])
+@pytest.mark.parametrize("workload", ["analytic_gaussian", "analytic_exponential",
+                                      "monte_carlo"])
 def test_worker_checks_pass(workload):
     proc = subprocess.run(
         [sys.executable, "perfbench/worker.py", "--workload", workload, "--seed", "0",

@@ -44,7 +44,18 @@ NON_NUMERIC = (
     (BASE.replace("topology: reference",
                   "topology: explicit\n  n_nodes: 10\n  edges: 5"), "network.edges"),
     (BASE.replace("  seed: 5\n", "  seed: 5\n  schedule: 5\n"), "dynamics.schedule"),
+    # a bool is not a number, though YAML's true == 1
+    (BASE.replace("n_iters: 40", "n_iters: true"), "dynamics.n_iters"),
+    (BASE.replace("seed: 5", "seed: false"), "dynamics.seed"),
+    (BASE.replace("nodes: [3, 9]", "nodes: [true, 9]"), "output.nodes"),
+    (BASE.replace("rho: 1.0", "rho: true"), "model.rho"),
+    (BASE.replace("self_weight: 0.25", "self_weight: true"), "network.self_weight"),
+    (BASE.replace("mu: 0.1", "mu: true"), "dynamics.mu"),
 )
+
+# no output node, with a switch so that adapt would run its schemes
+NO_NODES = BASE.replace("nodes: [3, 9]", "nodes: []").replace(
+    "  seed: 5\n", "  seed: 5\n  schedule: [[1, H0], [16, H1]]\n")
 
 # values that parse but that the model or simulator would reject mid-sweep
 OUT_OF_RANGE = (
@@ -59,6 +70,10 @@ OUT_OF_RANGE = (
      .replace("self_weight: 0.25", "self_weight: 1.5"), "network.self_weight"),
     (BASE.replace("  seed: 5\n", "  seed: 5\n  scheme: two_bit_x\n"),
      "dynamics.scheme"),
+    # empty lists: nothing to compute or write
+    (BASE + "sweeps:\n  model_param: []\n", "sweeps.model_param"),
+    (NO_NODES, "output.nodes"),
+    (BASE + "sweeps:\n  self_weight: []\n", "sweeps.self_weight"),
 )
 
 # one misspelt or stray key per section: top level, network, model (a typo,
@@ -246,6 +261,7 @@ class TestCliCommands:
         for i, (text, _) in enumerate(OUT_OF_RANGE):
             command = ("roc", "adapt", "cdf")[i % 3]
             assert main([command, "--config", str(write_config(tmp_path, text))]) == 2
+        assert main(["adapt", "--config", str(write_config(tmp_path, NO_NODES))]) == 2
         # every error is raised at load time, before any artifact is written
         assert not (tmp_path / "out").exists()
 

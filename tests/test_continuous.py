@@ -215,21 +215,23 @@ class TestSelectDelta:
                                    rtol=1e-12)
 
     def test_below_support_is_zero_without_step(self, expo5, monkeypatch):
-        # below the table's range cdf_u reads 0 from the range's own
-        # inversion, with no lattice shifted to the point
+        # below the table's range cdf_u reads 0 from the shared table's
+        # range, with no inversion at all
         node = node_for(0.5)
         u_min = node.a_k * node.mu * (-np.log(5.0)) / (1 - node.eta)
+        tabulate_cdf_u(expo5, node, 0)
         calls = count_lattice_calls(monkeypatch)
         assert cdf_u(u_min - 1.0, expo5, node, 0) == 0.0
-        assert len(calls) == 1
+        assert len(calls) == 0
 
     def test_deep_upper_tail_is_one_without_step(self, expo5, monkeypatch):
         node = node_for(0.5)
         mom = moments(expo5, node, 0)
         deep = mom.mean + 2 * np.sqrt(2 * mom.variance / 2e-5)
+        tabulate_cdf_u(expo5, node, 0)
         calls = count_lattice_calls(monkeypatch)
         assert cdf_u(deep, expo5, node, 0) == 1.0
-        assert len(calls) == 1
+        assert len(calls) == 0
 
     def test_rejects_nonpositive_budget(self, expo5):
         for eps_prime in (0.0, -1e-5, np.nan):
@@ -307,7 +309,7 @@ class TestCdfU:
         node = node_for(a)
         mom = moments(expo5, node, h)
         sd = np.sqrt(mom.variance)
-        table = tabulate_cdf_u(expo5, node, h, n_points=801)
+        table = tabulate_cdf_u(expo5, node, h)
         u = simulate_u(expo5, node, h, 10 ** 6, seed=9)
         # KS noise floor at 1e6 samples is ~0.0014
         assert ks_distance(u, table) <= 0.005
@@ -343,7 +345,7 @@ class TestDistributionalFixedPoint:
         mom = moments(expo5, node, 1)
         sd = np.sqrt(mom.variance)
         grid = np.linspace(mom.mean - 4 * sd, mom.mean + 4 * sd, 101)
-        table = tabulate_cdf_u(expo5, node, 1, n_points=801)
+        table = tabulate_cdf_u(expo5, node, 1)
         gap = np.max(np.abs(table(grid) - norm.cdf(grid, mom.mean, sd)))
         assert gap > 0.01
 
@@ -379,7 +381,7 @@ class TestTabulation:
 
     def test_monotone_clamped_and_moments(self, expo5):
         node = node_for(0.25)
-        table = tabulate_cdf_u(expo5, node, 1, n_points=1201)
+        table = tabulate_cdf_u(expo5, node, 1)
         vals = table(table.grid)
         assert np.all(np.diff(vals) >= 0)
         assert vals[0] <= 2e-5 and vals[-1] >= 1 - 2e-5
@@ -394,7 +396,7 @@ class TestTabulation:
 
     def test_out_of_range_queries(self, gauss1):
         node = node_for(0.25)
-        table = tabulate_cdf_u(gauss1, node, 0, n_points=201)
+        table = tabulate_cdf_u(gauss1, node, 0)
         lo, hi = table.support
         assert table(lo - 1.0) == 0.0
         assert table(hi + 1.0) == 1.0
@@ -433,16 +435,16 @@ class TestGridEngine:
 
     def test_diagnostics_recorded(self, expo5, gauss1):
         node = node_for(0.5)
-        table = tabulate_cdf_u(expo5, node, 1, n_points=401)
-        step = (table.grid[-1] - table.grid[0]) / 400
+        table = tabulate_cdf_u(expo5, node, 1)
+        step = (table.grid[-1] - table.grid[0]) / 1500
         values, delta, terms, tail = _lattice_cdf(expo5, node, 1, table.grid[0], step,
-                                                  401, 2e-5)
+                                                  1501, 2e-5)
         assert (table.delta, table.terms, table.tail) == (delta, terms, tail)
-        # 401 knots take an 800-knot period; delta steps Phi_w's argument
-        np.testing.assert_allclose(delta, 2 * np.pi * 0.05 / (800 * step), rtol=1e-12)
+        # 1,501 knots take a 3,000-knot period; delta steps Phi_w's argument
+        np.testing.assert_allclose(delta, 2 * np.pi * 0.05 / (3000 * step), rtol=1e-12)
         assert terms % 512 == 0 and 0 < tail < 2e-5 / 20
         drops = -np.diff(values)
         assert table.ripple == max(0.0, drops.max())
-        closed = tabulate_cdf_u(gauss1, node, 1, n_points=401)
+        closed = tabulate_cdf_u(gauss1, node, 1)
         assert closed.terms == 0 and closed.tail == 0.0 and np.isnan(closed.delta)
         assert closed.ripple == 0.0

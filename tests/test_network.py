@@ -3,12 +3,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from onebitnet import (GaussianModel, NetworkSpec, build_steady_state,
+from onebitnet import (GaussianModel, NetworkSpec, SimConfig, build_steady_state,
                        build_uniform_matrix, discrete_component, from_matrix,
                        limit_moments, neighbor_sets_from_edges,
                        offdiag_square_sum, reference_topology, state_cumulants,
                        steady_state_pair)
-from onebitnet.network import NetworkError
+from onebitnet.network import NetworkError, whole_number
 
 
 def random_network(rng):
@@ -192,6 +192,17 @@ class TestMatrixValidation:
         net = build_uniform_matrix(reference_topology(), 0.5)
         with pytest.raises(NetworkError, match="is not an integer"):
             offdiag_square_sum(net, k)
+
+    def test_bools_are_not_whole_numbers(self):
+        # True == 1, but a bool is no node id, step count, trial count or seed
+        assert [whole_number(v) for v in (True, False, np.True_)] == [None] * 3
+        net = build_uniform_matrix(reference_topology(), 0.5)
+        with pytest.raises(NetworkError, match="node id True is not an integer"):
+            net.self_weight(True)
+        for name in ("n_iters", "trials", "seed"):
+            counts = {"n_iters": 10, "trials": 10, "seed": 0, name: name != "seed"}
+            with pytest.raises(ValueError, match=f"{name} must be a whole number"):
+                SimConfig(network=net, model=GaussianModel(1.0), mu=0.1, **counts)
 
     def test_integral_ids_read_as_int(self):
         net = build_uniform_matrix(reference_topology(), 0.5)

@@ -490,6 +490,18 @@ class TestReactionTime:
         traj = np.concatenate([np.zeros(50), np.ones(50)])
         assert reaction_time(traj, 51, post_end=post_end) == 1
 
+    def test_steps_are_whole_numbers(self):
+        # an integral float is a step; a fraction or a bool is rejected by
+        # name, not sliced or read as step 1
+        traj = np.concatenate([np.zeros(50), 1 - 0.5 ** np.arange(1, 51)])
+        assert reaction_time(traj, 51.0, post_end=99.0) == reaction_time(traj, 51, post_end=99)
+        for kwargs in ({"switch_time": 50.5}, {"switch_time": True},
+                       {"switch_time": 51, "post_end": 99.5},
+                       {"switch_time": 51, "post_end": True}):
+            name = list(kwargs)[-1]
+            with pytest.raises(ValueError, match=f"{name} must be a whole number"):
+                reaction_time(traj, **kwargs)
+
 
 class TestSchemeOrdering:
     def test_reaction_ordering_small_scale(self):

@@ -9,18 +9,17 @@ from scipy.special import ndtr
 from scipy.stats import norm
 
 from onebitnet import (ExponentialModel, GaussianModel, RocCurve,
-                       build_steady_state, build_uniform_matrix,
+                       build_steady_state, build_uniform_matrix, cdf_u,
                        default_gamma_grid, discrete_component, from_matrix,
                        limit_moments, mixture_cdf, moments, roc,
                        state_cumulants, steady_state_pair, tabulate_cdf_u)
 from onebitnet import continuous, steady_state
 from onebitnet.continuous import (ContinuousCdfTable, DEFAULT_EPS_PRIME,
-                                  normal_table)
+                                  _TABLE_CACHE_SIZE, _table, normal_table)
 from onebitnet.discrete import DiscretePmf, point_mass
 from onebitnet.models import normal_cdf
 from onebitnet.simulate import hypothesis_ensembles, ks_distance
-from onebitnet.steady_state import (SteadyStateCdf, _continuous_table,
-                                    _MAX_LATTICE, _TABLE_CACHE_SIZE)
+from onebitnet.steady_state import SteadyStateCdf, _MAX_LATTICE
 from onebitnet.validation import edgeworth_cdf, limit_skewness
 from tests.conftest import make_network
 
@@ -97,7 +96,7 @@ class TestGaussianLimitCdf:
 class TestMixtureCdf:
     def test_point_mass_identity(self, gauss1):
         node = make_network(0.25).node_params(3, 0.1)
-        table = tabulate_cdf_u(gauss1, node, 1, n_points=401)
+        table = tabulate_cdf_u(gauss1, node, 1)
         ys = np.linspace(*table.support, 101)
         np.testing.assert_allclose(mixture_cdf(ys, point_mass(0.0), table),
                                    table(ys), atol=1e-14)
@@ -119,7 +118,7 @@ class TestMixtureCdf:
 
     def test_limits(self, gauss1):
         node = make_network(0.25).node_params(3, 0.1)
-        table = tabulate_cdf_u(gauss1, node, 1, n_points=401)
+        table = tabulate_cdf_u(gauss1, node, 1)
         pmf = DiscretePmf(points=np.array([-0.3, 0.7]),
                           probs=np.array([0.4, 0.6]))
         assert mixture_cdf(np.array([1e6]), pmf, table)[0] == pytest.approx(1.0)
@@ -132,8 +131,8 @@ class TestMixtureCdf:
         # table is 0 and 1 well inside its grid; the second keeps mass 0.05
         # at each grid end, so a misplaced end shows.
         node = make_network(0.25).node_params(3, 0.1)
-        table = tabulate_cdf_u(gauss1, node, 1, n_points=401)
-        edgy = dataclasses.replace(table, values=np.linspace(0.05, 0.95, 401))
+        table = tabulate_cdf_u(gauss1, node, 1)
+        edgy = dataclasses.replace(table, values=np.linspace(0.05, 0.95, table.grid.size))
         lo, hi = table.support
         rng = np.random.default_rng(0)
         wide = DiscretePmf(  # spread over 80 table widths
@@ -174,9 +173,9 @@ class TestMixtureCdf:
         cdf = build_steady_state(gauss1, make_network(0.25), 3, 1, 0.1)
         assert 0.0 < cdf.table_error < 1.6e-5
         # B bounds the table's linear interpolation against the law it
-        # tabulates, and a head's query inherits it: two atoms over a coarse
-        # normal table against the exact normal mixture
-        cont = normal_table(0.0, 1.0, n_points=101)
+        # tabulates, and a head's query inherits it: two atoms over the
+        # 1,501-knot normal table against the exact normal mixture
+        cont = normal_table(0.0, 1.0)
         cdf = SteadyStateCdf(node=3, h=1, cont=cont,
                              pmf=DiscretePmf(points=np.array([-0.3, 0.7]),
                                              probs=np.array([0.4, 0.6])))
@@ -217,10 +216,9 @@ class TestMixtureTable:
         # two atoms a table width plus a few steps apart, their shifted
         # tables just overlapping or just apart: the query is the dense sum
         # up to rounding
-        cont = tabulate_cdf_u(gauss1, make_network(0.25).node_params(3, 0.1), 1,
-                              n_points=401)
+        cont = tabulate_cdf_u(gauss1, make_network(0.25).node_params(3, 0.1), 1)
         width = cont.grid[-1] - cont.grid[0]
-        step = width / 400
+        step = width / (cont.grid.size - 1)
         pmf = DiscretePmf(points=np.array([0.1, 0.1 + width + extra_steps * step]),
                           probs=np.array([0.3, 0.7]))
         cdf = SteadyStateCdf(node=3, h=1, pmf=pmf, cont=cont)
@@ -373,104 +371,110 @@ def same_table(a, b):
 
 
 def spy_on_tables(monkeypatch):
-    """Record the u-table ``build_steady_state`` takes from the cache on
-    each call."""
+    """Record the u-table each ``tabulate_cdf_u`` lookup returns, whoever
+    calls it."""
     seen = []
 
     def spy(*key):
-        seen.append(_continuous_table(*key))
+        seen.append(_table(*key))
         return seen[-1]
 
-    monkeypatch.setattr(steady_state, "_continuous_table", spy)
+    monkeypatch.setattr(continuous, "_table", spy)
     return seen
 
 
 class TestContinuousTableCache:
-    """``build_steady_state`` tabulates F_u once per (model, a_k, mu, h,
-    eps_prime) through ``_continuous_table``, shares that table between
-    nodes and folds each node's own messages into it."""
+    """``tabulate_cdf_u`` builds F_u's table once per (model, a_k, mu, h,
+    eps_prime) and hands that one object to every caller:
+    ``build_steady_state``, which folds each node's own messages into it,
+    ``cdf_u`` and direct calls."""
 
     @pytest.mark.parametrize("model_name", ["gauss", "expo"])
     def test_nodes_with_equal_self_weight_share_one_table(self, gauss1, expo5,
                                                           model_name, monkeypatch):
         model = gauss1 if model_name == "gauss" else expo5
         net = make_network(0.5)
+        # self-weight 0.5 in another network
+        other = from_matrix([[0.5, 0.5], [0.2, 0.8]]).node_params(0, 0.1)
         seen = spy_on_tables(monkeypatch)
         for h in (0, 1):
             hub = build_steady_state(model, net, 3, h, 0.1)
             leaf = build_steady_state(model, net, 9, h, 0.1)
-            assert seen[-2] is seen[-1]
+            table = tabulate_cdf_u(model, other, h)
+            cdf_u(table.mean, model, other, h)
+            assert len(seen) == 4 * (h + 1)
+            assert all(t is table for t in seen[-4:])
             assert hub.cont is not leaf.cont
             assert not np.array_equal(hub.cont.values, leaf.cont.values)
-        assert seen[0] is not seen[2]
+        assert seen[0] is not seen[-1]
 
     def test_a_shared_table_equals_a_fresh_one(self, expo5):
         net = make_network(0.5)
-        shared = _continuous_table(expo5, 0.5, 0.1, 1, DEFAULT_EPS_PRIME)
+        shared = tabulate_cdf_u(expo5, net.node_params(3, 0.1), 1)
+        fresh = _table.__wrapped__(expo5, 0.5, 0.1, 1, DEFAULT_EPS_PRIME)
+        assert fresh is not shared and same_table(fresh, shared)
         for k in (3, 9):
-            fresh = tabulate_cdf_u(expo5, net.node_params(k, 0.1), 1)
-            assert fresh is not shared
-            assert same_table(fresh, shared)
+            assert tabulate_cdf_u(expo5, net.node_params(k, 0.1), 1) is shared
             # another model object with the same parameter tabulates afresh
             # and folds to the same table
             twin = build_steady_state(ExponentialModel(5.0), net, k, 1, 0.1)
             assert same_table(twin.cont, build_steady_state(expo5, net, k, 1, 0.1).cont)
-        assert _continuous_table(expo5, 0.5, 0.1, 1, DEFAULT_EPS_PRIME) is shared
 
     @pytest.mark.parametrize("change", ["h", "mu", "eps_prime", "model", "a_k"])
     def test_any_other_key_gets_its_own_table(self, expo5, change, monkeypatch):
         net = make_network(0.5)
-        base = _continuous_table(expo5, 0.5, 0.1, 1, DEFAULT_EPS_PRIME)
-        model, k, h, mu, kwargs = expo5, 3, 1, 0.1, {}
+        base = tabulate_cdf_u(expo5, net.node_params(3, 0.1), 1)
+        model, k, h, mu, eps_prime = expo5, 3, 1, 0.1, DEFAULT_EPS_PRIME
         if change == "h":
             h = 0
         elif change == "mu":
             mu = 0.2
         elif change == "eps_prime":
-            kwargs = {"eps_prime": 1e-5}
+            eps_prime = 1e-5
         elif change == "model":
             model = ExponentialModel(5.0)  # equal parameters, another object
         else:
             # node 0 keeps a_k = 0.5, node 1 has a_k = 0.6
             net, k = from_matrix([[0.5, 0.5], [0.4, 0.6]]), 1
         seen = spy_on_tables(monkeypatch)
-        build_steady_state(model, net, k, h, mu, **kwargs)
+        build_steady_state(model, net, k, h, mu, eps_prime=eps_prime)
         other = seen[0]
         assert other is not base
-        fresh = tabulate_cdf_u(model, net.node_params(k, mu), h, **kwargs)
-        assert same_table(other, fresh)
+        node = net.node_params(k, mu)
+        assert same_table(other, _table.__wrapped__(model, node.a_k, mu, h, eps_prime))
+        assert tabulate_cdf_u(model, node, h, eps_prime=eps_prime) is other
         if change == "a_k":
             # equal a_k and mu in another network: the same table
             build_steady_state(expo5, net, 0, 1, 0.1)
-            assert seen[1] is base
+            assert seen[-1] is base
 
     def test_one_build_per_key_through_the_module_name(self, monkeypatch):
         # a fresh model object, so no earlier test's table is reused; the
-        # cache calls tabulate_cdf_u by its module name at call time
+        # builder calls _lattice_cdf by its module name at call time, once
+        # per table here (no range widening), however many lookups follow
         calls = []
-        real = steady_state.tabulate_cdf_u
+        real = continuous._lattice_cdf
 
-        def record(*args, **kwargs):
+        def record(*args):
             calls.append(args[2])
-            return real(*args, **kwargs)
+            return real(*args)
 
-        monkeypatch.setattr(steady_state, "tabulate_cdf_u", record)
+        monkeypatch.setattr(continuous, "_lattice_cdf", record)
         model, net = ExponentialModel(5.0), make_network(0.5)
         for k in (3, 9):
             steady_state_pair(model, net, k, 0.1)
         assert calls == [0, 1]
-
-    def test_direct_tabulation_is_never_cached(self, expo5):
-        node = make_network(0.5).node_params(3, 0.1)
-        first, second = tabulate_cdf_u(expo5, node, 1), tabulate_cdf_u(expo5, node, 1)
-        assert first is not second and same_table(first, second)
+        # with its table built, a point in range takes one shifted lattice
+        node = net.node_params(9, 0.1)
+        cdf_u(tabulate_cdf_u(model, node, 1).mean, model, node, 1)
+        assert calls == [0, 1, 1]
 
     def test_cache_stays_within_its_bound(self, gauss1):
         net = make_network(0.5)
         for i in range(_TABLE_CACHE_SIZE + 5):
             build_steady_state(GaussianModel(1.0 + i / 64), net, 9, 1, 0.1)
-        info = _continuous_table.cache_info()
-        assert info.maxsize == _TABLE_CACHE_SIZE
+        info = _table.cache_info()
+        assert info.maxsize == _TABLE_CACHE_SIZE == 32
         assert info.currsize == _TABLE_CACHE_SIZE
 
 
@@ -529,7 +533,7 @@ class TestExactLaw:
         # the two tables' interpolation errors
         net = make_network(0.5)
         whole = build_steady_state(gauss1, net, 3, 1, 0.1)
-        n_u = _continuous_table(gauss1, 0.5, 0.1, 1, DEFAULT_EPS_PRIME).grid.size
+        n_u = tabulate_cdf_u(gauss1, net.node_params(3, 0.1), 1).grid.size
         span = whole.cont.grid.size - n_u - 1
         eta = net.node_params(3, 0.1).eta
         monkeypatch.setattr(steady_state, "_MAX_LATTICE", int(n_u + span * eta ** levels) + 1)
@@ -550,14 +554,14 @@ class TestExactLaw:
                  (expo5, make_network(0.995), 3, 0.003)]
         coarse = [steady_state_pair(m, net, k, mu) for m, net, k, mu in cases]
         monkeypatch.setattr(continuous, "_TAIL_ARG", continuous._TAIL_ARG / 10)
-        _continuous_table.cache_clear()
+        _table.cache_clear()
         try:
             for (m, net, k, mu), pair in zip(cases, coarse):
                 for a, b in zip(pair, steady_state_pair(m, net, k, mu)):
                     np.testing.assert_array_equal(a.cont.grid, b.cont.grid)
                     assert np.max(np.abs(a.cont.values - b.cont.values)) <= 1e-9
         finally:
-            _continuous_table.cache_clear()
+            _table.cache_clear()
 
     @pytest.mark.parametrize("a,mu", [(0.99, 0.01), (0.995, 0.003)])
     def test_exponential_builds_near_unit_eta(self, a, mu):
