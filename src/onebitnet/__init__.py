@@ -7,8 +7,9 @@ Library layout:
                      their one-bit message levels
 * ``continuous``   - steady-state CDF of the continuous state component: a
                      lattice Fourier series of its log-characteristic function
-* ``discrete``     - the paper's PMF of the one-bit messages (truncated,
-                     star-aggregated digit patterns) and PMF convolution
+* ``discrete``     - PMFs and their convolution, exact for the state's
+                     head; the paper's star-aggregated message tables and
+                     ``merge_close`` serve criteria 03-05 and the tests
 * ``steady_state`` - exact CDF of the full state: the messages' closed-form
                      CF folded into the continuous component's table
 * ``simulate``     - the update kernel of the diffusion recursions (with the

@@ -207,8 +207,8 @@ def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
         raise ConfigError("'dynamics.schedule' must contain at least one segment")
     for seg in schedule_raw:
         start, hyp = _pair(seg, "dynamics.schedule")
-        h = {"H0": 0, "H1": 1, 0: 0, 1: 1}.get(hyp)
-        if h is None:
+        h = {"H0": 0, "H1": 1}.get(hyp) if isinstance(hyp, str) else whole_number(hyp)
+        if h not in (0, 1):
             raise ConfigError(f"'dynamics.schedule' hypothesis {hyp!r} must be H0 or H1")
         schedule.append((_number(start, "dynamics.schedule", int), h))
     if schedule[0][0] != 1:

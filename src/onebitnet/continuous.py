@@ -201,12 +201,15 @@ class ContinuousCdfTable:
     ``delta``, ``terms`` and ``tail`` describe the lattice series
     (``_lattice_cdf``): the frequency step, as the step of Phi_w's
     arguments; the number of terms summed; and the last block's residual
-    (nan, 0 and 0 for a ``normal_table``). ``ripple`` is the largest drop
-    of the raw values before the cumulative-max pass. ``grid`` and
-    ``values`` are read-only views, in copies too: ``tabulate_cdf_u``
-    shares one table between callers. Queries read the private writable
-    arrays behind them, since ``np.interp`` copies read-only inputs on
-    every call; copies and pickles carry each array once.
+    (nan, 0 and 0 for a ``normal_table``). A table folded with the
+    messages' digits (``steady_state._fold_digits``) holds its own: the
+    step of the state CF's argument, the bins kept and the dropped bins'
+    bound. ``ripple`` is the largest drop of the raw values before the
+    cumulative-max pass. ``grid`` and ``values`` are read-only views, in
+    copies too: ``tabulate_cdf_u`` shares one table between callers.
+    Queries read the private writable arrays behind them, since
+    ``np.interp`` copies read-only inputs on every call; copies and
+    pickles carry each array once.
     """
 
     grid: np.ndarray

@@ -10,11 +10,16 @@ probability is folded into the retained pattern that shares its leading
 unlikely digits (star aggregation). Affine mapping to the state scale and
 cross-neighbor convolution with value merging yield the PMF of the full
 discrete component; ``discrete_component`` uses the second-order table
-with class-mean values. ``steady_state`` uses the messages' exact law.
+with class-mean values.
+
+``steady_state`` reads only ``DiscretePmf``, ``point_mass`` and exact
+``convolve`` (merge_tol = 0), for its head PMF. The star tables,
+``merge_close`` and ``discrete_component`` serve the acceptance criteria
+03-05 (``validation.check_table_oracle`` and ``check_figure_cdfs``) and
+the tests.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from math import ceil, log, sqrt
 
@@ -170,7 +175,8 @@ def table_second_order(spec: BernoulliApproxSpec, value_rule: str = "pattern",
     ``merge=False``. Rows are sorted, since the tabulated order is
     ascending only for eta below (sqrt(5)-1)/2.
     """
-    _check_value_rule(value_rule)
+    if value_rule not in _VALUE_RULES:
+        raise ValueError(f"value_rule must be one of {_VALUE_RULES}")
     p, eta, omega = spec.p, spec.eta, spec.omega
     q = 1.0 - p
     points = []
@@ -193,58 +199,31 @@ def table_second_order(spec: BernoulliApproxSpec, value_rule: str = "pattern",
     return merge_close(pmf, 2.0 * eta ** omega)
 
 
-def _check_value_rule(value_rule):
-    if value_rule not in _VALUE_RULES:
-        raise ValueError(f"value_rule must be one of {_VALUE_RULES}")
-
-
 def merge_close(pmf: DiscretePmf, tol: float) -> DiscretePmf:
-    """Aggregate support points closer together than tol; the cluster rule
-    is ``_merge_sorted``'s."""
+    """Aggregate support points closer together than tol > 0.
+
+    One pass left to right grows clusters bounded in diameter by tol: a
+    point opens a new cluster, as its anchor, once it is tol or further
+    from the current anchor. Each cluster collapses to its
+    probability-weighted mean, so every value moves by less than tol and
+    the PMF mean is kept; bounding the diameter, rather than chaining,
+    keeps densely spaced supports from collapsing into a single point.
+    Clusters made solely of zero-probability points drop out. At tol <= 0,
+    or on a single point, the PMF is returned as it is.
+    """
     if tol <= 0 or pmf.size == 1:
         return pmf
-    return _merge_sorted(pmf.points, pmf.probs, tol)
-
-
-def _merge_sorted(pts, pr, tol: float) -> DiscretePmf:
-    """Cluster an ascending support (ties allowed) at tol > 0.
-
-    Clusters are grown left to right and bounded in diameter by tol (a
-    point opens a new cluster once it is tol or further from the cluster's
-    first point), then collapsed to their probability-weighted mean. Every
-    value therefore moves by less than tol and the PMF mean is preserved
-    exactly. Bounding the diameter, rather than chaining, keeps densely
-    spaced supports from collapsing into a single point. Equal points
-    share a cluster, since their gap 0 is below tol.
-
-    The loop runs once per cluster, not once per point: the next anchor is
-    the first point j with ``pts[j] - anchor >= tol``. Bisection on
-    ``anchor + tol`` lands next to it; since that sum rounds differently
-    from the difference, the index is then stepped to where the difference
-    test itself changes (it is monotone in j on a sorted support).
-    """
-    vals = memoryview(pts)  # float items, no copy of the support
-    n = len(vals)
-    # anchor positions: each cluster spans [anchor, anchor + tol)
-    starts = [0]
-    i = 0
-    while True:
-        anchor = vals[i]
-        j = bisect_left(vals, anchor + tol, i + 1)
-        while j > i + 1 and vals[j - 1] - anchor >= tol:
-            j -= 1
-        while j < n and not vals[j] - anchor >= tol:
-            j += 1
-        if j == n:
-            break
-        starts.append(j)
-        i = j
-    starts = np.asarray(starts)
-    mass = np.add.reduceat(pr, starts)
-    weighted = np.add.reduceat(pts * pr, starts)
-    keep = mass > 0  # clusters made solely of zero-probability points drop out
-    centers = weighted[keep] / mass[keep]
-    return DiscretePmf(points=centers, probs=mass[keep], merge_tol=tol)
+    vals = pmf.points.tolist()
+    starts, anchor = [0], vals[0]
+    for i, x in enumerate(vals):
+        if x - anchor >= tol:
+            starts.append(i)
+            anchor = x
+    mass = np.add.reduceat(pmf.probs, starts)
+    weighted = np.add.reduceat(pmf.points * pmf.probs, starts)
+    keep = mass > 0
+    return DiscretePmf(points=weighted[keep] / mass[keep], probs=mass[keep],
+                       merge_tol=tol)
 
 
 def neighbor_component_pmf(zhat: DiscretePmf, model: ObservationModel,
@@ -267,36 +246,28 @@ def neighbor_component_pmf(zhat: DiscretePmf, model: ObservationModel,
 
 
 def convolve(pmfs, merge_tol: float) -> DiscretePmf:
-    """Exact pairwise convolution with value merging after every step.
+    """Pairwise convolution with value merging after every step.
 
-    Each input is first coarsened to the same tolerance, which bounds
-    intermediate support sizes; the error stays within the same merge
-    slack. With merge_tol > 0 a step sorts the outer sum once and
-    clusters the raw candidates (``_merge_sorted``): exact ties land in
-    one cluster, so they need no collapsing pass of their own. With
-    merge_tol = 0 ties are combined and nothing else is merged. Exceeding
-    MAX_CONVOLUTION_POINTS candidate points in one step raises, signalling
-    that the merge tolerance is too fine for the requested network.
+    Each input is first merged at merge_tol (``merge_close``), which bounds
+    intermediate support sizes. Each step takes the outer sum of the
+    running PMF and the next input, sorts it stably, adds the
+    probabilities of equal values and merges the result at merge_tol; at
+    merge_tol = 0 merging is a no-op and the convolution is exact. A step
+    with more than MAX_CONVOLUTION_POINTS candidate points raises.
     """
-    pmfs = list(pmfs)
+    pmfs = [merge_close(p, merge_tol) for p in pmfs]
     if not pmfs:
         raise ValueError("need at least one PMF")
-    if merge_tol > 0:
-        pmfs = [merge_close(p, merge_tol) for p in pmfs]
     acc = pmfs[0]
     for nxt in pmfs[1:]:
         if acc.size * nxt.size > MAX_CONVOLUTION_POINTS:
-            raise ValueError(
-                f"convolution support would exceed {MAX_CONVOLUTION_POINTS} "
-                "points; increase the merge tolerance")
+            advice = "; increase the merge tolerance" if merge_tol > 0 else ""
+            raise ValueError(f"convolution support would exceed "
+                             f"{MAX_CONVOLUTION_POINTS} points{advice}")
         pts = (acc.points[:, None] + nxt.points[None, :]).ravel()
         pr = (acc.probs[:, None] * nxt.probs[None, :]).ravel()
-        if merge_tol > 0 and pts.size > 1:  # one point: unmerged, as in merge_close
-            order = np.argsort(pts)
-            acc = _merge_sorted(pts[order], pr[order], merge_tol)
-        else:
-            order = np.argsort(pts, kind="stable")
-            acc = _combine_sorted(pts[order], pr[order])
+        order = np.argsort(pts, kind="stable")
+        acc = merge_close(_combine_sorted(pts[order], pr[order]), merge_tol)
     return acc
 
 

@@ -57,7 +57,8 @@ class SimConfig:
 
     ``schedule`` is a tuple of (start_step, hypothesis) segments, ordered,
     with the first segment starting at step 1; each segment applies until
-    the next one begins.
+    the next one begins. Starts and hypotheses are whole numbers
+    (``network.whole_number``): a bool or a fraction raises.
     """
 
     network: NetworkSpec
@@ -80,7 +81,8 @@ class SimConfig:
             raise ValueError("mu must be in (0,1)")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        sched = tuple((int(s), int(h)) for s, h in self.schedule)
+        sched = tuple((_whole("schedule start", s), whole_number(h))
+                      for s, h in self.schedule)
         if not sched or sched[0][0] != 1:
             raise ValueError("schedule must start at step 1")
         starts = [s for s, _ in sched]

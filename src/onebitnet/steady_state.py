@@ -129,30 +129,42 @@ class SteadyStateCdf:
         return sqrt(self.cont.variance + self.pmf.variance())
 
 
+def _fold_size(u: ContinuousCdfTable, span: float, eta: float) -> int:
+    """Knots of u's table folded with digits whose first level spans
+    ``span``: u's, one more, and span / (1 - eta) in u's steps."""
+    step = (u.grid[-1] - u.grid[0]) / (u.grid.size - 1)
+    return u.grid.size + 1 + ceil(span / (1.0 - eta) / step)
+
+
 def _fold_digits(u: ContinuousCdfTable, w: np.ndarray, n: np.ndarray, p: float,
-                 eta: float, eps_prime: float) -> np.ndarray:
+                 eta: float, eps_prime: float) -> tuple[np.ndarray, float, int, float]:
     """F of u + sum_g w_g sum_i eta^i B_g,i, B_g,i ~ Binomial(n_g, p), on
-    u's lattice from u.grid[0] over the table plus the digits' span.
+    u's lattice from u.grid[0] over ``_fold_size`` knots.
 
     The rfft Q of u's cell masses is multiplied below the first bin K with
     (2/pi) sum_{i>=K} |Q_i|/i < eps_prime/20 (``continuous._lattice_cdf``'s
     rule; later bins are dropped) by the digits' closed-form CF
     exp(sum_g n_g sum_i log(q + p e^{-j w_g eta^i omega})), each group's sum
     one ``geometric_log_cf`` of ``_bit_log_cf``; an irfft and a cumulative
-    sum give F.
+    sum give F. Returns (F, delta, terms, tail) as ``_lattice_cdf`` does:
+    delta the step of omega, terms = K - 1 bins kept past bin 0, and tail
+    the dropped bins' bound, the digits' CF being at most 1 in modulus.
     """
     step = (u.grid[-1] - u.grid[0]) / (u.grid.size - 1)
-    size = u.grid.size + 1 + ceil(float(n @ w) / (1.0 - eta) / step)
+    size = _fold_size(u, float(n @ w), eta)
     length = _fft_length(size)
     spec = np.fft.rfft(np.diff(u.values, prepend=0.0, append=1.0), length)
     tail = np.cumsum(np.abs(spec[:0:-1]) / np.arange(spec.size - 1, 0, -1))[::-1]
-    cut = 1 + int(np.argmax(np.append(tail * (2.0 / pi), 0.0) < eps_prime / 20.0))
-    omega = 2.0 * pi / (length * step) * np.arange(cut)
+    tail = np.append(tail * (2.0 / pi), 0.0)
+    cut = 1 + int(np.argmax(tail < eps_prime / 20.0))
+    delta = 2.0 * pi / (length * step)
+    omega = delta * np.arange(cut)
     bit, kappa = partial(_bit_log_cf, p), _bit_cumulants(p)
     spec[:cut] *= np.exp(sum(count * geometric_log_cf(bit, kappa, pi, eta, -weight * omega)
                              for weight, count in zip(w, n)))
     spec[cut:] = 0.0
-    return np.cumsum(np.fft.irfft(spec, length)[:size])
+    return (np.cumsum(np.fft.irfft(spec, length)[:size]), delta, cut - 1,
+            float(tail[cut - 1]))
 
 
 def build_steady_state(model: ObservationModel, network: NetworkSpec, k: int,
@@ -166,7 +178,8 @@ def build_steady_state(model: ObservationModel, network: NetworkSpec, k: int,
     PMF; ``_fold_digits`` folds the rest into u's shared read-only table
     from ``tabulate_cdf_u`` (aliasing budget ``eps_prime``). The folded
     table's mean and variance are ``state_cumulants``' kappa_1 and kappa_2
-    minus the head's.
+    minus the head's. A head too large for ``discrete.convolve`` raises a
+    ValueError naming the node, h, mu and the levels moved.
     """
     node = network.node_params(k, mu)
     u = tabulate_cdf_u(model, node, h, eps_prime=eps_prime)
@@ -174,18 +187,23 @@ def build_steady_state(model: ObservationModel, network: NetworkSpec, k: int,
     p = model.p_d if h == 1 else model.p_f
     c, n = np.unique(node.c_row[node.c_row > 0], return_counts=True)
     w, eta = c * (e1 - e0), node.eta
-    step = (u.grid[-1] - u.grid[0]) / (u.grid.size - 1)
     levels = 0
-    while u.grid.size + float(n @ w) * eta ** levels / (1.0 - eta) / step > _MAX_LATTICE:
+    while _fold_size(u, float(n @ (w * eta ** levels)), eta) > _MAX_LATTICE:
         levels += 1
-    head = convolve([DiscretePmf(np.array([0.0, wl * eta ** i]), np.array([1.0 - p, p]))
-                     for i in range(levels) for wl in np.repeat(w, n)] or [point_mass(0.0)],
-                    merge_tol=0.0)
-    values = _fold_digits(u, w * eta ** levels, n, p, eta, eps_prime)
+    try:
+        head = convolve([DiscretePmf(np.array([0.0, wl * eta ** i]), np.array([1.0 - p, p]))
+                         for i in range(levels) for wl in np.repeat(w, n)]
+                        or [point_mass(0.0)], merge_tol=0.0)
+    except ValueError as exc:
+        raise ValueError(f"node {k}, h = {h}, mu = {mu}: the {levels} digit levels "
+                         f"that keep the folded table within _MAX_LATTICE = "
+                         f"{_MAX_LATTICE} knots make too large a head ({exc})") from exc
+    values, *series = _fold_digits(u, w * eta ** levels, n, p, eta, eps_prime)
+    step = (u.grid[-1] - u.grid[0]) / (u.grid.size - 1)
     grid = u.grid[0] + float(n @ c) * e0 / (1.0 - eta) + step * np.arange(values.size)
     kappa1, kappa2, _ = state_cumulants(model, network, k, h, mu)
     cont = _monotone_table(grid, values, kappa1 - head.mean(),
-                           kappa2 - head.variance(), eps_prime)
+                           kappa2 - head.variance(), eps_prime, *series)
     return SteadyStateCdf(node=k, h=h, pmf=head, cont=cont)
 
 

@@ -74,6 +74,13 @@ OUT_OF_RANGE = (
     (BASE + "sweeps:\n  model_param: []\n", "sweeps.model_param"),
     (NO_NODES, "output.nodes"),
     (BASE + "sweeps:\n  self_weight: []\n", "sweeps.self_weight"),
+    # a hypothesis is H0, H1, 0 or 1: not YAML's true == 1, nor a list
+    (BASE.replace("  seed: 5\n", "  seed: 5\n  schedule: [[1, H0], [16, true]]\n"),
+     "dynamics.schedule"),
+    (BASE.replace("  seed: 5\n", "  seed: 5\n  schedule: [[1, false], [16, H1]]\n"),
+     "dynamics.schedule"),
+    (BASE.replace("  seed: 5\n", "  seed: 5\n  schedule: [[1, H0], [16, [1]]]\n"),
+     "dynamics.schedule"),
 )
 
 # one misspelt or stray key per section: top level, network, model (a typo,
@@ -137,6 +144,8 @@ class TestConfigParsing:
         text = BASE.replace("  seed: 5\n", "  seed: 5\n" + extra)
         cfg = load_config(write_config(tmp_path, text))
         assert cfg.schedule == ((1, 0), (21, 1))
+        text = BASE.replace("  seed: 5\n", "  seed: 5\n  schedule: [[1, 0], [21.0, 1]]\n")
+        assert load_config(write_config(tmp_path, text)).schedule == ((1, 0), (21, 1))
 
     def test_missing_key_named(self, tmp_path):
         text = BASE.replace("  rho: 1.0\n", "")

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import pickle
 
 import numpy as np
@@ -238,25 +239,39 @@ class TestAffineMap:
             neighbor_component_pmf(pmf, gauss1, node, 0, 1)
 
 
-def convolve_reference(pmfs, merge_tol):
-    """Each step sorted stably, its exact ties combined into a PMF, then
-    merged: the clusters ``convolve`` forms from the raw candidates."""
-    pmfs = [merge_close(p, merge_tol) for p in pmfs]
-    acc = pmfs[0]
-    for nxt in pmfs[1:]:
-        pts = (acc.points[:, None] + nxt.points[None, :]).ravel()
-        pr = (acc.probs[:, None] * nxt.probs[None, :]).ravel()
-        order = np.argsort(pts, kind="stable")
-        acc = merge_close(discrete._combine_sorted(pts[order], pr[order]), merge_tol)
-    return acc
+def exhaustive_sum(pmfs):
+    """Every index combination's value, summed left to right as
+    ``convolve`` adds, and its probability."""
+    combos = list(itertools.product(*(range(p.size) for p in pmfs)))
+    vals = np.array([sum(p.points[i] for p, i in zip(pmfs, c)) for c in combos])
+    probs = np.array([np.prod([p.probs[i] for p, i in zip(pmfs, c)]) for c in combos])
+    return vals, probs
 
 
-def assert_close_pmf(got, ref):
-    # tied probabilities are added in another order: rounding apart only
-    assert got.size == ref.size
-    assert got.merge_tol == ref.merge_tol
-    np.testing.assert_allclose(got.points, ref.points, rtol=0, atol=1e-14)
-    np.testing.assert_allclose(got.probs, ref.probs, rtol=0, atol=1e-16)
+def assert_matches_exhaustive_sum(got, pmfs, tol):
+    # each input's merge and each step's moves every combination's value by
+    # less than tol: 2 n - 1 merges in all for n inputs
+    vals, probs = exhaustive_sum(pmfs)
+    assert got.merge_tol == max(tol, 0.0)
+    assert got.mean() == pytest.approx(vals @ probs, rel=1e-13, abs=1e-13)
+    if tol <= 0:
+        np.testing.assert_array_equal(got.points, np.unique(vals))
+        mass = np.bincount(np.searchsorted(got.points, vals), probs)
+        np.testing.assert_allclose(got.probs, mass, rtol=0, atol=1e-16)
+        return
+    drift = (2 * len(pmfs) - 1) * tol
+    order = np.argsort(vals, kind="stable")
+    vals, below = vals[order], np.cumsum(probs[order])
+
+    def exact(x, side):
+        idx = np.searchsorted(vals, x, side=side)
+        return np.concatenate(([0.0], below))[idx]
+
+    xs = np.concatenate([vals - drift, vals + drift, got.points])
+    assert np.all(got.cdf(xs) >= exact(xs - drift, "right") - 1e-12)
+    assert np.all(got.cdf(xs) <= exact(xs + drift, "left") + 1e-12)
+    # the last merge's clusters: centers two apart are more than tol apart
+    assert np.all(got.points[2:] - got.points[:-2] > tol)
 
 
 class TestConvolve:
@@ -273,16 +288,17 @@ class TestConvolve:
         np.testing.assert_allclose(out.probs, [0.25, 0.5, 0.25])
 
     def test_support_cap(self):
+        # no merging, so no merge tolerance to advise
         rng = np.random.default_rng(0)
         pts = np.sort(rng.normal(size=2000))
         pmf = DiscretePmf(points=pts, probs=np.full(2000, 1 / 2000))
-        with pytest.raises(ValueError, match="merge tolerance"):
+        with pytest.raises(ValueError, match=r"exceed 1000000 points$"):
             convolve([pmf, pmf], merge_tol=0.0)
 
     def test_support_cap_with_merging(self):
         # points tol apart survive the coarsening: 2,000^2 candidates
         pmf = DiscretePmf(points=np.arange(2000.0), probs=np.full(2000, 1 / 2000))
-        with pytest.raises(ValueError, match="support would exceed"):
+        with pytest.raises(ValueError, match="support would exceed.*merge tolerance"):
             convolve([pmf, pmf], merge_tol=0.5)
 
     def test_tie_heavy_dyadic_matches_reference(self):
@@ -291,9 +307,8 @@ class TestConvolve:
         quarter = DiscretePmf(points=np.array([0.0, 0.25, 0.75]),
                               probs=np.array([0.125, 0.375, 0.5]))
         for pmfs in ([three] * 6, [quarter, three] * 3):
-            for tol in (0.125, 0.25, 0.5, 1.0, 1.5):
-                got = convolve(pmfs, tol)
-                assert_close_pmf(got, convolve_reference(pmfs, tol))
+            for tol in (0.0, 0.125, 0.25, 0.5, 1.0, 1.5):
+                assert_matches_exhaustive_sum(convolve(pmfs, tol), pmfs, tol)
         # ties alone: the six-fold sum of {-1, 0, 1} keeps its 13 values
         got = convolve([three] * 6, 0.5)
         np.testing.assert_array_equal(got.points, np.arange(-6.0, 7.0))
@@ -301,14 +316,16 @@ class TestConvolve:
     @pytest.mark.parametrize("seed", range(3))
     def test_random_supports_match_reference(self, seed):
         rng = np.random.default_rng(seed)
-        pmfs = [random_pmf(rng, np.unique(rng.normal(size=rng.integers(20, 60))))
-                for _ in range(4)]
-        for tol in (1e-3, 0.02, 0.3):
-            assert_close_pmf(convolve(pmfs, tol), convolve_reference(pmfs, tol))
+        pmfs = [random_pmf(rng, np.unique(rng.normal(size=rng.integers(6, 13))))
+                for _ in range(3)]
+        for tol in (0.0, 1e-3, 0.02, 0.3):
+            assert_matches_exhaustive_sum(convolve(pmfs, tol), pmfs, tol)
 
     @pytest.mark.parametrize("h", (0, 1))
-    def test_hub_components_match_reference(self, gauss1, h, monkeypatch):
-        # the mu = 0.01 hub: up to 124,520 candidate points in one step
+    def test_hub_components_keep_mean_and_spread(self, gauss1, h, monkeypatch):
+        # the mu = 0.01 hub: up to 124,520 candidate points in one step. The
+        # 2 n - 1 merges keep the mean, lower the variance by at most tol^2/4
+        # each and keep every point within the inputs' hull
         seen = []
 
         def record(pmfs, merge_tol):
@@ -318,8 +335,13 @@ class TestConvolve:
         monkeypatch.setattr(discrete, "convolve", record)
         got = discrete_component(gauss1, make_network(0.5), 3, h, mu=0.01)
         (pmfs, tol), = seen
-        assert tol > 0 and len(pmfs) == 5
-        assert_close_pmf(got, convolve_reference(pmfs, tol))
+        assert tol > 0 and len(pmfs) == 5 and got.merge_tol == tol
+        assert got.mean() == pytest.approx(sum(p.mean() for p in pmfs), rel=1e-13)
+        spread = sum(p.variance() for p in pmfs) - got.variance()
+        assert -1e-15 <= spread <= 9 * tol ** 2 / 4
+        assert got.points[0] >= sum(p.points[0] for p in pmfs) - 1e-15
+        assert got.points[-1] <= sum(p.points[-1] for p in pmfs) + 1e-15
+        assert np.all(got.points[2:] - got.points[:-2] > tol)
 
     def test_merge_keeps_mean_and_bounds_displacement(self):
         rng = np.random.default_rng(1)
@@ -344,29 +366,41 @@ class TestConvolve:
         np.testing.assert_allclose(merged.mean(), pmf.mean(), atol=1e-12)
 
 
-def merge_close_loop(pmf, tol):
-    """The per-point merge loop, kept as the reference for ``merge_close``."""
-    if tol <= 0 or pmf.size == 1:
-        return pmf
+def assert_cluster_rule(pmf, tol, merged):
+    """``merged`` is ``pmf`` clustered at tol. Each point belongs to the
+    cluster holding the middle of its mass (every probability positive);
+    a cluster's anchor is its first point. Every member lies in
+    [anchor, anchor + tol), consecutive anchors are at least tol apart,
+    and each cluster keeps its mass and mean."""
     pts, pr = pmf.points, pmf.probs
-    starts = [0]
-    anchor = pts[0]
-    for i in range(1, len(pts)):
-        if pts[i] - anchor >= tol:
-            starts.append(i)
-            anchor = pts[i]
-    starts = np.asarray(starts)
-    mass = np.add.reduceat(pr, starts)
-    weighted = np.add.reduceat(pts * pr, starts)
-    keep = mass > 0
-    return DiscretePmf(points=weighted[keep] / mass[keep], probs=mass[keep],
-                       merge_tol=tol)
+    label = np.searchsorted(np.cumsum(merged.probs), np.cumsum(pr) - pr / 2)
+    assert merged.merge_tol == tol
+    np.testing.assert_array_equal(np.unique(label), np.arange(merged.size))
+    first = np.flatnonzero(np.diff(label, prepend=-1))
+    offset = pts - pts[first][label]
+    assert np.all(offset >= 0) and np.all(offset < tol)
+    assert np.all(pts[first[1:]] - pts[first[:-1]] >= tol)
+    mass = np.bincount(label, pr)
+    np.testing.assert_allclose(merged.probs, mass, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(merged.points, np.bincount(label, pts * pr) / mass,
+                               rtol=1e-14, atol=1e-15)
+    assert merged.mean() == pytest.approx(pmf.mean(), rel=1e-13, abs=1e-15)
 
 
-def assert_same_pmf(got, ref):
-    assert got.points.tobytes() == ref.points.tobytes()
-    assert got.probs.tobytes() == ref.probs.tobytes()
-    assert got.merge_tol == ref.merge_tol
+def assert_cluster_bounds(pmf, tol, merged):
+    """What the cluster rule implies without knowing which cluster each
+    point joined: every value of positive mass is within tol of a center,
+    centers two apart are more than tol apart, the mean is kept and the
+    variance drops by at most tol^2/4."""
+    assert merged.merge_tol == tol
+    live = pmf.points[pmf.probs > 0]
+    near = np.clip(np.searchsorted(merged.points, live), 1, merged.size - 1)
+    dist = np.minimum(np.abs(live - merged.points[near - 1]),
+                      np.abs(live - merged.points[near]))
+    assert np.all(dist < tol)
+    assert np.all(merged.points[2:] - merged.points[:-2] > tol)
+    assert merged.mean() == pytest.approx(pmf.mean(), rel=1e-13, abs=1e-15)
+    assert -1e-15 <= pmf.variance() - merged.variance() <= tol ** 2 / 4
 
 
 def random_pmf(rng, pts):
@@ -381,15 +415,12 @@ class TestMergeClose:
             gaps = tol * rng.choice([0.2, 0.5, 1 - 1e-15, 1.0, 1 + 1e-15, 1.5], 400)
             pts = np.unique(rng.normal() + np.cumsum(gaps))
             pmf = random_pmf(rng, pts)
-            assert_same_pmf(merge_close(pmf, tol), merge_close_loop(pmf, tol))
             flipped = pmf.map_affine(-1.0, 0.0)
-            assert_same_pmf(merge_close(flipped, tol), merge_close_loop(flipped, tol))
-            # a PMF holds its own contiguous copies; hand the cluster rule
-            # the same support on a reversed view
+            # the same support handed over as reversed views
             rev_pts, rev_pr = pmf.points[::-1].copy()[::-1], pmf.probs[::-1].copy()[::-1]
             assert rev_pts.strides[0] < 0
-            assert_same_pmf(discrete._merge_sorted(rev_pts, rev_pr, tol),
-                            merge_close_loop(pmf, tol))
+            for case in (pmf, flipped, DiscretePmf(points=rev_pts, probs=rev_pr)):
+                assert_cluster_rule(case, tol, merge_close(case, tol))
 
     def test_dyadic_differences_equal_tol(self):
         # pts[j] - anchor == tol exactly: the point must open a new cluster
@@ -398,12 +429,12 @@ class TestMergeClose:
         for tol in (0.25, 0.125, 2.0):
             pmf = random_pmf(rng, pts)
             got = merge_close(pmf, tol)
-            assert_same_pmf(got, merge_close_loop(pmf, tol))
+            assert_cluster_rule(pmf, tol, got)
             assert got.size == pts.size // round(tol / 0.0625) + 1
 
     def test_large_offsets(self):
-        # near +/-1e6, anchor + tol rounds unlike pts[j] - anchor; points one
-        # ulp apart around the sum must correct the bisection both ways
+        # near +/-1e6, anchor + tol rounds unlike pts[j] - anchor; the rule
+        # reads the difference, on supports one ulp either side of the sum
         rng = np.random.default_rng(11)
         early = late = 0
         for _ in range(600):
@@ -413,21 +444,22 @@ class TestMergeClose:
             pts = np.unique(np.append(near + np.arange(-3, 4) * np.spacing(near), anchor))
             if pts[0] != anchor:
                 continue
-            first = next((j for j in range(1, pts.size) if pts[j] - anchor >= tol),
-                         pts.size)
+            first = np.argmax(np.append(pts - anchor >= tol, True))
             guess = int(np.searchsorted(pts, anchor + tol))
             early += guess < first
             late += guess > first
             pmf = random_pmf(rng, pts)
-            assert_same_pmf(merge_close(pmf, tol), merge_close_loop(pmf, tol))
+            assert_cluster_rule(pmf, tol, merge_close(pmf, tol))
         assert early > 0 and late > 0
 
     def test_zero_probability_clusters_drop_out(self):
-        pmf = DiscretePmf(points=np.array([0.0, 0.05, 1.0, 1.02, 2.0, 3.0]),
-                          probs=np.array([0.25, 0.25, 0.0, 0.0, 0.5, 0.0]))
+        # 0.0 carries no mass yet anchors its cluster, so 0.12 opens the next
+        pmf = DiscretePmf(points=np.array([0.0, 0.05, 0.12, 1.0, 1.02, 2.0, 3.0]),
+                          probs=np.array([0.0, 0.25, 0.25, 0.0, 0.0, 0.5, 0.0]))
         got = merge_close(pmf, 0.1)
-        assert_same_pmf(got, merge_close_loop(pmf, 0.1))
-        np.testing.assert_array_equal(got.points, [0.025, 2.0])
+        np.testing.assert_array_equal(got.points, [0.05, 0.12, 2.0])
+        np.testing.assert_array_equal(got.probs, [0.25, 0.25, 0.5])
+        assert got.merge_tol == 0.1
 
     def test_trivial_inputs_returned_unchanged(self):
         single = point_mass(3.0)
@@ -437,12 +469,20 @@ class TestMergeClose:
         assert merge_close(pmf, -1.0) is pmf
 
     @pytest.mark.parametrize("h", (0, 1))
-    def test_hub_pipeline_matches_reference_loop(self, gauss1, h, monkeypatch):
+    def test_hub_pipeline_keeps_the_cluster_bounds(self, gauss1, h, monkeypatch):
         # the mu = 0.01 hub merges up to 123,963 candidate points per call
-        net = make_network(0.5)
-        got = discrete_component(gauss1, net, 3, h, mu=0.01)
-        monkeypatch.setattr(discrete, "merge_close", merge_close_loop)
-        assert_same_pmf(got, discrete_component(gauss1, net, 3, h, mu=0.01))
+        calls = []
+
+        def record(pmf, tol):
+            calls.append((pmf, tol, merge_close(pmf, tol)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(discrete, "merge_close", record)
+        discrete_component(gauss1, make_network(0.5), 3, h, mu=0.01)
+        merged = [c for c in calls if c[0].size > 1]
+        assert len(merged) == 10 and max(c[0].size for c in merged) > 10 ** 5
+        for pmf, tol, got in merged:
+            assert_cluster_bounds(pmf, tol, got)
 
 
 class TestDiscreteComponent:

@@ -23,6 +23,14 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="increasing"):
             SimConfig(network=net_a25, model=gauss1, mu=0.1, n_iters=10,
                       trials=1, schedule=((1, 0), (1, 1)))
+        # (2.7, True) was truncated to (2, 1)
+        for bad, message in ((((1, 0), (2.7, 1)), "start must be a whole number"),
+                             (((1, 0), (True, 1)), "start must be a whole number"),
+                             (((1, 0), (3, True)), "hypotheses must be 0 or 1"),
+                             (((1, 0), (3, 0.5)), "hypotheses must be 0 or 1")):
+            with pytest.raises(ValueError, match=message):
+                SimConfig(network=net_a25, model=gauss1, mu=0.1, n_iters=10,
+                          trials=1, schedule=bad)
         with pytest.raises(ValueError, match="scheme"):
             SimConfig(network=net_a25, model=gauss1, mu=0.1, n_iters=10,
                       trials=1, scheme="bogus")
@@ -42,9 +50,10 @@ class TestSimConfig:
                                        np.float64(7.0)])
     def test_integral_sizes_stored_as_int(self, gauss1, net_a25, value):
         cfg = SimConfig(network=net_a25, model=gauss1, mu=0.1, n_iters=value,
-                        trials=value, seed=value)
+                        trials=value, seed=value, schedule=((1, 0), (value, 1)))
         assert all(type(v) is int and v == 7
-                   for v in (cfg.n_iters, cfg.trials, cfg.seed))
+                   for v in (cfg.n_iters, cfg.trials, cfg.seed, cfg.schedule[1][0]))
+        assert all(type(v) is int for segment in cfg.schedule for v in segment)
 
     def test_hypothesis_steps(self, gauss1, net_a25):
         cfg = SimConfig(network=net_a25, model=gauss1, mu=0.1, n_iters=8,

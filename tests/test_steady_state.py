@@ -528,23 +528,57 @@ class TestExactLaw:
 
     @pytest.mark.parametrize("levels", [1, 2])
     def test_head_split_keeps_the_law(self, gauss1, monkeypatch, levels):
-        # a lattice bound just above the table with `levels` digit levels
-        # moved forces exactly that head; the law stays the same within
+        # a lattice bound equal to the folded table's size with `levels`
+        # digit levels moved (the size rule of steady_state._fold_size)
+        # forces exactly that head, on a table of exactly that many knots;
+        # one knot less moves one more level. The law stays the same within
         # the two tables' interpolation errors
         net = make_network(0.5)
+        node = net.node_params(3, 0.1)
         whole = build_steady_state(gauss1, net, 3, 1, 0.1)
-        n_u = tabulate_cdf_u(gauss1, net.node_params(3, 0.1), 1).grid.size
-        span = whole.cont.grid.size - n_u - 1
-        eta = net.node_params(3, 0.1).eta
-        monkeypatch.setattr(steady_state, "_MAX_LATTICE", int(n_u + span * eta ** levels) + 1)
+        u = tabulate_cdf_u(gauss1, node, 1)
+        e0, e1 = gauss1.message_values()
+        c, n = np.unique(node.c_row[node.c_row > 0], return_counts=True)
+        w = c * (e1 - e0)
+        assert steady_state._fold_size(u, float(n @ w), node.eta) == whole.cont.grid.size
+        cap = steady_state._fold_size(u, float(n @ (w * node.eta ** levels)), node.eta)
+        monkeypatch.setattr(steady_state, "_MAX_LATTICE", cap)
         split = build_steady_state(gauss1, net, 3, 1, 0.1)
         assert split.pmf.size == 6 ** levels
-        assert split.cont.grid.size < whole.cont.grid.size
+        assert split.cont.grid.size == cap < whole.cont.grid.size
+        monkeypatch.setattr(steady_state, "_MAX_LATTICE", cap - 1)
+        assert build_steady_state(gauss1, net, 3, 1, 0.1).pmf.size == 6 ** (levels + 1)
         assert split.mean() == pytest.approx(whole.mean(), rel=1e-12)
         assert split.std() == pytest.approx(whole.std(), rel=1e-12)
         ys = np.linspace(whole.mean() - 7 * whole.std(), whole.mean() + 7 * whole.std(), 4001)
         gap = np.max(np.abs(split(ys) - whole(ys)))
         assert gap <= split.table_error + whole.table_error
+
+    @pytest.mark.parametrize("model_name,a,k", [("gauss", 0.5, 3), ("expo", 0.1, 9),
+                                                ("expo", 0.5, 3)])
+    def test_folded_table_records_its_series(self, gauss1, expo5, model_name, a, k):
+        # delta steps the state CF's argument over the FFT's period, terms
+        # counts the bins kept past bin 0 and tail bounds the dropped ones
+        model = gauss1 if model_name == "gauss" else expo5
+        for cdf in steady_state_pair(model, make_network(a), k, 0.1):
+            grid = cdf.cont.grid
+            step = (grid[-1] - grid[0]) / (grid.size - 1)
+            period = continuous._fft_length(grid.size) * step
+            assert cdf.cont.delta == pytest.approx(2 * np.pi / period, rel=1e-12)
+            assert 0 < cdf.cont.terms < grid.size
+            assert 0 < cdf.cont.tail < DEFAULT_EPS_PRIME / 20
+
+    @pytest.mark.parametrize("k", [3, 9])
+    def test_a_head_too_large_names_the_pair(self, gauss1, k):
+        # at a = 0.9, mu = 1e-5 the digits span so many of u's steps that 27
+        # levels must leave the table, and their exact head passes 10^6
+        # atoms; no caller sets a merge tolerance, so none is advised
+        for h in (0, 1):
+            with pytest.raises(ValueError, match=(
+                    rf"^node {k}, h = {h}, mu = 1e-05: the 27 digit levels .*"
+                    r"_MAX_LATTICE = 262144 knots")) as info:
+                build_steady_state(gauss1, make_network(0.9), k, h, 1e-5)
+            assert "merge tolerance" not in str(info.value)
 
     def test_explicit_digit_cutoff(self, gauss1, expo5, monkeypatch):
         # taking explicit terms down to a tenth of continuous._TAIL_ARG, both
