@@ -13,7 +13,9 @@ Library layout:
 * ``steady_state`` - exact CDF of the full state: the messages' closed-form
                      CF folded into the continuous component's table
 * ``simulate``     - the update kernel of the diffusion recursions (with the
-                     one-bit quantizer) and the Monte Carlo engine
+                     one-bit quantizer) and the Monte Carlo engine, which
+                     hands every other trial block of a large run to one
+                     forked child; the output is the same either way
 * ``detection``    - P_f/P_d, threshold calibration, ROC curves
 * ``validation``   - brute-force oracles and the pass/fail check suite
 * ``cli``          - experiment driver (cdf / roc / adapt / validate)

@@ -106,10 +106,12 @@ def log_cf_w(model: ObservationModel, node: NodeParams, h: int, t) -> np.ndarray
                             model.radius(h), node.eta, t)
 
 
+_FFT_ODD_FACTORS = tuple(3 ** j * 5 ** k for j in range(12) for k in range(8))
+
+
 def _fft_length(n: int) -> int:
-    """The smallest 2^i 3^j 5^k >= n."""
-    return min(f << (-(-n // f) - 1).bit_length()
-               for f in (3 ** j * 5 ** k for j in range(12) for k in range(8)))
+    """The smallest 2^i 3^j 5^k >= n, j < 12 and k < 8."""
+    return min(f << (-(-n // f) - 1).bit_length() for f in _FFT_ODD_FACTORS)
 
 
 def _lattice_cdf(model: ObservationModel, node: NodeParams, h: int, lo: float,

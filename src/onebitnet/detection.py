@@ -140,4 +140,8 @@ def default_gamma_grid(cdf0, cdf1, points: int = DEFAULT_GRID_POINTS,
         offs = np.array([-4.0, -2.0, 0.0, 2.0, 4.0]) * max(
             np.sqrt(cdf.cont.variance), 1e-12)
         pieces.append((cdf.pmf.points[:, None] + cdf.cont.mean + offs[None, :]).ravel())
-    return np.unique(np.concatenate(pieces))
+    # np.unique's sort and neighbour test, without the numpy.ma it imports
+    grid = np.sort(np.concatenate(pieces))
+    keep = np.ones(grid.size, dtype=bool)
+    keep[1:] = grid[1:] != grid[:-1]
+    return grid[keep]

@@ -21,10 +21,22 @@ within a fixed budget of doubles whatever n_iters is: a trial block draws
 and steps C steps at a time. A trial's first tile resets the Philox to the
 trial's key; each later tile restores the generator state saved after the
 trial's previous tile, so every trial draws exactly its own stream.
+
+A run of at least ``_SPLIT_WORK`` trial-steps x nodes and two or more
+blocks, in a process with a second CPU (Linux's ``sched_getaffinity``) and
+one Python thread, forks one child for its odd blocks. The child writes
+its terminal rows and per-block trajectory sums to shared memory, and the
+sums are added in block order, so no output depends on whether a run
+split. On Python 3.12 and later, ``os.fork`` warns (DeprecationWarning)
+when the process has other OS threads, as OpenBLAS's pool is; the split
+goes ahead and the warning is left to the caller's filters.
 """
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, field
+from math import prod
 
 import numpy as np
 
@@ -41,6 +53,11 @@ SCHEMES = (ONE_BIT_X, QUANTIZED_STATE, UNQUANTIZED)
 # (8 MB: 409 steps of 256 trials at S = 10), whatever n_iters is
 _TILE_BUDGET = 2 ** 20
 _BLOCK_TRIALS = 256
+# a run of at least this many trial-steps x nodes splits its blocks with a
+# forked child (``_use_child``); below it the fork costs more than it saves
+_SPLIT_WORK = 2 ** 21
+_SPLIT_SUMS = 2 ** 20  # at most this many per-block trajectory sums (doubles)
+_MESSAGE_BYTES = 1024  # the shared room for a failed child's exception
 
 
 def _whole(name: str, value) -> int:
@@ -176,10 +193,16 @@ def run(config: SimConfig, trajectory_nodes=(), y0=None,
     trial's tiles its Philox state is saved and restored, so terminal
     states do not depend on the block or tile split. Trajectories are
     summed per block, so they are bit-stable only for a fixed block size.
+
+    A large run (``_use_child``) hands every other block to one forked
+    child, which writes its rows and per-block trajectory sums to shared
+    memory; the sums are added in block order, so the output is the same,
+    bit for bit, as when every block runs in this process. The child is
+    reaped before ``run`` returns or raises, and its failure raises here.
     """
     S, n = config.network.size, config.n_iters
     requested = tuple(trajectory_nodes)
-    traj_nodes = tuple(map(whole_number, requested))
+    traj_nodes = tuple(dict.fromkeys(map(whole_number, requested)))
     if not all(k is not None and 0 <= k < S for k in traj_nodes):
         raise ValueError(f"trajectory_nodes must be whole numbers in [0, {S}), "
                          f"got {requested}")
@@ -191,41 +214,113 @@ def run(config: SimConfig, trajectory_nodes=(), y0=None,
         if chunk_trials < 1:
             raise ValueError(f"chunk_trials must be at least 1, got {chunk_trials}")
     block = min(config.trials, chunk_trials or _BLOCK_TRIALS)
+    n_blocks = -(-config.trials // block)
     # a lone trial gets a spare row: numpy's one-row product (gemv) rounds unlike gemm
     width = max(block, 2)
     span = max(1, min(n, _TILE_BUDGET // (width * S)))
-    traj_sum = {k: np.zeros(n) for k in traj_nodes}
-    terminal = np.empty((config.trials, S))
     step = make_step(config.network, config.model, config.mu, config.scheme)
     h_steps = config.hypothesis_steps()
     bit_gen = np.random.Philox(key=[np.uint64(config.seed), np.uint64(0)])
     rng, fresh = np.random.Generator(bit_gen), bit_gen.state
     x = np.zeros((span, width, S))
-    for start in range(0, config.trials, block):
-        count = min(block, config.trials - start)
-        rows = max(count, 2)
-        saved = [None] * count
-        y = np.broadcast_to(y_start, (rows, S))
-        for c0 in range(0, n, span):
-            c1 = min(n, c0 + span)
-            segs = segments(h_steps[c0:c1])
-            for t in range(count):
-                if c0 == 0:
-                    # the state _trial_rng(seed, start + t) starts in: counter 0, no bits left
-                    fresh["state"]["key"][1] = start + t
-                    bit_gen.state = fresh
-                else:
-                    bit_gen.state = saved[t]
-                draw_statistics(config.model, segs, rng, x[:c1 - c0, t])
-                if c1 < n:
-                    saved[t] = bit_gen.state
-            for i in range(c1 - c0):
-                y = step(y, x[i, :rows])
-                for k in traj_nodes:
-                    traj_sum[k][c0 + i] += y[:count, k].sum()
-        terminal[start:start + count] = y[:count]
-    trajectories = {k: traj_sum[k] / config.trials for k in traj_nodes}
+
+    def run_blocks(first, stride, terminal, sums):
+        """Blocks first, first + stride, ...: their rows into ``terminal``,
+        block b's per-step sums of the trajectory nodes into sums[b % len(sums)]."""
+        for b in range(first, n_blocks, stride):
+            start = b * block
+            count = min(block, config.trials - start)
+            rows = max(count, 2)
+            saved = [None] * count
+            y = np.broadcast_to(y_start, (rows, S))
+            traj_rows = list(zip(traj_nodes, sums[b % len(sums)]))
+            for c0 in range(0, n, span):
+                c1 = min(n, c0 + span)
+                segs = segments(h_steps[c0:c1])
+                for t in range(count):
+                    if c0 == 0:
+                        # the state _trial_rng(seed, start + t) starts in: counter 0, no bits left
+                        fresh["state"]["key"][1] = start + t
+                        bit_gen.state = fresh
+                    else:
+                        bit_gen.state = saved[t]
+                    draw_statistics(config.model, segs, rng, x[:c1 - c0, t])
+                    if c1 < n:
+                        saved[t] = bit_gen.state
+                for i in range(c1 - c0):
+                    y = step(y, x[i, :rows])
+                    for k, row in traj_rows:
+                        row[c0 + i] += y[:count, k].sum()
+            terminal[start:start + count] = y[:count]
+
+    sums_shape = (n_blocks, len(traj_nodes), n)
+    if _use_child(n_blocks, config.trials * n * S, prod(sums_shape)):
+        terminal, sums = _forked(run_blocks, (config.trials, S), sums_shape)
+    else:
+        terminal, sums = np.empty((config.trials, S)), np.zeros((1, *sums_shape[1:]))
+        run_blocks(0, 1, terminal, sums)
+    # sums[0] + sums[1] + ...: the order in which one process adds its blocks
+    total = sums[0].copy()
+    for part in sums[1:]:
+        total += part
+    trajectories = {k: total[j] / config.trials for j, k in enumerate(traj_nodes)}
     return TrialEnsemble(terminal_states=terminal, trajectories=trajectories)
+
+
+def _use_child(n_blocks: int, work: int, sums: int) -> bool:
+    """Whether ``run`` splits its blocks with a forked child: at least two
+    blocks and ``_SPLIT_WORK`` trial-steps x nodes, at most ``_SPLIT_SUMS``
+    per-block trajectory sums, a second CPU for this process (Linux) and no
+    other Python thread, which a fork would leave behind."""
+    return (n_blocks >= 2 and work >= _SPLIT_WORK
+            and sums <= _SPLIT_SUMS
+            and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2
+            and threading.active_count() == 1)
+
+
+def _forked(run_blocks, terminal_shape: tuple, sums_shape: tuple):
+    """``run_blocks`` over every block, the odd ones in a forked child: the
+    terminal rows and the per-block sums, views of the anonymous shared map
+    that both processes write, unmapped with the last view."""
+    import mmap  # imported here: a process that never splits skips their ~1 ms
+    import signal
+
+    n_terminal, n_sums = prod(terminal_shape), prod(sums_shape)
+    # a failed child's message, then the terminal rows, then the sums
+    shared = mmap.mmap(-1, _MESSAGE_BYTES + 8 * (n_terminal + n_sums))
+    terminal = np.frombuffer(shared, float, n_terminal, _MESSAGE_BYTES)
+    sums = np.frombuffer(shared, float, n_sums, _MESSAGE_BYTES + 8 * n_terminal)
+    terminal, sums = terminal.reshape(terminal_shape), sums.reshape(sums_shape)
+    pid = os.fork()
+    if pid == 0:
+        # the child leaves by os._exit, past the caller's handlers and buffers
+        code = 0
+        try:
+            run_blocks(1, 2, terminal, sums)
+        except BaseException as exc:
+            code = 1
+            message = repr(exc).encode()[:_MESSAGE_BYTES]
+            shared[:len(message)] = message
+        finally:
+            os._exit(code)
+    try:
+        run_blocks(0, 2, terminal, sums)
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        try:
+            status = os.waitpid(pid, 0)[1]
+        except BaseException:  # an interrupted wait: no child outlives run()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            raise
+    if status != 0:
+        message = shared[:_MESSAGE_BYTES].rstrip(b"\0").decode(errors="replace")
+        raise RuntimeError(f"the forked half of run() failed (exit status "
+                           f"{os.waitstatus_to_exitcode(status)}): {message}")
+    return terminal, sums
 
 
 def hypothesis_ensembles(network: NetworkSpec, model: ObservationModel,

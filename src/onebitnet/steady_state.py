@@ -84,10 +84,14 @@ def mixture_cdf(y, pmf: DiscretePmf, cont: ContinuousCdfTable) -> np.ndarray:
     """F(y) = sum_i nu_i F_u(y - z_i) at the points y, clipped to [0, 1]: an
     array of y's shape, at least 1-D. One table query per atom, summed in
     place, so memory stays at one array of y's size; every term is
-    nonnegative, so capping the sum at 1 clips it."""
+    nonnegative, so capping the sum at 1 clips it. Most heads are one atom
+    of mass 1, whose sum is the query itself, already in [0, 1] for a
+    table of ``_monotone_table``."""
     y = np.atleast_1d(np.asarray(y, dtype=float))
     atoms = zip(pmf.points.tolist(), pmf.probs.tolist())
-    z, nu = next(atoms)  # the first term starts the sum: most heads are one atom
+    z, nu = next(atoms)
+    if nu == 1.0 and pmf.probs.size == 1:
+        return cont(y - z)
     out = nu * cont(y - z)
     for z, nu in atoms:
         out += nu * cont(y - z)

@@ -403,6 +403,14 @@ class TestTabulation:
 
 
 class TestGridEngine:
+    def test_fft_length_matches_candidates_built_per_call(self):
+        def per_call(n):
+            return min(f << (-(-n // f) - 1).bit_length()
+                       for f in (3 ** j * 5 ** k for j in range(12) for k in range(8)))
+
+        for n in [*range(1, 5000), 2 ** 18, 2 ** 18 + 1, 10 ** 6 + 7, 3 ** 12, 5 ** 9]:
+            assert continuous._fft_length(n) == per_call(n)
+
     @pytest.mark.parametrize("a", [0.1, 0.25, 0.5])
     @pytest.mark.parametrize("h", [0, 1])
     def test_table_matches_pointwise_series(self, expo5, a, h):

@@ -41,3 +41,17 @@ def test_import_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "[]"
+
+
+def test_grid_and_roc_leave_numpy_ma_unloaded():
+    """The threshold grid sorts and drops equal neighbours itself: np.unique
+    would import numpy.ma (about 27 ms and 1 MB) into a fresh process."""
+    code = ("import sys, onebitnet as ob; "
+            "net = ob.build_uniform_matrix(ob.reference_topology(), 0.25); "
+            "pair = ob.steady_state_pair(ob.GaussianModel(1.0), net, 3, 0.1); "
+            "ob.roc(*pair, ob.default_gamma_grid(*pair), node=3); "
+            "print('numpy.ma' in sys.modules)")
+    src = str(Path(onebitnet.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"

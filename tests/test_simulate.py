@@ -1,3 +1,4 @@
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -8,8 +9,9 @@ from onebitnet import (ExponentialModel, GaussianModel, SimConfig,
                        build_uniform_matrix, empirical_cdf, ks_distance,
                        make_step, neighbor_sets_from_edges, reaction_time, run)
 from onebitnet import simulate
-from onebitnet.simulate import (ONE_BIT_X, QUANTIZED_STATE, UNQUANTIZED,
-                                _trial_rng, draw_statistics, segments)
+from onebitnet.simulate import (ONE_BIT_X, QUANTIZED_STATE, SCHEMES,
+                                UNQUANTIZED, _trial_rng, draw_statistics,
+                                segments)
 from onebitnet.validation import (explicit_one_bit_state, iterate_scheme,
                                   unquantized_matrix_state)
 from tests.conftest import make_network
@@ -193,6 +195,36 @@ class TestClosedFormOracles:
 THREE_SEGMENTS = ((1, 0), (9, 1), (20, 0))
 
 
+@pytest.fixture
+def serial(monkeypatch):
+    """Keep every run() block in this process, where a draw_statistics spy
+    sees every call."""
+    monkeypatch.setattr(simulate, "_SPLIT_WORK", 2 ** 62)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Split every run() of two or more blocks with a forked child, even on
+    one CPU; the list of the children's pids."""
+    pids, fork = [], os.fork
+
+    def counting():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(simulate, "_SPLIT_WORK", 0)
+    return pids
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 class TestRunDeterminism:
     def test_same_seed_bit_identical(self, expo5, net_a25):
         cfg = SimConfig(network=net_a25, model=expo5, mu=0.1, n_iters=30,
@@ -271,7 +303,7 @@ class TestBlocks:
     @pytest.mark.parametrize("model", [GaussianModel(1.0), ExponentialModel(5.0)],
                              ids=["gaussian", "exponential"])
     def test_reseeded_draws_match_per_trial_generators(self, model, net_a25,
-                                                       monkeypatch):
+                                                       monkeypatch, serial):
         # after each trial the spy leaves half a 32-bit word and a partly
         # used Philox buffer behind; the next reseed must discard both
         cfg = SimConfig(network=net_a25, model=model, mu=0.1, n_iters=30,
@@ -337,6 +369,14 @@ class TestBlocks:
         assert list(b.trajectories) == [3]
         np.testing.assert_array_equal(a.trajectories[3], b.trajectories[3])
 
+    def test_repeated_trajectory_node_counted_once(self, gauss1, net_a25):
+        cfg = SimConfig(network=net_a25, model=gauss1, mu=0.1, n_iters=5,
+                        trials=4, seed=3, schedule=((1, 1),))
+        a = run(cfg, trajectory_nodes=(3,))
+        b = run(cfg, trajectory_nodes=(3, 9, 3.0))
+        assert list(b.trajectories) == [3, 9]
+        np.testing.assert_array_equal(a.trajectories[3], b.trajectories[3])
+
     @pytest.mark.parametrize("y0", [np.zeros(3), np.zeros((1, 10)),
                                     np.zeros((4, 10))])
     def test_y0_must_broadcast_to_nodes(self, gauss1, net_a25, y0, monkeypatch):
@@ -357,7 +397,7 @@ class TestTiles:
     """run() draws and steps (trials x steps x S) tiles within _TILE_BUDGET."""
 
     def test_tiles_match_single_tile_run(self, gauss1, expo5, net_a25,
-                                         monkeypatch):
+                                         monkeypatch, serial):
         # 12 trials of 10 nodes under a 480-double budget step 4 at a time:
         # the switch into step 9 (index 8) falls on a tile edge, the one
         # into step 20 (index 19) inside a tile; blocks of 5 leave a 2-trial tail
@@ -396,7 +436,7 @@ class TestTiles:
 
     @pytest.mark.parametrize("n_iters", [1, 100, 3000])
     def test_draws_stay_within_budget(self, gauss1, net_a25, n_iters,
-                                      monkeypatch):
+                                      monkeypatch, serial):
         budget = simulate._TILE_BUDGET
         seen = []
 
@@ -412,6 +452,86 @@ class TestTiles:
         assert sum(steps for steps, _ in seen) == 300 * n_iters
         for steps, held in seen:
             assert steps * 256 * 10 <= budget and held <= budget
+
+    def test_split_draws_stay_within_budget_per_process(self, gauss1, net_a25,
+                                                        monkeypatch, forks,
+                                                        tmp_path):
+        # each process logs its own draws: the parent block 0 (256 trials),
+        # the child block 1 (44 trials), each within the tile budget
+        budget, log = simulate._TILE_BUDGET, tmp_path / "draws.log"
+
+        def spy(m, segs, rng, out):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {out.shape[0]} {out.base.size}\n")
+            return draw_statistics(m, segs, rng, out)
+
+        monkeypatch.setattr(simulate, "draw_statistics", spy)
+        run(SimConfig(network=net_a25, model=gauss1, mu=0.1, n_iters=3000,
+                      trials=300, seed=1))
+        steps = {os.getpid(): 0, forks[0]: 0}
+        for line in log.read_text().splitlines():
+            pid, drawn, held = map(int, line.split())
+            steps[pid] += drawn
+            assert drawn * 256 * 10 <= budget and held <= budget
+        assert steps == {os.getpid(): 256 * 3000, forks[0]: 44 * 3000}
+
+
+class TestSplit:
+    """run() hands every other trial block to one forked child and gives
+    the same output, bit for bit, as when one process runs every block."""
+
+    @pytest.mark.parametrize("chunk, trials", [(1, 15), (7, 57), (None, 257)])
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("model", [GaussianModel(1.0), ExponentialModel(5.0)],
+                             ids=["gaussian", "exponential"])
+    def test_split_matches_serial(self, model, scheme, chunk, trials, net_a25,
+                                  monkeypatch, forks):
+        # tiles of 4 steps: the switch into step 9 (index 8) falls on a tile
+        # edge, the one into step 20 (index 19) inside a tile; blocks of 7 and
+        # of the default 256 leave a one-trial tail
+        monkeypatch.setattr(simulate, "_TILE_BUDGET", 4 * max(chunk or 256, 2) * 10)
+        cfg = SimConfig(network=net_a25, model=model, mu=0.1, n_iters=30,
+                        trials=trials, scheme=scheme, schedule=THREE_SEGMENTS,
+                        seed=9)
+        y0 = np.linspace(-1.0, 1.0, 10)
+        monkeypatch.setattr(simulate, "_SPLIT_WORK", 2 ** 62)
+        one = run(cfg, (3, 9), y0, chunk)
+        assert forks == []
+        monkeypatch.setattr(simulate, "_SPLIT_WORK", 0)
+        two = run(cfg, (3, 9), y0, chunk)
+        assert len(forks) == 1
+        np.testing.assert_array_equal(two.terminal_states, one.terminal_states)
+        for k in (3, 9):
+            np.testing.assert_array_equal(two.trajectories[k], one.trajectories[k])
+        assert_no_child_left()
+
+    def test_one_block_and_small_runs_stay_in_process(self, gauss1, net_a25,
+                                                       forks, monkeypatch):
+        run(SimConfig(network=net_a25, model=gauss1, mu=0.1, n_iters=5,
+                      trials=256, seed=1))
+        monkeypatch.setattr(simulate, "_SPLIT_WORK", 257 * 5 * 10 + 1)
+        run(SimConfig(network=net_a25, model=gauss1, mu=0.1, n_iters=5,
+                      trials=257, seed=1))
+        assert forks == []
+
+    @pytest.mark.parametrize("side, error", [("child", RuntimeError),
+                                             ("parent", ValueError)])
+    def test_failure_on_either_side_reaches_the_caller(self, gauss1, net_a25,
+                                                       monkeypatch, forks,
+                                                       side, error):
+        parent = os.getpid()
+
+        def failing(m, segs, rng, out):
+            if (os.getpid() == parent) == (side == "parent"):
+                raise ValueError(f"draw failed in the {side}")
+            return draw_statistics(m, segs, rng, out)
+
+        monkeypatch.setattr(simulate, "draw_statistics", failing)
+        with pytest.raises(error, match=f"draw failed in the {side}"):
+            run(SimConfig(network=net_a25, model=gauss1, mu=0.1, n_iters=5,
+                          trials=600, seed=1))
+        assert len(forks) == 1
+        assert_no_child_left()
 
 
 class TestStationarity:

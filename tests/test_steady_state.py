@@ -116,6 +116,33 @@ class TestMixtureCdf:
         cdf(np.zeros((2, 3)))
         assert seen == [1, 6]
 
+    @pytest.mark.parametrize("head", ["one_atom", "one_atom_below_1", "three_atoms",
+                                      "36_atoms"])
+    def test_bit_identical_to_the_sum_over_atoms(self, gauss1, head):
+        # a one-atom head of mass 1 returns the table's query itself
+        if head == "36_atoms":
+            cdf = build_steady_state(ExponentialModel(8.0), make_network(0.1), 3, 0, 0.001)
+            pmf, table = cdf.pmf, cdf.cont
+            assert pmf.size == 36
+        else:
+            cdf = build_steady_state(gauss1, make_network(0.25), 3, 1, 0.1)
+            table, pmf = cdf.cont, {
+                "one_atom": cdf.pmf,
+                "one_atom_below_1": DiscretePmf(np.array([0.2]), np.array([1.0 - 1e-13])),
+                "three_atoms": DiscretePmf(np.array([-0.3, 0.1, 0.7]),
+                                           np.array([0.25, 0.5, 0.25]))}[head]
+            assert head != "one_atom" or (pmf.size == 1 and pmf.probs[0] == 1.0)
+        lo, hi = table.support
+        ys = np.concatenate([np.linspace(lo - 1.0, hi + 1.0, 2001), [lo, hi, -0.0, 0.0]])
+        terms = [nu * table(ys - z) for z, nu in zip(pmf.points.tolist(),
+                                                      pmf.probs.tolist())]
+        want = terms[0]
+        for term in terms[1:]:
+            want += term
+        want = np.minimum(want, 1.0)
+        np.testing.assert_array_equal(mixture_cdf(ys, pmf, table).view(np.uint64),
+                                      want.view(np.uint64))
+
     def test_limits(self, gauss1):
         node = make_network(0.25).node_params(3, 0.1)
         table = tabulate_cdf_u(gauss1, node, 1)
