@@ -10,8 +10,9 @@ Library layout:
 * ``discrete``     - PMFs and their convolution, exact for the state's
                      head; the paper's star-aggregated message tables and
                      ``merge_close`` serve criteria 03-05 and the tests
-* ``steady_state`` - exact CDF of the full state: the messages' closed-form
-                     CF folded into the continuous component's table
+* ``steady_state`` - exact CDF of the full state: one lattice series of
+                     the continuous component's log-CF times the
+                     messages' closed-form CF
 * ``simulate``     - the update kernel of the diffusion recursions (with the
                      one-bit quantizer) and the Monte Carlo engine, which
                      hands every other trial block of a large run to one

@@ -9,17 +9,18 @@ Phi_w is ``geometric_log_cf``: explicit terms Phi_x(eta^i t) down to a
 small fraction of Phi_x's radius, then four cumulants in closed form.
 
 There is one inversion engine, ``_lattice_cdf``: the Fourier-series method
-(Abate & Whitt 1992) on the lattice of a table's own knots. u is
-periodized over L knots, at least twice the table's span, so F_u at every
-knot is one inverse FFT of the coefficients
-exp(Phi_w(-a_k mu omega_k))/(j 2 pi k), omega_k = 2 pi k/(L step), folded
-mod L: exact up to the mass outside one period, and up to the terms left
-out, taken in blocks until a block's share of any F is below eps_prime/20.
-``tabulate_cdf_u`` runs it for every non-Gaussian model and keeps one table
-per (model, a_k, mu, h, eps_prime); ``cdf_u`` runs it on that table's
-lattice shifted so that its point is a knot. For the Gaussian model u is
-normal: ``normal_table``, ``models.normal_cdf`` (``math.erfc``) at the
-closed-form moments on 1,501 knots.
+(Abate & Whitt 1992) on the lattice of a table's own knots. F at every knot
+is one inverse FFT of the terms exp(K(-omega_k))/(j 2 pi k), K the
+tabulated variable's log-CF, folded mod the period: exact up to the mass
+outside one period and the terms left out, which stop once a block's share
+of any F is below eps_prime/20. A second log-CF of modulus at most 1 may
+multiply the kept terms without entering that rule: ``steady_state``
+passes u's term as K and the neighbours' digits as that factor.
+``_tabulate`` sets every table's range, 1,501 knots on u's mean +/- 12 std,
+widened until both ends are within 2 eps_prime of 0 and 1.
+``tabulate_cdf_u`` keeps u's table, K(t) = Phi_w(a_k mu t), one per (model,
+a_k, mu, h, eps_prime), and ``cdf_u`` shifts its lattice so that a point
+is a knot: oracles, as is the Gaussian closed form ``cdf_u_gaussian_closed``.
 """
 from __future__ import annotations
 
@@ -37,7 +38,8 @@ DEFAULT_EPS_PRIME = 2e-5
 
 # geometric sums' explicit terms stop near this fraction of the radius
 _TAIL_ARG = 0.01
-_TAIL_BLOCK = 512
+_TAIL_BLOCK = 128
+_EVAL_CHUNK = 512
 _MAX_TERMS = 4_000_000
 _SPAN_STDS = 12.0  # half-width of the initial tabulation range, in stds
 _TABLE_POINTS = 1501
@@ -114,55 +116,102 @@ def _fft_length(n: int) -> int:
     return min(f << (-(-n // f) - 1).bit_length() for f in _FFT_ODD_FACTORS)
 
 
-def _lattice_cdf(model: ObservationModel, node: NodeParams, h: int, lo: float,
-                 step: float, n: int,
-                 eps_prime: float) -> tuple[np.ndarray, float, int, float]:
-    """F_u at the knots lo + i step, i < n, clamped to [0, 1], by the
-    Fourier-series method on their lattice (Abate & Whitt 1992).
+def _u_log_cf(model: ObservationModel, node: NodeParams, h: int):
+    """u's log-CF, t -> Phi_w(a_k mu t) (``log_cf_w``)."""
+    scale = node.a_k * node.mu
+    return lambda t: log_cf_w(model, node, h, scale * t)
 
-    The period L step, L = ``_fft_length``(2 (n - 1)), starts at
-    c = lo - g step with g = (L - n + 1) // 2, so the knots sit mid-period.
-    With omega_k = 2 pi k / (L step) and
-    b_k = exp(Phi_w(-a_k mu omega_k) + j omega_k c) / (j 2 pi k),
+
+def _lattice_cdf(log_cf, lo: float, step: float, n: int, eps_prime: float,
+                 factor=None) -> tuple[np.ndarray, float, int, float]:
+    """F at the knots lo + i step, i < n, clamped to [0, 1], of the law with
+    log-CF log_cf + factor (factor 0 when not given), by the Fourier-series
+    method on their lattice (Abate & Whitt 1992).
+
+    The period L step, L = ``_fft_length``(n), starts at c = lo - g step with
+    g = (L - n + 1) // 2, so the knots sit mid-period. With
+    omega_k = 2 pi k / (L step) and
+    b_k = exp(log_cf(-omega_k) + factor(-omega_k) + j omega_k c) / (j 2 pi k),
 
         F(c + i step) = i/L + sum_{k != 0} b_k (e^{j 2 pi k i/L} - 1),
 
-    exact up to the mass of u outside [c, c + L step). As b_{-k} is the
-    conjugate of b_k, the sum is twice the real part of one inverse FFT of
-    the b_k, k >= 1, folded mod L. They come in blocks until a block's
-    (2/pi) sum |exp(Phi_w)|/k, its largest share of any F, is below
-    eps_prime/20. Returns (F, delta, terms, tail): delta = a_k mu omega_1,
-    the step of Phi_w's arguments, the number of terms and the last
-    block's bound.
+    exact up to the mass outside [c, c + L step). As b_{-k} is the conjugate
+    of b_k, the sum is one irfft of the b_k, k >= 1, folded mod L. They come
+    in blocks of ``_TAIL_BLOCK`` until a block's (2/pi) sum |exp(log_cf)|/k,
+    its largest share of any F, is below eps_prime/20. ``factor`` (modulus
+    at most 1) multiplies the kept terms only: a factor that dips and rises
+    again, as the digits' CF does at eta < 1/2, cannot stop the series in a
+    trough. Returns (F, delta, terms, tail): delta = omega_1, the number of
+    terms and the last block's bound.
     """
     if not eps_prime > 0:
         raise ValueError(f"eps_prime must be positive, got {eps_prime}")
-    length = _fft_length(2 * max(n - 1, 1))
+    length = _fft_length(n)
     gap = (length - n + 1) // 2
     omega = 2.0 * pi / (length * step)
     shift = omega * (lo - gap * step)
-    blocks = []
-    while True:
-        k = len(blocks) * _TAIL_BLOCK + np.arange(1, _TAIL_BLOCK + 1)
-        phi = np.exp(log_cf_w(model, node, h, -(node.a_k * node.mu * omega) * k))
-        if not np.all(np.isfinite(phi)):
-            raise InversionError(
-                "non-finite term in the inversion series (Phi_w is not "
-                "finite at some omega_k)")
-        blocks.append(phi * np.exp(1j * shift * k) / (2j * pi * k))
-        tail = float(np.sum(np.abs(phi) / k)) * (2.0 / pi)
-        if tail < eps_prime / 20.0:
-            break
-        if k[-1] >= _MAX_TERMS:
+    blocks, tail = [], np.inf
+    while tail >= eps_prime / 20.0:
+        done = len(blocks) * _TAIL_BLOCK
+        if done >= _MAX_TERMS:
             raise InversionError(
                 f"inversion series did not settle within {_MAX_TERMS} terms")
-    terms = int(k[-1])
+        # log_cf takes chunks of _EVAL_CHUNK terms, then doubling, to save
+        # calls; the stop rule reads them block by block
+        k = np.arange(done + 1, min(max(2 * done, _EVAL_CHUNK), _MAX_TERMS) + 1)
+        chunk = np.exp(log_cf(-omega * k))
+        if not np.all(np.isfinite(chunk)):
+            raise InversionError("non-finite term in the inversion series (the "
+                                 "log-CF is not finite at some omega_k)")
+        for phi, kb in zip(chunk.reshape(-1, _TAIL_BLOCK), k.reshape(-1, _TAIL_BLOCK)):
+            blocks.append(phi)
+            tail = float(np.sum(np.abs(phi) / kb)) * (2.0 / pi)
+            if tail < eps_prime / 20.0:
+                break
+    terms = len(blocks) * _TAIL_BLOCK
+    k = np.arange(1, terms + 1)
+    phi = np.concatenate(blocks)
+    if factor is not None:
+        phi *= np.exp(factor(-omega * k))
     coef = np.zeros(length * (terms // length + 1), dtype=complex)
-    coef[1:terms + 1] = np.concatenate(blocks)
-    series = np.fft.ifft(coef.reshape(-1, length).sum(axis=0))[gap:gap + n]
-    values = np.arange(gap, gap + n) / length + 2.0 * (length * series.real
-                                                       - coef.sum().real)
-    return np.clip(values, 0.0, 1.0), node.a_k * node.mu * omega, terms, tail
+    coef[1:terms + 1] = phi * np.exp(1j * shift * k) / (2j * pi * k)
+    # bin m of the half spectrum takes B_m + conj(B_{L-m}), B the terms folded mod L
+    folded = coef.reshape(-1, length).sum(axis=0)
+    folded[1:length // 2 + 1] += folded[:(length - 1) // 2:-1].conj()
+    folded[0] *= 2.0
+    series = np.fft.irfft(folded[:length // 2 + 1], length)[gap:gap + n]
+    values = np.arange(gap, gap + n) / length + length * series - 2.0 * coef.sum().real
+    return np.clip(values, 0.0, 1.0), omega, terms, tail
+
+
+def _table_range(mom: ContinuousMoments) -> tuple[float, float]:
+    """A table's first range: mean +/- 12 std of ``mom``, cut 2 std / 1,500
+    below the support infimum."""
+    sd = sqrt(mom.variance)
+    return (max(mom.mean - _SPAN_STDS * sd, mom.lower - 2.0 * sd / (_TABLE_POINTS - 1)),
+            mom.mean + _SPAN_STDS * sd)
+
+
+def _tabulate(log_cf, mom: ContinuousMoments, eps_prime: float, knots=None,
+              factor=None) -> tuple[np.ndarray, ...]:
+    """``_lattice_cdf`` of log_cf (and ``factor``) on ``_table_range``(mom)
+    in 1,500 steps, over knots(step) knots (1,501 when not given). The range
+    widens by 4 std a side until F's two ends are within 2 eps_prime of 0
+    and 1, six times at most, then warns. Returns (grid, F, delta, terms,
+    tail)."""
+    lo, hi = _table_range(mom)
+    sd, cells = sqrt(mom.variance), _TABLE_POINTS - 1
+    for widened in range(7):
+        if widened:
+            lo, hi = lo - 4.0 * sd, hi + 4.0 * sd
+        step = (hi - lo) / cells
+        n = _TABLE_POINTS if knots is None else knots(step)
+        values, *series = _lattice_cdf(log_cf, lo, step, n, eps_prime, factor)
+        if values[0] <= 2.0 * eps_prime and values[-1] >= 1.0 - 2.0 * eps_prime:
+            break
+    else:
+        warnings.warn("tabulation range extension did not converge", RuntimeWarning)
+    return (lo + step * np.arange(n), values, *series)
 
 
 def cdf_u(u: float, model: ObservationModel, node: NodeParams, h: int,
@@ -180,7 +229,8 @@ def cdf_u(u: float, model: ObservationModel, node: NodeParams, h: int,
         return float(u > hi)
     step = (hi - lo) / (n - 1)
     i = min(int((u - lo) // step), n - 1)
-    return float(_lattice_cdf(model, node, h, u - i * step, step, n, eps_prime)[0][i])
+    return float(_lattice_cdf(_u_log_cf(model, node, h), u - i * step, step, n,
+                              eps_prime)[0][i])
 
 
 def cdf_u_gaussian_closed(u, model: ObservationModel, node: NodeParams, h: int):
@@ -194,19 +244,17 @@ def cdf_u_gaussian_closed(u, model: ObservationModel, node: NodeParams, h: int):
 
 @dataclass(frozen=True, eq=False)
 class ContinuousCdfTable:
-    """Monotone tabulation of F_u with linear interpolation.
+    """Monotone tabulation of a CDF with linear interpolation: u's
+    (``tabulate_cdf_u``) or a node state's past its head PMF
+    (``steady_state.build_steady_state``).
 
-    Queries below/above the grid return 0/1; both table functions keep the tail
-    mass beyond the grid edges negligible, so out-of-range queries are
-    exact to the tabulation budget. ``mean`` and ``variance`` are the
-    closed-form moments of the tabulated law, not integrals of the table.
-    ``delta``, ``terms`` and ``tail`` describe the lattice series
-    (``_lattice_cdf``): the frequency step, as the step of Phi_w's
-    arguments; the number of terms summed; and the last block's residual
-    (nan, 0 and 0 for a ``normal_table``). A table folded with the
-    messages' digits (``steady_state._fold_digits``) holds its own: the
-    step of the state CF's argument, the bins kept and the dropped bins'
-    bound. ``ripple`` is the largest drop of the raw values before the
+    Queries below/above the grid return 0/1; ``_tabulate``'s range keeps
+    the tail mass beyond the grid edges negligible. ``mean`` and
+    ``variance`` are the closed-form moments of the tabulated law, not
+    integrals of the table. ``delta``, ``terms`` and ``tail`` describe the
+    lattice series (``_lattice_cdf``): the frequency step of the tabulated
+    variable's own CF, the number of terms and the last block's residual.
+    ``ripple`` is the largest drop of the raw values before the
     cumulative-max pass. ``grid`` and ``values`` are read-only views, in
     copies too: ``tabulate_cdf_u`` shares one table between callers.
     Queries read the private writable arrays behind them, since
@@ -250,8 +298,7 @@ class ContinuousCdfTable:
 
 
 def _monotone_table(grid, raw, mean: float, variance: float, eps_prime: float,
-                    delta: float = np.nan, terms: int = 0,
-                    tail: float = 0.0) -> ContinuousCdfTable:
+                    delta: float, terms: int, tail: float) -> ContinuousCdfTable:
     """Clamp raw F values to [0,1] and make them nondecreasing by a
     cumulative-max pass; the largest drop is kept as ``ripple``, and drops
     beyond 5 eps_prime raise a diagnostic warning."""
@@ -267,28 +314,13 @@ def _monotone_table(grid, raw, mean: float, variance: float, eps_prime: float,
                               ripple=float(worst))
 
 
-def normal_table(mean: float, variance: float) -> ContinuousCdfTable:
-    """Table of the N(mean, variance) CDF, ``models.normal_cdf``, at 1,501
-    knots on mean +/- 12 std; each edge carries Phi(-12) ~ 1.8e-33 of tail
-    mass. Linear interpolation on it is off by at most (24/1500)^2/8 times
-    phi(1) ~ 0.242, i.e. 7.7e-6."""
-    if not variance > 0:
-        raise ValueError(f"variance must be positive, got {variance}")
-    sd = sqrt(variance)
-    grid = np.linspace(mean - _SPAN_STDS * sd, mean + _SPAN_STDS * sd, _TABLE_POINTS)
-    return _monotone_table(grid, normal_cdf((grid - mean) / sd), mean, variance,
-                           DEFAULT_EPS_PRIME)
-
-
 def tabulate_cdf_u(model: ObservationModel, node: NodeParams, h: int,
                    eps_prime: float = DEFAULT_EPS_PRIME) -> ContinuousCdfTable:
     """F_u's monotone read-only table, one per (model, a_k, mu, h, eps_prime),
     models keyed by identity, shared by every caller: F_u reads a node only
-    through a_k and mu. The Gaussian model's u is normal: ``normal_table``
-    at its closed-form moments. Every other model takes ``_lattice_cdf`` at
-    1,501 knots on mean +/- 12 std, cut at the support infimum and widened
-    by 4 std a side until both edges carry at most 2 eps_prime of tail
-    mass, then the same monotone pass.
+    through a_k and mu. ``_tabulate`` of u's log-CF on its 1,501 knots, then
+    ``_monotone_table``. No production path reads it: the oracles and tests
+    do, and ``cdf_u`` takes its range.
     """
     return _table(model, node.a_k, node.mu, h, eps_prime)
 
@@ -299,21 +331,5 @@ def _table(model: ObservationModel, a_k: float, mu: float, h: int,
     """``tabulate_cdf_u``'s builder."""
     node = NodeParams(k=0, a_k=a_k, mu=mu, c_row=np.zeros(1))
     mom = moments(model, node, h)
-    if isinstance(model, GaussianModel):
-        return normal_table(mom.mean, mom.variance)
-    sd, cells = sqrt(mom.variance), _TABLE_POINTS - 1
-    lo = max(mom.mean - _SPAN_STDS * sd, mom.lower - 2.0 * sd / cells)
-    hi = mom.mean + _SPAN_STDS * sd
-    for _ in range(6):
-        values, *series = _lattice_cdf(model, node, h, lo, (hi - lo) / cells,
-                                       _TABLE_POINTS, eps_prime)
-        if values[0] <= 2.0 * eps_prime and values[-1] >= 1.0 - 2.0 * eps_prime:
-            break
-        lo -= 4.0 * sd
-        hi += 4.0 * sd
-    else:
-        warnings.warn("tabulation range extension did not converge", RuntimeWarning)
-        values, *series = _lattice_cdf(model, node, h, lo, (hi - lo) / cells,
-                                       _TABLE_POINTS, eps_prime)
-    return _monotone_table(np.linspace(lo, hi, _TABLE_POINTS), values, mom.mean,
-                           mom.variance, eps_prime, *series)
+    grid, values, *series = _tabulate(_u_log_cf(model, node, h), mom, eps_prime)
+    return _monotone_table(grid, values, mom.mean, mom.variance, eps_prime, *series)

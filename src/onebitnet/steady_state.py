@@ -5,32 +5,32 @@ u the geometric sum of its own statistics (``continuous``) and m_l,i the
 one-bit messages e_0 + d b, d = e_1 - e_0, b ~ Bernoulli(p_d under h=1,
 p_f under h=0). Their characteristic function is the closed-form
 product prod_l prod_i (1 - p + p e^{j w c_kl eta^i d}) (Peres, Schlag &
-Solomyak, 2000): ``build_steady_state`` multiplies it into the Fourier
-transform of u's table (``continuous.tabulate_cdf_u``, which nodes with
-equal a_k share), so one inversion gives the whole state's law in
-every regime, eta -> 1 included (Abate & Whitt, 1992). Digit levels too
-coarse for the table's lattice form an exact head PMF, and every
-``SteadyStateCdf`` is that PMF over the folded table, read as the direct
-sum sum_i nu_i F(y - z_i) (``mixture_cdf``). The closed-form
-cumulants live in ``state_cumulants``; the paper's star-aggregated
-message table (``discrete.discrete_component``) is measured against this
-law by ``validation.check_figure_cdfs``.
+Solomyak, 2000). ``build_steady_state`` inverts the state's log-CF, u's
+Phi_w(a_k mu t) plus that product's log, in one lattice Fourier series
+(``continuous._lattice_cdf``; Abate & Whitt, 1992), in every regime, eta
+-> 1 included. Digit levels too coarse for that lattice form an exact head
+PMF, and every ``SteadyStateCdf`` is that PMF over the state's table, read
+as the direct sum sum_i nu_i F(y - z_i) (``mixture_cdf``). The closed-form
+cumulants live in ``state_cumulants``; the paper's star-aggregated message
+table (``discrete.discrete_component``) is measured against this law by
+``validation.check_figure_cdfs``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from math import ceil, pi, sqrt
 
 import numpy as np
 
-from .continuous import (ContinuousCdfTable, DEFAULT_EPS_PRIME, _fft_length,
-                         _monotone_table, geometric_log_cf, tabulate_cdf_u)
+from .continuous import (_TABLE_POINTS, ContinuousCdfTable, DEFAULT_EPS_PRIME,
+                         _monotone_table, _table_range, _tabulate, _u_log_cf,
+                         geometric_log_cf, moments)
 from .discrete import DiscretePmf, convolve, point_mass
 from .models import ObservationModel
 from .network import NetworkSpec
 
-# digit levels move into the head until the folded table fits in this
+# digit levels move into the head until the state's table fits in this
 _MAX_LATTICE = 1 << 18
 
 
@@ -58,7 +58,7 @@ def state_cumulants(model: ObservationModel, network: NetworkSpec, k: int,
     with kappa_n(x) from ``model.cumulants``. The message xt is e_0 + d b
     with b ~ Bernoulli(p), d = e_1 - e_0 and p = p_d under h=1, p_f under
     h=0, so kappa_n(xt) = [n = 1] e_0 + d^n kappa_n(b), the bit's cumulants
-    being the ones ``_fold_digits`` folds.
+    being the tail ones of the digits' ``geometric_log_cf``.
     """
     node = network.node_params(k, mu)
     e0, e1 = model.message_values()
@@ -86,12 +86,13 @@ def mixture_cdf(y, pmf: DiscretePmf, cont: ContinuousCdfTable) -> np.ndarray:
     place, so memory stays at one array of y's size; every term is
     nonnegative, so capping the sum at 1 clips it. Most heads are one atom
     of mass 1, whose sum is the query itself, already in [0, 1] for a
-    table of ``_monotone_table``."""
-    y = np.atleast_1d(np.asarray(y, dtype=float))
+    table of ``_monotone_table``; at z = 0, y - z is y itself."""
+    y = np.array(y, dtype=float, copy=None, ndmin=1)
+    if pmf.size == 1 and pmf.probs[0] == 1.0:
+        z = pmf.points.item()
+        return cont(y - z if z else y)
     atoms = zip(pmf.points.tolist(), pmf.probs.tolist())
     z, nu = next(atoms)
-    if nu == 1.0 and pmf.probs.size == 1:
-        return cont(y - z)
     out = nu * cont(y - z)
     for z, nu in atoms:
         out += nu * cont(y - z)
@@ -101,7 +102,7 @@ def mixture_cdf(y, pmf: DiscretePmf, cont: ContinuousCdfTable) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class SteadyStateCdf:
     """Evaluable CDF of the steady-state node state under one hypothesis:
-    the head ``pmf`` over the folded table ``cont`` (``build_steady_state``),
+    the head ``pmf`` over the state's table ``cont`` (``build_steady_state``),
     each query the direct sum ``mixture_cdf``.
     """
 
@@ -113,7 +114,7 @@ class SteadyStateCdf:
     @property
     def table_error(self) -> float:
         """B = max|second difference of V| / 4 + max(v_0, 1 - v_last), with
-        v the folded table's values and V = (0, v, 1) the values its
+        v the table's values and V = (0, v, 1) the values its
         interpolation takes, limits included: the first term bounds the
         linear interpolation error between lattice points, the second what
         a query within one step outside the grid may miss. The head's
@@ -133,66 +134,39 @@ class SteadyStateCdf:
         return sqrt(self.cont.variance + self.pmf.variance())
 
 
-def _fold_size(u: ContinuousCdfTable, span: float, eta: float) -> int:
-    """Knots of u's table folded with digits whose first level spans
-    ``span``: u's, one more, and span / (1 - eta) in u's steps."""
-    step = (u.grid[-1] - u.grid[0]) / (u.grid.size - 1)
-    return u.grid.size + 1 + ceil(span / (1.0 - eta) / step)
-
-
-def _fold_digits(u: ContinuousCdfTable, w: np.ndarray, n: np.ndarray, p: float,
-                 eta: float, eps_prime: float) -> tuple[np.ndarray, float, int, float]:
-    """F of u + sum_g w_g sum_i eta^i B_g,i, B_g,i ~ Binomial(n_g, p), on
-    u's lattice from u.grid[0] over ``_fold_size`` knots.
-
-    The rfft Q of u's cell masses is multiplied below the first bin K with
-    (2/pi) sum_{i>=K} |Q_i|/i < eps_prime/20 (``continuous._lattice_cdf``'s
-    rule; later bins are dropped) by the digits' closed-form CF
-    exp(sum_g n_g sum_i log(q + p e^{-j w_g eta^i omega})), each group's sum
-    one ``geometric_log_cf`` of ``_bit_log_cf``; an irfft and a cumulative
-    sum give F. Returns (F, delta, terms, tail) as ``_lattice_cdf`` does:
-    delta the step of omega, terms = K - 1 bins kept past bin 0, and tail
-    the dropped bins' bound, the digits' CF being at most 1 in modulus.
-    """
-    step = (u.grid[-1] - u.grid[0]) / (u.grid.size - 1)
-    size = _fold_size(u, float(n @ w), eta)
-    length = _fft_length(size)
-    spec = np.fft.rfft(np.diff(u.values, prepend=0.0, append=1.0), length)
-    tail = np.cumsum(np.abs(spec[:0:-1]) / np.arange(spec.size - 1, 0, -1))[::-1]
-    tail = np.append(tail * (2.0 / pi), 0.0)
-    cut = 1 + int(np.argmax(tail < eps_prime / 20.0))
-    delta = 2.0 * pi / (length * step)
-    omega = delta * np.arange(cut)
-    bit, kappa = partial(_bit_log_cf, p), _bit_cumulants(p)
-    spec[:cut] *= np.exp(sum(count * geometric_log_cf(bit, kappa, pi, eta, -weight * omega)
-                             for weight, count in zip(w, n)))
-    spec[cut:] = 0.0
-    return (np.cumsum(np.fft.irfft(spec, length)[:size]), delta, cut - 1,
-            float(tail[cut - 1]))
-
-
 def build_steady_state(model: ObservationModel, network: NetworkSpec, k: int,
                        h: int, mu: float, *,
                        eps_prime: float = DEFAULT_EPS_PRIME) -> SteadyStateCdf:
     """Construct the analytical steady-state CDF for node k under h.
 
     Neighbours with equal c_kl form a group g of n_g, whose digit level i
-    adds c_g eta^i d Binomial(n_g, p). While the folded table would exceed
-    ``_MAX_LATTICE`` points, whole digit levels move into the exact head
-    PMF; ``_fold_digits`` folds the rest into u's shared read-only table
-    from ``tabulate_cdf_u`` (aliasing budget ``eps_prime``). The folded
-    table's mean and variance are ``state_cumulants``' kappa_1 and kappa_2
-    minus the head's. A head too large for ``discrete.convolve`` raises a
-    ValueError naming the node, h, mu and the levels moved.
+    adds w_g eta^i Binomial(n_g, p), w_g = c_g d. ``continuous._tabulate``
+    inverts u's log-CF shifted by the messages' floor, Phi_w(a_k mu t) +
+    j t sum_g n_g c_g e_0 / (1 - eta) (``_u_log_cf``), on u's lattice so
+    shifted and run on by one knot and the digits' span. The digits'
+    closed-form CF, one ``geometric_log_cf`` of ``_bit_log_cf`` per group,
+    multiplies the kept terms. While the table would exceed
+    ``_MAX_LATTICE`` knots at the first range's step, whole digit levels
+    move into the exact head PMF. The table's mean and variance are
+    ``state_cumulants``' kappa_1 and kappa_2 minus the head's. A head too
+    large for ``discrete.convolve`` raises a ValueError naming the node, h,
+    mu and the levels moved.
     """
     node = network.node_params(k, mu)
-    u = tabulate_cdf_u(model, node, h, eps_prime=eps_prime)
     e0, e1 = model.message_values()
     p = model.p_d if h == 1 else model.p_f
     c, n = np.unique(node.c_row[node.c_row > 0], return_counts=True)
     w, eta = c * (e1 - e0), node.eta
+    shift, span = float(n @ c) * e0 / (1.0 - eta), float(n @ w) / (1.0 - eta)
+    mom = moments(model, node, h)
+    mom = replace(mom, mean=mom.mean + shift, lower=mom.lower + shift)
+    lo, hi = _table_range(mom)
     levels = 0
-    while _fold_size(u, float(n @ (w * eta ** levels)), eta) > _MAX_LATTICE:
+
+    def knots(step: float) -> int:  # reads the final levels when tabulating
+        return _TABLE_POINTS + 1 + ceil(span * eta ** levels / step)
+
+    while knots((hi - lo) / (_TABLE_POINTS - 1)) > _MAX_LATTICE:
         levels += 1
     try:
         head = convolve([DiscretePmf(np.array([0.0, wl * eta ** i]), np.array([1.0 - p, p]))
@@ -202,9 +176,15 @@ def build_steady_state(model: ObservationModel, network: NetworkSpec, k: int,
         raise ValueError(f"node {k}, h = {h}, mu = {mu}: the {levels} digit levels "
                          f"that keep the folded table within _MAX_LATTICE = "
                          f"{_MAX_LATTICE} knots make too large a head ({exc})") from exc
-    values, *series = _fold_digits(u, w * eta ** levels, n, p, eta, eps_prime)
-    step = (u.grid[-1] - u.grid[0]) / (u.grid.size - 1)
-    grid = u.grid[0] + float(n @ c) * e0 / (1.0 - eta) + step * np.arange(values.size)
+    bit, kappa = partial(_bit_log_cf, p), _bit_cumulants(p)
+
+    def digits(t):
+        return sum(count * geometric_log_cf(bit, kappa, pi, eta, weight * eta ** levels * t)
+                   for weight, count in zip(w, n))
+
+    own = _u_log_cf(model, node, h)
+    grid, values, *series = _tabulate(lambda t: own(t) + 1j * shift * t, mom, eps_prime,
+                                      knots, digits)
     kappa1, kappa2, _ = state_cumulants(model, network, k, h, mu)
     cont = _monotone_table(grid, values, kappa1 - head.mean(),
                            kappa2 - head.variance(), eps_prime, *series)

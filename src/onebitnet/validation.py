@@ -6,8 +6,10 @@ their closed-form expansions, and distributions are compared through
 Kolmogorov-Smirnov distances. ``iterate_scheme`` drives the production
 update kernel (``simulate.make_step``), so the closed-form expansions
 check the step that ``run`` uses, and the Gaussian series check runs the
-lattice Fourier series that ``tabulate_cdf_u`` uses for non-Gaussian
-models (``continuous._lattice_cdf``) against the closed form. The Theorem-2 check
+lattice Fourier series behind every table (``continuous._lattice_cdf``) on
+u's log-CF against the closed form. The paper's star-table PMF is mixed
+over u's table (``tabulate_cdf_u``) and held to the exact law that
+``build_steady_state`` inverts from the state's own CF. The Theorem-2 check
 compares against the limit normal plus its first-order Edgeworth term,
 whose skew comes from closed-form cumulants. The check suite mirrors the
 package's acceptance criteria and backs the ``validate`` CLI subcommand.
@@ -20,8 +22,8 @@ from math import pi, sqrt
 
 import numpy as np
 
-from .continuous import (DEFAULT_EPS_PRIME, _lattice_cdf, cdf_u_gaussian_closed,
-                         moments, tabulate_cdf_u)
+from .continuous import (DEFAULT_EPS_PRIME, _lattice_cdf, _u_log_cf,
+                         cdf_u_gaussian_closed, moments, tabulate_cdf_u)
 from .detection import RocCurve, default_gamma_grid, empirical_roc, roc
 from .discrete import (BernoulliApproxSpec, DiscretePmf, discrete_component,
                        table_first_order, table_second_order)
@@ -197,8 +199,8 @@ def check_gaussian_series(quick: bool = False) -> list[CheckResult]:
             mom = moments(model, node, h)
             sd = sqrt(mom.variance)
             lo, n = mom.mean - 5 * sd, 21 if quick else 101
-            # the lattice series tabulate_cdf_u runs for non-Gaussian models
-            series = _lattice_cdf(model, node, h, lo, 10 * sd / (n - 1), n,
+            # the lattice series behind every table, on u's log-CF
+            series = _lattice_cdf(_u_log_cf(model, node, h), lo, 10 * sd / (n - 1), n,
                                   DEFAULT_EPS_PRIME)[0]
             closed = cdf_u_gaussian_closed(np.linspace(lo, lo + 10 * sd, n), model,
                                            node, h)

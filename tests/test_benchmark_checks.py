@@ -27,9 +27,10 @@ def test_worker_checks_pass(workload):
 
 def test_traced_pass_counts_the_continuous_layer(tmp_path):
     """One traced ``analytic_exponential`` pass: no operation fails, and the
-    tracer sees the u tables and their log-CF calls. Its point counter reads
-    ``log_cf_w``'s fourth positional argument or its ``t=`` keyword, so a
-    call that passes neither would break the per-layer numbers."""
+    tracer sees the state builds and the log-CF calls inside them. Its point
+    counter reads ``log_cf_w``'s fourth positional argument or its ``t=``
+    keyword, so a call that passes neither would break the per-layer
+    numbers."""
     proc = subprocess.run(
         [sys.executable, "perfbench/worker.py", "--workload", "analytic_exponential",
          "--seed", "0", "--src", "src", "--trace", str(tmp_path / "t.json")],
@@ -38,6 +39,6 @@ def test_traced_pass_counts_the_continuous_layer(tmp_path):
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["ops"] and [op for op in result["ops"] if op[3] is not None] == []
     layers = result["trace"]["layers"]
+    assert layers["steady_state.build_steady_state"]["calls"] > 0
     assert layers["continuous.log_cf_w"]["calls"] > 0
-    assert layers["continuous.tabulate_cdf_u"]["calls"] > 0
     assert result["trace"]["counts"]["continuous.log_cf_w.points"] > 0

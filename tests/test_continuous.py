@@ -9,8 +9,8 @@ from onebitnet import (ExponentialModel, GaussianModel, build_uniform_matrix,
                        cdf_u, cdf_u_gaussian_closed, moments, reference_topology,
                        tabulate_cdf_u)
 from onebitnet import continuous
-from onebitnet.continuous import (InversionError, _lattice_cdf, geometric_log_cf,
-                                  log_cf_w)
+from onebitnet.continuous import (InversionError, _lattice_cdf, _u_log_cf,
+                                  geometric_log_cf, log_cf_w)
 from onebitnet.network import NodeParams
 from onebitnet.simulate import ks_distance
 from onebitnet.steady_state import _bit_cumulants, _bit_log_cf
@@ -134,7 +134,8 @@ def oracle_arguments(tau):
 
 class TestGeometricLogCf:
     """One routine sums log_cf(eta^i t) over i for the node's own statistic
-    (log_cf_w) and for its neighbours' bits (``_fold_digits``); both agree
+    (log_cf_w) and for its neighbours' bits (``build_steady_state``'s
+    digits); both agree
     with the term-by-term sum within 1e-8 at real and complex t."""
 
     @pytest.mark.parametrize("eta", ETAS)
@@ -203,7 +204,7 @@ class TestSelectDelta:
     def test_reference_point_frozen(self, expo5):
         # lower-bounded support: the range starts 2 std/1500 below the
         # support infimum and ends 12 std above the mean; 1,501 knots take
-        # a 3,000-knot period, so delta = 2 pi a mu / (3000 step)
+        # a 1,536-knot period, so delta = 2 pi / (1536 step)
         node = node_for(0.5)
         mom = moments(expo5, node, 0)
         sd = np.sqrt(mom.variance)
@@ -211,8 +212,7 @@ class TestSelectDelta:
         step = (mom.mean + 12 * sd - (lower - 2 * sd / 1500)) / 1500
         table = tabulate_cdf_u(expo5, node, 0)
         assert table.grid[0] == pytest.approx(lower - 2 * sd / 1500, rel=1e-12)
-        np.testing.assert_allclose(table.delta, 2 * np.pi * 0.05 / (3000 * step),
-                                   rtol=1e-12)
+        np.testing.assert_allclose(table.delta, 2 * np.pi / (1536 * step), rtol=1e-12)
 
     def test_below_support_is_zero_without_step(self, expo5, monkeypatch):
         # below the table's range cdf_u reads 0 from the shared table's
@@ -266,8 +266,9 @@ class TestCdfU:
             mom = moments(gauss1, node, h)
             sd = np.sqrt(mom.variance)
             lo, hi = mom.mean - 5 * sd, mom.mean + 5 * sd
-            # the lattice series tabulate_cdf_u runs for non-Gaussian models
-            series = _lattice_cdf(gauss1, node, h, lo, (hi - lo) / 100, 101, 2e-5)[0]
+            # the lattice series tabulate_cdf_u runs for every model
+            series = _lattice_cdf(_u_log_cf(gauss1, node, h), lo, (hi - lo) / 100, 101,
+                                  2e-5)[0]
             closed = cdf_u_gaussian_closed(np.linspace(lo, hi, 101), gauss1, node, h)
             np.testing.assert_allclose(series, closed, atol=1e-4)
 
@@ -445,14 +446,20 @@ class TestGridEngine:
         node = node_for(0.5)
         table = tabulate_cdf_u(expo5, node, 1)
         step = (table.grid[-1] - table.grid[0]) / 1500
-        values, delta, terms, tail = _lattice_cdf(expo5, node, 1, table.grid[0], step,
-                                                  1501, 2e-5)
+        values, delta, terms, tail = _lattice_cdf(_u_log_cf(expo5, node, 1), table.grid[0],
+                                                  step, 1501, 2e-5)
         assert (table.delta, table.terms, table.tail) == (delta, terms, tail)
-        # 1,501 knots take a 3,000-knot period; delta steps Phi_w's argument
-        np.testing.assert_allclose(delta, 2 * np.pi * 0.05 / (3000 * step), rtol=1e-12)
-        assert terms % 512 == 0 and 0 < tail < 2e-5 / 20
+        # 1,501 knots take a 1,536-knot period; delta steps u's own CF
+        np.testing.assert_allclose(delta, 2 * np.pi / (1536 * step), rtol=1e-12)
+        assert terms % 128 == 0 and 0 < tail < 2e-5 / 20
         drops = -np.diff(values)
         assert table.ripple == max(0.0, drops.max())
-        closed = tabulate_cdf_u(gauss1, node, 1)
-        assert closed.terms == 0 and closed.tail == 0.0 and np.isnan(closed.delta)
-        assert closed.ripple == 0.0
+        # the Gaussian model's u takes the same series, normal to rounding
+        normal = tabulate_cdf_u(gauss1, node, 1)
+        step = (normal.grid[-1] - normal.grid[0]) / 1500
+        np.testing.assert_allclose(normal.delta, 2 * np.pi / (1536 * step), rtol=1e-12)
+        assert normal.terms % 128 == 0 and 0 < normal.tail < 2e-5 / 20
+        np.testing.assert_allclose(normal.values, cdf_u_gaussian_closed(normal.grid, gauss1,
+                                                                        node, 1),
+                                   rtol=0, atol=1e-14)
+        assert normal.ripple <= 1e-15

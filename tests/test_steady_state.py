@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import itertools
+import math
 import pickle
 
 import numpy as np
@@ -10,12 +11,13 @@ from scipy.stats import norm
 
 from onebitnet import (ExponentialModel, GaussianModel, RocCurve,
                        build_steady_state, build_uniform_matrix, cdf_u,
-                       default_gamma_grid, discrete_component, from_matrix,
+                       cdf_u_gaussian_closed, default_gamma_grid,
+                       discrete_component, from_matrix,
                        limit_moments, mixture_cdf, moments, roc,
                        state_cumulants, steady_state_pair, tabulate_cdf_u)
 from onebitnet import continuous, steady_state
 from onebitnet.continuous import (ContinuousCdfTable, DEFAULT_EPS_PRIME,
-                                  _TABLE_CACHE_SIZE, _table, normal_table)
+                                  _TABLE_CACHE_SIZE, _table)
 from onebitnet.discrete import DiscretePmf, point_mass
 from onebitnet.models import normal_cdf
 from onebitnet.simulate import hypothesis_ensembles, ks_distance
@@ -85,12 +87,6 @@ class TestGaussianLimitCdf:
         assert isinstance(curve, RocCurve)
         assert min(curve.pf[0], curve.pd[0]) >= 1 - 1e-4
         assert max(curve.pf[-1], curve.pd[-1]) <= 1e-4
-
-    def test_rejects_degenerate_scale(self):
-        # normal_table, the Gaussian model's table of u
-        for variance in (0.0, -1.0, np.nan):
-            with pytest.raises(ValueError, match="variance must be positive"):
-                normal_table(0.0, variance)
 
 
 class TestMixtureCdf:
@@ -193,21 +189,25 @@ class TestMixtureCdf:
 
     def test_table_error(self, gauss1):
         # B = max|second difference of (0, v, 1)| / 4 + max(v_0, 1 - v_last):
-        # the normal table of u has the curvature term (24/1500)^2 phi(1)/4 ~
-        # 1.5e-5, and folding the messages in on u's step averages u's second
-        # differences, so it cannot raise them; a uniform law's table has no
-        # interior curvature, only its two kinks
+        # the Gaussian model's table of u, normal on 1,501 knots over +/- 12
+        # std, has the curvature term (24/1500)^2 phi(1)/4 ~ 1.5e-5, and the
+        # state's table on u's step adds the messages' digits to u, which
+        # averages u's second differences, so it cannot raise them; a
+        # uniform law's table has no interior curvature, only its two kinks
         cdf = build_steady_state(gauss1, make_network(0.25), 3, 1, 0.1)
         assert 0.0 < cdf.table_error < 1.6e-5
         # B bounds the table's linear interpolation against the law it
-        # tabulates, and a head's query inherits it: two atoms over the
-        # 1,501-knot normal table against the exact normal mixture
-        cont = normal_table(0.0, 1.0)
+        # tabulates, and a head's query inherits it: two atoms over u's
+        # table against the exact normal mixture
+        node = make_network(0.25).node_params(3, 0.1)
+        cont = tabulate_cdf_u(gauss1, node, 1)
+        sd = np.sqrt(cont.variance)
         cdf = SteadyStateCdf(node=3, h=1, cont=cont,
-                             pmf=DiscretePmf(points=np.array([-0.3, 0.7]),
+                             pmf=DiscretePmf(points=np.array([-0.3, 0.7]) * sd,
                                              probs=np.array([0.4, 0.6])))
-        ys = np.linspace(-14.0, 14.0, 28_001)
-        exact = normal_cdf(ys[:, None] - cdf.pmf.points) @ cdf.pmf.probs
+        ys = cont.mean + sd * np.linspace(-14.0, 14.0, 28_001)
+        exact = cdf_u_gaussian_closed(ys[:, None] - cdf.pmf.points, gauss1, node,
+                                      1) @ cdf.pmf.probs
         worst = np.max(np.abs(cdf(ys) - exact))
         assert cdf.table_error / 4 < worst <= cdf.table_error
         uniform = ContinuousCdfTable(grid=np.linspace(0.0, 1.0, 11),
@@ -412,9 +412,9 @@ def spy_on_tables(monkeypatch):
 
 class TestContinuousTableCache:
     """``tabulate_cdf_u`` builds F_u's table once per (model, a_k, mu, h,
-    eps_prime) and hands that one object to every caller:
-    ``build_steady_state``, which folds each node's own messages into it,
-    ``cdf_u`` and direct calls."""
+    eps_prime) and hands that one object to every caller: ``cdf_u`` and
+    direct calls. ``build_steady_state`` inverts the state's own CF and
+    reads no table of u."""
 
     @pytest.mark.parametrize("model_name", ["gauss", "expo"])
     def test_nodes_with_equal_self_weight_share_one_table(self, gauss1, expo5,
@@ -427,6 +427,9 @@ class TestContinuousTableCache:
         for h in (0, 1):
             hub = build_steady_state(model, net, 3, h, 0.1)
             leaf = build_steady_state(model, net, 9, h, 0.1)
+            assert len(seen) == 4 * h
+            for k in (3, 9):
+                tabulate_cdf_u(model, net.node_params(k, 0.1), h)
             table = tabulate_cdf_u(model, other, h)
             cdf_u(table.mean, model, other, h)
             assert len(seen) == 4 * (h + 1)
@@ -464,15 +467,15 @@ class TestContinuousTableCache:
             # node 0 keeps a_k = 0.5, node 1 has a_k = 0.6
             net, k = from_matrix([[0.5, 0.5], [0.4, 0.6]]), 1
         seen = spy_on_tables(monkeypatch)
-        build_steady_state(model, net, k, h, mu, eps_prime=eps_prime)
+        node = net.node_params(k, mu)
+        cdf_u(base.mean, model, node, h, eps_prime)
         other = seen[0]
         assert other is not base
-        node = net.node_params(k, mu)
         assert same_table(other, _table.__wrapped__(model, node.a_k, mu, h, eps_prime))
         assert tabulate_cdf_u(model, node, h, eps_prime=eps_prime) is other
         if change == "a_k":
             # equal a_k and mu in another network: the same table
-            build_steady_state(expo5, net, 0, 1, 0.1)
+            tabulate_cdf_u(expo5, net.node_params(0, 0.1), 1)
             assert seen[-1] is base
 
     def test_one_build_per_key_through_the_module_name(self, monkeypatch):
@@ -483,23 +486,23 @@ class TestContinuousTableCache:
         real = continuous._lattice_cdf
 
         def record(*args):
-            calls.append(args[2])
+            calls.append(args[3])
             return real(*args)
 
         monkeypatch.setattr(continuous, "_lattice_cdf", record)
         model, net = ExponentialModel(5.0), make_network(0.5)
-        for k in (3, 9):
-            steady_state_pair(model, net, k, 0.1)
-        assert calls == [0, 1]
+        for k, h in itertools.product((3, 9), (0, 1)):
+            tabulate_cdf_u(model, net.node_params(k, 0.1), h)
+        assert calls == [1501, 1501]
         # with its table built, a point in range takes one shifted lattice
         node = net.node_params(9, 0.1)
         cdf_u(tabulate_cdf_u(model, node, 1).mean, model, node, 1)
-        assert calls == [0, 1, 1]
+        assert calls == [1501, 1501, 1501]
 
     def test_cache_stays_within_its_bound(self, gauss1):
         net = make_network(0.5)
         for i in range(_TABLE_CACHE_SIZE + 5):
-            build_steady_state(GaussianModel(1.0 + i / 64), net, 9, 1, 0.1)
+            tabulate_cdf_u(GaussianModel(1.0 + i / 64), net.node_params(9, 0.1), 1)
         info = _table.cache_info()
         assert info.maxsize == _TABLE_CACHE_SIZE == 32
         assert info.currsize == _TABLE_CACHE_SIZE
@@ -518,9 +521,9 @@ UNEQUAL = [[0.4, 0.35, 0.25], [0.3, 0.5, 0.2], [0.1, 0.3, 0.6]]
 
 
 class TestExactLaw:
-    """The whole state's law: the messages' closed-form characteristic
-    function folded into u's table, with a head PMF for digit levels too
-    coarse for the table's lattice."""
+    """The whole state's law: one lattice series of u's log-CF times the
+    messages' closed-form characteristic function, with a head PMF for
+    digit levels too coarse for the table's lattice."""
 
     @pytest.mark.parametrize("case", ["leaf_mu0.01", "hub_mu0.001",
                                       "expo_a0.99_mu0.01", "unequal_weights"])
@@ -555,20 +558,26 @@ class TestExactLaw:
 
     @pytest.mark.parametrize("levels", [1, 2])
     def test_head_split_keeps_the_law(self, gauss1, monkeypatch, levels):
-        # a lattice bound equal to the folded table's size with `levels`
-        # digit levels moved (the size rule of steady_state._fold_size)
-        # forces exactly that head, on a table of exactly that many knots;
-        # one knot less moves one more level. The law stays the same within
-        # the two tables' interpolation errors
+        # a lattice bound equal to the state table's size with `levels`
+        # digit levels moved forces exactly that head, on a table of exactly
+        # that many knots; one knot less moves one more level. That size is
+        # u's 1,501 knots, one more, and the remaining digits' span
+        # n.w eta^levels / (1 - eta) in u's steps. The law stays the same
+        # within the two tables' interpolation errors
         net = make_network(0.5)
         node = net.node_params(3, 0.1)
         whole = build_steady_state(gauss1, net, 3, 1, 0.1)
         u = tabulate_cdf_u(gauss1, node, 1)
+        step = (u.grid[-1] - u.grid[0]) / (u.grid.size - 1)
         e0, e1 = gauss1.message_values()
         c, n = np.unique(node.c_row[node.c_row > 0], return_counts=True)
-        w = c * (e1 - e0)
-        assert steady_state._fold_size(u, float(n @ w), node.eta) == whole.cont.grid.size
-        cap = steady_state._fold_size(u, float(n @ (w * node.eta ** levels)), node.eta)
+        span = float(n @ (c * (e1 - e0))) / (1 - node.eta)
+
+        def size(moved):
+            return u.grid.size + 1 + math.ceil(span * node.eta ** moved / step)
+
+        assert size(0) == whole.cont.grid.size
+        cap = size(levels)
         monkeypatch.setattr(steady_state, "_MAX_LATTICE", cap)
         split = build_steady_state(gauss1, net, 3, 1, 0.1)
         assert split.pmf.size == 6 ** levels
@@ -585,14 +594,15 @@ class TestExactLaw:
                                                 ("expo", 0.5, 3)])
     def test_folded_table_records_its_series(self, gauss1, expo5, model_name, a, k):
         # delta steps the state CF's argument over the FFT's period, terms
-        # counts the bins kept past bin 0 and tail bounds the dropped ones
+        # counts the series' terms, whole blocks of 128, and tail bounds the
+        # last block
         model = gauss1 if model_name == "gauss" else expo5
         for cdf in steady_state_pair(model, make_network(a), k, 0.1):
             grid = cdf.cont.grid
             step = (grid[-1] - grid[0]) / (grid.size - 1)
             period = continuous._fft_length(grid.size) * step
             assert cdf.cont.delta == pytest.approx(2 * np.pi / period, rel=1e-12)
-            assert 0 < cdf.cont.terms < grid.size
+            assert 0 < cdf.cont.terms < grid.size and cdf.cont.terms % 128 == 0
             assert 0 < cdf.cont.tail < DEFAULT_EPS_PRIME / 20
 
     @pytest.mark.parametrize("k", [3, 9])
@@ -609,7 +619,7 @@ class TestExactLaw:
 
     def test_explicit_digit_cutoff(self, gauss1, expo5, monkeypatch):
         # taking explicit terms down to a tenth of continuous._TAIL_ARG, both
-        # in u's table and in the digits' fold, moves no table by more than 1e-9
+        # in u's log-CF and in the digits' CF, moves no table by more than 1e-9
         cases = [(gauss1, make_network(0.5), 9, 0.01), (gauss1, make_network(0.1), 3, 0.1),
                  (expo5, make_network(0.99), 3, 0.01), (expo5, from_matrix(UNEQUAL), 0, 0.1),
                  (expo5, make_network(0.995), 3, 0.003)]
@@ -638,15 +648,18 @@ class TestExactLaw:
             edgeworth = np.max(np.abs(cdf(m + s * zs) - edgeworth_cdf(gamma)(zs)))
             assert edgeworth <= abs(gamma) / np.sqrt(2 * np.pi) / 60 + 1e-5
 
-    @pytest.mark.parametrize("rho,a", [(1.0, 0.25), (0.5, 0.1)])
+    @pytest.mark.parametrize("rho,a,mu", [pytest.param(1.0, 0.25, 0.1, id="1.0-0.25"),
+                                          pytest.param(0.5, 0.1, 0.1, id="0.5-0.1"),
+                                          pytest.param(0.5, 0.25, 0.003, id="0.5-0.25-0.003")])
     @pytest.mark.parametrize("h", [0, 1])
-    def test_gaussian_leaf_matches_every_digit_pattern(self, rho, a, h):
+    def test_gaussian_leaf_matches_every_digit_pattern(self, rho, a, mu, h):
         # an oracle with no Fourier method: node 9's one neighbour sends
         # c (e_0 + d b_i) eta^i; all 2^14 patterns of its first 14 bits,
-        # the rest at their mean, mix normal CDFs of u. The rest's spread
-        # moves F by at most 2e-8
+        # the rest at their mean, mix normal CDFs of u. The rest's variance
+        # is at most c^2 d^2 eta^28 / (4 (1 - eta^2)), under 1e-17 here, so
+        # replacing it by its mean moves F by far less than the 1e-8 bound
         model, net = GaussianModel(rho), make_network(a)
-        node = net.node_params(9, 0.1)
+        node = net.node_params(9, mu)
         (c,) = node.c_row[node.c_row > 0]
         e0, e1 = model.message_values()
         p, eta, n_bits = (model.p_d if h == 1 else model.p_f), node.eta, 14
@@ -659,7 +672,7 @@ class TestExactLaw:
         below = np.concatenate(([0.0], np.cumsum(prob)))
         mom = moments(model, node, h)
         sd = np.sqrt(mom.variance)
-        cdf = build_steady_state(model, net, 9, h, 0.1)
+        cdf = build_steady_state(model, net, 9, h, mu)
         assert cdf.pmf.points.tolist() == [0.0]
         knots = cdf.cont.grid
         exact = np.empty_like(knots)
@@ -668,4 +681,19 @@ class TestExactLaw:
             x = knots[i:i + 64] - mom.mean
             lo, hi = np.searchsorted(z, [x[0] - 9 * sd, x[-1] + 9 * sd])
             exact[i:i + 64] = below[lo] + ndtr((x[:, None] - z[lo:hi]) / sd) @ prob[lo:hi]
-        assert np.max(np.abs(cdf(knots) - exact)) <= 1e-6
+        assert np.max(np.abs(cdf(knots) - exact)) <= 1e-8
+
+    @pytest.mark.parametrize("lam", [5.0, 8.0])
+    def test_range_widens_until_the_ends_are_within_budget(self, lam):
+        # at eps_prime = 1e-7 the exponential leaf's first range (u's mean
+        # +/- 12 std, cut at the support, then the digits' span) leaves more
+        # than 2 eps_prime at an end; the range widens by 4 std of u a side
+        # and the widened lattice's ends read within 2 eps_prime of 0 and 1
+        model, net, eps_prime = ExponentialModel(lam), make_network(0.1), 1e-7
+        node = net.node_params(9, 0.1)
+        sd = np.sqrt(moments(model, node, 1).variance)
+        first = build_steady_state(model, net, 9, 1, 0.1).cont.grid
+        cdf = build_steady_state(model, net, 9, 1, 0.1, eps_prime=eps_prime)
+        assert cdf.cont.grid[0] == pytest.approx(first[0] - 4 * sd, rel=1e-12)
+        assert cdf.cont.values[0] <= 2 * eps_prime
+        assert cdf.cont.values[-1] >= 1 - 2 * eps_prime
