@@ -8,6 +8,8 @@ from typing import Any
 
 import yaml
 
+from .continuous import DEFAULT_EPS_PRIME
+from .detection import DEFAULT_GRID_POINTS, DEFAULT_SPAN_STDS
 from .models import ExponentialModel, GaussianModel, ObservationModel
 from .network import (NetworkSpec, build_uniform_matrix,
                       neighbor_sets_from_edges, reference_topology, whole_number)
@@ -221,10 +223,10 @@ def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
 
     _require_keys(tree, "analysis", ("eps_prime", "gamma_grid"))
     _require_keys(tree, "analysis.gamma_grid", ("points", "std_span"))
-    eps_prime = _get_number(tree, "analysis.eps_prime", 2e-5)
+    eps_prime = _get_number(tree, "analysis.eps_prime", DEFAULT_EPS_PRIME)
     _require_range(eps_prime, "analysis.eps_prime", 0.0, 1.0)
-    gamma_points = _get_number(tree, "analysis.gamma_grid.points", 241, int)
-    gamma_span = _get_number(tree, "analysis.gamma_grid.std_span", 6.0)
+    gamma_points = _get_number(tree, "analysis.gamma_grid.points", DEFAULT_GRID_POINTS, int)
+    gamma_span = _get_number(tree, "analysis.gamma_grid.std_span", DEFAULT_SPAN_STDS)
     _require_range(gamma_points, "analysis.gamma_grid.points", 2, float("inf"),
                    lo_open=False)
     _require_range(gamma_span, "analysis.gamma_grid.std_span", 0.0, float("inf"))

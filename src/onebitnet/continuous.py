@@ -18,20 +18,20 @@ multiply the kept terms without entering that rule: ``steady_state``
 passes u's term as K and the neighbours' digits as that factor.
 ``_tabulate`` sets every table's range, 1,501 knots on u's mean +/- 12 std,
 widened until both ends are within 2 eps_prime of 0 and 1.
-``tabulate_cdf_u`` keeps u's table, K(t) = Phi_w(a_k mu t), one per (model,
-a_k, mu, h, eps_prime), and ``cdf_u`` shifts its lattice so that a point
-is a knot: oracles, as is the Gaussian closed form ``cdf_u_gaussian_closed``.
+``tabulate_cdf_u`` tabulates u, K(t) = Phi_w(a_k mu t), and ``cdf_u``
+shifts its lattice so that a point is a knot: oracles, as is the Gaussian
+closed form ``cdf_u_gaussian_closed``. No production path reads u alone,
+as the state inverts its own CF.
 """
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 from math import factorial, pi, sqrt
 
 import numpy as np
 
-from .models import GaussianModel, ObservationModel, normal_cdf
+from .models import GaussianModel, ObservationModel, as_hypothesis, normal_cdf
 from .network import NodeParams
 
 DEFAULT_EPS_PRIME = 2e-5
@@ -43,7 +43,6 @@ _EVAL_CHUNK = 512
 _MAX_TERMS = 4_000_000
 _SPAN_STDS = 12.0  # half-width of the initial tabulation range, in stds
 _TABLE_POINTS = 1501
-_TABLE_CACHE_SIZE = 32  # tables of u kept: both hypotheses of 16 (model, a_k, mu)
 
 
 def _freeze_copy(self, state):
@@ -69,8 +68,11 @@ def moments(model: ObservationModel, node: NodeParams, h: int) -> ContinuousMome
     """Closed-form steady-state moments of u = a_k mu w.
 
     mean = a_k mu E_h x / (1 - eta), variance = a_k^2 mu^2 V_h x / (1 - eta^2).
-    The support of u is bounded below by a_k mu inf(x) / (1 - eta).
+    The support of u is bounded below by a_k mu inf(x) / (1 - eta). Every
+    analytic law of u or of a node state checks its h here or in
+    ``steady_state.state_cumulants`` (``models.as_hypothesis``).
     """
+    h = as_hypothesis(h)
     s = node.a_k * node.mu
     mean = s * model.mean(h) / (1.0 - node.eta)
     variance = s * s * model.variance(h) / (1.0 - node.eta ** 2)
@@ -218,8 +220,8 @@ def cdf_u(u: float, model: ObservationModel, node: NodeParams, h: int,
           eps_prime: float = DEFAULT_EPS_PRIME) -> float:
     """CDF of the steady-state continuous component at u, clamped to [0,1].
 
-    ``_lattice_cdf`` on the lattice of u's shared table (``tabulate_cdf_u``,
-    for every model), shifted so that u is a knot; 0 below that range and 1
+    ``_lattice_cdf`` on the lattice of u's table (``tabulate_cdf_u``, for
+    every model), shifted so that u is a knot; 0 below that range and 1
     above it, as the table reads. Requires an absolutely continuous limit
     (true for any model whose statistic has a density).
     """
@@ -256,7 +258,7 @@ class ContinuousCdfTable:
     variable's own CF, the number of terms and the last block's residual.
     ``ripple`` is the largest drop of the raw values before the
     cumulative-max pass. ``grid`` and ``values`` are read-only views, in
-    copies too: ``tabulate_cdf_u`` shares one table between callers.
+    copies too, so a table handed to several callers stays as built.
     Queries read the private writable arrays behind them, since
     ``np.interp`` copies read-only inputs on every call; copies and
     pickles carry each array once.
@@ -316,20 +318,12 @@ def _monotone_table(grid, raw, mean: float, variance: float, eps_prime: float,
 
 def tabulate_cdf_u(model: ObservationModel, node: NodeParams, h: int,
                    eps_prime: float = DEFAULT_EPS_PRIME) -> ContinuousCdfTable:
-    """F_u's monotone read-only table, one per (model, a_k, mu, h, eps_prime),
-    models keyed by identity, shared by every caller: F_u reads a node only
-    through a_k and mu. ``_tabulate`` of u's log-CF on its 1,501 knots, then
-    ``_monotone_table``. No production path reads it: the oracles and tests
-    do, and ``cdf_u`` takes its range.
+    """F_u's monotone read-only table: ``_tabulate`` of u's log-CF on its
+    1,501 knots, then ``_monotone_table``. No production path
+    reads it: the oracles and tests do, and ``cdf_u`` takes its range.
+    ``perfbench/spans.py`` traces this function and ``cdf_u`` by name, so
+    both stay until the benchmark's tracer follows the state's own series.
     """
-    return _table(model, node.a_k, node.mu, h, eps_prime)
-
-
-@lru_cache(maxsize=_TABLE_CACHE_SIZE)
-def _table(model: ObservationModel, a_k: float, mu: float, h: int,
-           eps_prime: float) -> ContinuousCdfTable:
-    """``tabulate_cdf_u``'s builder."""
-    node = NodeParams(k=0, a_k=a_k, mu=mu, c_row=np.zeros(1))
     mom = moments(model, node, h)
     grid, values, *series = _tabulate(_u_log_cf(model, node, h), mom, eps_prime)
     return _monotone_table(grid, values, mom.mean, mom.variance, eps_prime, *series)

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .continuous import DEFAULT_EPS_PRIME
+
 DEFAULT_GRID_POINTS = 241
 DEFAULT_SPAN_STDS = 6.0
 _MONOTONE_SLACK = 1e-9
@@ -119,7 +121,7 @@ def _extend_tails(cdf, lo: float, hi: float, s: float, eps: float) -> tuple[floa
 
 def default_gamma_grid(cdf0, cdf1, points: int = DEFAULT_GRID_POINTS,
                        span_stds: float = DEFAULT_SPAN_STDS,
-                       eps: float = 2e-5) -> np.ndarray:
+                       eps: float = DEFAULT_EPS_PRIME) -> np.ndarray:
     """Threshold grid covering both ``SteadyStateCdf`` distributions.
 
     Union of uniform grids over mean +/- span stds per hypothesis plus five

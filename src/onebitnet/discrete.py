@@ -57,6 +57,8 @@ class DiscretePmf:
         pr = np.array(self.probs, dtype=float)
         if pts.ndim != 1 or pts.shape != pr.shape or pts.size == 0:
             raise ValueError("points and probs must be matching nonempty 1-D arrays")
+        if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(pr))):
+            raise ValueError("points and probs must be finite")
         if np.any(pr < 0):
             raise ValueError("probabilities must be nonnegative")
         if abs(pr.sum() - 1.0) > 1e-12:

@@ -18,6 +18,17 @@ from math import erfc, factorial, log, sqrt
 
 import numpy as np
 
+from .network import whole_number
+
+
+def as_hypothesis(value) -> int:
+    """``value`` as the hypothesis 0 or 1 (``network.whole_number``); a
+    bool, a fraction or any other number raises a ValueError."""
+    h = whole_number(value)
+    if h not in (0, 1):
+        raise ValueError(f"hypotheses must be 0 or 1, got {value!r}")
+    return h
+
 
 def normal_cdf(x):
     """Phi(x) elementwise, as a float array of x's shape (0-d for a scalar)."""
@@ -29,12 +40,14 @@ def normal_cdf(x):
 class ObservationModel(ABC):
     """Distribution of the marginal statistic under both hypotheses.
 
-    Immutable, as ``steady_state`` keys its table cache on the model
-    object: assigning or deleting an attribute raises AttributeError, and
-    ``__init__`` sets parameters with ``object.__setattr__``. Sampling takes an externally supplied generator so that
-    concurrent trials never share state. The local decision threshold is
-    0: x is a log-likelihood ratio, and every closed form (p_d, p_f, the
-    analytic CDFs) and the simulator's quantizer are taken at it.
+    Immutable, as a model may derive fields from its parameters when it is
+    built (``ExponentialModel._log_lam`` from ``lambda_e``): assigning or
+    deleting an attribute raises AttributeError, and ``__init__`` sets
+    parameters with ``object.__setattr__``. Sampling takes an externally
+    supplied generator so that concurrent trials never share state. The
+    local decision threshold is 0: x is a log-likelihood ratio, and every
+    closed form (p_d, p_f, the analytic CDFs) and the simulator's quantizer
+    are taken at it.
     """
 
     def __setattr__(self, name, value):
@@ -95,8 +108,8 @@ class GaussianModel(ObservationModel):
     """
 
     def __init__(self, rho: float):
-        if rho <= 0:
-            raise ValueError(f"rho must be positive, got {rho}")
+        if not 0 < rho < np.inf:
+            raise ValueError(f"rho must be positive and finite, got {rho}")
         object.__setattr__(self, "rho", float(rho))
 
     def __repr__(self):
@@ -146,8 +159,8 @@ class ExponentialModel(ObservationModel):
     """
 
     def __init__(self, lambda_e: float):
-        if lambda_e <= 1:
-            raise ValueError(f"lambda_e must exceed 1, got {lambda_e}")
+        if not 1 < lambda_e < np.inf:
+            raise ValueError(f"lambda_e must exceed 1 and be finite, got {lambda_e}")
         object.__setattr__(self, "lambda_e", float(lambda_e))
         object.__setattr__(self, "_log_lam", log(self.lambda_e))
 

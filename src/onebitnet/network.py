@@ -113,6 +113,8 @@ class NetworkSpec:
         S = len(self.neighbors)
         if A.shape != (S, S):
             raise NetworkError(f"matrix shape {A.shape} does not match {S} nodes")
+        if not np.all(np.isfinite(A)):
+            raise NetworkError("combination weights must be finite")
         if np.any(A < 0):
             raise NetworkError("combination weights must be nonnegative")
         row_sums = A.sum(axis=1)
@@ -179,7 +181,7 @@ def build_uniform_matrix(neighbors, a) -> NetworkSpec:
     neighbors = tuple(frozenset(s) for s in neighbors)
     S = len(neighbors)
     a_vec = np.broadcast_to(np.asarray(a, dtype=float), (S,))
-    if np.any((a_vec <= 0) | (a_vec > 1)):
+    if not np.all((a_vec > 0) & (a_vec <= 1)):
         raise NetworkError("self-weights must lie in (0, 1]")
     A = np.zeros((S, S))
     for k, nset in enumerate(neighbors):

@@ -40,7 +40,7 @@ from math import prod
 
 import numpy as np
 
-from .models import ObservationModel
+from .models import ObservationModel, as_hypothesis
 from .network import NetworkSpec, whole_number
 
 ONE_BIT_X = "one_bit_x"
@@ -74,8 +74,9 @@ class SimConfig:
 
     ``schedule`` is a tuple of (start_step, hypothesis) segments, ordered,
     with the first segment starting at step 1; each segment applies until
-    the next one begins. Starts and hypotheses are whole numbers
-    (``network.whole_number``): a bool or a fraction raises.
+    the next one begins. Starts are whole numbers (``network.whole_number``)
+    and hypotheses 0 or 1 (``models.as_hypothesis``): a bool or a fraction
+    raises.
     """
 
     network: NetworkSpec
@@ -98,15 +99,13 @@ class SimConfig:
             raise ValueError("mu must be in (0,1)")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        sched = tuple((_whole("schedule start", s), whole_number(h))
+        sched = tuple((_whole("schedule start", s), as_hypothesis(h))
                       for s, h in self.schedule)
         if not sched or sched[0][0] != 1:
             raise ValueError("schedule must start at step 1")
         starts = [s for s, _ in sched]
         if sorted(starts) != starts or len(set(starts)) != len(starts):
             raise ValueError("schedule segments must have increasing start steps")
-        if any(h not in (0, 1) for _, h in sched):
-            raise ValueError("hypotheses must be 0 or 1")
         object.__setattr__(self, "schedule", sched)
 
     def hypothesis_steps(self) -> np.ndarray:

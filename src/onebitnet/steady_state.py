@@ -27,7 +27,7 @@ from .continuous import (_TABLE_POINTS, ContinuousCdfTable, DEFAULT_EPS_PRIME,
                          _monotone_table, _table_range, _tabulate, _u_log_cf,
                          geometric_log_cf, moments)
 from .discrete import DiscretePmf, convolve, point_mass
-from .models import ObservationModel
+from .models import ObservationModel, as_hypothesis
 from .network import NetworkSpec
 
 # digit levels move into the head until the state's table fits in this
@@ -60,6 +60,7 @@ def state_cumulants(model: ObservationModel, network: NetworkSpec, k: int,
     h=0, so kappa_n(xt) = [n = 1] e_0 + d^n kappa_n(b), the bit's cumulants
     being the tail ones of the digits' ``geometric_log_cf``.
     """
+    h = as_hypothesis(h)
     node = network.node_params(k, mu)
     e0, e1 = model.message_values()
     x = model.cumulants(h)
@@ -174,7 +175,7 @@ def build_steady_state(model: ObservationModel, network: NetworkSpec, k: int,
                         or [point_mass(0.0)], merge_tol=0.0)
     except ValueError as exc:
         raise ValueError(f"node {k}, h = {h}, mu = {mu}: the {levels} digit levels "
-                         f"that keep the folded table within _MAX_LATTICE = "
+                         f"that keep the state's table within _MAX_LATTICE = "
                          f"{_MAX_LATTICE} knots make too large a head ({exc})") from exc
     bit, kappa = partial(_bit_log_cf, p), _bit_cumulants(p)
 

@@ -274,6 +274,21 @@ class TestCliCommands:
         # every error is raised at load time, before any artifact is written
         assert not (tmp_path / "out").exists()
 
+    def test_nan_self_weight_exit_code(self, tmp_path):
+        # a nan self-weight fails every comparison; unchecked, adapt would
+        # write all-nan trajectories and cdf die mid-run with exit 1
+        switch = "  seed: 5\n  schedule: [[1, H0], [16, H1]]\n"
+        for text, key in (
+                (BASE.replace("self_weight: 0.25", "self_weight: .nan"),
+                 "network.self_weight"),
+                (BASE + "sweeps:\n  self_weight: [0.25, .nan]\n", "sweeps.self_weight")):
+            path = write_config(tmp_path, text.replace("  seed: 5\n", switch))
+            with pytest.raises(ConfigError, match=f"'{key}'"):
+                load_config(path)
+            for command in ("cdf", "roc", "adapt"):
+                assert main([command, "--config", str(path)]) == 2
+        assert not (tmp_path / "out").exists()
+
     def test_seed_override_changes_output(self, tmp_path):
         path = write_config(tmp_path)
         out = tmp_path / "out"

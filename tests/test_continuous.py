@@ -215,23 +215,24 @@ class TestSelectDelta:
         np.testing.assert_allclose(table.delta, 2 * np.pi / (1536 * step), rtol=1e-12)
 
     def test_below_support_is_zero_without_step(self, expo5, monkeypatch):
-        # below the table's range cdf_u reads 0 from the shared table's
-        # range, with no inversion at all
+        # below the table's range cdf_u reads 0 from the table alone: the
+        # one series it runs is the table's own, on its range, with no
+        # lattice shifted to the point
         node = node_for(0.5)
         u_min = node.a_k * node.mu * (-np.log(5.0)) / (1 - node.eta)
-        tabulate_cdf_u(expo5, node, 0)
+        table = tabulate_cdf_u(expo5, node, 0)
         calls = count_lattice_calls(monkeypatch)
         assert cdf_u(u_min - 1.0, expo5, node, 0) == 0.0
-        assert len(calls) == 0
+        assert [(c[1], c[3]) for c in calls] == [(table.grid[0], table.grid.size)]
 
     def test_deep_upper_tail_is_one_without_step(self, expo5, monkeypatch):
         node = node_for(0.5)
         mom = moments(expo5, node, 0)
         deep = mom.mean + 2 * np.sqrt(2 * mom.variance / 2e-5)
-        tabulate_cdf_u(expo5, node, 0)
+        table = tabulate_cdf_u(expo5, node, 0)
         calls = count_lattice_calls(monkeypatch)
         assert cdf_u(deep, expo5, node, 0) == 1.0
-        assert len(calls) == 0
+        assert [(c[1], c[3]) for c in calls] == [(table.grid[0], table.grid.size)]
 
     def test_rejects_nonpositive_budget(self, expo5):
         for eps_prime in (0.0, -1e-5, np.nan):

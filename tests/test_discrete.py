@@ -31,6 +31,15 @@ class TestDiscretePmf:
         with pytest.raises(ValueError, match="nonnegative"):
             DiscretePmf(points=np.array([0.0, 1.0]), probs=np.array([1.1, -0.1]))
 
+    def test_nonfinite_entries_rejected(self):
+        # nan fails every comparison, so the checks above would pass it
+        nan, inf = float("nan"), float("inf")
+        for pts, probs in (([0.0, nan], [0.5, 0.5]), ([nan], [1.0]),
+                           ([0.0, inf], [0.5, 0.5]), ([0.0, 1.0], [nan, 0.5]),
+                           ([0.0, 1.0], [1.0, nan])):
+            with pytest.raises(ValueError, match="finite"):
+                DiscretePmf(points=np.array(pts), probs=np.array(probs))
+
     def test_keeps_the_callers_arrays_writable(self):
         # the PMF freezes copies of its inputs, never the caller's arrays
         p, q = np.array([0.0, 1.0]), np.array([0.25, 0.75])

@@ -69,6 +69,11 @@ class TestGaussianModel:
         with pytest.raises(ValueError):
             GaussianModel(0.0)
 
+    @pytest.mark.parametrize("rho", [float("nan"), float("inf")])
+    def test_nonfinite_rho(self, rho):
+        with pytest.raises(ValueError, match="rho must be positive and finite"):
+            GaussianModel(rho)
+
 
 class TestExponentialModel:
     def test_moments_lambda5(self, expo5):
@@ -145,6 +150,11 @@ class TestExponentialModel:
     def test_invalid_lambda(self):
         with pytest.raises(ValueError):
             ExponentialModel(1.0)
+
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf")])
+    def test_nonfinite_lambda(self, lam):
+        with pytest.raises(ValueError, match="lambda_e must exceed 1 and be finite"):
+            ExponentialModel(lam)
 
 
 class TestImmutability:

@@ -52,6 +52,13 @@ class TestUniformMatrix:
             with pytest.raises(NetworkError):
                 build_uniform_matrix(reference_topology(), bad)
 
+    def test_nan_self_weight_rejected(self):
+        # nan fails every comparison: the range test must accept, not reject
+        nan = float("nan")
+        for bad in (nan, [0.5] * 9 + [nan]):
+            with pytest.raises(NetworkError, match="self-weights must lie in"):
+                build_uniform_matrix(reference_topology(), bad)
+
     @pytest.mark.parametrize("a", [0.1, 0.25, 0.5, 0.9])
     def test_invariants(self, a):
         net = build_uniform_matrix(reference_topology(), a)
@@ -145,6 +152,18 @@ class TestMatrixValidation:
         A = np.array([[1.1, -0.1], [0.5, 0.5]])
         with pytest.raises(NetworkError, match="nonnegative"):
             from_matrix(A)
+
+    def test_nonfinite_weight_rejected(self):
+        # nan fails both A < 0 and |row sum - 1| > tol
+        nan, inf = float("nan"), float("inf")
+        for A in ([[nan, 1.0], [0.5, 0.5]], [[0.5, 0.5], [nan, nan]],
+                  [[inf, 1.0], [0.5, 0.5]]):
+            with pytest.raises(NetworkError, match="finite"):
+                from_matrix(A)
+            with pytest.raises(NetworkError, match="finite"):
+                NetworkSpec(neighbors=(frozenset({0, 1}),) * 2, A=np.array(A))
+        with pytest.raises(NetworkError, match="finite"):
+            from_matrix([[nan, 1.0], [0.5, 0.5]], renormalize=True)
 
     def test_weight_outside_neighborhood_rejected(self):
         neighbors = (frozenset({0}), frozenset({1}))

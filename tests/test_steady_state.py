@@ -10,14 +10,13 @@ from scipy.special import ndtr
 from scipy.stats import norm
 
 from onebitnet import (ExponentialModel, GaussianModel, RocCurve,
-                       build_steady_state, build_uniform_matrix, cdf_u,
+                       build_steady_state, build_uniform_matrix,
                        cdf_u_gaussian_closed, default_gamma_grid,
                        discrete_component, from_matrix,
                        limit_moments, mixture_cdf, moments, roc,
                        state_cumulants, steady_state_pair, tabulate_cdf_u)
 from onebitnet import continuous, steady_state
-from onebitnet.continuous import (ContinuousCdfTable, DEFAULT_EPS_PRIME,
-                                  _TABLE_CACHE_SIZE, _table)
+from onebitnet.continuous import ContinuousCdfTable, DEFAULT_EPS_PRIME
 from onebitnet.discrete import DiscretePmf, point_mass
 from onebitnet.models import normal_cdf
 from onebitnet.simulate import hypothesis_ensembles, ks_distance
@@ -388,126 +387,6 @@ class TestSteadyStateCdf:
         assert cdf1.mean() > cdf0.mean()
 
 
-def same_table(a, b):
-    """Every field of two continuous tables equal, arrays bit for bit."""
-    return (a.grid.tobytes() == b.grid.tobytes()
-            and a.values.tobytes() == b.values.tobytes()
-            and (a.mean, a.variance, a.terms, a.tail, a.ripple)
-            == (b.mean, b.variance, b.terms, b.tail, b.ripple)
-            and np.array_equal(a.delta, b.delta, equal_nan=True))
-
-
-def spy_on_tables(monkeypatch):
-    """Record the u-table each ``tabulate_cdf_u`` lookup returns, whoever
-    calls it."""
-    seen = []
-
-    def spy(*key):
-        seen.append(_table(*key))
-        return seen[-1]
-
-    monkeypatch.setattr(continuous, "_table", spy)
-    return seen
-
-
-class TestContinuousTableCache:
-    """``tabulate_cdf_u`` builds F_u's table once per (model, a_k, mu, h,
-    eps_prime) and hands that one object to every caller: ``cdf_u`` and
-    direct calls. ``build_steady_state`` inverts the state's own CF and
-    reads no table of u."""
-
-    @pytest.mark.parametrize("model_name", ["gauss", "expo"])
-    def test_nodes_with_equal_self_weight_share_one_table(self, gauss1, expo5,
-                                                          model_name, monkeypatch):
-        model = gauss1 if model_name == "gauss" else expo5
-        net = make_network(0.5)
-        # self-weight 0.5 in another network
-        other = from_matrix([[0.5, 0.5], [0.2, 0.8]]).node_params(0, 0.1)
-        seen = spy_on_tables(monkeypatch)
-        for h in (0, 1):
-            hub = build_steady_state(model, net, 3, h, 0.1)
-            leaf = build_steady_state(model, net, 9, h, 0.1)
-            assert len(seen) == 4 * h
-            for k in (3, 9):
-                tabulate_cdf_u(model, net.node_params(k, 0.1), h)
-            table = tabulate_cdf_u(model, other, h)
-            cdf_u(table.mean, model, other, h)
-            assert len(seen) == 4 * (h + 1)
-            assert all(t is table for t in seen[-4:])
-            assert hub.cont is not leaf.cont
-            assert not np.array_equal(hub.cont.values, leaf.cont.values)
-        assert seen[0] is not seen[-1]
-
-    def test_a_shared_table_equals_a_fresh_one(self, expo5):
-        net = make_network(0.5)
-        shared = tabulate_cdf_u(expo5, net.node_params(3, 0.1), 1)
-        fresh = _table.__wrapped__(expo5, 0.5, 0.1, 1, DEFAULT_EPS_PRIME)
-        assert fresh is not shared and same_table(fresh, shared)
-        for k in (3, 9):
-            assert tabulate_cdf_u(expo5, net.node_params(k, 0.1), 1) is shared
-            # another model object with the same parameter tabulates afresh
-            # and folds to the same table
-            twin = build_steady_state(ExponentialModel(5.0), net, k, 1, 0.1)
-            assert same_table(twin.cont, build_steady_state(expo5, net, k, 1, 0.1).cont)
-
-    @pytest.mark.parametrize("change", ["h", "mu", "eps_prime", "model", "a_k"])
-    def test_any_other_key_gets_its_own_table(self, expo5, change, monkeypatch):
-        net = make_network(0.5)
-        base = tabulate_cdf_u(expo5, net.node_params(3, 0.1), 1)
-        model, k, h, mu, eps_prime = expo5, 3, 1, 0.1, DEFAULT_EPS_PRIME
-        if change == "h":
-            h = 0
-        elif change == "mu":
-            mu = 0.2
-        elif change == "eps_prime":
-            eps_prime = 1e-5
-        elif change == "model":
-            model = ExponentialModel(5.0)  # equal parameters, another object
-        else:
-            # node 0 keeps a_k = 0.5, node 1 has a_k = 0.6
-            net, k = from_matrix([[0.5, 0.5], [0.4, 0.6]]), 1
-        seen = spy_on_tables(monkeypatch)
-        node = net.node_params(k, mu)
-        cdf_u(base.mean, model, node, h, eps_prime)
-        other = seen[0]
-        assert other is not base
-        assert same_table(other, _table.__wrapped__(model, node.a_k, mu, h, eps_prime))
-        assert tabulate_cdf_u(model, node, h, eps_prime=eps_prime) is other
-        if change == "a_k":
-            # equal a_k and mu in another network: the same table
-            tabulate_cdf_u(expo5, net.node_params(0, 0.1), 1)
-            assert seen[-1] is base
-
-    def test_one_build_per_key_through_the_module_name(self, monkeypatch):
-        # a fresh model object, so no earlier test's table is reused; the
-        # builder calls _lattice_cdf by its module name at call time, once
-        # per table here (no range widening), however many lookups follow
-        calls = []
-        real = continuous._lattice_cdf
-
-        def record(*args):
-            calls.append(args[3])
-            return real(*args)
-
-        monkeypatch.setattr(continuous, "_lattice_cdf", record)
-        model, net = ExponentialModel(5.0), make_network(0.5)
-        for k, h in itertools.product((3, 9), (0, 1)):
-            tabulate_cdf_u(model, net.node_params(k, 0.1), h)
-        assert calls == [1501, 1501]
-        # with its table built, a point in range takes one shifted lattice
-        node = net.node_params(9, 0.1)
-        cdf_u(tabulate_cdf_u(model, node, 1).mean, model, node, 1)
-        assert calls == [1501, 1501, 1501]
-
-    def test_cache_stays_within_its_bound(self, gauss1):
-        net = make_network(0.5)
-        for i in range(_TABLE_CACHE_SIZE + 5):
-            tabulate_cdf_u(GaussianModel(1.0 + i / 64), net.node_params(9, 0.1), 1)
-        info = _table.cache_info()
-        assert info.maxsize == _TABLE_CACHE_SIZE == 32
-        assert info.currsize == _TABLE_CACHE_SIZE
-
-
 def run_ks(model, net, k, mu, n_iters, trials):
     """KS distance of both hypotheses' CDFs to run()'s terminal states at
     node k, and the bound 1.95/sqrt(trials) (alpha = 0.001)."""
@@ -555,6 +434,19 @@ class TestExactLaw:
                 assert cdf.cont.grid.size <= _MAX_LATTICE
         cdf = build_steady_state(ExponentialModel(8.0), make_network(0.1), 3, 0, 0.001)
         assert cdf.pmf.size == 36 and cdf.cont.grid.size <= _MAX_LATTICE
+
+    def test_equal_models_give_identical_tables(self, expo5):
+        # nothing is keyed on the model object: another model with the same
+        # parameter builds the same state table, bit for bit
+        net = make_network(0.5)
+        for k in (3, 9):
+            twin = build_steady_state(ExponentialModel(5.0), net, k, 1, 0.1).cont
+            cont = build_steady_state(expo5, net, k, 1, 0.1).cont
+            assert twin.grid.tobytes() == cont.grid.tobytes()
+            assert twin.values.tobytes() == cont.values.tobytes()
+            assert ((twin.mean, twin.variance, twin.delta, twin.terms, twin.tail, twin.ripple)
+                    == (cont.mean, cont.variance, cont.delta, cont.terms, cont.tail,
+                        cont.ripple))
 
     @pytest.mark.parametrize("levels", [1, 2])
     def test_head_split_keeps_the_law(self, gauss1, monkeypatch, levels):
@@ -625,14 +517,10 @@ class TestExactLaw:
                  (expo5, make_network(0.995), 3, 0.003)]
         coarse = [steady_state_pair(m, net, k, mu) for m, net, k, mu in cases]
         monkeypatch.setattr(continuous, "_TAIL_ARG", continuous._TAIL_ARG / 10)
-        _table.cache_clear()
-        try:
-            for (m, net, k, mu), pair in zip(cases, coarse):
-                for a, b in zip(pair, steady_state_pair(m, net, k, mu)):
-                    np.testing.assert_array_equal(a.cont.grid, b.cont.grid)
-                    assert np.max(np.abs(a.cont.values - b.cont.values)) <= 1e-9
-        finally:
-            _table.cache_clear()
+        for (m, net, k, mu), pair in zip(cases, coarse):
+            for a, b in zip(pair, steady_state_pair(m, net, k, mu)):
+                np.testing.assert_array_equal(a.cont.grid, b.cont.grid)
+                assert np.max(np.abs(a.cont.values - b.cont.values)) <= 1e-9
 
     @pytest.mark.parametrize("a,mu", [(0.99, 0.01), (0.995, 0.003)])
     def test_exponential_builds_near_unit_eta(self, a, mu):
@@ -697,3 +585,30 @@ class TestExactLaw:
         assert cdf.cont.grid[0] == pytest.approx(first[0] - 4 * sd, rel=1e-12)
         assert cdf.cont.values[0] <= 2 * eps_prime
         assert cdf.cont.values[-1] >= 1 - 2 * eps_prime
+
+
+class TestHypothesisArgument:
+    """Every analytic law takes h = 0 or 1 only: any other value would
+    read as h = 0 and True as h = 1."""
+
+    def test_only_0_and_1_are_hypotheses(self, gauss1, expo5):
+        net = make_network(0.5)
+        node = net.node_params(3, 0.1)
+        for h in (2, -1, True, 0.5):
+            for call in (lambda: moments(gauss1, node, h),
+                         lambda: state_cumulants(gauss1, net, 3, h, 0.1),
+                         lambda: limit_moments(gauss1, net, 3, h, 0.1),
+                         lambda: build_steady_state(gauss1, net, 3, h, 0.1),
+                         lambda: tabulate_cdf_u(gauss1, node, h),
+                         lambda: continuous.cdf_u(0.0, gauss1, node, h),
+                         lambda: cdf_u_gaussian_closed(0.0, gauss1, node, h)):
+                with pytest.raises(ValueError, match="hypotheses must be 0 or 1"):
+                    call()
+        # a numpy integer is a whole number: the law at h = 1, bit for bit
+        one = np.int64(1)
+        assert moments(expo5, node, one) == moments(expo5, node, 1)
+        assert state_cumulants(expo5, net, 3, one, 0.1) == state_cumulants(
+            expo5, net, 3, 1, 0.1)
+        got, want = (build_steady_state(expo5, net, 3, h, 0.1).cont for h in (one, 1))
+        assert got.grid.tobytes() == want.grid.tobytes()
+        assert got.values.tobytes() == want.values.tobytes()
