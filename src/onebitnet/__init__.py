@@ -13,10 +13,12 @@ Library layout:
 * ``steady_state`` - exact CDF of the full state: one lattice series of
                      the continuous component's log-CF times the
                      messages' closed-form CF
-* ``simulate``     - the update kernel of the diffusion recursions (with the
-                     one-bit quantizer) and the Monte Carlo engine, which
-                     hands every other trial block of a large run to one
-                     forked child; the output is the same either way
+* ``simulate``     - the tile kernel of the diffusion recursions (with the
+                     one-bit quantizer), which steps a tile of draws at
+                     once, and the Monte Carlo engine, whose blocks follow
+                     from the run's shape: a large run splits them evenly
+                     with one forked child, and the output is the same
+                     either way
 * ``detection``    - P_f/P_d, threshold calibration, ROC curves
 * ``validation``   - brute-force oracles and the pass/fail check suite
 * ``cli``          - experiment driver (cdf / roc / adapt / validate)

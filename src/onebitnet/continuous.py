@@ -146,8 +146,8 @@ def _lattice_cdf(log_cf, lo: float, step: float, n: int, eps_prime: float,
     trough. Returns (F, delta, terms, tail): delta = omega_1, the number of
     terms and the last block's bound.
     """
-    if not eps_prime > 0:
-        raise ValueError(f"eps_prime must be positive, got {eps_prime}")
+    if not 0.0 < eps_prime < 1.0:  # the range load_config takes; NaN fails too
+        raise ValueError(f"eps_prime must be positive and below 1, got {eps_prime}")
     length = _fft_length(n)
     gap = (length - n + 1) // 2
     omega = 2.0 * pi / (length * step)

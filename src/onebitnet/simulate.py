@@ -10,22 +10,28 @@ with what the neighbors send:
   diffusion, combined with the whole row of A).
 
 The one-bit quantizer sends E_1 x when its input is at least 0 and E_0 x
-otherwise. ``make_step`` builds the single update kernel; ``run`` and
-the closed-form oracle checks in ``validation`` both drive it.
+otherwise. ``make_step`` builds the single update kernel, which steps a
+tile of draws (steps x trials x nodes) and writes each step's states into
+the tile's buffer; ``run`` and the closed-form oracle checks in
+``validation`` both drive it.
 
 Each trial draws its statistics from a counter-based Philox stream keyed
 by (master seed, trial index), so terminal states are bit-identical
-regardless of execution order or tiling. ``run`` reuses one Philox and
-works in step-major tiles of at most B trials x C steps x S nodes, B * C * S
-within a fixed budget of doubles whatever n_iters is: a trial block draws
-and steps C steps at a time. A trial's first tile resets the Philox to the
-trial's key; each later tile restores the generator state saved after the
-trial's previous tile, so every trial draws exactly its own stream.
+regardless of execution order or tiling. ``run`` picks its trial blocks
+from the run's shape alone (``blocks``): ceil(trials / 256) of equal size,
+an even number of them in a run of at least ``_SPLIT_WORK`` trial-steps x
+nodes. It reuses one Philox and draws a block of at most B trials in tiles
+of C = min(n_iters, ``_TILE_BUDGET`` // (B S), ``_TRIAL_TILE`` // S) steps,
+a fixed budget of doubles whatever n_iters is. A trial's first tile resets
+the Philox to the trial's key; each later tile restores the generator
+state saved after the trial's previous tile, so every trial draws exactly
+its own stream. The kernel steps a tile in slices of at most
+``_KERNEL_BUDGET`` doubles, and the trajectories are summed once per slice.
 
-A run of at least ``_SPLIT_WORK`` trial-steps x nodes and two or more
-blocks, in a process with a second CPU (Linux's ``sched_getaffinity``) and
-one Python thread, forks one child for its odd blocks. The child writes
-its terminal rows and per-block trajectory sums to shared memory, and the
+A run of at least ``_SPLIT_WORK`` trial-steps x nodes, in a process with a
+second CPU (Linux's ``sched_getaffinity``) and one Python thread, forks
+one child for its odd blocks, about half the trials. The child writes its
+terminal rows and per-block trajectory sums to shared memory, and the
 sums are added in block order, so no output depends on whether a run
 split. On Python 3.12 and later, ``os.fork`` warns (DeprecationWarning)
 when the process has other OS threads, as OpenBLAS's pool is; the split
@@ -48,13 +54,27 @@ QUANTIZED_STATE = "quantized_state"
 UNQUANTIZED = "unquantized"
 SCHEMES = (ONE_BIT_X, QUANTIZED_STATE, UNQUANTIZED)
 
-# tile: B = _BLOCK_TRIALS trials, so that one step's (trials, S) slab stays
-# in L2, by C steps, with the (C, B, S) draws within _TILE_BUDGET doubles
-# (8 MB: 409 steps of 256 trials at S = 10), whatever n_iters is
+# tile: blocks of at most _BLOCK_TRIALS trials, so that one step's
+# (trials, S) slab stays in L2, by C steps, whatever n_iters is. Each
+# trial's C S draws stay within _TRIAL_TILE doubles (409 steps at S = 10),
+# which is the cap that binds for default blocks (at most 256 trials, so at
+# most 8 MB a tile): a longer tile saves only the save and restore of the
+# trial's Philox state at a tile edge (about 6 us against about 75 us to
+# draw 4,096 normals), while a narrow block's tile stays small (the
+# 100-trial, 3,000-step trajectories ran about 10% faster than in
+# 2,097-step tiles). The (C, B, S) draws stay within _TILE_BUDGET doubles,
+# which binds only for blocks wider than 256 trials (chunk_trials)
 _TILE_BUDGET = 2 ** 20
+_TRIAL_TILE = 2 ** 12
 _BLOCK_TRIALS = 256
-# a run of at least this many trial-steps x nodes splits its blocks with a
-# forked child (``_use_child``); below it the fork costs more than it saves
+# the kernel steps a tile in slices of at most this many doubles, which
+# hold the slice's states, a second buffer: one slice per tile would double
+# the tiles' memory, and it ran the 2,000-trial, 1,000-step ensembles about
+# 20% slower; slices of 2^13 and 2^17 doubles timed within 2^15's spread
+_KERNEL_BUDGET = 2 ** 15
+# a run of at least this many trial-steps x nodes has an even number of
+# blocks and splits them with a forked child (``_use_child``); below it the
+# fork costs more than it saves
 _SPLIT_WORK = 2 ** 21
 _SPLIT_SUMS = 2 ** 20  # at most this many per-block trajectory sums (doubles)
 _MESSAGE_BYTES = 1024  # the shared room for a failed child's exception
@@ -152,30 +172,83 @@ def draw_statistics(model: ObservationModel, segs: list, rng: np.random.Generato
 
 def make_step(network: NetworkSpec, model: ObservationModel, mu: float,
               scheme: str = ONE_BIT_X):
-    """The update kernel ``step(y, x) -> y_next`` of one scheme, for (S,) or
-    (trials, S) states; weights and message levels are resolved once."""
+    """The tile kernel ``step(y, x, out=None) -> out`` of one scheme.
+
+    From state ``y`` it takes one step per draw ``x[i]`` and writes the
+    state after that step into ``out[i]``. x is a (c, rows, S) tile, c
+    steps of ``rows`` trials (one trial is a tile of one row; any other
+    ndim raises); y broadcasts to x[0] and shares no memory with ``out``,
+    an array of x's shape (allocated when None), which is returned. Weights and message levels are resolved once. ``one_bit_x``
+    sends messages that depend on x alone, so their products for the whole
+    tile are one numpy call; the other schemes' products are one per step.
+    Every product is the step's own (rows, S) matrix product, so a row's
+    result does not depend on the tile's length, nor, in tiles of two or
+    more rows, on the other rows (numpy's one-row product, gemv, rounds
+    unlike gemm).
+    """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     a = np.diag(network.A)
     c_t = (network.A - np.diag(a)).T
     a_t = network.A.T
-    levels = np.array(model.message_values())
+    e0, e1 = model.message_values()
 
-    def step(y, x):
-        # y + mu (x - y) and a v + msg @ c_t, in place on fresh arrays only:
-        # x may be a view of the draws and y read-only
-        v = x - y
-        v *= mu
-        v += y
-        if scheme == UNQUANTIZED:
-            return v @ a_t
-        msg = levels.take(((x if scheme == ONE_BIT_X else v) >= 0.0).view(np.uint8))
-        out = msg @ c_t
-        v *= a
-        out += v
+    def sent(z):
+        # E_1 x where z >= 0, else E_0 x: on e1 + (1 - on) e0 is exact, as one
+        # term is zero, and takes a fraction of np.where's time
+        on = (z >= 0.0).astype(float)
+        levels = on * e1
+        on -= 1.0
+        on *= -e0
+        levels += on
+        return levels
+
+    def step(y, x, out=None):
+        if np.ndim(x) != 3:
+            # a (trials, S) array would read as steps of one trial
+            raise ValueError(f"x must be a (steps, rows, S) tile, got shape "
+                             f"{np.shape(x)}")
+        if out is None:
+            out = np.empty(np.shape(x))
+        elif out.shape != np.shape(x):
+            raise ValueError(f"out must be an array of shape {np.shape(x)}, "
+                             f"got shape {out.shape}")
+        if scheme == ONE_BIT_X:
+            # every step's messages at once, as a stack of (rows, S) products:
+            # a step of one row stays a vector-matrix product
+            np.matmul(sent(x), c_t, out=out)
+        for xi, yi in zip(x, out):
+            # y + mu (x - y), then a v + msg @ c_t (or v @ a_t) into out[i]
+            v = xi - y
+            v *= mu
+            v += y
+            if scheme == UNQUANTIZED:
+                np.matmul(v, a_t, out=yi)
+            else:
+                if scheme == QUANTIZED_STATE:
+                    np.matmul(sent(v), c_t, out=yi)
+                v *= a
+                yi += v
+            y = yi
         return out
 
     return step
+
+
+def blocks(trials: int, work: int, chunk_trials: int | None = None) -> list[int]:
+    """The first trial of each of ``run``'s blocks, then ``trials``.
+
+    Blocks of ``chunk_trials`` if given; otherwise ceil(trials / 256)
+    blocks, made even (so at least two) when ``work`` reaches
+    ``_SPLIT_WORK``, of sizes that differ by at most one trial.
+    """
+    if chunk_trials is not None:
+        return [*range(0, trials, chunk_trials), trials]
+    count = -(-trials // _BLOCK_TRIALS)
+    if work >= _SPLIT_WORK:
+        count += count % 2
+    count = min(count, trials)
+    return [b * trials // count for b in range(count + 1)]
 
 
 def run(config: SimConfig, trajectory_nodes=(), y0=None,
@@ -186,12 +259,17 @@ def run(config: SimConfig, trajectory_nodes=(), y0=None,
     the start for transient studies. Trajectories (per-step mean of the
     state over trials) are accumulated only for the requested nodes.
 
-    Trials run in blocks of ``chunk_trials`` (default 256), each drawn and
-    stepped in tiles of C steps, so the draws held at once are at most
-    B x C x S doubles with C = min(n_iters, budget // (B S)). Between a
-    trial's tiles its Philox state is saved and restored, so terminal
-    states do not depend on the block or tile split. Trajectories are
-    summed per block, so they are bit-stable only for a fixed block size.
+    Trials run in blocks (``blocks``): of ``chunk_trials`` if given, else
+    of equal size, at most 256, and an even number of them in a run of at
+    least ``_SPLIT_WORK`` trial-steps x nodes. A block draws in tiles of C
+    steps, C = min(n_iters, ``_TILE_BUDGET`` // (B S), ``_TRIAL_TILE`` // S)
+    for B the widest block, and steps each tile through ``make_step``'s
+    kernel in slices within ``_KERNEL_BUDGET`` doubles, which hold the
+    slice's states; trajectories are summed from them once per slice.
+    Between a trial's tiles its Philox state is saved and restored, so
+    terminal states do not depend on the block or tile split. Trajectories
+    are summed per block, so they are bit-stable only for a fixed block
+    split.
 
     A large run (``_use_child``) hands every other block to one forked
     child, which writes its rows and per-block trajectory sums to shared
@@ -212,24 +290,28 @@ def run(config: SimConfig, trajectory_nodes=(), y0=None,
         chunk_trials = _whole("chunk_trials", chunk_trials)
         if chunk_trials < 1:
             raise ValueError(f"chunk_trials must be at least 1, got {chunk_trials}")
-    block = min(config.trials, chunk_trials or _BLOCK_TRIALS)
-    n_blocks = -(-config.trials // block)
+    work = config.trials * n * S
+    bounds = blocks(config.trials, work, chunk_trials)
+    n_blocks = len(bounds) - 1
     # a lone trial gets a spare row: numpy's one-row product (gemv) rounds unlike gemm
-    width = max(block, 2)
-    span = max(1, min(n, _TILE_BUDGET // (width * S)))
+    width = max(2, *(b - a for a, b in zip(bounds, bounds[1:])))
+    span = max(1, min(n, _TILE_BUDGET // (width * S), _TRIAL_TILE // S))
+    slice_steps = max(1, min(span, _KERNEL_BUDGET // (width * S)))
     step = make_step(config.network, config.model, config.mu, config.scheme)
     h_steps = config.hypothesis_steps()
     bit_gen = np.random.Philox(key=[np.uint64(config.seed), np.uint64(0)])
     rng, fresh = np.random.Generator(bit_gen), bit_gen.state
-    x = np.zeros((span, width, S))
 
     def run_blocks(first, stride, terminal, sums):
         """Blocks first, first + stride, ...: their rows into ``terminal``,
         block b's per-step sums of the trajectory nodes into sums[b % len(sums)]."""
+        # each process allocates its own tiles: pages shared with a forked
+        # child would be copied on the first write
+        x = np.zeros((span, width, S))
+        states = np.empty(slice_steps * width * S)
         for b in range(first, n_blocks, stride):
-            start = b * block
-            count = min(block, config.trials - start)
-            rows = max(count, 2)
+            start, end = bounds[b], bounds[b + 1]
+            count, rows = end - start, max(end - start, 2)
             saved = [None] * count
             y = np.broadcast_to(y_start, (rows, S))
             traj_rows = list(zip(traj_nodes, sums[b % len(sums)]))
@@ -246,14 +328,18 @@ def run(config: SimConfig, trajectory_nodes=(), y0=None,
                     draw_statistics(config.model, segs, rng, x[:c1 - c0, t])
                     if c1 < n:
                         saved[t] = bit_gen.state
-                for i in range(c1 - c0):
-                    y = step(y, x[i, :rows])
+                for s0 in range(c0, c1, slice_steps):
+                    s1 = min(c1, s0 + slice_steps)
+                    out = step(y, x[s0 - c0:s1 - c0, :rows],
+                               states[:(s1 - s0) * rows * S].reshape(s1 - s0, rows, S))
                     for k, row in traj_rows:
-                        row[c0 + i] += y[:count, k].sum()
-            terminal[start:start + count] = y[:count]
+                        row[s0:s1] += out[:, :count, k].sum(axis=1)
+                    # the next slice overwrites ``states``
+                    y = out[-1].copy()
+            terminal[start:end] = y[:count]
 
     sums_shape = (n_blocks, len(traj_nodes), n)
-    if _use_child(n_blocks, config.trials * n * S, prod(sums_shape)):
+    if _use_child(n_blocks, work, prod(sums_shape)):
         terminal, sums = _forked(run_blocks, (config.trials, S), sums_shape)
     else:
         terminal, sums = np.empty((config.trials, S)), np.zeros((1, *sums_shape[1:]))

@@ -134,12 +134,11 @@ def unquantized_matrix_state(network: NetworkSpec, mu: float, x: np.ndarray,
 def iterate_scheme(network: NetworkSpec, model, mu: float, scheme: str,
                    x: np.ndarray, y0: np.ndarray) -> np.ndarray:
     """Step the production kernel of the chosen scheme over the provided
-    draws x of shape (n, S), starting from y0."""
+    draws x of shape (n, S), n steps of one trial, starting from y0: the
+    state after the last step."""
     step = make_step(network, model, mu, scheme)
-    y = np.array(y0, dtype=float)
-    for xi in x:
-        y = step(y, xi)
-    return y
+    tile = np.asarray(x, dtype=float)[:, None]
+    return step(np.asarray(y0, dtype=float), tile)[-1, 0]
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,9 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import ks_2samp, norm
 
-from onebitnet import (ExponentialModel, GaussianModel, build_uniform_matrix,
-                       cdf_u, cdf_u_gaussian_closed, moments, reference_topology,
-                       tabulate_cdf_u)
+from onebitnet import (ExponentialModel, GaussianModel, build_steady_state,
+                       build_uniform_matrix, cdf_u, cdf_u_gaussian_closed,
+                       moments, reference_topology, tabulate_cdf_u)
 from onebitnet import continuous
 from onebitnet.continuous import (InversionError, _lattice_cdf, _u_log_cf,
                                   geometric_log_cf, log_cf_w)
@@ -240,6 +240,15 @@ class TestSelectDelta:
                 cdf_u(0.1, expo5, node_for(0.5), 1, eps_prime)
             with pytest.raises(ValueError, match="eps_prime must be positive"):
                 tabulate_cdf_u(expo5, node_for(0.5), 1, eps_prime=eps_prime)
+
+    @pytest.mark.parametrize("eps_prime", [np.inf, np.nan, 0.0, 1.0])
+    def test_budget_outside_unit_interval_raises(self, expo5, eps_prime):
+        # eps_prime = inf once gave a one-block table whose tail bound read 1.70
+        net = build_uniform_matrix(reference_topology(), 0.5)
+        with pytest.raises(ValueError, match="eps_prime must be positive and below 1"):
+            tabulate_cdf_u(expo5, node_for(0.5), 1, eps_prime=eps_prime)
+        with pytest.raises(ValueError, match="eps_prime must be positive and below 1"):
+            build_steady_state(expo5, net, 3, 1, 0.1, eps_prime=eps_prime)
 
 
 def gil_pelaez_quad(u, model, node, h):

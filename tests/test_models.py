@@ -193,7 +193,7 @@ def sent_levels(model, xs):
     step = make_step(build_uniform_matrix([{0, 1}, {0, 1}], 0.5), model, 0.1)
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     x = np.column_stack([xs, np.zeros_like(xs)])
-    return step(np.zeros_like(x), x)[:, 1] / 0.5
+    return step(np.zeros_like(x), x[None])[0, :, 1] / 0.5
 
 
 class TestQuantizer:
@@ -223,7 +223,7 @@ class TestQuantizer:
         step = make_step(build_uniform_matrix([{0, 1}, {0, 1}], 0.5), expo5, 0.1)
         xs = np.linspace(-2, 2, 11)
         for x, v in zip(xs, sent_levels(expo5, xs)):
-            assert v == step(np.zeros(2), np.array([x, 0.0]))[1] / 0.5
+            assert v == step(np.zeros(2), np.array([[[x, 0.0]]]))[0, 0, 1] / 0.5
 
     def test_empirical_rates(self, gauss1):
         rng = np.random.default_rng(3)

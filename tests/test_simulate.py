@@ -73,9 +73,9 @@ class TestSingleSteps:
         net = build_uniform_matrix([frozenset({0}), frozenset({1})], 1.0)
         y = np.array([0.4, -0.2])
         x = np.array([1.0, 0.5])
-        got = make_step(net, gauss1, 0.1, ONE_BIT_X)(y, x)
+        got = make_step(net, gauss1, 0.1, ONE_BIT_X)(y, x[None, None])[0, 0]
         np.testing.assert_allclose(got, (1 - 0.1) * y + 0.1 * x, atol=1e-15)
-        got_u = make_step(net, gauss1, 0.1, UNQUANTIZED)(y, x)
+        got_u = make_step(net, gauss1, 0.1, UNQUANTIZED)(y, x[None, None])[0, 0]
         np.testing.assert_allclose(got_u, got, atol=1e-15)
 
     def test_hand_evaluated_single_step(self, gauss1):
@@ -86,7 +86,7 @@ class TestSingleSteps:
         x = np.zeros(10)
         x[9] = 0.5
         x[7] = -0.2
-        got = make_step(net, gauss1, 0.1, ONE_BIT_X)(y, x)
+        got = make_step(net, gauss1, 0.1, ONE_BIT_X)(y, x[None, None])[0, 0]
         np.testing.assert_allclose(got[9], 0.25 * 0.05 + 0.75 * (-1.0),
                                    atol=1e-15)
         assert got[9] == pytest.approx(-0.7375)
@@ -97,7 +97,7 @@ class TestSingleSteps:
         y[7] = 0.3 / 0.1  # v_7 = y + mu (x - y) = 0.3 when x = ... pick x directly
         x = np.zeros(10)
         got = make_step(net, gauss1, 0.1, QUANTIZED_STATE)(np.zeros(10),
-                                                          np.full(10, 0.3))
+                                                          np.full((1, 1, 10), 0.3))[0, 0]
         # all intermediate states are 0.03 >= 0, so every message is E1 x = 1
         expected_9 = 0.25 * (0.1 * 0.3) + 0.75 * 1.0
         np.testing.assert_allclose(got[9], expected_9, atol=1e-15)
@@ -120,7 +120,8 @@ def reference_step(network, model, mu, scheme):
 
 
 class TestKernel:
-    """make_step's in-place kernel computes the reference expression bit for bit."""
+    """make_step's tile kernel computes the reference expression step by
+    step, bit for bit."""
 
     @pytest.mark.parametrize("scheme", [ONE_BIT_X, QUANTIZED_STATE, UNQUANTIZED])
     @pytest.mark.parametrize("model", [GaussianModel(1.0), ExponentialModel(5.0)],
@@ -128,22 +129,49 @@ class TestKernel:
     def test_matches_reference_expression(self, model, scheme, net_a25):
         step = make_step(net_a25, model, 0.1, scheme)
         ref = reference_step(net_a25, model, 0.1, scheme)
-        y2, x2 = np.random.default_rng(8).normal(0.0, 1.0, (2, 6, 10))
-        # signed zeros and non-finite statistics in x; v = y + mu (x - y) is
-        # exactly 0 where x and y are zeros of either sign
-        x2[0, :5] = [0.0, -0.0, np.nan, np.inf, -np.inf]
-        x2[-1, :3] = [0.0, -0.0, -0.0]
-        y2[-1, :3] = [0.0, -0.0, 0.0]
-        v = y2 + 0.1 * (x2 - y2)
-        assert np.count_nonzero(v[-1, :3] == 0.0) == 3
-        for y, x in ((y2, x2), (y2[0], x2[0]), (y2[-1], x2[-1])):
-            y, x = y.copy(), x.copy()
-            y.setflags(write=False)
-            x.setflags(write=False)
+        rng = np.random.default_rng(8)
+        # tiles of 1, 2 and 7 trial rows and a one-step tile; the longer
+        # ones switch from h = 0 to h = 1 after their third step
+        for shape in ((6, 1, 10), (6, 2, 10), (6, 7, 10), (1, 7, 10)):
+            switch = min(3, shape[0])
+            x = np.concatenate([model.sample(0, rng, (switch, *shape[1:])),
+                                model.sample(1, rng, (shape[0] - switch, *shape[1:]))])
+            y = rng.normal(0.0, 1.0, shape[1:])
+            # signed zeros and non-finite statistics in x; v = y + mu (x - y)
+            # is exactly 0 where x and y are zeros of either sign
+            x[0].flat[:5] = [0.0, -0.0, np.nan, np.inf, -np.inf]
+            x[0][..., -3:] = [0.0, -0.0, -0.0]
+            y[..., -3:] = [0.0, -0.0, 0.0]
+            assert np.all((y + 0.1 * (x[0] - y))[..., -3:] == 0.0)
+            for arr in (x, y):
+                arr.setflags(write=False)
             with np.errstate(invalid="ignore"):  # inf * 0 in the full matrix
-                got, want = step(y, x), ref(y, x)
-            assert got.shape == want.shape == x.shape
-            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+                got = step(y, x)
+                want, state = [], y
+                for xi in x:
+                    state = ref(state, xi)
+                    want.append(state)
+            assert got.shape == x.shape
+            np.testing.assert_array_equal(got.view(np.uint64),
+                                          np.array(want).view(np.uint64))
+
+    def test_writes_into_the_given_buffer(self, gauss1, net_a25):
+        step = make_step(net_a25, gauss1, 0.1)
+        x = gauss1.sample(1, np.random.default_rng(3), (4, 3, 10))
+        out = np.empty_like(x)
+        assert step(np.zeros(10), x, out) is out
+        np.testing.assert_array_equal(out, step(np.zeros(10), x))
+        for bad in (np.empty((4, 10, 3)), np.empty((4, 3, 9))):
+            with pytest.raises(ValueError, match="out must be an array of shape"):
+                step(np.zeros(10), x, bad)
+
+    def test_only_three_dimensional_tiles(self, gauss1, net_a25):
+        # a (trials, S) array would otherwise step as trials steps of one trial
+        step = make_step(net_a25, gauss1, 0.1)
+        x = gauss1.sample(1, np.random.default_rng(3), (4, 3, 10))
+        for bad in (x[:, 0], x[0, 0], x[None]):
+            with pytest.raises(ValueError, match=r"x must be a \(steps, rows, S\) tile"):
+                step(np.zeros(10), bad)
 
 
 class TestClosedFormOracles:
@@ -195,17 +223,21 @@ class TestClosedFormOracles:
 THREE_SEGMENTS = ((1, 0), (9, 1), (20, 0))
 
 
+def never(n_blocks, work, sums):
+    return False
+
+
 @pytest.fixture
 def serial(monkeypatch):
     """Keep every run() block in this process, where a draw_statistics spy
-    sees every call."""
-    monkeypatch.setattr(simulate, "_SPLIT_WORK", 2 ** 62)
+    sees every call; the blocks are the ones the run's shape gives."""
+    monkeypatch.setattr(simulate, "_use_child", never)
 
 
 @pytest.fixture
-def forks(monkeypatch):
-    """Split every run() of two or more blocks with a forked child, even on
-    one CPU; the list of the children's pids."""
+def fork_counter(monkeypatch):
+    """The list of run()'s forked children's pids, in a process that has
+    two CPUs as far as run() can tell; run() decides whether to fork."""
     pids, fork = [], os.fork
 
     def counting():
@@ -216,8 +248,17 @@ def forks(monkeypatch):
 
     monkeypatch.setattr(os, "fork", counting)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(simulate, "_SPLIT_WORK", 0)
     return pids
+
+
+@pytest.fixture
+def forks(monkeypatch, fork_counter):
+    """Split every run() of two or more blocks with a forked child, however
+    small, and without changing its blocks; the list of the children's pids."""
+    use_child = simulate._use_child
+    monkeypatch.setattr(simulate, "_use_child", lambda n_blocks, work, sums:
+                        use_child(n_blocks, simulate._SPLIT_WORK, sums))
+    return fork_counter
 
 
 def assert_no_child_left():
@@ -418,6 +459,8 @@ class TestTiles:
             return draw_statistics(m, segs, rng, out)
 
         monkeypatch.setattr(simulate, "_TILE_BUDGET", 12 * 4 * 10)
+        # the kernel steps each 4-step tile in slices of 3 steps and 1 step
+        monkeypatch.setattr(simulate, "_KERNEL_BUDGET", 12 * 3 * 10)
         monkeypatch.setattr(simulate, "draw_statistics", spy)
         for model, scheme, chunk in cases:
             cfg = SimConfig(network=net_a25, model=model, mu=0.1, n_iters=30,
@@ -437,27 +480,42 @@ class TestTiles:
     @pytest.mark.parametrize("n_iters", [1, 100, 3000])
     def test_draws_stay_within_budget(self, gauss1, net_a25, n_iters,
                                       monkeypatch, serial):
-        budget = simulate._TILE_BUDGET
-        seen = []
+        budget, kernel_budget = simulate._TILE_BUDGET, simulate._KERNEL_BUDGET
+        seen, slices = [], []
 
         def spy(m, segs, rng, out):
-            seen.append((out.shape[0], out.base.size))
+            seen.append((out.shape[0], out.base.shape))
             return draw_statistics(m, segs, rng, out)
 
+        def spy_step(*args):
+            kernel = make_step(*args)
+
+            def step(y, x, out):
+                slices.append((out.shape, out.base.size))
+                return kernel(y, x, out)
+            return step
+
         monkeypatch.setattr(simulate, "draw_statistics", spy)
+        monkeypatch.setattr(simulate, "make_step", spy_step)
         cfg = SimConfig(network=net_a25, model=gauss1, mu=0.1, n_iters=n_iters,
                         trials=300, seed=1)
         run(cfg)
-        # 256 + 44 trials, each drawing all n_iters steps over its tiles
+        # 150 + 150 trials, each drawing all n_iters steps over its tiles into
+        # a (C, 150, 10) tile within the budget
         assert sum(steps for steps, _ in seen) == 300 * n_iters
-        for steps, held in seen:
-            assert steps * 256 * 10 <= budget and held <= budget
+        span = min(n_iters, budget // (150 * 10), simulate._TRIAL_TILE // 10)
+        assert {shape for _, shape in seen} == {(span, 150, 10)}
+        assert span * 150 * 10 <= budget and span * 10 <= simulate._TRIAL_TILE
+        # each block steps all n_iters steps of its 150 rows in kernel slices
+        assert sum(shape[0] for shape, _ in slices) == 2 * n_iters
+        for shape, held in slices:
+            assert shape[1:] == (150, 10) and held <= kernel_budget
 
     def test_split_draws_stay_within_budget_per_process(self, gauss1, net_a25,
                                                         monkeypatch, forks,
                                                         tmp_path):
-        # each process logs its own draws: the parent block 0 (256 trials),
-        # the child block 1 (44 trials), each within the tile budget
+        # each process logs its own draws: the parent block 0 (150 trials),
+        # the child block 1 (150 trials), each within the tile budget
         budget, log = simulate._TILE_BUDGET, tmp_path / "draws.log"
 
         def spy(m, segs, rng, out):
@@ -472,8 +530,8 @@ class TestTiles:
         for line in log.read_text().splitlines():
             pid, drawn, held = map(int, line.split())
             steps[pid] += drawn
-            assert drawn * 256 * 10 <= budget and held <= budget
-        assert steps == {os.getpid(): 256 * 3000, forks[0]: 44 * 3000}
+            assert drawn * 150 * 10 <= budget and held <= budget
+        assert steps == {os.getpid(): 150 * 3000, forks[0]: 150 * 3000}
 
 
 class TestSplit:
@@ -486,18 +544,20 @@ class TestSplit:
                              ids=["gaussian", "exponential"])
     def test_split_matches_serial(self, model, scheme, chunk, trials, net_a25,
                                   monkeypatch, forks):
-        # tiles of 4 steps: the switch into step 9 (index 8) falls on a tile
-        # edge, the one into step 20 (index 19) inside a tile; blocks of 7 and
-        # of the default 256 leave a one-trial tail
-        monkeypatch.setattr(simulate, "_TILE_BUDGET", 4 * max(chunk or 256, 2) * 10)
+        # tiles of 4 steps for the widest block: the switch into step 9
+        # (index 8) falls on a tile edge, the one into step 20 (index 19)
+        # inside a tile; blocks of 7 leave a one-trial tail, and the default
+        # blocks of 257 trials are 128 and 129 wide
+        width = max(2, *np.diff(simulate.blocks(trials, 0, chunk)))
+        monkeypatch.setattr(simulate, "_TILE_BUDGET", 4 * width * 10)
         cfg = SimConfig(network=net_a25, model=model, mu=0.1, n_iters=30,
                         trials=trials, scheme=scheme, schedule=THREE_SEGMENTS,
                         seed=9)
         y0 = np.linspace(-1.0, 1.0, 10)
-        monkeypatch.setattr(simulate, "_SPLIT_WORK", 2 ** 62)
-        one = run(cfg, (3, 9), y0, chunk)
+        with monkeypatch.context() as m:
+            m.setattr(simulate, "_use_child", never)
+            one = run(cfg, (3, 9), y0, chunk)
         assert forks == []
-        monkeypatch.setattr(simulate, "_SPLIT_WORK", 0)
         two = run(cfg, (3, 9), y0, chunk)
         assert len(forks) == 1
         np.testing.assert_array_equal(two.terminal_states, one.terminal_states)
@@ -505,14 +565,60 @@ class TestSplit:
             np.testing.assert_array_equal(two.trajectories[k], one.trajectories[k])
         assert_no_child_left()
 
+    def test_blocks_follow_the_run_shape(self):
+        large = simulate._SPLIT_WORK
+        assert simulate.blocks(300, 0) == [0, 150, 300]
+        assert simulate.blocks(100, large - 1) == [0, 100]
+        assert simulate.blocks(100, large) == [0, 50, 100]
+        # three blocks of 200, or four of 150 once the run is large
+        assert simulate.blocks(600, 0) == [0, 200, 400, 600]
+        assert simulate.blocks(600, large) == [0, 150, 300, 450, 600]
+        assert set(np.diff(simulate.blocks(10_000, large))) == {250}
+        assert set(np.diff(simulate.blocks(257, large))) == {128, 129}
+        assert simulate.blocks(3, large) == [0, 1, 3]
+        assert simulate.blocks(1, large) == [0, 1]
+        # chunk_trials keeps its blocks, whatever the work
+        assert simulate.blocks(10, large, 3) == [0, 3, 6, 9, 10]
+
+    def test_one_block_never_forks(self, gauss1, net_a25, forks):
+        # the fork's work is forced; the blocks follow the small runs' real
+        # shape, a single block each
+        for trials, chunk in ((256, None), (1, None), (12, 12), (12, 20)):
+            assert len(simulate.blocks(trials, trials * 5 * 10, chunk)) == 2
+            run(SimConfig(network=net_a25, model=gauss1, mu=0.1, n_iters=5,
+                          trials=trials, seed=1), chunk_trials=chunk)
+        assert forks == []
+
     def test_one_block_and_small_runs_stay_in_process(self, gauss1, net_a25,
-                                                       forks, monkeypatch):
-        run(SimConfig(network=net_a25, model=gauss1, mu=0.1, n_iters=5,
-                      trials=256, seed=1))
+                                                       fork_counter, monkeypatch):
+        # one block of 100 trials by 3,000 steps, past _SPLIT_WORK
+        assert 100 * 3000 * 10 >= simulate._SPLIT_WORK
+        run(SimConfig(network=net_a25, model=gauss1, mu=0.1, n_iters=3000,
+                      trials=100, seed=1), chunk_trials=100)
+        # two blocks, one trial-step short of the split
         monkeypatch.setattr(simulate, "_SPLIT_WORK", 257 * 5 * 10 + 1)
         run(SimConfig(network=net_a25, model=gauss1, mu=0.1, n_iters=5,
                       trials=257, seed=1))
-        assert forks == []
+        assert fork_counter == []
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_large_run_under_256_trials_forks_once(self, scheme, gauss1, net_a25,
+                                                   fork_counter, monkeypatch):
+        # 100 trials of 3,000 steps, past _SPLIT_WORK: two blocks of 50 trials
+        cfg = SimConfig(network=net_a25, model=gauss1, mu=0.1, n_iters=3000,
+                        trials=100, scheme=scheme, schedule=((1, 0), (1001, 1)),
+                        seed=4)
+        assert cfg.trials * cfg.n_iters * 10 >= simulate._SPLIT_WORK
+        assert simulate.blocks(100, cfg.trials * cfg.n_iters * 10) == [0, 50, 100]
+        with monkeypatch.context() as m:
+            m.setattr(simulate, "_use_child", never)
+            one = run(cfg, (3,))
+        assert fork_counter == []
+        two = run(cfg, (3,))
+        assert len(fork_counter) == 1
+        np.testing.assert_array_equal(two.terminal_states, one.terminal_states)
+        np.testing.assert_array_equal(two.trajectories[3], one.trajectories[3])
+        assert_no_child_left()
 
     @pytest.mark.parametrize("side, error", [("child", RuntimeError),
                                              ("parent", ValueError)])
