@@ -3,8 +3,9 @@
 Library layout:
 
 * ``network``      - agent graphs and combination matrices
-* ``models``       - observation models (Gaussian / exponential LLR) and
-                     their one-bit message levels
+* ``models``       - observation models (Gaussian / exponential LLR),
+                     each sampled as an affine map of a standard variate,
+                     and their one-bit message levels
 * ``continuous``   - steady-state CDF of the continuous state component: a
                      lattice Fourier series of its log-characteristic function
 * ``discrete``     - PMFs and their convolution, exact for the state's
@@ -15,7 +16,9 @@ Library layout:
                      messages' closed-form CF
 * ``simulate``     - the tile kernel of the diffusion recursions (with the
                      one-bit quantizer), which steps a tile of draws at
-                     once, and the Monte Carlo engine, whose blocks follow
+                     once, and the Monte Carlo engine: each trial draws
+                     its standard variates in one call per tile, and each
+                     tile segment takes one affine map. Its blocks follow
                      from the run's shape: a large run splits them evenly
                      with one forked child, and the output is the same
                      either way

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from math import factorial, pi, sqrt
+from math import factorial, isnan, nan, pi, sqrt
 
 import numpy as np
 
@@ -221,12 +221,14 @@ def cdf_u(u: float, model: ObservationModel, node: NodeParams, h: int,
     """CDF of the steady-state continuous component at u, clamped to [0,1].
 
     ``_lattice_cdf`` on the lattice of u's table (``tabulate_cdf_u``, for
-    every model), shifted so that u is a knot; 0 below that range and 1
-    above it, as the table reads. Requires an absolutely continuous limit
-    (true for any model whose statistic has a density).
+    every model), shifted so that u is a knot; 0 below that range, 1
+    above it and NaN at NaN, as the table reads. Requires an absolutely
+    continuous limit (true for any model whose statistic has a density).
     """
     table = tabulate_cdf_u(model, node, h, eps_prime=eps_prime)
     (lo, hi), n = table.support, table.grid.size
+    if isnan(u):
+        return nan
     if not lo <= u <= hi:
         return float(u > hi)
     step = (hi - lo) / (n - 1)

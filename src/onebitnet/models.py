@@ -2,7 +2,11 @@
 
 Each model describes the distribution of the scalar statistic x computed by
 an agent from a single observation, under both states of nature h = 0, 1.
-Besides sampling and moments, models expose the log-characteristic function
+Each model samples x as an affine map of a standard variate,
+x = shift + scale z (``affine``), z standard normal or standard
+exponential (``standard``), so a caller may draw z for several hypotheses
+at once and map each block of steps after. Besides sampling and moments,
+models expose the log-characteristic function
 Phi_{x,h}(t) = log E_h exp(j t x) together with its first four cumulants
 and the radius of its power series, which drive the steady-state CDF
 inversion. ``normal_cdf`` is the package's one normal CDF,
@@ -65,7 +69,20 @@ class ObservationModel(ABC):
     def variance(self, h: int) -> float: ...
 
     @abstractmethod
-    def sample(self, h: int, rng: np.random.Generator, size=None): ...
+    def standard(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+        """``out`` (float64, C-contiguous) filled with the standard variates
+        z that ``affine`` maps to x, drawn in ``out``'s order; returns out."""
+
+    @abstractmethod
+    def affine(self, h: int) -> tuple[float, float]:
+        """(scale, shift) with x = shift + scale z under h."""
+
+    def sample(self, h: int, rng: np.random.Generator, size=None):
+        """Draws of x under h, shift + scale z, as numpy's own location-scale
+        samplers round them; a float when ``size`` is None."""
+        scale, shift = self.affine(h)
+        x = shift + scale * self.standard(rng, np.empty(() if size is None else size))
+        return float(x) if size is None else x
 
     @abstractmethod
     def log_cf(self, t, h: int):
@@ -121,8 +138,11 @@ class GaussianModel(ObservationModel):
     def variance(self, h):
         return 2.0 * self.rho
 
-    def sample(self, h, rng, size=None):
-        return rng.normal(self.mean(h), sqrt(2.0 * self.rho), size)
+    def standard(self, rng, out):
+        return rng.standard_normal(out=out)
+
+    def affine(self, h):
+        return sqrt(2.0 * self.rho), self.mean(h)
 
     def log_cf(self, t, h):
         t = np.asarray(t)
@@ -176,8 +196,11 @@ class ExponentialModel(ObservationModel):
     def variance(self, h):
         return self._scale(h) ** 2
 
-    def sample(self, h, rng, size=None):
-        return rng.exponential(self._scale(h), size) - self._log_lam
+    def standard(self, rng, out):
+        return rng.standard_exponential(out=out)
+
+    def affine(self, h):
+        return self._scale(h), -self._log_lam
 
     def log_cf(self, t, h):
         t = np.asarray(t, dtype=complex)

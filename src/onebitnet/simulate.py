@@ -17,16 +17,22 @@ the tile's buffer; ``run`` and the closed-form oracle checks in
 
 Each trial draws its statistics from a counter-based Philox stream keyed
 by (master seed, trial index), so terminal states are bit-identical
-regardless of execution order or tiling. ``run`` picks its trial blocks
-from the run's shape alone (``blocks``): ceil(trials / 256) of equal size,
-an even number of them in a run of at least ``_SPLIT_WORK`` trial-steps x
-nodes. It reuses one Philox and draws a block of at most B trials in tiles
-of C = min(n_iters, ``_TILE_BUDGET`` // (B S), ``_TRIAL_TILE`` // S) steps,
-a fixed budget of doubles whatever n_iters is. A trial's first tile resets
-the Philox to the trial's key; each later tile restores the generator
-state saved after the trial's previous tile, so every trial draws exactly
-its own stream. The kernel steps a tile in slices of at most
-``_KERNEL_BUDGET`` doubles, and the trajectories are summed once per slice.
+regardless of execution order or tiling. A trial draws standard variates
+(``model.standard``), the same stream whatever the schedule; a tile of
+trials then becomes statistics by one affine map per hypothesis segment
+(``to_statistics``), rounded as ``model.sample`` rounds them. ``run``
+picks its trial blocks from the run's shape alone (``blocks``):
+ceil(trials / 256) of equal size, an even number of them in a run of at
+least ``_SPLIT_WORK`` trial-steps x nodes. It reuses one Philox and draws
+a block of at most B trials in tiles of C = min(n_iters, ``_TILE_BUDGET``
+// (B S), ``_TRIAL_TILE`` // S) steps, a fixed budget of doubles whatever
+n_iters is. A trial's first tile resets the Philox to the trial's key;
+each later tile restores the generator state saved after the trial's
+previous tile, so every trial draws exactly its own stream, one
+``model.standard`` call per trial and tile into a contiguous (C, S)
+buffer that is copied into the step-major tile. The kernel steps a tile
+in slices of at most ``_KERNEL_BUDGET`` doubles, and the trajectories
+are summed once per slice.
 
 A run of at least ``_SPLIT_WORK`` trial-steps x nodes, in a process with a
 second CPU (Linux's ``sched_getaffinity``) and one Python thread, forks
@@ -162,12 +168,23 @@ def segments(h_steps: np.ndarray) -> list[tuple[int, int, int]]:
     return [(s, e, int(h_steps[s])) for s, e in zip([0, *cuts], [*cuts, len(h_steps)])]
 
 
+def to_statistics(model: ObservationModel, segs: list, z: np.ndarray) -> np.ndarray:
+    """Standard draws ``z`` (steps, ...) mapped in place to statistics: each
+    segment's steps scaled, then shifted (``model.affine``), as
+    ``model.sample`` rounds them."""
+    for start, end, h in segs:
+        scale, shift = model.affine(h)
+        z[start:end] *= scale
+        z[start:end] += shift
+    return z
+
+
 def draw_statistics(model: ObservationModel, segs: list, rng: np.random.Generator,
                     out: np.ndarray) -> np.ndarray:
-    """One trial's fresh statistics into ``out`` (n_iters, S), segment by segment."""
-    for start, end, h in segs:
-        out[start:end] = model.sample(h, rng, (end - start, out.shape[1]))
-    return out
+    """One trial's fresh statistics into ``out`` (n_iters, S), C-contiguous:
+    its standard draws, then each segment's affine map; the draws ``run``
+    gives the trial."""
+    return to_statistics(model, segs, model.standard(rng, out))
 
 
 def make_step(network: NetworkSpec, model: ObservationModel, mu: float,
@@ -263,9 +280,12 @@ def run(config: SimConfig, trajectory_nodes=(), y0=None,
     of equal size, at most 256, and an even number of them in a run of at
     least ``_SPLIT_WORK`` trial-steps x nodes. A block draws in tiles of C
     steps, C = min(n_iters, ``_TILE_BUDGET`` // (B S), ``_TRIAL_TILE`` // S)
-    for B the widest block, and steps each tile through ``make_step``'s
-    kernel in slices within ``_KERNEL_BUDGET`` doubles, which hold the
-    slice's states; trajectories are summed from them once per slice.
+    for B the widest block: each trial's standard draws for the tile are
+    one ``model.standard`` call, and the whole tile becomes statistics by
+    one in-place scale and shift per hypothesis segment (``to_statistics``).
+    Each tile steps through ``make_step``'s kernel in slices within
+    ``_KERNEL_BUDGET`` doubles, which hold the slice's states; trajectories
+    are summed from them once per slice.
     Between a trial's tiles its Philox state is saved and restored, so
     terminal states do not depend on the block or tile split. Trajectories
     are summed per block, so they are bit-stable only for a fixed block
@@ -301,6 +321,12 @@ def run(config: SimConfig, trajectory_nodes=(), y0=None,
     h_steps = config.hypothesis_steps()
     bit_gen = np.random.Philox(key=[np.uint64(config.seed), np.uint64(0)])
     rng, fresh = np.random.Generator(bit_gen), bit_gen.state
+    # the state _trial_rng(seed, trial) starts in, once its key[1] is the
+    # trial: counter 0, no bits left; as Python ints, which the state's
+    # setter reads in about half the time it takes for numpy arrays
+    fresh["state"] = {name: v.tolist() for name, v in fresh["state"].items()}
+    fresh["buffer"] = fresh["buffer"].tolist()
+    key, standard = fresh["state"]["key"], config.model.standard
 
     def run_blocks(first, stride, terminal, sums):
         """Blocks first, first + stride, ...: their rows into ``terminal``,
@@ -308,6 +334,7 @@ def run(config: SimConfig, trajectory_nodes=(), y0=None,
         # each process allocates its own tiles: pages shared with a forked
         # child would be copied on the first write
         x = np.zeros((span, width, S))
+        z = np.empty((span, S))  # one trial's standard draws for a tile
         states = np.empty(slice_steps * width * S)
         for b in range(first, n_blocks, stride):
             start, end = bounds[b], bounds[b + 1]
@@ -317,20 +344,22 @@ def run(config: SimConfig, trajectory_nodes=(), y0=None,
             traj_rows = list(zip(traj_nodes, sums[b % len(sums)]))
             for c0 in range(0, n, span):
                 c1 = min(n, c0 + span)
-                segs = segments(h_steps[c0:c1])
+                tile, draws = x[:c1 - c0], z[:c1 - c0]
                 for t in range(count):
                     if c0 == 0:
-                        # the state _trial_rng(seed, start + t) starts in: counter 0, no bits left
-                        fresh["state"]["key"][1] = start + t
+                        key[1] = start + t
                         bit_gen.state = fresh
                     else:
                         bit_gen.state = saved[t]
-                    draw_statistics(config.model, segs, rng, x[:c1 - c0, t])
+                    # one call whatever the schedule: every hypothesis maps
+                    # the same standard stream
+                    tile[:, t] = standard(rng, draws)
                     if c1 < n:
                         saved[t] = bit_gen.state
+                to_statistics(config.model, segments(h_steps[c0:c1]), tile[:, :count])
                 for s0 in range(c0, c1, slice_steps):
                     s1 = min(c1, s0 + slice_steps)
-                    out = step(y, x[s0 - c0:s1 - c0, :rows],
+                    out = step(y, tile[s0 - c0:s1 - c0, :rows],
                                states[:(s1 - s0) * rows * S].reshape(s1 - s0, rows, S))
                     for k, row in traj_rows:
                         row[s0:s1] += out[:, :count, k].sum(axis=1)

@@ -87,11 +87,13 @@ def mixture_cdf(y, pmf: DiscretePmf, cont: ContinuousCdfTable) -> np.ndarray:
     place, so memory stays at one array of y's size; every term is
     nonnegative, so capping the sum at 1 clips it. Most heads are one atom
     of mass 1, whose sum is the query itself, already in [0, 1] for a
-    table of ``_monotone_table``; at z = 0, y - z is y itself."""
-    y = np.array(y, dtype=float, copy=None, ndmin=1)
+    table of ``_monotone_table``, and goes to the table without a copy of
+    y; at z = 0, y - z is y itself."""
     if pmf.size == 1 and pmf.probs[0] == 1.0:
         z = pmf.points.item()
-        return cont(y - z if z else y)
+        out = cont(np.subtract(y, z) if z else y)
+        return out.reshape(1) if out.ndim == 0 else out
+    y = np.array(y, dtype=float, copy=None, ndmin=1)
     atoms = zip(pmf.points.tolist(), pmf.probs.tolist())
     z, nu = next(atoms)
     out = nu * cont(y - z)
@@ -124,9 +126,11 @@ class SteadyStateCdf:
         return float(np.abs(np.diff(v, 2)).max() / 4.0 + max(v[1], 1.0 - v[-2]))
 
     def __call__(self, y):
+        """F(y): a float at a scalar y, else a float array of y's shape."""
         y = np.asarray(y, dtype=float)
-        out = mixture_cdf(y, self.pmf, self.cont)
-        return float(out[0]) if y.ndim == 0 else out
+        if y.ndim == 0:
+            return float(mixture_cdf(y.reshape(1), self.pmf, self.cont)[0])
+        return mixture_cdf(y, self.pmf, self.cont)
 
     def mean(self) -> float:
         return self.cont.mean + self.pmf.mean()

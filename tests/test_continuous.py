@@ -234,6 +234,14 @@ class TestSelectDelta:
         assert cdf_u(deep, expo5, node, 0) == 1.0
         assert [(c[1], c[3]) for c in calls] == [(table.grid[0], table.grid.size)]
 
+    @pytest.mark.parametrize("u", [float("nan"), np.float64("nan")])
+    def test_nan_reads_nan(self, expo5, u):
+        # as the table itself reads it, not as a point below the support
+        node = node_for(0.5)
+        assert np.isnan(tabulate_cdf_u(expo5, node, 0)(u))
+        got = cdf_u(u, expo5, node, 0)
+        assert type(got) is float and math.isnan(got)
+
     def test_rejects_nonpositive_budget(self, expo5):
         for eps_prime in (0.0, -1e-5, np.nan):
             with pytest.raises(ValueError, match="eps_prime must be positive"):

@@ -62,6 +62,13 @@ class TestThresholdForPf:
         with pytest.raises(ValueError, match="unreachable"):
             threshold_for_pf(cdf0, 0.1, np.linspace(0, 1, 5))
 
+    @pytest.mark.parametrize("target", [1.0, 1.5, 0.0, np.nan])
+    def test_target_outside_unit_interval_raises(self, target):
+        # a target of 1 or more would pass any grid
+        cdf0 = lambda g: norm.cdf(np.asarray(g))
+        with pytest.raises(ValueError, match=r"target_pf must be in \(0,1\)"):
+            threshold_for_pf(cdf0, target, np.linspace(-5, 5, 11))
+
     def test_empirical_quantile_cross_check(self):
         model = GaussianModel(1.0)
         net = make_network(0.1)

@@ -75,6 +75,45 @@ class TestGaussianModel:
             GaussianModel(rho)
 
 
+class TestSampling:
+    """sample() is the affine map of standard() that numpy's own samplers
+    round, bit for bit."""
+
+    @pytest.mark.parametrize("size", [None, 7, (30, 10)], ids=["none", "int", "tuple"])
+    @pytest.mark.parametrize("h", [0, 1])
+    @pytest.mark.parametrize("model", [GaussianModel(1.0), GaussianModel(0.37),
+                                       ExponentialModel(5.0), ExponentialModel(1.3)],
+                             ids=repr)
+    def test_sample_is_shift_plus_scale_standard(self, model, h, size):
+        scale, shift = model.affine(h)
+        got = model.sample(h, np.random.default_rng(3), size)
+        z = model.standard(np.random.default_rng(3),
+                           np.empty(() if size is None else size))
+        rng = np.random.default_rng(3)
+        if isinstance(model, GaussianModel):
+            assert (scale, shift) == (math.sqrt(2.0 * model.rho), model.mean(h))
+            numpy_draws = rng.normal(model.mean(h), math.sqrt(2.0 * model.rho), size)
+        else:
+            s_h = model.lambda_e - 1.0 if h == 1 else 1.0 - 1.0 / model.lambda_e
+            assert (scale, shift) == (s_h, -math.log(model.lambda_e))
+            numpy_draws = rng.exponential(s_h, size) - math.log(model.lambda_e)
+        assert type(got) is (float if size is None else np.ndarray)
+        assert np.shape(got) == np.shape(numpy_draws)
+        for want in (shift + scale * z, numpy_draws):
+            np.testing.assert_array_equal(np.asarray(got, float).view(np.uint64),
+                                          np.asarray(want, float).view(np.uint64))
+
+    @pytest.mark.parametrize("model", [GaussianModel(1.0), ExponentialModel(5.0)],
+                             ids=repr)
+    def test_standard_fills_and_returns_out(self, model):
+        out = np.full((4, 3), np.nan)
+        assert model.standard(np.random.default_rng(5), out) is out
+        ref = np.random.default_rng(5)
+        want = (ref.standard_normal((4, 3)) if isinstance(model, GaussianModel)
+                else ref.standard_exponential((4, 3)))
+        np.testing.assert_array_equal(out, want)
+
+
 class TestExponentialModel:
     def test_moments_lambda5(self, expo5):
         np.testing.assert_allclose(expo5.mean(0), 0.8 - LOG5, atol=1e-14)

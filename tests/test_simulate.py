@@ -11,7 +11,7 @@ from onebitnet import (ExponentialModel, GaussianModel, SimConfig,
 from onebitnet import simulate
 from onebitnet.simulate import (ONE_BIT_X, QUANTIZED_STATE, SCHEMES,
                                 UNQUANTIZED, _trial_rng, draw_statistics,
-                                segments)
+                                segments, to_statistics)
 from onebitnet.validation import (explicit_one_bit_state, iterate_scheme,
                                   unquantized_matrix_state)
 from tests.conftest import make_network
@@ -223,14 +223,30 @@ class TestClosedFormOracles:
 THREE_SEGMENTS = ((1, 0), (9, 1), (20, 0))
 
 
+def spy_on_standard(monkeypatch, spy):
+    """Route both models' standard draws through ``spy(model, rng, out,
+    standard)``, ``standard`` the model class's own method; run() makes
+    one such call per trial and tile."""
+    for cls in (GaussianModel, ExponentialModel):
+        monkeypatch.setattr(cls, "standard", lambda self, rng, out, own=cls.standard:
+                            spy(self, rng, out, own))
+
+
+def no_draws(monkeypatch):
+    """Make every standard draw raise TypeError."""
+    for cls in (GaussianModel, ExponentialModel):
+        monkeypatch.setattr(cls, "standard", None)
+
+
 def never(n_blocks, work, sums):
     return False
 
 
 @pytest.fixture
 def serial(monkeypatch):
-    """Keep every run() block in this process, where a draw_statistics spy
-    sees every call; the blocks are the ones the run's shape gives."""
+    """Keep every run() block in this process, where a spy on the standard
+    draws or their map to statistics sees every call; the blocks are the
+    ones the run's shape gives."""
     monkeypatch.setattr(simulate, "_use_child", never)
 
 
@@ -351,22 +367,35 @@ class TestBlocks:
                         trials=12, schedule=THREE_SEGMENTS, seed=5)
         drawn, states = [], []
 
-        def spy(m, segs, rng, out):
-            drawn.append(draw_statistics(m, segs, rng, out).copy())
+        def spy(m, rng, out, standard):
+            drawn.append(standard(m, rng, out).copy())
             rng.integers(0, 2 ** 32, 3, dtype=np.uint32)
             states.append(rng.bit_generator.state)
             return out
 
-        monkeypatch.setattr(simulate, "draw_statistics", spy)
-        run(cfg, chunk_trials=5)
+        with monkeypatch.context() as m:
+            spy_on_standard(m, spy)
+            ens = run(cfg, chunk_trials=5)
         assert all(st["has_uint32"] == 1 for st in states)
         assert any(0 < st["buffer_pos"] < 4 for st in states)
+        # one draw per trial, of the whole (30, S) schedule, three segments
+        # and all, which is the trial's own stream
+        assert len(drawn) == cfg.trials
         segs = segments(cfg.hypothesis_steps())
         assert len(segs) == 3
-        for t, x in enumerate(drawn):
-            ref = draw_statistics(model, segs, _trial_rng(cfg.seed, t),
-                                  np.empty((30, net_a25.size)))
-            np.testing.assert_array_equal(x, ref)
+        for t, z in enumerate(drawn):
+            ref = model.standard(_trial_rng(cfg.seed, t), np.empty((30, net_a25.size)))
+            np.testing.assert_array_equal(z, ref)
+        # and the tile's map makes of them the trial's statistics
+        step = make_step(net_a25, model, 0.1)
+        for t, z in enumerate(drawn):
+            x = to_statistics(model, segs, z[:, None])
+            np.testing.assert_array_equal(
+                ens.terminal_states[t],
+                step(np.zeros(10), np.concatenate([x, x], axis=1))[-1, 0])
+            np.testing.assert_array_equal(
+                x[:, 0], draw_statistics(model, segs, _trial_rng(cfg.seed, t),
+                                         np.empty((30, net_a25.size))))
 
     def test_one_bit_generator_per_run(self, gauss1, net_a25, monkeypatch):
         built = []
@@ -386,7 +415,7 @@ class TestBlocks:
     @pytest.mark.parametrize("nodes", [(10,), (-1,), (3, 12)])
     def test_trajectory_node_out_of_range(self, gauss1, net_a25, nodes,
                                           monkeypatch):
-        monkeypatch.setattr(simulate, "draw_statistics", None)  # a draw raises TypeError
+        no_draws(monkeypatch)  # a draw raises TypeError
         cfg = SimConfig(network=net_a25, model=gauss1, mu=0.1, n_iters=5,
                         trials=4)
         with pytest.raises(ValueError, match="trajectory_nodes"):
@@ -396,7 +425,7 @@ class TestBlocks:
     def test_trajectory_node_not_integer(self, gauss1, net_a25, nodes,
                                          monkeypatch):
         # rejected before the first draw, which would raise TypeError here
-        monkeypatch.setattr(simulate, "draw_statistics", None)
+        no_draws(monkeypatch)
         cfg = SimConfig(network=net_a25, model=gauss1, mu=0.1, n_iters=5,
                         trials=4)
         with pytest.raises(ValueError, match="trajectory_nodes must be whole numbers"):
@@ -421,7 +450,7 @@ class TestBlocks:
     @pytest.mark.parametrize("y0", [np.zeros(3), np.zeros((1, 10)),
                                     np.zeros((4, 10))])
     def test_y0_must_broadcast_to_nodes(self, gauss1, net_a25, y0, monkeypatch):
-        monkeypatch.setattr(simulate, "draw_statistics", None)  # a draw raises TypeError
+        no_draws(monkeypatch)  # a draw raises TypeError
         cfg = SimConfig(network=net_a25, model=gauss1, mu=0.1, n_iters=5,
                         trials=4)
         with pytest.raises(ValueError, match="y0"):
@@ -452,16 +481,21 @@ class TestTiles:
                             trials=12, scheme=scheme, schedule=THREE_SEGMENTS,
                             seed=9)
             single[model, scheme, chunk] = run(cfg, (3, 9), y0, chunk)
-        tiles = []
+        draws, tiles = [], []
 
-        def spy(m, segs, rng, out):
-            tiles.append((out.shape[0], segs))
-            return draw_statistics(m, segs, rng, out)
+        def spy_draw(m, rng, out, standard):
+            draws.append(out.shape)
+            return standard(m, rng, out)
+
+        def spy_map(m, segs, z):
+            tiles.append((z.shape, segs))
+            return to_statistics(m, segs, z)
 
         monkeypatch.setattr(simulate, "_TILE_BUDGET", 12 * 4 * 10)
         # the kernel steps each 4-step tile in slices of 3 steps and 1 step
         monkeypatch.setattr(simulate, "_KERNEL_BUDGET", 12 * 3 * 10)
-        monkeypatch.setattr(simulate, "draw_statistics", spy)
+        spy_on_standard(monkeypatch, spy_draw)
+        monkeypatch.setattr(simulate, "to_statistics", spy_map)
         for model, scheme, chunk in cases:
             cfg = SimConfig(network=net_a25, model=model, mu=0.1, n_iters=30,
                             trials=12, scheme=scheme, schedule=THREE_SEGMENTS,
@@ -472,20 +506,26 @@ class TestTiles:
             for k in (3, 9):
                 np.testing.assert_array_equal(tiled.trajectories[k],
                                               ref.trajectories[k])
-        # the first case draws tile by tile, each tile for all 12 trials
-        first = tiles[:96:12]
-        assert [n for n, _ in first] == [4] * 7 + [2]
+        # the first case draws tile by tile, once per trial and tile, and
+        # maps each tile of all 12 trials once, segment by segment
+        assert draws[:96] == [(4, 10)] * 84 + [(2, 10)] * 12
+        first = tiles[:8]
+        assert [shape for shape, _ in first] == [(4, 12, 10)] * 7 + [(2, 12, 10)]
         assert first[2][1] == [(0, 4, 1)] and first[4][1] == [(0, 3, 1), (3, 4, 0)]
 
     @pytest.mark.parametrize("n_iters", [1, 100, 3000])
     def test_draws_stay_within_budget(self, gauss1, net_a25, n_iters,
                                       monkeypatch, serial):
         budget, kernel_budget = simulate._TILE_BUDGET, simulate._KERNEL_BUDGET
-        seen, slices = [], []
+        drawn, seen, slices = [], [], []
 
-        def spy(m, segs, rng, out):
-            seen.append((out.shape[0], out.base.shape))
-            return draw_statistics(m, segs, rng, out)
+        def spy_draw(m, rng, out, standard):
+            drawn.append((out.shape, out.base.shape))
+            return standard(m, rng, out)
+
+        def spy(m, segs, z):
+            seen.append((z.shape, z.base.shape))
+            return to_statistics(m, segs, z)
 
         def spy_step(*args):
             kernel = make_step(*args)
@@ -495,16 +535,22 @@ class TestTiles:
                 return kernel(y, x, out)
             return step
 
-        monkeypatch.setattr(simulate, "draw_statistics", spy)
+        spy_on_standard(monkeypatch, spy_draw)
+        monkeypatch.setattr(simulate, "to_statistics", spy)
         monkeypatch.setattr(simulate, "make_step", spy_step)
         cfg = SimConfig(network=net_a25, model=gauss1, mu=0.1, n_iters=n_iters,
                         trials=300, seed=1)
         run(cfg)
-        # 150 + 150 trials, each drawing all n_iters steps over its tiles into
-        # a (C, 150, 10) tile within the budget
-        assert sum(steps for steps, _ in seen) == 300 * n_iters
+        # 150 + 150 trials, each drawing all n_iters steps over its tiles
+        # through one (C, 10) buffer, mapped in (C, 150, 10) tiles within
+        # the budget
         span = min(n_iters, budget // (150 * 10), simulate._TRIAL_TILE // 10)
-        assert {shape for _, shape in seen} == {(span, 150, 10)}
+        assert sum(shape[0] for shape, _ in drawn) == 300 * n_iters
+        assert {shape[1:] for shape, _ in drawn} == {(10,)}
+        assert {base for _, base in drawn} == {(span, 10)}
+        assert sum(shape[0] * shape[1] for shape, _ in seen) == 300 * n_iters
+        assert {shape[1:] for shape, _ in seen} == {(150, 10)}
+        assert {base for _, base in seen} == {(span, 150, 10)}
         assert span * 150 * 10 <= budget and span * 10 <= simulate._TRIAL_TILE
         # each block steps all n_iters steps of its 150 rows in kernel slices
         assert sum(shape[0] for shape, _ in slices) == 2 * n_iters
@@ -518,18 +564,19 @@ class TestTiles:
         # the child block 1 (150 trials), each within the tile budget
         budget, log = simulate._TILE_BUDGET, tmp_path / "draws.log"
 
-        def spy(m, segs, rng, out):
+        def spy(m, segs, z):
             with open(log, "a") as fh:
-                fh.write(f"{os.getpid()} {out.shape[0]} {out.base.size}\n")
-            return draw_statistics(m, segs, rng, out)
+                fh.write(f"{os.getpid()} {z.shape[0]} {z.shape[1]} {z.base.size}\n")
+            return to_statistics(m, segs, z)
 
-        monkeypatch.setattr(simulate, "draw_statistics", spy)
+        monkeypatch.setattr(simulate, "to_statistics", spy)
         run(SimConfig(network=net_a25, model=gauss1, mu=0.1, n_iters=3000,
                       trials=300, seed=1))
         steps = {os.getpid(): 0, forks[0]: 0}
         for line in log.read_text().splitlines():
-            pid, drawn, held = map(int, line.split())
-            steps[pid] += drawn
+            pid, drawn, rows, held = map(int, line.split())
+            steps[pid] += drawn * rows
+            assert rows == 150
             assert drawn * 150 * 10 <= budget and held <= budget
         assert steps == {os.getpid(): 150 * 3000, forks[0]: 150 * 3000}
 
@@ -627,12 +674,12 @@ class TestSplit:
                                                        side, error):
         parent = os.getpid()
 
-        def failing(m, segs, rng, out):
+        def failing(m, rng, out, standard):
             if (os.getpid() == parent) == (side == "parent"):
                 raise ValueError(f"draw failed in the {side}")
-            return draw_statistics(m, segs, rng, out)
+            return standard(m, rng, out)
 
-        monkeypatch.setattr(simulate, "draw_statistics", failing)
+        spy_on_standard(monkeypatch, failing)
         with pytest.raises(error, match=f"draw failed in the {side}"):
             run(SimConfig(network=net_a25, model=gauss1, mu=0.1, n_iters=5,
                           trials=600, seed=1))

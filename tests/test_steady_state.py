@@ -138,6 +138,34 @@ class TestMixtureCdf:
         np.testing.assert_array_equal(mixture_cdf(ys, pmf, table).view(np.uint64),
                                       want.view(np.uint64))
 
+    @pytest.mark.parametrize("head", ["one_atom", "one_atom_at_0.7", "three_atoms"])
+    @pytest.mark.parametrize("rank", [0, 1, 2])
+    def test_query_keeps_type_shape_and_nan(self, gauss1, head, rank):
+        # a float at a scalar (Python, numpy or 0-d), else a float array of
+        # the query's shape, lists and integers included; NaN reads NaN
+        cdf = build_steady_state(gauss1, make_network(0.25), 3, 1, 0.1)
+        pmf = {"one_atom": cdf.pmf, "one_atom_at_0.7": point_mass(0.7),
+               "three_atoms": DiscretePmf(np.array([-0.3, 0.1, 0.7]),
+                                          np.array([0.25, 0.5, 0.25]))}[head]
+        cdf = SteadyStateCdf(node=3, h=1, pmf=pmf, cont=cdf.cont)
+        ys = np.array([[-0.5, 0.0, np.nan], [0.3, 1.0, 2.0]])
+        want = mixture_cdf(ys.ravel(), pmf, cdf.cont)
+        if rank == 0:
+            for y, w in ((0.3, want[3]), (np.float64(0.3), want[3]),
+                         (np.array(0.3), want[3]), (1, want[4]),
+                         (float("nan"), want[2])):
+                got = cdf(y)
+                assert type(got) is float
+                assert got == w or (np.isnan(got) and np.isnan(w))
+            return
+        y = ys[0] if rank == 1 else ys
+        for query in (y, y.tolist()):
+            got = cdf(query)
+            assert type(got) is np.ndarray and got.dtype == float
+            assert got.shape == y.shape
+            np.testing.assert_array_equal(got.ravel(), want[:y.size])
+        np.testing.assert_array_equal(cdf(np.array([1, 2])), want[[4, 5]])
+
     def test_limits(self, gauss1):
         node = make_network(0.25).node_params(3, 0.1)
         table = tabulate_cdf_u(gauss1, node, 1)
