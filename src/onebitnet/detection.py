@@ -9,6 +9,7 @@ not always attainable; deterministic thresholds only, no randomization.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import sqrt
 
 import numpy as np
 
@@ -17,6 +18,9 @@ from .continuous import DEFAULT_EPS_PRIME
 DEFAULT_GRID_POINTS = 241
 DEFAULT_SPAN_STDS = 6.0
 _MONOTONE_SLACK = 1e-9
+# default_gamma_grid's thresholds per head atom, in stds of the state's table
+_ATOM_OFFSETS = np.array([-4.0, -2.0, 0.0, 2.0, 4.0])
+_ATOM_OFFSETS.setflags(write=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -35,16 +39,17 @@ class RocCurve:
         pd = np.asarray(self.pd, dtype=float)
         if not (g.shape == pf.shape == pd.shape) or g.ndim != 1:
             raise ValueError("gammas, pf, pd must be matching 1-D arrays")
-        if np.any(np.diff(g) <= 0):
+        # one reduction per invariant, each written so that NaN fails it
+        if not (g[1:] > g[:-1]).all():
             raise ValueError("thresholds must be strictly increasing")
         for name, arr in (("pf", pf), ("pd", pd)):
-            if np.any(arr < -1e-12) or np.any(arr > 1 + 1e-12):
+            if arr.size and not (arr.min() >= -1e-12 and arr.max() <= 1 + 1e-12):
                 raise ValueError(f"{name} outside [0,1]")
-            if np.any(np.diff(arr) > _MONOTONE_SLACK):
+            if (arr[1:] - arr[:-1] > _MONOTONE_SLACK).any():
                 raise ValueError(f"{name} must be nonincreasing in gamma")
         object.__setattr__(self, "gammas", g)
-        object.__setattr__(self, "pf", np.clip(pf, 0.0, 1.0))
-        object.__setattr__(self, "pd", np.clip(pd, 0.0, 1.0))
+        object.__setattr__(self, "pf", np.minimum(np.maximum(pf, 0.0), 1.0))
+        object.__setattr__(self, "pd", np.minimum(np.maximum(pd, 0.0), 1.0))
 
     def pd_at_pf(self, pf_query) -> np.ndarray:
         """Upper-envelope detection probability at given false-alarm levels.
@@ -135,12 +140,11 @@ def default_gamma_grid(cdf0, cdf1, points: int = DEFAULT_GRID_POINTS,
     for cdf in (cdf0, cdf1):
         m, s = cdf.mean(), cdf.std()
         lo, hi = m - span_stds * s, m + span_stds * s
-        f_lo, f_hi = cdf(np.array([lo, hi]))
+        f_lo, f_hi = cdf(np.array([lo, hi])).tolist()
         if f_lo > eps or f_hi < 1.0 - eps:
             lo, hi = _extend_tails(cdf, lo, hi, s, eps)
         pieces.append(np.linspace(lo, hi, points))
-        offs = np.array([-4.0, -2.0, 0.0, 2.0, 4.0]) * max(
-            np.sqrt(cdf.cont.variance), 1e-12)
+        offs = _ATOM_OFFSETS * max(sqrt(cdf.cont.variance), 1e-12)
         pieces.append((cdf.pmf.points[:, None] + cdf.cont.mean + offs[None, :]).ravel())
     # np.unique's sort and neighbour test, without the numpy.ma it imports
     grid = np.sort(np.concatenate(pieces))

@@ -44,7 +44,8 @@ class DiscretePmf:
     by ``merge_tol`` or more and kept the mean; neighbouring points may
     still lie closer than it, as each cluster collapses to its weighted
     mean. Both arrays are read-only copies of the caller's, in copies of
-    the PMF too.
+    the PMF too. The mean and variance are reduced once, when the PMF is
+    built or copied.
     """
 
     points: np.ndarray      # strictly ascending support
@@ -69,6 +70,9 @@ class DiscretePmf:
         pr.setflags(write=False)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "probs", pr)
+        m = float(pts @ pr)
+        object.__setattr__(self, "_mean", m)
+        object.__setattr__(self, "_variance", float(((pts - m) ** 2) @ pr))
 
     __setstate__ = _freeze_copy
 
@@ -77,11 +81,10 @@ class DiscretePmf:
         return self.points.size
 
     def mean(self) -> float:
-        return float(self.points @ self.probs)
+        return self._mean
 
     def variance(self) -> float:
-        m = self.mean()
-        return float(((self.points - m) ** 2) @ self.probs)
+        return self._variance
 
     def cdf(self, x):
         """Right-continuous staircase CDF."""
@@ -295,7 +298,9 @@ def discrete_component(model: ObservationModel, network: NetworkSpec, k: int,
     state-scale merging.
 
     A node whose only neighbor is itself contributes nothing: the result
-    is a point mass at 0.
+    is a point mass at 0. A convolution too large for
+    MAX_CONVOLUTION_POINTS raises a ValueError naming the node, h, mu,
+    omega and the merge tolerance derived from omega.
     """
     node = network.node_params(k, mu)
     neighbors = sorted(set(network.neighbors[k]) - {k})
@@ -312,4 +317,10 @@ def discrete_component(model: ObservationModel, network: NetworkSpec, k: int,
     state_tol = (e1 - e0) * node.eta ** omega / (1.0 - node.eta)
     components = [neighbor_component_pmf(table, model, node, ell, h)
                   for ell in neighbors]
-    return convolve(components, merge_tol=state_tol)
+    try:
+        return convolve(components, merge_tol=state_tol)
+    except ValueError as exc:  # the tolerance is derived, so no advice to raise it
+        raise ValueError(f"node {k}, h = {h}, mu = {mu}: omega = {omega} digits, merged "
+                         f"at the tolerance {state_tol:.6g} derived from omega, make a "
+                         f"convolution support of more than {MAX_CONVOLUTION_POINTS} "
+                         f"points") from exc

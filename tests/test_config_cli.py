@@ -124,6 +124,14 @@ class TestConfigParsing:
         assert cfg.self_weight_sweep == (0.25,)
         assert cfg.nodes == (3, 9)
 
+    def test_shipped_adapt_config(self):
+        cfg = load_config(Path(__file__).parents[1] / "configs" / "adapt.yaml")
+        assert (cfg.model_kind, cfg.model_param, cfg.mu) == ("gaussian", 2.0, 0.1)
+        assert cfg.self_weight_sweep == (0.75,)
+        assert (cfg.n_iters, cfg.trials) == (3000, 100)
+        assert cfg.schedule == ((1, 0), (1001, 1), (2001, 0))
+        assert cfg.nodes == (3,)
+
     def test_exponential_model(self, tmp_path):
         text = BASE.replace("kind: gaussian", "kind: exponential").replace(
             "rho: 1.0", "lambda_e: 5.0")

@@ -481,3 +481,22 @@ class TestGridEngine:
                                                                         node, 1),
                                    rtol=0, atol=1e-14)
         assert normal.ripple <= 1e-15
+
+    def test_stop_rule_is_the_block_bound(self, gauss1):
+        # u's Gaussian CF has |phi(t)| = exp(-var t^2 / 2), so every block's
+        # (2/pi) sum |phi(omega_k)| / k is known in closed form. eps_prime
+        # puts eps_prime/20 at 1.25 times block 6's bound: the series stops
+        # there, and a rule scaled by 1.5 or more would run on
+        node = node_for(0.5)
+        mom = moments(gauss1, node, 1)
+        step = np.sqrt(mom.variance)  # 1,501 knots: a 1,536-step period
+        k = np.arange(1, 128 * 12 + 1)
+        omega = 2 * np.pi / (1536 * step)
+        bounds = (2 / np.pi) * (np.exp(-mom.variance * (omega * k) ** 2 / 2) / k
+                                ).reshape(-1, 128).sum(axis=1)
+        eps_prime = 20 * 1.25 * bounds[6]
+        assert np.all(bounds[:6] >= 1.5 * 1.25 * bounds[6])
+        _, _, terms, tail = _lattice_cdf(_u_log_cf(gauss1, node, 1),
+                                         mom.mean - 750 * step, step, 1501, eps_prime)
+        assert terms == 7 * 128
+        np.testing.assert_allclose(tail, bounds[6], rtol=1e-12)

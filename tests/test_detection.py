@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from onebitnet import (ExponentialModel, GaussianModel, SimConfig,
+from onebitnet import (ExponentialModel, GaussianModel, RocCurve, SimConfig,
                        build_steady_state, default_gamma_grid, empirical_roc,
                        pf_pd, roc, run, steady_state_pair, threshold_for_pf)
 from tests.conftest import make_network
@@ -152,11 +152,37 @@ class TestRoc:
         ref = 1 - norm.cdf(gammas, 1, 1)
         assert np.max(np.abs(curve.pd - ref)) < 0.03
 
-    def test_validation_rejects_bad_curves(self):
-        from onebitnet import RocCurve
-        with pytest.raises(ValueError, match="nonincreasing"):
-            RocCurve(gammas=np.array([0.0, 1.0]), pf=np.array([0.2, 0.5]),
-                     pd=np.array([0.9, 0.5]))
+    @pytest.mark.parametrize("gammas, pf, pd, match", [
+        ([0.0, 2.0, 1.0], [0.9, 0.5, 0.1], [0.9, 0.5, 0.1], "strictly increasing"),
+        ([0.0, 1.0, 1.0], [0.9, 0.5, 0.1], [0.9, 0.5, 0.1], "strictly increasing"),
+        ([0.0, np.nan, 2.0], [0.9, 0.5, 0.1], [0.9, 0.5, 0.1], "strictly increasing"),
+        ([0.0, 1.0], [0.5, -2e-12], [0.9, 0.5], r"pf outside \[0,1\]"),
+        ([0.0, 1.0], [0.9, 0.5], [1 + 2e-12, 0.5], r"pd outside \[0,1\]"),
+        ([0.0, 1.0], [np.inf, 0.5], [0.9, 0.5], r"pf outside \[0,1\]"),
+        ([0.0, 1.0], [0.9, 0.5], [0.9, -np.inf], r"pd outside \[0,1\]"),
+        ([0.0, 1.0, 2.0], [0.5, np.nan, 0.1], [0.9, 0.8, 0.7], r"pf outside \[0,1\]"),
+        ([0.0, 1.0, 2.0], [0.5, 0.3, 0.1], [0.9, 0.8, np.nan], r"pd outside \[0,1\]"),
+        ([0.0, 1.0], [0.2, 0.5], [0.9, 0.5], "pf must be nonincreasing"),
+        ([0.0, 1.0], [0.9, 0.5], [0.5, 0.9], "pd must be nonincreasing"),
+        ([0.0, 1.0], [0.9, 0.5, 0.1], [0.9, 0.5], "matching 1-D"),
+        ([[0.0, 1.0]], [[0.9, 0.5]], [[0.9, 0.5]], "matching 1-D"),
+    ], ids=["unsorted", "repeated", "nan_gamma", "pf_below", "pd_above", "pf_inf",
+            "pd_minus_inf", "pf_nan", "pd_nan", "pf_increasing", "pd_increasing",
+            "mismatched", "two_d"])
+    def test_validation_rejects_bad_curves(self, gammas, pf, pd, match):
+        # NaN fails every check, as the reductions are written
+        with pytest.raises(ValueError, match=match):
+            RocCurve(gammas=np.array(gammas), pf=np.array(pf), pd=np.array(pd))
+
+    def test_validation_accepts_edge_curves(self):
+        # infinite thresholds, rates within 1e-12 of [0, 1] (clipped) and
+        # the empty curve all build
+        curve = RocCurve(gammas=np.array([-np.inf, 0.0, np.inf]),
+                         pf=np.array([1 + 1e-12, 0.5, -1e-12]),
+                         pd=np.array([1.0, 0.7, 0.0]))
+        assert curve.pf.tolist() == [1.0, 0.5, 0.0]
+        empty = RocCurve(gammas=np.array([]), pf=np.array([]), pd=np.array([]))
+        assert empty.pf.size == 0
 
 
 def loop_gamma_grid(cdf0, cdf1, points=241, span_stds=6.0, eps=2e-5):

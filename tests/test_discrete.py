@@ -1,5 +1,6 @@
 import copy
 import itertools
+import math
 import pickle
 
 import numpy as np
@@ -8,8 +9,8 @@ import pytest
 from onebitnet import (BernoulliApproxSpec, DiscretePmf, ExponentialModel,
                        GaussianModel, build_uniform_matrix, convolve,
                        discrete_component, merge_close, moments,
-                       neighbor_component_pmf, omega_k, table_first_order,
-                       table_second_order)
+                       neighbor_component_pmf, omega_k, steady_state_pair,
+                       table_first_order, table_second_order)
 from onebitnet import discrete
 from onebitnet.discrete import point_mass
 from onebitnet.network import NodeParams
@@ -59,6 +60,20 @@ class TestDiscretePmf:
         assert pmf.variance() == pytest.approx(0.75)
         np.testing.assert_allclose(pmf.cdf([-2.0, -1.0, 0.0, 1.0, 2.0]),
                                    [0.0, 0.25, 0.25, 1.0, 1.0])
+
+    def test_moments_are_reduced_once_and_kept_in_copies(self):
+        # the 36-atom head of the lambda_e = 8, a = 0.1, mu = 1e-3 hub under
+        # h0: the moments built with the PMF, and rebuilt in its copies, are
+        # a fresh reduction of its arrays bit for bit, and so are the state's
+        cdf = steady_state_pair(ExponentialModel(8.0), make_network(0.1), 3, 0.001)[0]
+        head = cdf.pmf
+        assert head.size == 36
+        m = float(head.points @ head.probs)
+        var = float(((head.points - m) ** 2) @ head.probs)
+        for twin in (cdf, copy.deepcopy(cdf), pickle.loads(pickle.dumps(cdf))):
+            assert (twin.pmf.mean(), twin.pmf.variance()) == (m, var)
+            assert twin.mean() == cdf.cont.mean + m
+            assert twin.std() == math.sqrt(cdf.cont.variance + var)
 
     def test_merge_tol_bounds_displacement_not_gaps(self, gauss1):
         # merge_tol says that merging moved no value by merge_tol or more and
@@ -500,6 +515,18 @@ class TestDiscreteComponent:
         net = build_uniform_matrix(neighbors, [1.0, 0.5, 0.5])
         pmf = discrete_component(gauss1, net, 0, 1, mu=0.1)
         assert pmf.size == 1 and pmf.points[0] == 0.0
+
+    @pytest.mark.parametrize("h", (0, 1))
+    def test_support_cap_names_the_derived_tolerance(self, gauss1, h):
+        # the small-mu hub's 16-digit tables pass the cap at the tolerance
+        # omega derives; no caller can set it, so none is advised to
+        with pytest.raises(ValueError, match=(
+                rf"^node 3, h = {h}, mu = 0.001: omega = 16 digits, merged at the "
+                r"tolerance 6.00059e-05 derived from omega, make a convolution "
+                r"support of more than 1000000 points$")) as info:
+            discrete_component(gauss1, make_network(0.5), 3, h, mu=1e-3)
+        assert "increase" not in str(info.value)
+        assert "increase the merge tolerance" in str(info.value.__cause__)
 
     def test_single_neighbor_dominant_point(self, gauss1):
         # weakly connected node with small self-weight: the PMF splits into
