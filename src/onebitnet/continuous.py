@@ -6,7 +6,7 @@ factor eta = (1-mu) a_k. Its log-characteristic function is
 Phi_w(t) = sum_{i>=0} Phi_x(eta^i t), so Phi_w(t) - Phi_w(eta t) = Phi_x(t).
 
 Phi_w is ``geometric_log_cf``: explicit terms Phi_x(eta^i t) down to a
-small fraction of Phi_x's radius, then four cumulants in closed form.
+fraction of Phi_x's radius, then twelve cumulants in closed form.
 
 There is one inversion engine, ``_lattice_cdf``: the Fourier-series method
 (Abate & Whitt 1992) on the lattice of a table's own knots. F at every knot
@@ -83,13 +83,16 @@ def moments(model: ObservationModel, node: NodeParams, h: int) -> ContinuousMome
 
 def geometric_log_cf(log_cf, kappa, radius: float, eta: float, t) -> np.ndarray:
     """sum_{i>=0} log_cf(eta^i t) at real or complex t: explicit terms while
-    |eta^i t| >= bar, then the four cumulants kappa summed over i at the last
-    s, sum_r kappa_r (j s)^r / (r! (1 - eta^r)), exact for a quartic log_cf.
-    That tail's first omitted term grows as |s|^5 / (1 - eta^5), so bar =
-    ``_TAIL_ARG`` radius (1 - eta^5)^(1/5) (radius of log_cf's series, may be
-    inf) holds it across eta."""
+    |eta^i t| >= bar, then the R cumulants kappa summed over i at the last
+    s, sum_r kappa_r (j s)^r / (r! (1 - eta^r)), exact for a log_cf that is
+    a polynomial of degree R. That tail's first omitted term grows as
+    (|s| / radius)^(R+1) / (1 - eta^(R+1)) (radius of log_cf's series, may
+    be inf), so bar = ``_TAIL_ARG``^(5/(R+1)) radius (1 - eta^(R+1))^(1/(R+1))
+    holds it across eta and R at ``_TAIL_ARG``^5, the bound of four
+    cumulants. Trailing zero cumulants add no tail terms."""
     s = np.array(t, dtype=np.result_type(t, 1.0), ndmin=1)
-    bar = _TAIL_ARG * radius * (1.0 - eta ** 5) ** 0.2
+    first = len(kappa) + 1  # the order of the first omitted tail term
+    bar = _TAIL_ARG ** (5 / first) * radius * (1.0 - eta ** first) ** (1 / first)
     # sorted by decreasing |t|, the arguments still taking terms are a prefix
     key = np.where(np.isfinite(s), -np.abs(s), 0.0).ravel()
     order = np.argsort(key)
@@ -100,6 +103,8 @@ def geometric_log_cf(log_cf, kappa, radius: float, eta: float, t) -> np.ndarray:
         x[:live] *= eta
         bar /= eta
     coef = [k / (factorial(r) * (1.0 - eta ** r)) for r, k in enumerate(kappa, start=1)]
+    while coef and coef[-1] == 0.0:
+        coef.pop()
     acc[order] = acc + np.polyval([*coef[::-1], 0.0], 1j * x)
     return acc.reshape(s.shape)
 
@@ -138,13 +143,13 @@ def _lattice_cdf(log_cf, lo: float, step: float, n: int, eps_prime: float,
         F(c + i step) = i/L + sum_{k != 0} b_k (e^{j 2 pi k i/L} - 1),
 
     exact up to the mass outside [c, c + L step). As b_{-k} is the conjugate
-    of b_k, the sum is one irfft of the b_k, k >= 1, folded mod L. They come
-    in blocks of ``_TAIL_BLOCK`` until a block's (2/pi) sum |exp(log_cf)|/k,
-    its largest share of any F, is below eps_prime/20. ``factor`` (modulus
-    at most 1) multiplies the kept terms only: a factor that dips and rises
-    again, as the digits' CF does at eta < 1/2, cannot stop the series in a
-    trough. Returns (F, delta, terms, tail): delta = omega_1, the number of
-    terms and the last block's bound.
+    of b_k, the sum is one irfft of the b_k, k >= 1, folded mod L once k
+    reaches L/2. They come in blocks of ``_TAIL_BLOCK`` until a block's
+    (2/pi) sum |exp(log_cf)|/k, its largest share of any F, is below
+    eps_prime/20. ``factor`` (modulus at most 1) multiplies the kept terms
+    only: a factor that dips and rises again, as the digits' CF does at
+    eta < 1/2, cannot stop the series in a trough. Returns (F, delta, terms,
+    tail): delta = omega_1, the number of terms and the last block's bound.
     """
     if not 0.0 < eps_prime < 1.0:  # the range load_config takes; NaN fails too
         raise ValueError(f"eps_prime must be positive and below 1, got {eps_prime}")
@@ -152,36 +157,44 @@ def _lattice_cdf(log_cf, lo: float, step: float, n: int, eps_prime: float,
     gap = (length - n + 1) // 2
     omega = 2.0 * pi / (length * step)
     shift = omega * (lo - gap * step)
-    blocks, tail = [], np.inf
-    while tail >= eps_prime / 20.0:
-        done = len(blocks) * _TAIL_BLOCK
-        if done >= _MAX_TERMS:
+    kept, terms, tail, stop = [], 0, np.inf, eps_prime / 20.0
+    while tail >= stop:
+        if terms >= _MAX_TERMS:
             raise InversionError(
                 f"inversion series did not settle within {_MAX_TERMS} terms")
         # log_cf takes chunks of _EVAL_CHUNK terms, then doubling, to save
-        # calls; the stop rule reads them block by block
-        k = np.arange(done + 1, min(max(2 * done, _EVAL_CHUNK), _MAX_TERMS) + 1)
+        # calls; one reduction gives a chunk's block bounds, and the series
+        # stops at the first block below eps_prime/20
+        k = np.arange(terms + 1, min(max(2 * terms, _EVAL_CHUNK), _MAX_TERMS) + 1)
         chunk = np.exp(log_cf(-omega * k))
         if not np.all(np.isfinite(chunk)):
             raise InversionError("non-finite term in the inversion series (the "
                                  "log-CF is not finite at some omega_k)")
-        for phi, kb in zip(chunk.reshape(-1, _TAIL_BLOCK), k.reshape(-1, _TAIL_BLOCK)):
-            blocks.append(phi)
-            tail = float(np.sum(np.abs(phi) / kb)) * (2.0 / pi)
-            if tail < eps_prime / 20.0:
-                break
-    terms = len(blocks) * _TAIL_BLOCK
+        bounds = (np.abs(chunk) / k).reshape(-1, _TAIL_BLOCK).sum(axis=1) * (2.0 / pi)
+        last = int((bounds < stop).argmax())
+        if bounds[last] >= stop:  # no block below it: keep the whole chunk
+            last = bounds.size - 1
+        kept.append(chunk[:(last + 1) * _TAIL_BLOCK])
+        terms, tail = terms + kept[-1].size, float(bounds[last])
     k = np.arange(1, terms + 1)
-    phi = np.concatenate(blocks)
+    phi = np.concatenate(kept)
     if factor is not None:
         phi *= np.exp(factor(-omega * k))
-    coef = np.zeros(length * (terms // length + 1), dtype=complex)
-    coef[1:terms + 1] = phi * np.exp(1j * shift * k) / (2j * pi * k)
-    # bin m of the half spectrum takes B_m + conj(B_{L-m}), B the terms folded mod L
-    folded = coef.reshape(-1, length).sum(axis=0)
-    folded[1:length // 2 + 1] += folded[:(length - 1) // 2:-1].conj()
-    folded[0] *= 2.0
-    series = np.fft.irfft(folded[:length // 2 + 1], length)[gap:gap + n]
+    coef = phi * np.exp(1j * shift * k) / (2j * pi * k)
+    if terms <= (length - 1) // 2:
+        # no k reaches L/2, so none folds onto a bin m <= L/2: the terms are
+        # the half spectrum
+        half = np.zeros(length // 2 + 1, dtype=complex)
+        half[1:terms + 1] = coef
+    else:
+        # bin m of the half spectrum takes B_m + conj(B_{L-m}), B the terms folded mod L
+        folded = np.zeros(length * (terms // length + 1), dtype=complex)
+        folded[1:terms + 1] = coef
+        folded = folded.reshape(-1, length).sum(axis=0)
+        folded[1:length // 2 + 1] += folded[:(length - 1) // 2:-1].conj()
+        folded[0] *= 2.0
+        half = folded[:length // 2 + 1]
+    series = np.fft.irfft(half, length)[gap:gap + n]
     values = np.arange(gap, gap + n) / length + length * series - 2.0 * coef.sum().real
     return np.clip(values, 0.0, 1.0), omega, terms, tail
 

@@ -56,7 +56,10 @@ class RocCurve:
 
         Where the false-alarm probability plateaus (a flat CDF), several
         thresholds share one P_f; the largest attainable P_d is reported.
+        An empty curve has no operating point and raises a ValueError.
         """
+        if not self.pf.size:
+            raise ValueError("the ROC curve is empty: no operating point to read")
         pf_query = np.asarray(pf_query, dtype=float)
         order = np.argsort(self.pf, kind="stable")
         pf_sorted = self.pf[order]
@@ -101,10 +104,14 @@ def roc(cdf0, cdf1, gammas, node: int | None = None) -> RocCurve:
 
 
 def empirical_roc(samples0, samples1, gammas, node: int | None = None) -> RocCurve:
-    """ROC estimated from terminal-state ensembles under both hypotheses."""
+    """ROC estimated from terminal-state ensembles under both hypotheses;
+    an empty ensemble raises a ValueError."""
     gammas = np.asarray(gammas, dtype=float)
     s0 = np.sort(np.asarray(samples0, dtype=float))
     s1 = np.sort(np.asarray(samples1, dtype=float))
+    if not (s0.size and s1.size):
+        raise ValueError(f"empirical_roc needs samples under both hypotheses, "
+                         f"got {s0.size} under h0 and {s1.size} under h1")
     pf = 1.0 - np.searchsorted(s0, gammas, side="right") / len(s0)
     pd = 1.0 - np.searchsorted(s1, gammas, side="right") / len(s1)
     return RocCurve(gammas=gammas, pf=pf, pd=pd, node=node, source="empirical")

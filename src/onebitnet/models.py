@@ -7,13 +7,13 @@ x = shift + scale z (``affine``), z standard normal or standard
 exponential (``standard``), so a caller may draw z for several hypotheses
 at once and map each block of steps after. Besides sampling and moments,
 models expose the log-characteristic function
-Phi_{x,h}(t) = log E_h exp(j t x) together with its first four cumulants
-and the radius of its power series, which drive the steady-state CDF
-inversion. ``normal_cdf`` is the package's one normal CDF,
-Phi(x) = erfc(-x/sqrt 2)/2 on ``math.erfc`` (Cody's rational Chebyshev
-approximations, Math. Comp. 23, 1969): numpy scales the whole input, one
-``map`` applies ``math.erfc`` to it as a list, and the result keeps the
-input's shape.
+Phi_{x,h}(t) = log E_h exp(j t x) together with its first
+``CUMULANT_ORDER`` (12) cumulants and the radius of its power series, which
+drive the steady-state CDF inversion. ``normal_cdf`` is the package's one
+normal CDF, Phi(x) = erfc(-x/sqrt 2)/2 on ``math.erfc`` (Cody's rational
+Chebyshev approximations, Math. Comp. 23, 1969): numpy scales the whole
+input, one ``map`` applies ``math.erfc`` to it as a list, and the result
+keeps the input's shape.
 """
 from __future__ import annotations
 
@@ -23,6 +23,10 @@ from math import erfc, factorial, log, sqrt
 import numpy as np
 
 from .network import whole_number
+
+# cumulants kappa_1..kappa_12 a model gives; the geometric sums' tail
+# (``continuous.geometric_log_cf``) sums them in closed form
+CUMULANT_ORDER = 12
 
 
 def as_hypothesis(value) -> int:
@@ -89,8 +93,9 @@ class ObservationModel(ABC):
         """Phi_{x,h}(t); accepts real or complex t, vectorized."""
 
     @abstractmethod
-    def cumulants(self, h: int) -> tuple[float, float, float, float]:
-        """kappa_1..kappa_4 of x: log_cf(t) = sum_r kappa_r (j t)^r / r! + O(t^5)."""
+    def cumulants(self, h: int) -> tuple[float, ...]:
+        """kappa_1..kappa_12 of x (``CUMULANT_ORDER``):
+        log_cf(t) = sum_r kappa_r (j t)^r / r! + O(t^13)."""
 
     @abstractmethod
     def radius(self, h: int) -> float:
@@ -149,7 +154,7 @@ class GaussianModel(ObservationModel):
         return 1j * t * self.mean(h) - 0.5 * t * t * self.variance(h)
 
     def cumulants(self, h):
-        return self.mean(h), self.variance(h), 0.0, 0.0
+        return (self.mean(h), self.variance(h)) + (0.0,) * (CUMULANT_ORDER - 2)
 
     def radius(self, h):
         return np.inf
@@ -203,12 +208,18 @@ class ExponentialModel(ObservationModel):
         return self._scale(h), -self._log_lam
 
     def log_cf(self, t, h):
-        t = np.asarray(t, dtype=complex)
-        return -1j * t * self._log_lam - np.log(1.0 - 1j * t * self._scale(h))
+        """-j t log lambda_e - log(1 - j s_h t); at real t in real arithmetic,
+        -log1p((s_h t)^2)/2 + j (arctan(s_h t) - t log lambda_e)."""
+        t = np.asarray(t)
+        if np.iscomplexobj(t):
+            return -1j * t * self._log_lam - np.log(1.0 - 1j * t * self._scale(h))
+        st = self._scale(h) * t
+        return 1j * (np.arctan(st) - t * self._log_lam) - 0.5 * np.log1p(st * st)
 
     def cumulants(self, h):
         s = self._scale(h)
-        return self.mean(h), s ** 2, 2.0 * s ** 3, 6.0 * s ** 4
+        return (self.mean(h),) + tuple(factorial(r - 1) * s ** r
+                                       for r in range(2, CUMULANT_ORDER + 1))
 
     def radius(self, h):
         return 1.0 / self._scale(h)
@@ -234,8 +245,8 @@ def cumulant_check(model: ObservationModel, h: int, n_max: int = 4) -> np.ndarra
     integral on a circle of radius min(radius/2, 1), which is spectrally
     accurate for the analytic log-CFs handled here.
     """
-    if not 1 <= n_max <= 4:
-        raise ValueError("n_max must be between 1 and 4")
+    if not 1 <= n_max <= CUMULANT_ORDER:
+        raise ValueError(f"n_max must be between 1 and {CUMULANT_ORDER}")
     r = min(model.radius(h) / 2.0, 1.0)
     n_theta = 256
     theta = 2.0 * np.pi * np.arange(n_theta) / n_theta

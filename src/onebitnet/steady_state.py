@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import partial
-from math import ceil, pi, sqrt
+from math import ceil, comb, pi, sqrt
+from operator import mul
 
 import numpy as np
 
@@ -27,17 +28,24 @@ from .continuous import (_TABLE_POINTS, ContinuousCdfTable, DEFAULT_EPS_PRIME,
                          _monotone_table, _table_range, _tabulate, _u_log_cf,
                          geometric_log_cf, moments)
 from .discrete import DiscretePmf, convolve, point_mass
-from .models import ObservationModel, as_hypothesis
+from .models import CUMULANT_ORDER, ObservationModel, as_hypothesis
 from .network import NetworkSpec
 
 # digit levels move into the head until the state's table fits in this
 _MAX_LATTICE = 1 << 18
+# row n = 1 .. 12 of the bits' moment recursion: C(n-1, i-1) for i = 1 .. n-1
+_PASCAL = tuple(tuple(comb(n - 1, i) for i in range(n - 1))
+                for n in range(1, CUMULANT_ORDER + 1))
 
 
-def _bit_cumulants(p: float) -> tuple[float, float, float, float]:
-    """kappa_1..kappa_4 of a Bernoulli(p) bit."""
-    q = 1.0 - p
-    return p, p * q, p * q * (q - p), p * q * (1.0 - 6.0 * p * q)
+def _bit_cumulants(p: float) -> tuple[float, ...]:
+    """kappa_1..kappa_12 of a Bernoulli(p) bit (``CUMULANT_ORDER``) by the
+    moment recursion kappa_n = m_n - sum_{i<n} C(n-1, i-1) kappa_i m_{n-i},
+    every raw moment m of a bit being p."""
+    kappa = []
+    for row in _PASCAL:
+        kappa.append(p - p * sum(map(mul, row, kappa)))
+    return tuple(kappa)
 
 
 def _bit_log_cf(p: float, x: np.ndarray) -> np.ndarray:

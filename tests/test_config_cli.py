@@ -132,6 +132,12 @@ class TestConfigParsing:
         assert cfg.schedule == ((1, 0), (1001, 1), (2001, 0))
         assert cfg.nodes == (3,)
 
+    def test_shipped_exponential_config(self):
+        cfg = load_config(Path(__file__).parents[1] / "configs" / "exponential.yaml")
+        assert (cfg.model_kind, cfg.model_param, cfg.mu) == ("exponential", 5.0, 0.1)
+        assert cfg.self_weight_sweep == (0.5,)
+        assert cfg.nodes == (3, 9)
+
     def test_exponential_model(self, tmp_path):
         text = BASE.replace("kind: gaussian", "kind: exponential").replace(
             "rho: 1.0", "lambda_e: 5.0")

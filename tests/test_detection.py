@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.stats import norm
@@ -152,6 +154,14 @@ class TestRoc:
         ref = 1 - norm.cdf(gammas, 1, 1)
         assert np.max(np.abs(curve.pd - ref)) < 0.03
 
+    @pytest.mark.parametrize("s0, s1", [([], [1.0]), ([0.0], [])], ids=["h0", "h1"])
+    def test_empirical_roc_rejects_an_empty_ensemble(self, s0, s1):
+        # its own error, without a division by zero or RocCurve's range check
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="samples under both hypotheses"):
+                empirical_roc(s0, s1, [0.0])
+
     @pytest.mark.parametrize("gammas, pf, pd, match", [
         ([0.0, 2.0, 1.0], [0.9, 0.5, 0.1], [0.9, 0.5, 0.1], "strictly increasing"),
         ([0.0, 1.0, 1.0], [0.9, 0.5, 0.1], [0.9, 0.5, 0.1], "strictly increasing"),
@@ -183,6 +193,11 @@ class TestRoc:
         assert curve.pf.tolist() == [1.0, 0.5, 0.0]
         empty = RocCurve(gammas=np.array([]), pf=np.array([]), pd=np.array([]))
         assert empty.pf.size == 0
+
+    def test_empty_curve_has_no_pd_at_pf(self):
+        empty = RocCurve(gammas=np.array([]), pf=np.array([]), pd=np.array([]))
+        with pytest.raises(ValueError, match="the ROC curve is empty"):
+            empty.pd_at_pf(0.3)
 
 
 def loop_gamma_grid(cdf0, cdf1, points=241, span_stds=6.0, eps=2e-5):

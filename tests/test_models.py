@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from scipy.stats import norm
 
 from onebitnet import (ExponentialModel, GaussianModel, build_uniform_matrix,
                        cumulant_check, make_step)
-from onebitnet.models import normal_cdf
+from onebitnet.models import CUMULANT_ORDER, normal_cdf
+from onebitnet.steady_state import _bit_cumulants
 
 LOG5 = np.log(5.0)
 
@@ -61,8 +63,8 @@ class TestGaussianModel:
         t = np.linspace(-3, 3, 7)
         expected = 1j * t * 1.0 - t * t * 1.0
         np.testing.assert_allclose(gauss1.log_cf(t, 1), expected, atol=1e-15)
-        # kappa_3 = kappa_4 = 0: the four-cumulant tail is the whole log-CF
-        assert gauss1.cumulants(0) == (-1.0, 2.0, 0.0, 0.0)
+        # kappa_3 = ... = kappa_12 = 0: the cumulant tail is the whole log-CF
+        assert gauss1.cumulants(0) == (-1.0, 2.0) + (0.0,) * 10
         assert gauss1.radius(0) == np.inf
 
     def test_invalid_rho(self):
@@ -146,10 +148,16 @@ class TestExponentialModel:
 
     def test_coefficients(self, expo5):
         # kappa_r = (r-1)! s^r past the mean, s = 0.8 under h=0 and 4 under h=1
-        np.testing.assert_allclose(expo5.cumulants(0), (0.8 - LOG5, 0.64, 1.024, 2.4576),
-                                   rtol=1e-14)
-        np.testing.assert_allclose(expo5.cumulants(1), (4.0 - LOG5, 16.0, 128.0, 1536.0),
-                                   rtol=1e-14)
+        np.testing.assert_allclose(expo5.cumulants(0)[:4],
+                                   (0.8 - LOG5, 0.64, 1.024, 2.4576), rtol=1e-14)
+        np.testing.assert_allclose(expo5.cumulants(1)[:4],
+                                   (4.0 - LOG5, 16.0, 128.0, 1536.0), rtol=1e-14)
+        # twelve in all, kappa_12 = 11! s^12
+        for h, s in ((0, 0.8), (1, 4.0)):
+            kappa = expo5.cumulants(h)
+            assert len(kappa) == CUMULANT_ORDER == 12
+            np.testing.assert_allclose(kappa[1:], [math.factorial(r - 1) * s ** r
+                                                   for r in range(2, 13)], rtol=1e-14)
 
     def test_coefficient_root_test(self, expo5):
         # the radius 1/limsup |phi_n|^(1/n) is the distance to log_cf's one
@@ -185,6 +193,15 @@ class TestExponentialModel:
         t = np.linspace(-0.2, 0.2, 9)
         np.testing.assert_allclose(expo5.log_cf(t, 1),
                                    expo5.log_cf(t - 1j, 0), atol=1e-12)
+
+    def test_real_arguments_take_real_arithmetic(self, expo5):
+        # -log1p((s t)^2)/2 + j (arctan(s t) - t log 5) is the complex log's value
+        t = np.concatenate((-np.geomspace(1e-6, 1e4, 60), [0.0], np.geomspace(1e-6, 1e4, 60)))
+        for h in (0, 1):
+            np.testing.assert_allclose(expo5.log_cf(t, h), expo5.log_cf(t + 0j, h),
+                                       rtol=1e-15, atol=1e-15)
+            assert expo5.log_cf([0.5, 2.0], h).shape == (2,)
+            assert expo5.log_cf(0.5, h) == pytest.approx(expo5.log_cf(0.5 + 0j, h), rel=1e-15)
 
     def test_invalid_lambda(self):
         with pytest.raises(ValueError):
@@ -279,9 +296,11 @@ class TestCumulantCheck:
         assert res[0] < 1e-10
 
     def test_all_models_small_residuals(self, gauss1, expo5):
-        for model in (gauss1, expo5):
+        # all twelve: a wrong kappa_r past r = 4 moves the state's tables by
+        # about 1e-10, which no table test sees
+        for model in (gauss1, expo5, GaussianModel(0.1), ExponentialModel(1.2)):
             for h in (0, 1):
-                res = cumulant_check(model, h, n_max=4)
+                res = cumulant_check(model, h, n_max=12)
                 assert np.all(res < 1e-6)
 
     def test_first_two_are_cumulants(self, gauss1, expo5):
@@ -291,6 +310,16 @@ class TestCumulantCheck:
                 np.testing.assert_allclose(kappa_1, model.mean(h), atol=1e-13)
                 np.testing.assert_allclose(kappa_2, model.variance(h), atol=1e-13)
 
+    @pytest.mark.parametrize("p", [0.13, 0.5, 0.76])
+    def test_bit_cumulants(self, p):
+        # a Bernoulli(p) bit's log-CF log(q + p e^{jz}), radius at least pi
+        bit = SimpleNamespace(radius=lambda h: np.pi, cumulants=lambda h: _bit_cumulants(p),
+                              log_cf=lambda z, h: np.log(1 - p + p * np.exp(1j * z)))
+        assert len(_bit_cumulants(p)) == 12
+        assert np.all(cumulant_check(bit, 0, n_max=12) < 1e-6)
+
     def test_n_max_limit(self, gauss1):
-        with pytest.raises(ValueError):
-            cumulant_check(gauss1, 0, n_max=5)
+        assert cumulant_check(gauss1, 0, n_max=12).shape == (12,)
+        for n_max in (0, 13):
+            with pytest.raises(ValueError, match="n_max must be between 1 and 12"):
+                cumulant_check(gauss1, 0, n_max=n_max)
