@@ -40,7 +40,7 @@ from .network import (NetworkSpec, NodeParams, build_uniform_matrix,
                       from_matrix, neighbor_sets_from_edges, offdiag_square_sum,
                       reference_topology)
 from .simulate import (ONE_BIT_X, QUANTIZED_STATE, UNQUANTIZED, EmpiricalCdf,
-                       SimConfig, TrialEnsemble, empirical_cdf, ks_distance,
+                       SimConfig, TrialEnsemble, ks_distance,
                        make_step, reaction_time, run)
 from .steady_state import (SteadyStateCdf, build_steady_state, limit_moments,
                            mixture_cdf, state_cumulants, steady_state_pair)
@@ -55,7 +55,7 @@ __all__ = [
     "TrialEnsemble", "UNQUANTIZED", "build_steady_state",
     "build_uniform_matrix", "cdf_u", "cdf_u_gaussian_closed",
     "convolve", "cumulant_check", "default_gamma_grid", "discrete_component",
-    "empirical_cdf", "empirical_roc", "from_matrix",
+    "empirical_roc", "from_matrix",
     "ks_distance", "limit_moments", "make_step", "merge_close", "mixture_cdf",
     "moments", "neighbor_component_pmf", "neighbor_sets_from_edges",
     "offdiag_square_sum", "omega_k", "pf_pd", "reaction_time",

@@ -16,6 +16,9 @@ from .network import (NetworkSpec, build_uniform_matrix,
 from .simulate import SCHEMES
 
 SCHEMA_VERSION = 1
+# model.kind -> (its model class, the name of its parameter under model.)
+_MODELS = {"gaussian": (GaussianModel, "rho"),
+           "exponential": (ExponentialModel, "lambda_e")}
 
 
 class ConfigError(ValueError):
@@ -66,12 +69,9 @@ def _get_number(tree: dict, path: str, default=None, kind=float, required=False)
     return _number(_get(tree, path, default, required), path, kind)
 
 
-def _require_range(value, path, lo, hi, lo_open=True, hi_open=True):
-    ok_lo = value > lo if lo_open else value >= lo
-    ok_hi = value < hi if hi_open else value <= hi
-    if not (ok_lo and ok_hi):
+def _require_range(value, path, lo, hi, lo_open=True):
+    if not ((value > lo if lo_open else value >= lo) and value < hi):
         raise ConfigError(f"'{path}' = {value} outside the valid range")
-    return value
 
 
 def _require_keys(tree: dict, path: str, allowed: tuple[str, ...]) -> None:
@@ -121,12 +121,15 @@ class ExperimentConfig:
         return make_model(self.model_kind, param)
 
 
+def _model_class(kind):
+    """The model class and parameter name of ``model.kind``."""
+    if not isinstance(kind, str) or kind not in _MODELS:
+        raise ConfigError(f"'model.kind' must be {' or '.join(_MODELS)}, got {kind!r}")
+    return _MODELS[kind]
+
+
 def make_model(kind: str, param: float) -> ObservationModel:
-    if kind == "gaussian":
-        return GaussianModel(param)
-    if kind == "exponential":
-        return ExponentialModel(param)
-    raise ConfigError(f"'model.kind' must be gaussian or exponential, got {kind!r}")
+    return _model_class(kind)[0](param)
 
 
 def _build_network(tree: dict, self_weight=None,
@@ -181,16 +184,18 @@ def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
     _require_keys(tree, "output", ("directory", "nodes"))
 
     kind = _get(tree, "model.kind", required=True)
-    if kind == "gaussian":
-        param_name, param_lo = "rho", 0.0
-    elif kind == "exponential":
-        param_name, param_lo = "lambda_e", 1.0
-    else:
-        raise ConfigError(f"'model.kind' must be gaussian or exponential, got {kind!r}")
+    model_class, param_name = _model_class(kind)
     _require_keys(tree, "model", ("kind", param_name))
     param_key = f"model.{param_name}"
     param = _get_number(tree, param_key, required=True)
-    _require_range(param, param_key, param_lo, float("inf"))
+    sweep_par = tuple(_number(v, "sweeps.model_param")
+                      for v in _get_list(tree, "sweeps.model_param", [param]))
+    # the model's own range rule, for the parameter and every sweep point
+    for key, value in ((param_key, param), *(("sweeps.model_param", v) for v in sweep_par)):
+        try:
+            model_class(value)
+        except ValueError as exc:
+            raise ConfigError(f"'{key}': {exc}") from exc
 
     mu = _get_number(tree, "dynamics.mu", required=True)
     _require_range(mu, "dynamics.mu", 0.0, 1.0)
@@ -243,16 +248,13 @@ def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
                                        [_get(tree, "network.self_weight", required=True)]))
     for a in sweep_a:  # every sweep point's network, before any artifact
         _build_network(tree, a, "sweeps.self_weight")
-    sweep_par = tuple(_require_range(_number(v, "sweeps.model_param"),
-                                     "sweeps.model_param", param_lo, float("inf"))
-                      for v in _get_list(tree, "sweeps.model_param", [param]))
     for key, values in (("output.nodes", nodes), ("sweeps.self_weight", sweep_a),
                         ("sweeps.model_param", sweep_par)):
         if not values:
             raise ConfigError(f"'{key}' must list at least one value")
 
     return ExperimentConfig(
-        raw=tree, network=network, model=make_model(kind, param),
+        raw=tree, network=network, model=model_class(param),
         model_kind=kind, model_param=param, mu=mu, n_iters=n_iters,
         trials=trials, seed=seed, schedule=tuple(schedule), scheme=scheme,
         eps_prime=eps_prime, gamma_points=gamma_points,

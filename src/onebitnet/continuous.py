@@ -26,6 +26,7 @@ as the state inverts its own CF.
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import factorial, isnan, nan, pi, sqrt
 
@@ -115,12 +116,15 @@ def log_cf_w(model: ObservationModel, node: NodeParams, h: int, t) -> np.ndarray
                             model.radius(h), node.eta, t)
 
 
-_FFT_ODD_FACTORS = tuple(3 ** j * 5 ** k for j in range(12) for k in range(8))
+# every 2^i 3^j 5^k <= 2^30, j < 12 and k < 8, ascending, so that each length
+# up to 2^30 (a state's table has at most 2^18 knots) is one search
+_FFT_LENGTHS = sorted(f << i for f in [3 ** j * 5 ** k for j in range(12) for k in range(8)]
+                      for i in range(31) if f << i <= 1 << 30)
 
 
 def _fft_length(n: int) -> int:
-    """The smallest 2^i 3^j 5^k >= n, j < 12 and k < 8."""
-    return min(f << (-(-n // f) - 1).bit_length() for f in _FFT_ODD_FACTORS)
+    """The smallest 2^i 3^j 5^k >= n, j < 12 and k < 8, for n <= 2^30."""
+    return _FFT_LENGTHS[bisect_left(_FFT_LENGTHS, n)]
 
 
 def _u_log_cf(model: ObservationModel, node: NodeParams, h: int):

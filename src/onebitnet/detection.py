@@ -14,6 +14,7 @@ from math import sqrt
 import numpy as np
 
 from .continuous import DEFAULT_EPS_PRIME
+from .simulate import EmpiricalCdf
 
 DEFAULT_GRID_POINTS = 241
 DEFAULT_SPAN_STDS = 6.0
@@ -80,11 +81,14 @@ def threshold_for_pf(cdf0, target_pf: float, gammas) -> tuple[float, float]:
 
     Returns (gamma_star, achieved_pf); with jumpy CDFs the achieved value
     can undershoot the target, so both are reported. Raises when even the
-    largest threshold exceeds the target (grid too narrow).
+    largest threshold exceeds the target (grid too narrow) or the grid is
+    empty.
     """
     if not 0.0 < target_pf < 1.0:
         raise ValueError("target_pf must be in (0,1)")
     gammas = np.asarray(gammas, dtype=float)
+    if not gammas.size:
+        raise ValueError("threshold_for_pf needs at least one threshold")
     pf = 1.0 - np.asarray(cdf0(gammas), dtype=float)
     ok = np.nonzero(pf <= target_pf)[0]
     if ok.size == 0:
@@ -104,16 +108,15 @@ def roc(cdf0, cdf1, gammas, node: int | None = None) -> RocCurve:
 
 
 def empirical_roc(samples0, samples1, gammas, node: int | None = None) -> RocCurve:
-    """ROC estimated from terminal-state ensembles under both hypotheses;
-    an empty ensemble raises a ValueError."""
+    """ROC estimated from terminal-state ensembles under both hypotheses:
+    one minus each ensemble's ``EmpiricalCdf`` at the thresholds. An empty
+    ensemble raises a ValueError."""
     gammas = np.asarray(gammas, dtype=float)
-    s0 = np.sort(np.asarray(samples0, dtype=float))
-    s1 = np.sort(np.asarray(samples1, dtype=float))
-    if not (s0.size and s1.size):
+    n0, n1 = np.size(samples0), np.size(samples1)
+    if not (n0 and n1):
         raise ValueError(f"empirical_roc needs samples under both hypotheses, "
-                         f"got {s0.size} under h0 and {s1.size} under h1")
-    pf = 1.0 - np.searchsorted(s0, gammas, side="right") / len(s0)
-    pd = 1.0 - np.searchsorted(s1, gammas, side="right") / len(s1)
+                         f"got {n0} under h0 and {n1} under h1")
+    pf, pd = (1.0 - EmpiricalCdf(s)(gammas) for s in (samples0, samples1))
     return RocCurve(gammas=gammas, pf=pf, pd=pd, node=node, source="empirical")
 
 

@@ -144,11 +144,13 @@ def omega_k(model: ObservationModel, node: NodeParams, h: int,
 
 
 def _finalize(points, probs):
-    """Sort ascending and combine exactly coincident values."""
-    points = np.asarray(points, dtype=float)
-    probs = np.asarray(probs, dtype=float)
+    """The PMF of nonempty ``points`` and ``probs``, raveled: sorted stably
+    and exactly coincident values combined."""
+    points = np.asarray(points, dtype=float).ravel()
     order = np.argsort(points, kind="stable")
-    return _combine_sorted(points[order], probs[order])
+    points, probs = points[order], np.asarray(probs, dtype=float).ravel()[order]
+    starts = np.flatnonzero(np.concatenate(([True], np.diff(points) > 0)))
+    return DiscretePmf(points=points[starts], probs=np.add.reduceat(probs, starts))
 
 
 def table_first_order(spec: BernoulliApproxSpec) -> DiscretePmf:
@@ -269,21 +271,9 @@ def convolve(pmfs, merge_tol: float) -> DiscretePmf:
             advice = "; increase the merge tolerance" if merge_tol > 0 else ""
             raise ValueError(f"convolution support would exceed "
                              f"{MAX_CONVOLUTION_POINTS} points{advice}")
-        pts = (acc.points[:, None] + nxt.points[None, :]).ravel()
-        pr = (acc.probs[:, None] * nxt.probs[None, :]).ravel()
-        order = np.argsort(pts, kind="stable")
-        acc = merge_close(_combine_sorted(pts[order], pr[order]), merge_tol)
+        acc = merge_close(_finalize(acc.points[:, None] + nxt.points[None, :],
+                                    acc.probs[:, None] * nxt.probs[None, :]), merge_tol)
     return acc
-
-
-def _combine_sorted(points, probs):
-    """Collapse exactly equal support points (sorted input)."""
-    if points.size == 0:
-        raise ValueError("empty support")
-    new = np.concatenate(([True], np.diff(points) > 0))
-    starts = np.flatnonzero(new)
-    mass = np.add.reduceat(probs, starts)
-    return DiscretePmf(points=points[starts], probs=mass)
 
 
 def discrete_component(model: ObservationModel, network: NetworkSpec, k: int,

@@ -20,7 +20,8 @@ by (master seed, trial index), so terminal states are bit-identical
 regardless of execution order or tiling. A trial draws standard variates
 (``model.standard``), the same stream whatever the schedule; a tile of
 trials then becomes statistics by one affine map per hypothesis segment
-(``to_statistics``), rounded as ``model.sample`` rounds them. ``run``
+(``to_statistics``), the tile's segments read off the schedule
+(``SimConfig.segments``), rounded as ``model.sample`` rounds them. ``run``
 picks its trial blocks from the run's shape alone (``blocks``):
 ceil(trials / 256) of equal size, an even number of them in a run of at
 least ``_SPLIT_WORK`` trial-steps x nodes. It reuses one Philox and draws
@@ -134,14 +135,20 @@ class SimConfig:
             raise ValueError("schedule segments must have increasing start steps")
         object.__setattr__(self, "schedule", sched)
 
-    def hypothesis_steps(self) -> np.ndarray:
-        """Array of length n_iters with the hypothesis active at each step."""
-        out = np.empty(self.n_iters, dtype=np.int64)
-        bounds = [s for s, _ in self.schedule] + [self.n_iters + 1]
-        for (start, h), end in zip(self.schedule, bounds[1:]):
-            if start > self.n_iters:
-                break
-            out[start - 1:min(end - 1, self.n_iters)] = h
+    def segments(self, c0: int = 0, c1: int | None = None) -> list[tuple[int, int, int]]:
+        """(start, end, hypothesis) of each maximal run of one hypothesis
+        over the 0-based steps [c0, c1), 0 <= c0 <= c1 <= n_iters (default
+        n_iters), with start and end counted from c0."""
+        c1 = self.n_iters if c1 is None else c1
+        out = []
+        ends = [s - 1 for s, _ in self.schedule[1:]] + [c1]
+        for (start, h), end in zip(self.schedule, ends):
+            lo, hi = max(start - 1, c0) - c0, min(end, c1) - c0
+            if lo >= hi:
+                continue
+            if out and out[-1][2] == h:
+                lo = out.pop()[0]
+            out.append((lo, hi, h))
         return out
 
 
@@ -152,26 +159,16 @@ class TrialEnsemble:
     terminal_states: np.ndarray
     trajectories: dict[int, np.ndarray] = field(default_factory=dict)
 
-    @property
-    def trials(self) -> int:
-        return self.terminal_states.shape[0]
-
 
 def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[np.uint64(seed),
                                                      np.uint64(trial)]))
 
 
-def segments(h_steps: np.ndarray) -> list[tuple[int, int, int]]:
-    """(start, end, hypothesis) of each run of equal entries in ``h_steps``."""
-    cuts = np.flatnonzero(np.diff(h_steps)) + 1
-    return [(s, e, int(h_steps[s])) for s, e in zip([0, *cuts], [*cuts, len(h_steps)])]
-
-
 def to_statistics(model: ObservationModel, segs: list, z: np.ndarray) -> np.ndarray:
-    """Standard draws ``z`` (steps, ...) mapped in place to statistics: each
-    segment's steps scaled, then shifted (``model.affine``), as
-    ``model.sample`` rounds them."""
+    """Standard draws ``z`` (steps, ...) mapped in place to statistics: the
+    steps of each (start, end, h) segment of ``segs`` (``SimConfig.segments``)
+    scaled, then shifted (``model.affine``), as ``model.sample`` rounds them."""
     for start, end, h in segs:
         scale, shift = model.affine(h)
         z[start:end] *= scale
@@ -282,7 +279,8 @@ def run(config: SimConfig, trajectory_nodes=(), y0=None,
     steps, C = min(n_iters, ``_TILE_BUDGET`` // (B S), ``_TRIAL_TILE`` // S)
     for B the widest block: each trial's standard draws for the tile are
     one ``model.standard`` call, and the whole tile becomes statistics by
-    one in-place scale and shift per hypothesis segment (``to_statistics``).
+    one in-place scale and shift per hypothesis segment (``to_statistics``
+    of the tile's ``config.segments``).
     Each tile steps through ``make_step``'s kernel in slices within
     ``_KERNEL_BUDGET`` doubles, which hold the slice's states; trajectories
     are summed from them once per slice.
@@ -318,7 +316,6 @@ def run(config: SimConfig, trajectory_nodes=(), y0=None,
     span = max(1, min(n, _TILE_BUDGET // (width * S), _TRIAL_TILE // S))
     slice_steps = max(1, min(span, _KERNEL_BUDGET // (width * S)))
     step = make_step(config.network, config.model, config.mu, config.scheme)
-    h_steps = config.hypothesis_steps()
     bit_gen = np.random.Philox(key=[np.uint64(config.seed), np.uint64(0)])
     rng, fresh = np.random.Generator(bit_gen), bit_gen.state
     # the state _trial_rng(seed, trial) starts in, once its key[1] is the
@@ -356,7 +353,7 @@ def run(config: SimConfig, trajectory_nodes=(), y0=None,
                     tile[:, t] = standard(rng, draws)
                     if c1 < n:
                         saved[t] = bit_gen.state
-                to_statistics(config.model, segments(h_steps[c0:c1]), tile[:, :count])
+                to_statistics(config.model, config.segments(c0, c1), tile[:, :count])
                 for s0 in range(c0, c1, slice_steps):
                     s1 = min(c1, s0 + slice_steps)
                     out = step(y, tile[s0 - c0:s1 - c0, :rows],
@@ -448,11 +445,13 @@ def hypothesis_ensembles(network: NetworkSpec, model: ObservationModel,
 
 
 class EmpiricalCdf:
-    """Right-continuous empirical CDF of a sample."""
+    """Right-continuous empirical CDF of a nonempty sample."""
 
     def __init__(self, sample):
         self.sorted = np.sort(np.asarray(sample, dtype=float))
         self.n = len(self.sorted)
+        if not self.n:
+            raise ValueError("an empirical CDF needs at least one sample")
 
     def __call__(self, t):
         idx = np.searchsorted(self.sorted, np.asarray(t, dtype=float),
@@ -460,14 +459,12 @@ class EmpiricalCdf:
         return idx / self.n
 
 
-def empirical_cdf(ensemble: TrialEnsemble, k: int) -> EmpiricalCdf:
-    return EmpiricalCdf(ensemble.terminal_states[:, k])
-
-
 def ks_distance(sample, cdf) -> float:
-    """One-sample Kolmogorov-Smirnov distance between a sample and a CDF."""
+    """One-sample Kolmogorov-Smirnov distance between a nonempty sample and a CDF."""
     xs = np.sort(np.asarray(sample, dtype=float))
     n = len(xs)
+    if not n:
+        raise ValueError("the KS distance needs at least one sample")
     f = np.asarray(cdf(xs), dtype=float)
     i = np.arange(1, n + 1)
     return float(max(np.max(np.abs(i / n - f)), np.max(np.abs((i - 1) / n - f))))

@@ -1,9 +1,11 @@
 """Independent cross-checks: brute-force oracles and a pass/fail suite.
 
 The oracles here deliberately avoid the production code paths: digit
-patterns are enumerated exhaustively, the recursions are written out as
-their closed-form expansions, and distributions are compared through
-Kolmogorov-Smirnov distances. ``iterate_scheme`` drives the production
+patterns are enumerated exhaustively, once per table setting
+(``_patterns``), the recursions are written out as their closed-form
+expansions, and distributions are compared through Kolmogorov-Smirnov
+distances. ``discrete.omega_k`` is held to the truncation error bound it
+solves for. ``iterate_scheme`` drives the production
 update kernel (``simulate.make_step``), so the closed-form expansions
 check the step that ``run`` uses, and the Gaussian series check runs the
 lattice Fourier series behind every table (``continuous._lattice_cdf``) on
@@ -26,7 +28,7 @@ from .continuous import (DEFAULT_EPS_PRIME, _lattice_cdf, _u_log_cf,
                          cdf_u_gaussian_closed, moments, tabulate_cdf_u)
 from .detection import RocCurve, default_gamma_grid, empirical_roc, roc
 from .discrete import (BernoulliApproxSpec, DiscretePmf, discrete_component,
-                       table_first_order, table_second_order)
+                       omega_k, table_first_order, table_second_order)
 from .models import ExponentialModel, GaussianModel, normal_cdf
 from .network import NetworkSpec, build_uniform_matrix, neighbor_sets_from_edges, \
     offdiag_square_sum, reference_topology
@@ -41,20 +43,25 @@ from .steady_state import (build_steady_state, limit_moments, mixture_cdf,
 # brute-force pattern oracles
 # ---------------------------------------------------------------------------
 
+def _patterns(p: float, eta: float, omega: int):
+    """All 2^omega sign patterns b in {+1,-1}^omega, the rows of a
+    (2^omega, omega) array in ``itertools.product`` order, with the value
+    (1-eta) sum_i eta^(i-1) b_i + eta^omega of each and its probability,
+    P(b_i = +1) = p independently."""
+    bits = np.array(list(product((1.0, -1.0), repeat=omega)))
+    w = (1.0 - eta) * eta ** np.arange(omega)
+    vals = np.array([w @ b for b in bits]) + eta ** omega
+    by_plus = np.array([p ** n * (1.0 - p) ** (omega - n) for n in range(omega + 1)])
+    return bits, vals, by_plus[(bits > 0).sum(axis=1)]
+
+
 def enumerate_truncated_pmf(p: float, eta: float, omega: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact distribution of the truncated digit sum.
 
     Enumerates all 2^omega sign patterns b in {+1,-1}^omega of the variable
     (1-eta) sum_i eta^(i-1) b_i + eta^omega, with P(b_i = +1) = p.
     """
-    w = (1.0 - eta) * eta ** np.arange(omega)
-    vals = np.empty(2 ** omega)
-    probs = np.empty(2 ** omega)
-    for idx, bits in enumerate(product((1.0, -1.0), repeat=omega)):
-        b = np.array(bits)
-        vals[idx] = w @ b + eta ** omega
-        n_plus = int(np.sum(b > 0))
-        probs[idx] = p ** n_plus * (1.0 - p) ** (omega - n_plus)
+    _, vals, probs = _patterns(p, eta, omega)
     order = np.argsort(vals, kind="stable")
     return vals[order], probs[order]
 
@@ -68,24 +75,22 @@ def aggregate_patterns(p: float, eta: float, omega: int, order: str) -> tuple[np
     representative value. Agrees with the printed tables by construction
     of the aggregation rule.
     """
-    w = (1.0 - eta) * eta ** np.arange(omega)
-    buckets: dict[tuple, float] = {}
-    rep_value: dict[tuple, float] = {}
-    for bits in product((1.0, -1.0), repeat=omega):
-        b = np.array(bits)
-        minus = np.nonzero(b < 0)[0]
-        keep = 1 if order == "first" else 2
-        key = tuple(minus[:keep])
-        if key not in rep_value:
-            rep = np.ones(omega)
-            rep[list(key)] = -1.0
-            rep_value[key] = float(w @ rep + eta ** omega)
-        n_plus = int(np.sum(b > 0))
-        buckets[key] = buckets.get(key, 0.0) + p ** n_plus * (1.0 - p) ** (omega - n_plus)
-    vals = np.array([rep_value[k] for k in buckets])
-    probs = np.array([buckets[k] for k in buckets])
-    o = np.argsort(vals, kind="stable")
-    return vals[o], probs[o]
+    return _aggregate(*_patterns(p, eta, omega), 1 if order == "first" else 2)
+
+
+def _aggregate(bits, vals, probs, keep: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_patterns``' enumeration star-aggregated on its first ``keep``
+    unlikely digits, ascending."""
+    minus = bits < 0
+    kept = minus & (np.cumsum(minus, axis=1) <= keep)
+    # the representative is itself a pattern: its row in product order
+    reps = kept @ (1 << np.arange(bits.shape[1] - 1, -1, -1))
+    mass: dict[int, float] = {}
+    for rep, q in zip(reps.tolist(), probs.tolist()):
+        mass[rep] = mass.get(rep, 0.0) + q
+    rep_vals, rep_probs = vals[list(mass)], np.array(list(mass.values()))
+    o = np.argsort(rep_vals, kind="stable")
+    return rep_vals[o], rep_probs[o]
 
 
 # ---------------------------------------------------------------------------
@@ -208,30 +213,20 @@ def check_gaussian_series(quick: bool = False) -> list[CheckResult]:
 
 
 def check_table_oracle(quick: bool = False) -> list[CheckResult]:
-    omegas = range(1, 9 if quick else 13)
-    worst_first = worst_second = 0.0
-    worst_bound = 0.0
-    for omega in omegas:
-        for p in (0.67, 0.76, 0.87, 0.9):
-            for eta in (0.09, 0.225, 0.45):
-                spec = BernoulliApproxSpec(p=p, eta=eta, omega=omega)
-                for order in ("first", "second"):
-                    if order == "first":
-                        got = table_first_order(spec)
-                    else:
-                        got = table_second_order(spec, merge=False)
-                    ref_v, ref_p = aggregate_patterns(p, eta, omega, order)
-                    err = _pmf_mismatch(got, ref_v, ref_p)
-                    if order == "first":
-                        worst_first = max(worst_first, err)
-                    else:
-                        worst_second = max(worst_second, err)
-                # truncation bound: zhat - z in [0, 2 eta^omega] pathwise
-                worst_bound = max(worst_bound, _truncation_violation(eta, omega))
+    worst = [0.0, 0.0]  # first order, second order
+    for omega, p, eta in product(range(1, 9 if quick else 13), (0.67, 0.76, 0.87, 0.9),
+                                 (0.09, 0.225, 0.45)):
+        spec = BernoulliApproxSpec(p=p, eta=eta, omega=omega)
+        patterns = _patterns(p, eta, omega)
+        for keep, got in ((1, table_first_order(spec)),
+                          (2, table_second_order(spec, merge=False))):
+            err = _pmf_mismatch(got, *_aggregate(*patterns, keep))
+            worst[keep - 1] = max(worst[keep - 1], err)
     return [
-        _result("discrete/table_first_vs_enumeration", worst_first, 1e-14),
-        _result("discrete/table_second_vs_enumeration", worst_second, 1e-14),
-        _result("discrete/truncation_bound_violation", worst_bound, 1e-12),
+        _result("discrete/table_first_vs_enumeration", worst[0], 1e-14),
+        _result("discrete/table_second_vs_enumeration", worst[1], 1e-14),
+        _result("discrete/truncation_bound_violation", _omega_violation(), 1e-12,
+                "omega_k at criterion 05's settings"),
     ]
 
 
@@ -242,21 +237,26 @@ def _pmf_mismatch(pmf: DiscretePmf, ref_vals, ref_probs) -> float:
                      np.max(np.abs(pmf.probs - ref_probs))))
 
 
-def _truncation_violation(eta: float, omega: int) -> float:
-    """Pathwise check of 0 <= zhat - z <= 2 eta^omega over all patterns and
-    the extremal tail continuations."""
-    w = (1.0 - eta) * eta ** np.arange(omega)
-    bound = 2.0 * eta ** omega
+def _omega_violation() -> float:
+    """The largest breach of ``omega_k``'s rule at criterion 05's settings
+    (both models, a in {0.1, 0.25, 0.5}, nodes 3 and 9, both h, mu = 0.1)
+    over eps_kh from 1e-6 to 10 std(u): the truncation error on the state
+    scale, (e1 - e0) eta^omega / (1 - eta), is at most eps_kh at the returned
+    omega and above it at omega - 1 when omega > 1. Breaches are relative to
+    eps_kh; 0 when there are none."""
     worst = 0.0
-    for bits in product((1.0, -1.0), repeat=omega):
-        b = np.array(bits)
-        prefix = float(w @ b)
-        zhat = prefix + eta ** omega
-        z_hi = prefix + eta ** omega   # all-plus tail
-        z_lo = prefix - eta ** omega   # all-minus tail
-        for z in (z_hi, z_lo):
-            diff = zhat - z
-            worst = max(worst, -diff, diff - bound)
+    for model in (GaussianModel(1.0), ExponentialModel(5.0)):
+        e0, e1 = model.message_values()
+        for a in (0.1, 0.25, 0.5):
+            net = build_uniform_matrix(reference_topology(), a)
+            for k, h in product((3, 9), (0, 1)):
+                node = net.node_params(k, 0.1)
+                scale = (e1 - e0) / (1.0 - node.eta)  # the truncation error at omega = 0
+                sd = sqrt(moments(model, node, h).variance)
+                for eps in np.geomspace(1e-6, 10.0, 15) * sd:
+                    omega = omega_k(model, node, h, float(eps))
+                    at, below = (scale * node.eta ** w / eps for w in (omega, omega - 1))
+                    worst = max(worst, at - 1.0, 1.0 - below if omega > 1 else 0.0)
     return worst
 
 

@@ -166,6 +166,23 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="model.rho"):
             load_config(write_config(tmp_path, text))
 
+    @pytest.mark.parametrize("kind, param, value", [
+        (kind, param, value)
+        for kind, param, low in (("gaussian", "rho", "0.0"), ("exponential", "lambda_e", "1.0"))
+        for value in (low, ".nan", ".inf")])
+    def test_model_range_named(self, tmp_path, kind, param, value):
+        # the model's own range rule, under the key that set the parameter
+        text = BASE.replace("kind: gaussian", f"kind: {kind}").replace("rho: 1.0",
+                                                                      f"{param}: 8.0")
+        with pytest.raises(ConfigError, match=rf"^'model\.{param}': {param} must"):
+            load_config(write_config(tmp_path, text.replace("8.0", value)))
+        sweep = f"sweeps:\n  model_param: [8.0, {value}]\n"
+        with pytest.raises(ConfigError, match=rf"^'sweeps\.model_param': {param} must"):
+            load_config(write_config(tmp_path, text + sweep))
+        text = text.replace(f"kind: {kind}", "kind: poisson")
+        with pytest.raises(ConfigError, match=r"'model\.kind' must be gaussian or exponential"):
+            load_config(write_config(tmp_path, text))
+
     def test_bad_range_named(self, tmp_path):
         text = BASE.replace("mu: 0.1", "mu: 1.5")
         with pytest.raises(ConfigError, match="dynamics.mu"):

@@ -427,8 +427,19 @@ class TestGridEngine:
             return min(f << (-(-n // f) - 1).bit_length()
                        for f in (3 ** j * 5 ** k for j in range(12) for k in range(8)))
 
-        for n in [*range(1, 5000), 2 ** 18, 2 ** 18 + 1, 10 ** 6 + 7, 3 ** 12, 5 ** 9]:
+        for n in [*range(1, 5000), 2 ** 18, 2 ** 18 + 1, 10 ** 6 + 7, 3 ** 12, 5 ** 9,
+                  2 ** 30 - 1, 2 ** 30]:
             assert continuous._fft_length(n) == per_call(n)
+
+    def test_fft_length_for_every_n_up_to_2_20(self):
+        # per_call above for every n at once: f 2^bit_length(ceil(n/f) - 1),
+        # the bit length read off frexp's exponent (exact below 2^53)
+        n = np.arange(1, 2 ** 20 + 1)
+        best = np.full(n.size, np.iinfo(np.int64).max)
+        for f in (3 ** j * 5 ** k for j in range(12) for k in range(8)):
+            bits = np.frexp((-(-n // f) - 1).astype(float))[1]
+            np.minimum(best, f << bits.astype(np.int64), out=best)
+        assert [continuous._fft_length(k) for k in n.tolist()] == best.tolist()
 
     @pytest.mark.parametrize("a", [0.1, 0.25, 0.5])
     @pytest.mark.parametrize("h", [0, 1])

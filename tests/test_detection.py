@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from onebitnet import (ExponentialModel, GaussianModel, RocCurve, SimConfig,
-                       build_steady_state, default_gamma_grid, empirical_roc,
+from onebitnet import (EmpiricalCdf, ExponentialModel, GaussianModel, RocCurve,
+                       SimConfig, build_steady_state, default_gamma_grid, empirical_roc,
                        pf_pd, roc, run, steady_state_pair, threshold_for_pf)
 from tests.conftest import make_network
 
@@ -63,6 +63,12 @@ class TestThresholdForPf:
         cdf0 = lambda g: np.zeros_like(np.asarray(g, dtype=float))
         with pytest.raises(ValueError, match="unreachable"):
             threshold_for_pf(cdf0, 0.1, np.linspace(0, 1, 5))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_empty_grid_raises(self):
+        cdf0 = lambda g: norm.cdf(np.asarray(g))
+        with pytest.raises(ValueError, match="at least one threshold"):
+            threshold_for_pf(cdf0, 0.1, [])
 
     @pytest.mark.parametrize("target", [1.0, 1.5, 0.0, np.nan])
     def test_target_outside_unit_interval_raises(self, target):
@@ -153,6 +159,16 @@ class TestRoc:
         assert np.all(np.diff(curve.pf) <= 1e-12)
         ref = 1 - norm.cdf(gammas, 1, 1)
         assert np.max(np.abs(curve.pd - ref)) < 0.03
+
+    def test_empirical_roc_is_one_minus_empirical_cdf(self):
+        # tied samples, thresholds on and between the ties
+        rng = np.random.default_rng(3)
+        s0 = rng.integers(-3, 4, 501) * 0.1
+        s1 = rng.integers(-1, 6, 333) * 0.1
+        gammas = np.linspace(-0.5, 0.7, 25)
+        curve = empirical_roc(s0, s1, gammas)
+        np.testing.assert_array_equal(curve.pf, 1.0 - EmpiricalCdf(s0)(gammas))
+        np.testing.assert_array_equal(curve.pd, 1.0 - EmpiricalCdf(s1)(gammas))
 
     @pytest.mark.parametrize("s0, s1", [([], [1.0]), ([0.0], [])], ids=["h0", "h1"])
     def test_empirical_roc_rejects_an_empty_ensemble(self, s0, s1):

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from onebitnet import (ExponentialModel, GaussianModel, SimConfig,
-                       build_uniform_matrix, empirical_cdf, ks_distance,
-                       make_step, neighbor_sets_from_edges, reaction_time, run)
+from onebitnet import (EmpiricalCdf, ExponentialModel, GaussianModel,
+                       SimConfig, build_uniform_matrix, ks_distance, make_step,
+                       neighbor_sets_from_edges, reaction_time, run)
 from onebitnet import simulate
 from onebitnet.simulate import (ONE_BIT_X, QUANTIZED_STATE, SCHEMES,
                                 UNQUANTIZED, _trial_rng, draw_statistics,
-                                segments, to_statistics)
+                                to_statistics)
 from onebitnet.validation import (explicit_one_bit_state, iterate_scheme,
                                   unquantized_matrix_state)
 from tests.conftest import make_network
@@ -57,11 +57,38 @@ class TestSimConfig:
                    for v in (cfg.n_iters, cfg.trials, cfg.seed, cfg.schedule[1][0]))
         assert all(type(v) is int for segment in cfg.schedule for v in segment)
 
-    def test_hypothesis_steps(self, gauss1, net_a25):
+    def test_segments(self, gauss1, net_a25):
         cfg = SimConfig(network=net_a25, model=gauss1, mu=0.1, n_iters=8,
                         trials=1, schedule=((1, 0), (4, 1), (7, 0)))
-        np.testing.assert_array_equal(cfg.hypothesis_steps(),
-                                      [0, 0, 0, 1, 1, 1, 0, 0])
+        assert cfg.segments() == [(0, 3, 0), (3, 6, 1), (6, 8, 0)]
+        assert cfg.segments(2, 7) == [(0, 1, 0), (1, 4, 1), (4, 5, 0)]
+
+    def test_segments_match_per_step_hypotheses(self, gauss1, net_a25):
+        # random schedules, with repeated hypotheses and starts past n_iters,
+        # against the runs of a per-step hypothesis array, over every split
+        rng = np.random.default_rng(8)
+        for _ in range(60):
+            n = int(rng.integers(1, 12))
+            starts = np.sort(rng.choice(np.arange(2, 16), rng.integers(0, 6),
+                                        replace=False))
+            schedule = ((1, int(rng.integers(2))),
+                        *((int(s), int(rng.integers(2))) for s in starts))
+            cfg = SimConfig(network=net_a25, model=gauss1, mu=0.1, n_iters=n,
+                            trials=1, schedule=schedule)
+            per_step = np.empty(n + 15, dtype=int)
+            for start, h in schedule:
+                per_step[start - 1:] = h
+            per_step = per_step[:n]
+            for c0 in range(n + 1):
+                for c1 in range(c0, n + 1):
+                    part = per_step[c0:c1]
+                    runs, start = [], 0
+                    for i in range(1, part.size + 1):
+                        if i == part.size or part[i] != part[start]:
+                            runs.append((start, i, int(part[start])))
+                            start = i
+                    assert cfg.segments(c0, c1) == runs
+            assert cfg.segments() == cfg.segments(0, n)
 
 
 class TestSingleSteps:
@@ -210,7 +237,7 @@ class TestClosedFormOracles:
                               trials=5, seed=3, scheme=UNQUANTIZED))
         for t in range(cfg.trials):
             rng = _trial_rng(cfg.seed, t)
-            x = draw_statistics(gauss1, segments(cfg.hypothesis_steps()), rng,
+            x = draw_statistics(gauss1, cfg.segments(), rng,
                                 np.empty((12, net.size)))
             for k in (0, 3, 9):
                 ref = explicit_one_bit_state(net, gauss1, 0.1, k, x, np.zeros(10))
@@ -311,9 +338,12 @@ class TestRunDeterminism:
                                                rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("h_steps", [[0, 0, 1, 1, 1, 0, 1, 1], [1], [0, 1]])
-    def test_draws_match_step_by_step_segments(self, expo5, h_steps):
-        """Segment cuts from np.diff draw what a step-by-step scan draws."""
+    def test_draws_match_step_by_step_segments(self, expo5, net_a25, h_steps):
+        """The schedule's segments draw what a step-by-step scan draws."""
         h_steps = np.array(h_steps)
+        schedule = tuple((s + 1, int(h)) for s, h in enumerate(h_steps))
+        cfg = SimConfig(network=net_a25, model=expo5, mu=0.1, n_iters=h_steps.size,
+                        trials=1, schedule=schedule)
 
         def scan(rng):
             x, start = np.empty((h_steps.size, 3)), 0
@@ -326,7 +356,7 @@ class TestRunDeterminism:
             return x
 
         np.testing.assert_array_equal(
-            draw_statistics(expo5, segments(h_steps), np.random.default_rng(4),
+            draw_statistics(expo5, cfg.segments(), np.random.default_rng(4),
                             np.empty((h_steps.size, 3))),
             scan(np.random.default_rng(4)))
 
@@ -381,7 +411,7 @@ class TestBlocks:
         # one draw per trial, of the whole (30, S) schedule, three segments
         # and all, which is the trial's own stream
         assert len(drawn) == cfg.trials
-        segs = segments(cfg.hypothesis_steps())
+        segs = cfg.segments()
         assert len(segs) == 3
         for t, z in enumerate(drawn):
             ref = model.standard(_trial_rng(cfg.seed, t), np.empty((30, net_a25.size)))
@@ -713,7 +743,7 @@ class TestEmpiricalCdf:
         cfg = SimConfig(network=net_a25, model=gauss1, mu=0.1, n_iters=5,
                         trials=1, seed=0)
         ens = run(cfg)
-        cdf = empirical_cdf(ens, 3)
+        cdf = EmpiricalCdf(ens.terminal_states[:, 3])
         v = ens.terminal_states[0, 3]
         assert cdf(v - 1e-9) == 0.0
         assert cdf(v) == 1.0
@@ -728,6 +758,13 @@ class TestEmpiricalCdf:
         ens = run(cfg)
         assert ks_2samp(ens.terminal_states[:, 0],
                         ens.terminal_states[:, 3]).pvalue > 0.01
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_empty_sample_rejected(self):
+        with pytest.raises(ValueError, match="empirical CDF needs at least one sample"):
+            EmpiricalCdf([])
+        with pytest.raises(ValueError, match="KS distance needs at least one sample"):
+            ks_distance([], lambda t: np.asarray(t))
 
     def test_ks_distance_helper(self):
         sample = np.array([0.1, 0.4, 0.7])

@@ -102,3 +102,21 @@ def test_figure_cdf_lines_report_table_error():
         bound = build_steady_state(GaussianModel(1.0), net, k, h, 0.1).table_error
         assert f"table_error={bound:.2g}" in res.line()
         assert 0 < bound < 2e-5
+
+
+@pytest.mark.parametrize("shift", [0, 1, -1])
+def test_truncation_line_reads_omega_k(monkeypatch, shift):
+    # criterion 03's truncation line holds production omega_k to its rule:
+    # one digit more or fewer than the rule's omega fails it
+    from onebitnet import discrete, validation
+
+    def shifted(*args):
+        return max(1, discrete.omega_k(*args) + shift)
+
+    monkeypatch.setattr(validation, "omega_k", shifted)
+    line = validation.check_table_oracle(quick=True)[2]
+    assert line.name == "discrete/truncation_bound_violation"
+    assert line.tolerance == 1e-12
+    assert line.passed == (shift == 0)
+    if shift:
+        assert line.statistic > 0.5
