@@ -7,7 +7,9 @@ Library layout:
                      each sampled as an affine map of a standard variate,
                      and their one-bit message levels
 * ``continuous``   - steady-state CDF of the continuous state component: a
-                     lattice Fourier series of its log-characteristic function
+                     lattice Fourier series of its log-characteristic
+                     function; ``tabulate_cdf_u`` and ``cdf_u`` serve the
+                     checks and the tests
 * ``discrete``     - PMFs and their convolution, exact for the state's
                      head; the paper's star-aggregated message tables and
                      ``merge_close`` serve criteria 03-05 and the tests
@@ -25,17 +27,17 @@ Library layout:
 * ``detection``    - P_f/P_d, threshold calibration, ROC curves
 * ``validation``   - brute-force oracles and the pass/fail check suite
 * ``cli``          - experiment driver (cdf / roc / adapt / validate)
+
+The names that serve only the checks and the tests are imported from their
+own modules, not from the package.
 """
 
-from .continuous import (ContinuousCdfTable, ContinuousMoments, cdf_u,
-                         cdf_u_gaussian_closed, moments, tabulate_cdf_u)
+from .continuous import (ContinuousCdfTable, ContinuousMoments,
+                         cdf_u_gaussian_closed, moments)
 from .detection import RocCurve, default_gamma_grid, empirical_roc, pf_pd, \
     roc, threshold_for_pf
-from .discrete import (BernoulliApproxSpec, DiscretePmf, convolve,
-                       discrete_component, merge_close, neighbor_component_pmf,
-                       omega_k, table_first_order, table_second_order)
-from .models import (ExponentialModel, GaussianModel, ObservationModel,
-                     cumulant_check)
+from .discrete import DiscretePmf, convolve
+from .models import ExponentialModel, GaussianModel, ObservationModel
 from .network import (NetworkSpec, NodeParams, build_uniform_matrix,
                       from_matrix, neighbor_sets_from_edges, offdiag_square_sum,
                       reference_topology)
@@ -48,18 +50,16 @@ from .steady_state import (SteadyStateCdf, build_steady_state, limit_moments,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BernoulliApproxSpec", "ContinuousCdfTable", "ContinuousMoments",
+    "ContinuousCdfTable", "ContinuousMoments",
     "DiscretePmf", "EmpiricalCdf", "ExponentialModel", "GaussianModel",
     "NetworkSpec", "NodeParams", "ONE_BIT_X", "ObservationModel",
     "QUANTIZED_STATE", "RocCurve", "SimConfig", "SteadyStateCdf",
     "TrialEnsemble", "UNQUANTIZED", "build_steady_state",
-    "build_uniform_matrix", "cdf_u", "cdf_u_gaussian_closed",
-    "convolve", "cumulant_check", "default_gamma_grid", "discrete_component",
-    "empirical_roc", "from_matrix",
-    "ks_distance", "limit_moments", "make_step", "merge_close", "mixture_cdf",
-    "moments", "neighbor_component_pmf", "neighbor_sets_from_edges",
-    "offdiag_square_sum", "omega_k", "pf_pd", "reaction_time",
+    "build_uniform_matrix", "cdf_u_gaussian_closed",
+    "convolve", "default_gamma_grid", "empirical_roc", "from_matrix",
+    "ks_distance", "limit_moments", "make_step", "mixture_cdf",
+    "moments", "neighbor_sets_from_edges",
+    "offdiag_square_sum", "pf_pd", "reaction_time",
     "reference_topology", "roc", "run",
-    "state_cumulants", "steady_state_pair", "table_first_order",
-    "table_second_order", "tabulate_cdf_u", "threshold_for_pf",
+    "state_cumulants", "steady_state_pair", "threshold_for_pf",
 ]

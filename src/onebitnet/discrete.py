@@ -268,9 +268,9 @@ def convolve(pmfs, merge_tol: float) -> DiscretePmf:
     acc = pmfs[0]
     for nxt in pmfs[1:]:
         if acc.size * nxt.size > MAX_CONVOLUTION_POINTS:
-            advice = "; increase the merge tolerance" if merge_tol > 0 else ""
-            raise ValueError(f"convolution support would exceed "
-                             f"{MAX_CONVOLUTION_POINTS} points{advice}")
+            raise ValueError(f"convolution support would exceed the cap of "
+                             f"{MAX_CONVOLUTION_POINTS} points: this step makes "
+                             f"{acc.size * nxt.size}")
         acc = merge_close(_finalize(acc.points[:, None] + nxt.points[None, :],
                                     acc.probs[:, None] * nxt.probs[None, :]), merge_tol)
     return acc
@@ -298,8 +298,8 @@ def discrete_component(model: ObservationModel, network: NetworkSpec, k: int,
         return point_mass(0.0)
     eps_kh = DEFAULT_EPS_SCALE * sqrt(moments(model, node, h).variance)
     omega = omega_k(model, node, h, eps_kh)
-    p = model.p_d if h == 1 else 1.0 - model.p_f
-    spec = BernoulliApproxSpec(p=p, eta=node.eta, omega=omega)
+    p = model.bit_probability(h)
+    spec = BernoulliApproxSpec(p=p if h == 1 else 1.0 - p, eta=node.eta, omega=omega)
     table = table_second_order(spec, "class_mean")
     if h == 0:
         table = table.map_affine(slope=-1.0, shift=0.0)
@@ -309,7 +309,7 @@ def discrete_component(model: ObservationModel, network: NetworkSpec, k: int,
                   for ell in neighbors]
     try:
         return convolve(components, merge_tol=state_tol)
-    except ValueError as exc:  # the tolerance is derived, so no advice to raise it
+    except ValueError as exc:
         raise ValueError(f"node {k}, h = {h}, mu = {mu}: omega = {omega} digits, merged "
                          f"at the tolerance {state_tol:.6g} derived from omega, make a "
                          f"convolution support of more than {MAX_CONVOLUTION_POINTS} "

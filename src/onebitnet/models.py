@@ -1,15 +1,13 @@
 """Observation models: marginal decision statistics and one-bit message levels.
 
 Each model describes the distribution of the scalar statistic x computed by
-an agent from a single observation, under both states of nature h = 0, 1.
-Each model samples x as an affine map of a standard variate,
-x = shift + scale z (``affine``), z standard normal or standard
-exponential (``standard``), so a caller may draw z for several hypotheses
-at once and map each block of steps after. Besides sampling and moments,
-models expose the log-characteristic function
-Phi_{x,h}(t) = log E_h exp(j t x) together with its first
-``CUMULANT_ORDER`` (12) cumulants and the radius of its power series, which
-drive the steady-state CDF inversion. ``normal_cdf`` is the package's one
+an agent from a single observation, under both states of nature h = 0, 1,
+in five closed forms (``ObservationModel``): a standard variate z, normal or
+exponential; the map x = shift + scale z, so a caller may draw z for several
+hypotheses at once and map each block of steps after; the log-characteristic
+function Phi_{x,h}(t) = log E_h exp(j t x) and its first ``CUMULANT_ORDER``
+(12) cumulants, which drive the steady-state CDF inversion; and P_h(x >= 0).
+The rest derives from these. ``normal_cdf`` is the package's one
 normal CDF, Phi(x) = erfc(-x/sqrt 2)/2 on ``math.erfc`` (Cody's rational
 Chebyshev approximations, Math. Comp. 23, 1969): numpy scales the whole
 input, one ``map`` applies ``math.erfc`` to it as a list, and the result
@@ -48,15 +46,27 @@ def normal_cdf(x):
 class ObservationModel(ABC):
     """Distribution of the marginal statistic under both hypotheses.
 
+    A model gives five members, ``standard``, ``affine``, ``log_cf``,
+    ``cumulants`` and ``bit_probability``, and two constants of z: the
+    infimum of its support ``Z_LOWER`` and the radius of its log-CF series
+    ``Z_RADIUS``. Derived from them: ``mean`` and ``variance`` (the first two
+    cumulants), ``radius`` (Z_RADIUS / scale), ``support_lower`` (shift +
+    scale Z_LOWER), ``p_d`` and ``p_f`` (``bit_probability`` under h = 1, 0)
+    and the message levels (the two means).
+
     Immutable, as a model may derive fields from its parameters when it is
     built (``ExponentialModel._log_lam`` from ``lambda_e``): assigning or
     deleting an attribute raises AttributeError, and ``__init__`` sets
     parameters with ``object.__setattr__``. Sampling takes an externally
     supplied generator so that concurrent trials never share state. The
     local decision threshold is 0: x is a log-likelihood ratio, and every
-    closed form (p_d, p_f, the analytic CDFs) and the simulator's quantizer
-    are taken at it.
+    closed form and the simulator's quantizer are taken at it. Only
+    ``bit_probability`` carries it into the analytic laws, so a quantizer
+    threshold other than 0 enters them there.
     """
+
+    Z_LOWER: float
+    Z_RADIUS: float
 
     def __setattr__(self, name, value):
         raise AttributeError(
@@ -67,12 +77,6 @@ class ObservationModel(ABC):
             f"{type(self).__name__} is immutable: cannot delete {name!r}")
 
     @abstractmethod
-    def mean(self, h: int) -> float: ...
-
-    @abstractmethod
-    def variance(self, h: int) -> float: ...
-
-    @abstractmethod
     def standard(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
         """``out`` (float64, C-contiguous) filled with the standard variates
         z that ``affine`` maps to x, drawn in ``out``'s order; returns out."""
@@ -80,13 +84,6 @@ class ObservationModel(ABC):
     @abstractmethod
     def affine(self, h: int) -> tuple[float, float]:
         """(scale, shift) with x = shift + scale z under h."""
-
-    def sample(self, h: int, rng: np.random.Generator, size=None):
-        """Draws of x under h, shift + scale z, as numpy's own location-scale
-        samplers round them; a float when ``size`` is None."""
-        scale, shift = self.affine(h)
-        x = shift + scale * self.standard(rng, np.empty(() if size is None else size))
-        return float(x) if size is None else x
 
     @abstractmethod
     def log_cf(self, t, h: int):
@@ -98,22 +95,40 @@ class ObservationModel(ABC):
         log_cf(t) = sum_r kappa_r (j t)^r / r! + O(t^13)."""
 
     @abstractmethod
+    def bit_probability(self, h) -> float:
+        """P_h(x >= 0), h taken by ``as_hypothesis``."""
+
+    def sample(self, h: int, rng: np.random.Generator, size=None):
+        """Draws of x under h, shift + scale z, as numpy's own location-scale
+        samplers round them; a float when ``size`` is None."""
+        scale, shift = self.affine(h)
+        x = shift + scale * self.standard(rng, np.empty(() if size is None else size))
+        return float(x) if size is None else x
+
+    def mean(self, h: int) -> float:
+        return self.cumulants(h)[0]
+
+    def variance(self, h: int) -> float:
+        return self.cumulants(h)[1]
+
     def radius(self, h: int) -> float:
         """Radius of convergence of the log-CF power series (may be inf)."""
-
-    @property
-    @abstractmethod
-    def p_d(self) -> float:
-        """Marginal detection probability P_1(x >= 0)."""
-
-    @property
-    @abstractmethod
-    def p_f(self) -> float:
-        """Marginal false-alarm probability P_0(x >= 0)."""
+        return self.Z_RADIUS / self.affine(h)[0]
 
     def support_lower(self, h: int) -> float:
         """Infimum of the support of x under h (-inf when unbounded)."""
-        return -np.inf
+        scale, shift = self.affine(h)
+        return shift + scale * self.Z_LOWER
+
+    @property
+    def p_d(self) -> float:
+        """Marginal detection probability P_1(x >= 0)."""
+        return self.bit_probability(1)
+
+    @property
+    def p_f(self) -> float:
+        """Marginal false-alarm probability P_0(x >= 0)."""
+        return self.bit_probability(0)
 
     def message_values(self) -> tuple[float, float]:
         """(E_0 x, E_1 x): the two one-bit message levels."""
@@ -129,6 +144,8 @@ class GaussianModel(ObservationModel):
     beyond the second and the radius is infinite.
     """
 
+    Z_LOWER, Z_RADIUS = -np.inf, np.inf
+
     def __init__(self, rho: float):
         if not 0 < rho < np.inf:
             raise ValueError(f"rho must be positive and finite, got {rho}")
@@ -137,35 +154,25 @@ class GaussianModel(ObservationModel):
     def __repr__(self):
         return f"GaussianModel(rho={self.rho})"
 
-    def mean(self, h):
+    def _shift(self, h):
         return self.rho if h == 1 else -self.rho
-
-    def variance(self, h):
-        return 2.0 * self.rho
 
     def standard(self, rng, out):
         return rng.standard_normal(out=out)
 
     def affine(self, h):
-        return sqrt(2.0 * self.rho), self.mean(h)
+        return sqrt(2.0 * self.rho), self._shift(h)
 
     def log_cf(self, t, h):
         t = np.asarray(t)
-        return 1j * t * self.mean(h) - 0.5 * t * t * self.variance(h)
+        return 1j * t * self._shift(h) - 0.5 * t * t * (2.0 * self.rho)
 
     def cumulants(self, h):
-        return (self.mean(h), self.variance(h)) + (0.0,) * (CUMULANT_ORDER - 2)
+        return (self._shift(h), 2.0 * self.rho) + (0.0,) * (CUMULANT_ORDER - 2)
 
-    def radius(self, h):
-        return np.inf
-
-    @property
-    def p_d(self):
-        return float(normal_cdf(self.rho / sqrt(2.0 * self.rho)))
-
-    @property
-    def p_f(self):
-        return float(normal_cdf(-self.rho / sqrt(2.0 * self.rho)))
+    def bit_probability(self, h):
+        scale, shift = self.affine(as_hypothesis(h))
+        return float(normal_cdf(shift / scale))
 
 
 class ExponentialModel(ObservationModel):
@@ -175,31 +182,31 @@ class ExponentialModel(ObservationModel):
     lambda_1 < lambda_0 under h=1; only the ratio lambda_e = lambda_0 /
     lambda_1 > 1 matters. The statistic is x = s_h e - log lambda_e with e
     a unit exponential and scale s_0 = 1 - 1/lambda_e, s_1 = lambda_e - 1,
-    so x >= -log lambda_e, with cumulants kappa_r = (r-1)! s_h^r for r >= 2.
-    The log-CF series has finite radius 1/s_h, the distance to log_cf's
-    singularity at t = -j/s_h.
+    so x >= -log lambda_e, with cumulants kappa_r = (r-1)! s_h^r for r >= 2,
+    computed once when the model is built. The log-CF series has finite
+    radius 1/s_h, the distance to log_cf's singularity at t = -j/s_h.
 
     Note: V_1 x = (lambda_e - 1)^2, consistent with the H1 density, the
     closed-form log-CF and its cumulants.
     """
+
+    Z_LOWER, Z_RADIUS = 0.0, 1.0
 
     def __init__(self, lambda_e: float):
         if not 1 < lambda_e < np.inf:
             raise ValueError(f"lambda_e must exceed 1 and be finite, got {lambda_e}")
         object.__setattr__(self, "lambda_e", float(lambda_e))
         object.__setattr__(self, "_log_lam", log(self.lambda_e))
+        object.__setattr__(self, "_kappa", {
+            h: (s - self._log_lam,) + tuple(factorial(r - 1) * s ** r
+                                            for r in range(2, CUMULANT_ORDER + 1))
+            for h, s in ((0, self._scale(0)), (1, self._scale(1)))})
 
     def __repr__(self):
         return f"ExponentialModel(lambda_e={self.lambda_e})"
 
     def _scale(self, h):
         return (self.lambda_e - 1.0) if h == 1 else (1.0 - 1.0 / self.lambda_e)
-
-    def mean(self, h):
-        return self._scale(h) - self._log_lam
-
-    def variance(self, h):
-        return self._scale(h) ** 2
 
     def standard(self, rng, out):
         return rng.standard_exponential(out=out)
@@ -217,45 +224,8 @@ class ExponentialModel(ObservationModel):
         return 1j * (np.arctan(st) - t * self._log_lam) - 0.5 * np.log1p(st * st)
 
     def cumulants(self, h):
-        s = self._scale(h)
-        return (self.mean(h),) + tuple(factorial(r - 1) * s ** r
-                                       for r in range(2, CUMULANT_ORDER + 1))
+        return self._kappa[h]
 
-    def radius(self, h):
-        return 1.0 / self._scale(h)
-
-    def support_lower(self, h):
-        return -self._log_lam
-
-    @property
-    def p_d(self):
-        return self.lambda_e ** (-1.0 / (self.lambda_e - 1.0))
-
-    @property
-    def p_f(self):
-        return self.lambda_e ** (-self.lambda_e / (self.lambda_e - 1.0))
-
-
-def cumulant_check(model: ObservationModel, h: int, n_max: int = 4) -> np.ndarray:
-    """Relative residuals between the shipped cumulants, as the power-series
-    coefficients kappa_n j^n / n! of log_cf, and numerical derivatives of
-    log_cf at the origin.
-
-    The derivatives are extracted by trapezoid quadrature of the Cauchy
-    integral on a circle of radius min(radius/2, 1), which is spectrally
-    accurate for the analytic log-CFs handled here.
-    """
-    if not 1 <= n_max <= CUMULANT_ORDER:
-        raise ValueError(f"n_max must be between 1 and {CUMULANT_ORDER}")
-    r = min(model.radius(h) / 2.0, 1.0)
-    n_theta = 256
-    theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
-    vals = model.log_cf(r * np.exp(1j * theta), h)
-    kappa = model.cumulants(h)
-    residuals = np.empty(n_max)
-    for n in range(1, n_max + 1):
-        num = np.mean(vals * np.exp(-1j * n * theta)) / r ** n
-        ref = kappa[n - 1] * 1j ** n / factorial(n)
-        scale = max(abs(ref), 1e-9)
-        residuals[n - 1] = abs(num - ref) / scale
-    return residuals
+    def bit_probability(self, h):
+        lam = self.lambda_e
+        return lam ** (-(1.0 if as_hypothesis(h) else lam) / (lam - 1.0))

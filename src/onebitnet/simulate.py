@@ -444,14 +444,26 @@ def hypothesis_ensembles(network: NetworkSpec, model: ObservationModel,
                  for h in (0, 1))
 
 
+def _sorted_sample(sample, what: str) -> np.ndarray:
+    """``sample`` sorted, or a ValueError naming ``what`` for a sample that
+    is not 1-D, is empty or holds a NaN (which the sort puts last)."""
+    xs = np.asarray(sample, dtype=float)
+    if xs.ndim != 1:
+        raise ValueError(f"{what} needs a 1-D sample, got shape {xs.shape}")
+    if not xs.size:
+        raise ValueError(f"{what} needs at least one sample")
+    xs = np.sort(xs)
+    if np.isnan(xs[-1]):
+        raise ValueError(f"{what} needs a sample without NaN")
+    return xs
+
+
 class EmpiricalCdf:
-    """Right-continuous empirical CDF of a nonempty sample."""
+    """Right-continuous empirical CDF of a nonempty 1-D sample without NaN."""
 
     def __init__(self, sample):
-        self.sorted = np.sort(np.asarray(sample, dtype=float))
+        self.sorted = _sorted_sample(sample, "an empirical CDF")
         self.n = len(self.sorted)
-        if not self.n:
-            raise ValueError("an empirical CDF needs at least one sample")
 
     def __call__(self, t):
         idx = np.searchsorted(self.sorted, np.asarray(t, dtype=float),
@@ -460,11 +472,10 @@ class EmpiricalCdf:
 
 
 def ks_distance(sample, cdf) -> float:
-    """One-sample Kolmogorov-Smirnov distance between a nonempty sample and a CDF."""
-    xs = np.sort(np.asarray(sample, dtype=float))
+    """One-sample Kolmogorov-Smirnov distance between a nonempty 1-D sample
+    without NaN and a CDF."""
+    xs = _sorted_sample(sample, "the KS distance")
     n = len(xs)
-    if not n:
-        raise ValueError("the KS distance needs at least one sample")
     f = np.asarray(cdf(xs), dtype=float)
     i = np.arange(1, n + 1)
     return float(max(np.max(np.abs(i / n - f)), np.max(np.abs((i - 1) / n - f))))

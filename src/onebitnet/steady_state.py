@@ -64,15 +64,15 @@ def state_cumulants(model: ObservationModel, network: NetworkSpec, k: int,
         kappa_n = [(mu a_k)^n kappa_n(x) + sum_l c_kl^n kappa_n(xt)] / (1 - eta^n),
 
     with kappa_n(x) from ``model.cumulants``. The message xt is e_0 + d b
-    with b ~ Bernoulli(p), d = e_1 - e_0 and p = p_d under h=1, p_f under
-    h=0, so kappa_n(xt) = [n = 1] e_0 + d^n kappa_n(b), the bit's cumulants
-    being the tail ones of the digits' ``geometric_log_cf``.
+    with b ~ Bernoulli(p), d = e_1 - e_0 and p = P_h(x >= 0)
+    (``model.bit_probability``), so kappa_n(xt) = [n = 1] e_0 + d^n kappa_n(b),
+    the bit's cumulants being the tail ones of the digits' ``geometric_log_cf``.
     """
     h = as_hypothesis(h)
     node = network.node_params(k, mu)
     e0, e1 = model.message_values()
     x = model.cumulants(h)
-    b = _bit_cumulants(model.p_d if h == 1 else model.p_f)
+    b = _bit_cumulants(model.bit_probability(h))
     return tuple(((mu * node.a_k) ** n * x[n - 1] + float(np.sum(node.c_row ** n))
                   * ((n == 1) * e0 + (e1 - e0) ** n * b[n - 1])) / (1.0 - node.eta ** n)
                  for n in (1, 2, 3))
@@ -167,7 +167,7 @@ def build_steady_state(model: ObservationModel, network: NetworkSpec, k: int,
     """
     node = network.node_params(k, mu)
     e0, e1 = model.message_values()
-    p = model.p_d if h == 1 else model.p_f
+    p = model.bit_probability(h)
     c, n = np.unique(node.c_row[node.c_row > 0], return_counts=True)
     w, eta = c * (e1 - e0), node.eta
     shift, span = float(n @ c) * e0 / (1.0 - eta), float(n @ w) / (1.0 - eta)

@@ -6,11 +6,11 @@ from scipy.integrate import quad
 from scipy.stats import ks_2samp, norm
 
 from onebitnet import (ExponentialModel, GaussianModel, build_steady_state,
-                       build_uniform_matrix, cdf_u, cdf_u_gaussian_closed,
-                       moments, reference_topology, tabulate_cdf_u)
+                       build_uniform_matrix, cdf_u_gaussian_closed, moments,
+                       reference_topology)
 from onebitnet import continuous
-from onebitnet.continuous import (InversionError, _lattice_cdf, _u_log_cf,
-                                  geometric_log_cf, log_cf_w)
+from onebitnet.continuous import (InversionError, _lattice_cdf, _u_log_cf, cdf_u,
+                                  geometric_log_cf, log_cf_w, tabulate_cdf_u)
 from onebitnet.network import NodeParams
 from onebitnet.simulate import ks_distance
 from onebitnet.steady_state import _bit_cumulants, _bit_log_cf

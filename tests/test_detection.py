@@ -178,6 +178,18 @@ class TestRoc:
             with pytest.raises(ValueError, match="samples under both hypotheses"):
                 empirical_roc(s0, s1, [0.0])
 
+    @pytest.mark.parametrize("s0, s1, match", [
+        ([0.0, np.nan], [1.0, 2.0], "sample without NaN"),
+        ([0.0, 1.0], [np.nan, 2.0], "sample without NaN"),
+        (np.zeros((3, 2)), [1.0, 2.0], r"1-D sample, got shape \(3, 2\)"),
+    ], ids=["nan_h0", "nan_h1", "2d_h0"])
+    def test_empirical_roc_rejects_a_bad_ensemble(self, s0, s1, match):
+        # a NaN would count as above every threshold, so P_f would never reach 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"empirical CDF needs a {match}"):
+                empirical_roc(s0, s1, [-5.0, 0.5, 1.5, 1e300])
+
     @pytest.mark.parametrize("gammas, pf, pd, match", [
         ([0.0, 2.0, 1.0], [0.9, 0.5, 0.1], [0.9, 0.5, 0.1], "strictly increasing"),
         ([0.0, 1.0, 1.0], [0.9, 0.5, 0.1], [0.9, 0.5, 0.1], "strictly increasing"),

@@ -2,17 +2,17 @@ import copy
 import itertools
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
 
-from onebitnet import (BernoulliApproxSpec, DiscretePmf, ExponentialModel,
-                       GaussianModel, build_uniform_matrix, convolve,
-                       discrete_component, merge_close, moments,
-                       neighbor_component_pmf, omega_k, steady_state_pair,
-                       table_first_order, table_second_order)
+from onebitnet import (DiscretePmf, ExponentialModel, build_uniform_matrix, convolve,
+                       moments, steady_state_pair)
 from onebitnet import discrete
-from onebitnet.discrete import point_mass
+from onebitnet.discrete import (BernoulliApproxSpec, discrete_component, merge_close,
+                                neighbor_component_pmf, omega_k, point_mass,
+                                table_first_order, table_second_order)
 from onebitnet.network import NodeParams
 from onebitnet.validation import aggregate_patterns, enumerate_truncated_pmf
 from tests.conftest import make_network
@@ -312,17 +312,21 @@ class TestConvolve:
         np.testing.assert_allclose(out.probs, [0.25, 0.5, 0.25])
 
     def test_support_cap(self):
-        # no merging, so no merge tolerance to advise
+        # the message states the cap and the step's candidates, as with merging
         rng = np.random.default_rng(0)
         pts = np.sort(rng.normal(size=2000))
         pmf = DiscretePmf(points=pts, probs=np.full(2000, 1 / 2000))
-        with pytest.raises(ValueError, match=r"exceed 1000000 points$"):
+        with pytest.raises(ValueError, match=(
+                r"^convolution support would exceed the cap of 1000000 points: "
+                r"this step makes 4000000$")):
             convolve([pmf, pmf], merge_tol=0.0)
 
     def test_support_cap_with_merging(self):
         # points tol apart survive the coarsening: 2,000^2 candidates
         pmf = DiscretePmf(points=np.arange(2000.0), probs=np.full(2000, 1 / 2000))
-        with pytest.raises(ValueError, match="support would exceed.*merge tolerance"):
+        with pytest.raises(ValueError, match=(
+                r"^convolution support would exceed the cap of 1000000 points: "
+                r"this step makes 4000000$")):
             convolve([pmf, pmf], merge_tol=0.5)
 
     def test_tie_heavy_dyadic_matches_reference(self):
@@ -519,14 +523,15 @@ class TestDiscreteComponent:
     @pytest.mark.parametrize("h", (0, 1))
     def test_support_cap_names_the_derived_tolerance(self, gauss1, h):
         # the small-mu hub's 16-digit tables pass the cap at the tolerance
-        # omega derives; no caller can set it, so none is advised to
+        # omega derives; no caller can set it, so no message advises it
         with pytest.raises(ValueError, match=(
                 rf"^node 3, h = {h}, mu = 0.001: omega = 16 digits, merged at the "
                 r"tolerance 6.00059e-05 derived from omega, make a convolution "
                 r"support of more than 1000000 points$")) as info:
             discrete_component(gauss1, make_network(0.5), 3, h, mu=1e-3)
-        assert "increase" not in str(info.value)
-        assert "increase the merge tolerance" in str(info.value.__cause__)
+        assert "increase" not in str(info.value) + str(info.value.__cause__)
+        assert re.fullmatch(r"convolution support would exceed the cap of 1000000 "
+                            r"points: this step makes \d+", str(info.value.__cause__))
 
     def test_single_neighbor_dominant_point(self, gauss1):
         # weakly connected node with small self-weight: the PMF splits into

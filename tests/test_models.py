@@ -7,12 +7,38 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from onebitnet import (ExponentialModel, GaussianModel, build_uniform_matrix,
-                       cumulant_check, make_step)
-from onebitnet.models import CUMULANT_ORDER, normal_cdf
+from onebitnet import (ExponentialModel, GaussianModel, ObservationModel, SimConfig,
+                       build_steady_state, build_uniform_matrix, make_step, run)
+from onebitnet.models import CUMULANT_ORDER, as_hypothesis, normal_cdf
 from onebitnet.steady_state import _bit_cumulants
+from tests.conftest import make_network
 
 LOG5 = np.log(5.0)
+
+
+def cumulant_check(model, h: int, n_max: int = 4) -> np.ndarray:
+    """Relative residuals between the shipped cumulants, as the power-series
+    coefficients kappa_n j^n / n! of log_cf, and numerical derivatives of
+    log_cf at the origin.
+
+    The derivatives are extracted by trapezoid quadrature of the Cauchy
+    integral on a circle of radius min(radius/2, 1), which is spectrally
+    accurate for the analytic log-CFs handled here.
+    """
+    if not 1 <= n_max <= CUMULANT_ORDER:
+        raise ValueError(f"n_max must be between 1 and {CUMULANT_ORDER}")
+    r = min(model.radius(h) / 2.0, 1.0)
+    n_theta = 256
+    theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
+    vals = model.log_cf(r * np.exp(1j * theta), h)
+    kappa = model.cumulants(h)
+    residuals = np.empty(n_max)
+    for n in range(1, n_max + 1):
+        num = np.mean(vals * np.exp(-1j * n * theta)) / r ** n
+        ref = kappa[n - 1] * 1j ** n / math.factorial(n)
+        scale = max(abs(ref), 1e-9)
+        residuals[n - 1] = abs(num - ref) / scale
+    return residuals
 
 
 def test_normal_cdf_matches_scipy():
@@ -323,3 +349,95 @@ class TestCumulantCheck:
         for n_max in (0, 13):
             with pytest.raises(ValueError, match="n_max must be between 1 and 12"):
                 cumulant_check(gauss1, 0, n_max=n_max)
+
+
+class BareGaussian(ObservationModel):
+    """x ~ N(-1, 2) under h=0 and N(1, 2) under h=1, stated through the five
+    members and two constants a model must give, nothing else."""
+
+    Z_LOWER, Z_RADIUS = -np.inf, np.inf
+
+    def standard(self, rng, out):
+        return rng.standard_normal(out=out)
+
+    def affine(self, h):
+        return math.sqrt(2.0), (1.0 if h == 1 else -1.0)
+
+    def log_cf(self, t, h):
+        t = np.asarray(t)
+        return 1j * t * (1.0 if h == 1 else -1.0) - 0.5 * t * t * 2.0
+
+    def cumulants(self, h):
+        return (1.0 if h == 1 else -1.0, 2.0) + (0.0,) * (CUMULANT_ORDER - 2)
+
+    def bit_probability(self, h):
+        return float(normal_cdf((1.0 if as_hypothesis(h) == 1 else -1.0) / math.sqrt(2.0)))
+
+
+def same_bits(a, b) -> bool:
+    return type(a) is type(b) and np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+class TestModelContract:
+    def test_five_abstract_members(self):
+        assert ObservationModel.__abstractmethods__ == {
+            "standard", "affine", "log_cf", "cumulants", "bit_probability"}
+        for cls in (GaussianModel, ExponentialModel):
+            assert not {"mean", "variance", "radius", "support_lower",
+                        "p_d", "p_f"} & set(vars(cls))
+
+    @pytest.mark.parametrize("rho", [1.0, 0.37, 2.0, 1e-3])
+    def test_gaussian_derived_members_are_the_closed_forms(self, rho):
+        model = GaussianModel(rho)
+        sd = math.sqrt(2.0 * rho)
+        for h, mean in ((0, -rho), (1, rho)):
+            assert same_bits(model.mean(h), mean)
+            assert same_bits(model.variance(h), 2.0 * rho)
+            assert same_bits(model.radius(h), np.inf)
+            assert same_bits(model.support_lower(h), -np.inf)
+            assert same_bits(model.affine(h), (sd, mean))
+            assert same_bits(model.cumulants(h), (mean, 2.0 * rho) + (0.0,) * 10)
+        assert same_bits(model.p_d, float(normal_cdf(rho / sd)))
+        assert same_bits(model.p_f, float(normal_cdf(-rho / sd)))
+        assert same_bits(model.message_values(), (-rho, rho))
+
+    @pytest.mark.parametrize("lam", [5.0, 1.3, 8.0, 1.0001])
+    def test_exponential_derived_members_are_the_closed_forms(self, lam):
+        model = ExponentialModel(lam)
+        for h, s in ((0, 1.0 - 1.0 / lam), (1, lam - 1.0)):
+            assert same_bits(model.mean(h), s - math.log(lam))
+            assert same_bits(model.variance(h), s ** 2)
+            assert same_bits(model.radius(h), 1.0 / s)
+            assert same_bits(model.support_lower(h), -math.log(lam))
+            assert same_bits(model.affine(h), (s, -math.log(lam)))
+            assert same_bits(model.cumulants(h), (s - math.log(lam),) + tuple(
+                math.factorial(r - 1) * s ** r for r in range(2, 13)))
+        assert same_bits(model.p_d, lam ** (-1.0 / (lam - 1.0)))
+        assert same_bits(model.p_f, lam ** (-lam / (lam - 1.0)))
+
+    @pytest.mark.parametrize("model", [GaussianModel(1.0), ExponentialModel(5.0),
+                                       BareGaussian()], ids=lambda m: type(m).__name__)
+    def test_bit_probability_takes_hypotheses_only(self, model):
+        assert (model.bit_probability(0), model.bit_probability(1)) == (model.p_f, model.p_d)
+        assert model.bit_probability(np.int64(1)) == model.p_d
+        for bad in (2, -1, True, 0.5):
+            with pytest.raises(ValueError, match="hypotheses must be 0 or 1"):
+                model.bit_probability(bad)
+
+    def test_bare_model_builds_the_same_law(self):
+        net = make_network(0.25)
+        for h, k in ((0, 3), (1, 3), (1, 9)):
+            got = build_steady_state(BareGaussian(), net, k, h, 0.1)
+            want = build_steady_state(GaussianModel(1.0), net, k, h, 0.1)
+            for a, b in ((got.cont.grid, want.cont.grid), (got.cont.values, want.cont.values),
+                         (got.pmf.points, want.pmf.points), (got.pmf.probs, want.pmf.probs)):
+                assert a.tobytes() == b.tobytes()
+            assert (got.cont.mean, got.cont.variance) == (want.cont.mean, want.cont.variance)
+
+    def test_bare_model_runs_the_same_trials(self):
+        net = make_network(0.25)
+        got, want = (run(SimConfig(network=net, model=model, mu=0.1, n_iters=40, trials=30,
+                                   schedule=((1, 0), (21, 1)), seed=4), trajectory_nodes=(3,))
+                     for model in (BareGaussian(), GaussianModel(1.0)))
+        assert got.terminal_states.tobytes() == want.terminal_states.tobytes()
+        assert got.trajectories[3].tobytes() == want.trajectories[3].tobytes()

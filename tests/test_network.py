@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from onebitnet import (GaussianModel, NetworkSpec, SimConfig, build_steady_state,
-                       build_uniform_matrix, discrete_component, from_matrix,
-                       limit_moments, neighbor_sets_from_edges,
-                       offdiag_square_sum, reference_topology, state_cumulants,
-                       steady_state_pair)
+                       build_uniform_matrix, from_matrix, limit_moments,
+                       neighbor_sets_from_edges, offdiag_square_sum,
+                       reference_topology, state_cumulants, steady_state_pair)
+from onebitnet.discrete import discrete_component
 from onebitnet.network import NetworkError, whole_number
 
 

@@ -9,6 +9,7 @@ from onebitnet import (EmpiricalCdf, ExponentialModel, GaussianModel,
                        SimConfig, build_uniform_matrix, ks_distance, make_step,
                        neighbor_sets_from_edges, reaction_time, run)
 from onebitnet import simulate
+from onebitnet.models import normal_cdf
 from onebitnet.simulate import (ONE_BIT_X, QUANTIZED_STATE, SCHEMES,
                                 UNQUANTIZED, _trial_rng, draw_statistics,
                                 to_statistics)
@@ -765,6 +766,20 @@ class TestEmpiricalCdf:
             EmpiricalCdf([])
         with pytest.raises(ValueError, match="KS distance needs at least one sample"):
             ks_distance([], lambda t: np.asarray(t))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("sample, match", [
+        ([np.nan, 1.0], "needs a sample without NaN"),
+        ([0.0, 1.0, np.nan], "needs a sample without NaN"),
+        (np.zeros((3, 2)), r"needs a 1-D sample, got shape \(3, 2\)"),
+        (np.zeros((1, 1)), r"needs a 1-D sample, got shape \(1, 1\)"),
+        (0.5, r"needs a 1-D sample, got shape \(\)"),
+    ], ids=["nan", "nan_last", "2d", "1x1", "0d"])
+    def test_bad_sample_rejected(self, sample, match):
+        with pytest.raises(ValueError, match=f"empirical CDF {match}"):
+            EmpiricalCdf(sample)
+        with pytest.raises(ValueError, match=f"KS distance {match}"):
+            ks_distance(sample, normal_cdf)
 
     def test_ks_distance_helper(self):
         sample = np.array([0.1, 0.4, 0.7])

@@ -11,13 +11,12 @@ from scipy.stats import norm
 
 from onebitnet import (ExponentialModel, GaussianModel, RocCurve,
                        build_steady_state, build_uniform_matrix,
-                       cdf_u_gaussian_closed, default_gamma_grid,
-                       discrete_component, from_matrix,
+                       cdf_u_gaussian_closed, default_gamma_grid, from_matrix,
                        limit_moments, mixture_cdf, moments, roc,
-                       state_cumulants, steady_state_pair, tabulate_cdf_u)
+                       state_cumulants, steady_state_pair)
 from onebitnet import continuous, steady_state
-from onebitnet.continuous import ContinuousCdfTable, DEFAULT_EPS_PRIME
-from onebitnet.discrete import DiscretePmf, point_mass
+from onebitnet.continuous import ContinuousCdfTable, DEFAULT_EPS_PRIME, tabulate_cdf_u
+from onebitnet.discrete import DiscretePmf, discrete_component, point_mass
 from onebitnet.models import normal_cdf
 from onebitnet.simulate import hypothesis_ensembles, ks_distance
 from onebitnet.steady_state import SteadyStateCdf, _MAX_LATTICE
