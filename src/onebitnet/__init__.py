@@ -10,9 +10,12 @@ Library layout:
                      lattice Fourier series of its log-characteristic
                      function; ``tabulate_cdf_u`` and ``cdf_u`` serve the
                      checks and the tests
-* ``discrete``     - PMFs and their convolution, exact for the state's
-                     head; the paper's star-aggregated message tables and
-                     ``merge_close`` serve criteria 03-05 and the tests
+* ``discrete``     - exact PMF algebra (``DiscretePmf``, ``point_mass``,
+                     ``convolve``) for the state's head, then the paper's
+                     star-aggregated message tables, ``merge_close`` and
+                     ``discrete_component``, which makes every one of the
+                     paper's approximations, for criteria 03-05 and the
+                     tests
 * ``steady_state`` - exact CDF of the full state: one lattice series of
                      the continuous component's log-CF times the
                      messages' closed-form CF

@@ -77,12 +77,12 @@ def pf_pd(cdf0, cdf1, gamma: float) -> tuple[float, float]:
 
 
 def threshold_for_pf(cdf0, target_pf: float, gammas) -> tuple[float, float]:
-    """Smallest grid threshold whose false-alarm rate is at most target.
+    """Smallest grid threshold whose false-alarm rate is at most target,
+    in whatever order the grid lists its thresholds.
 
     Returns (gamma_star, achieved_pf); with jumpy CDFs the achieved value
-    can undershoot the target, so both are reported. Raises when even the
-    largest threshold exceeds the target (grid too narrow) or the grid is
-    empty.
+    can undershoot the target, so both are reported. Raises when no
+    threshold meets the target (grid too narrow) or the grid is empty.
     """
     if not 0.0 < target_pf < 1.0:
         raise ValueError("target_pf must be in (0,1)")
@@ -95,7 +95,7 @@ def threshold_for_pf(cdf0, target_pf: float, gammas) -> tuple[float, float]:
         raise ValueError(
             f"false-alarm target {target_pf} unreachable on the grid "
             f"(min achievable {pf.min():.4g}); extend the threshold grid")
-    i = ok[0]
+    i = ok[np.argmin(gammas[ok])]
     return float(gammas[i]), float(pf[i])
 
 

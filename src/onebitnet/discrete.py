@@ -1,27 +1,21 @@
-"""Discrete state component: PMFs of truncated one-bit message sums.
+"""Discrete state component: exact PMF algebra, then the paper's tables.
 
-Each neighbor contributes a geometric series of normalized +/-1 message
-symbols with memory factor eta, i.e. an asymmetric Bernoulli convolution.
-The paper approximates it by truncating the series after omega digits
-(assuming the remaining digits take the likely value +1) and compressing
-the 2^omega digit patterns to the patterns with at most one (first order)
-or two (second order) unlikely digits; every discarded pattern's
-probability is folded into the retained pattern that shares its leading
-unlikely digits (star aggregation). Affine mapping to the state scale and
-cross-neighbor convolution with value merging yield the PMF of the full
-discrete component; ``discrete_component`` uses the second-order table
-with class-mean values.
-
-``steady_state`` reads only ``DiscretePmf``, ``point_mass`` and exact
-``convolve`` (merge_tol = 0), for its head PMF. The star tables,
-``merge_close`` and ``discrete_component`` serve the acceptance criteria
-03-05 (``validation.check_table_oracle`` and ``check_figure_cdfs``) and
-the tests.
+``DiscretePmf``, ``point_mass`` and ``convolve`` are exact; ``steady_state``
+reads only them, for its head PMF. The rest is the paper's approximation
+of each neighbour's series of +/-1 message symbols with memory factor eta,
+an asymmetric Bernoulli convolution: the tables truncate it after omega
+digits (the rest taking the likely value +1) and keep the patterns with at
+most one (first order) or two (second order) unlikely digits, each
+discarded pattern's probability folded into the kept pattern that shares
+its leading unlikely digits (star aggregation). ``merge_close`` merges
+close values, and ``discrete_component`` makes every approximation in
+turn. They serve criteria 03-05 (``validation.check_table_oracle`` and
+``check_figure_cdfs``) and the tests.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, log, sqrt
+from math import ceil, isnan, log, sqrt
 
 import numpy as np
 
@@ -39,19 +33,14 @@ _VALUE_RULES = ("pattern", "class_mean")
 class DiscretePmf:
     """Finite support {z_i} with probabilities {nu_i}.
 
-    Points are strictly ascending and the probabilities sum to one.
-    Merging at ``merge_tol`` (0 when never merged) moved no original value
-    by ``merge_tol`` or more and kept the mean; neighbouring points may
-    still lie closer than it, as each cluster collapses to its weighted
-    mean. Both arrays are read-only copies of the caller's, in copies of
-    the PMF too. The mean and variance are reduced once, when the PMF is
-    built or copied.
+    Points are strictly ascending and the probabilities sum to one. Both
+    arrays are read-only copies of the caller's, in copies of the PMF too.
+    The mean and variance are reduced once, when the PMF is built or
+    copied.
     """
 
-    points: np.ndarray      # strictly ascending support
-    probs: np.ndarray       # matching probabilities, summing to one
-    merge_tol: float = 0.0  # aggregation resolution: no original value was
-                            # displaced by this much or more (0: never merged)
+    points: np.ndarray  # strictly ascending support
+    probs: np.ndarray   # matching probabilities, summing to one
 
     def __post_init__(self):
         pts = np.array(self.points, dtype=float)
@@ -87,22 +76,52 @@ class DiscretePmf:
         return self._variance
 
     def cdf(self, x):
-        """Right-continuous staircase CDF."""
-        idx = np.searchsorted(self.points, np.asarray(x, dtype=float), side="right")
-        return np.concatenate(([0.0], np.cumsum(self.probs)))[idx]
+        """Right-continuous staircase CDF, NaN at a NaN query."""
+        x = np.asarray(x, dtype=float)
+        idx = np.searchsorted(self.points, x, side="right")
+        out = np.concatenate(([0.0], np.cumsum(self.probs)))[idx]
+        return np.where(np.isnan(x), np.nan, out)[()]
 
     def map_affine(self, slope: float, shift: float) -> "DiscretePmf":
-        if slope == 0:
-            return point_mass(shift)
+        """The PMF of shift + slope Z; at slope 0 only a single point maps."""
         pts = shift + slope * self.points
         pr = self.probs
         if slope < 0:
             pts, pr = pts[::-1], pr[::-1]
-        return DiscretePmf(points=pts, probs=pr, merge_tol=abs(slope) * self.merge_tol)
+        return DiscretePmf(points=pts, probs=pr)
 
 
 def point_mass(value: float) -> DiscretePmf:
     return DiscretePmf(points=np.array([value]), probs=np.array([1.0]))
+
+
+def _finalize(points, probs):
+    """The PMF of nonempty ``points`` and ``probs``, raveled: sorted stably
+    and exactly coincident values combined."""
+    points = np.asarray(points, dtype=float).ravel()
+    order = np.argsort(points, kind="stable")
+    points, probs = points[order], np.asarray(probs, dtype=float).ravel()[order]
+    starts = np.flatnonzero(np.concatenate(([True], np.diff(points) > 0)))
+    return DiscretePmf(points=points[starts], probs=np.add.reduceat(probs, starts))
+
+
+def convolve(pmfs) -> DiscretePmf:
+    """Exact pairwise convolution. Each step takes the outer sum of the
+    running PMF and the next input, sorts it stably and adds the
+    probabilities of equal values. A step with more than
+    MAX_CONVOLUTION_POINTS candidate points raises."""
+    pmfs = list(pmfs)
+    if not pmfs:
+        raise ValueError("need at least one PMF")
+    acc = pmfs[0]
+    for nxt in pmfs[1:]:
+        if acc.size * nxt.size > MAX_CONVOLUTION_POINTS:
+            raise ValueError(f"convolution support would exceed the cap of "
+                             f"{MAX_CONVOLUTION_POINTS} points: this step makes "
+                             f"{acc.size * nxt.size}")
+        acc = _finalize(acc.points[:, None] + nxt.points[None, :],
+                        acc.probs[:, None] * nxt.probs[None, :])
+    return acc
 
 
 @dataclass(frozen=True)
@@ -143,16 +162,6 @@ def omega_k(model: ObservationModel, node: NodeParams, h: int,
     return max(1, ceil(log(arg) / log(1.0 / node.eta)))
 
 
-def _finalize(points, probs):
-    """The PMF of nonempty ``points`` and ``probs``, raveled: sorted stably
-    and exactly coincident values combined."""
-    points = np.asarray(points, dtype=float).ravel()
-    order = np.argsort(points, kind="stable")
-    points, probs = points[order], np.asarray(probs, dtype=float).ravel()[order]
-    starts = np.flatnonzero(np.concatenate(([True], np.diff(points) > 0)))
-    return DiscretePmf(points=points[starts], probs=np.add.reduceat(probs, starts))
-
-
 def table_first_order(spec: BernoulliApproxSpec) -> DiscretePmf:
     """Normalized PMF keeping patterns with at most one unlikely digit.
 
@@ -169,18 +178,17 @@ def table_first_order(spec: BernoulliApproxSpec) -> DiscretePmf:
     return _finalize(points, probs)
 
 
-def table_second_order(spec: BernoulliApproxSpec, value_rule: str = "pattern",
-                       merge: bool = True) -> DiscretePmf:
+def table_second_order(spec: BernoulliApproxSpec,
+                       value_rule: str = "pattern") -> DiscretePmf:
     """Normalized PMF keeping patterns with at most two unlikely digits.
 
     Rows: pairs (i < j) of minus positions with value
     1 - 2 eta^i (1-eta) - 2 eta^j (1-eta) and star-aggregated probability
     (1-p)^2 p^(j-1); single-minus rows with exact probability
-    (1-p) p^(omega-1); the all-plus row with p^omega. Support size before
-    merging is 1 + omega + omega(omega-1)/2; values closer than
-    2 eta^omega are then merged (probability-weighted mean) unless
-    ``merge=False``. Rows are sorted, since the tabulated order is
-    ascending only for eta below (sqrt(5)-1)/2.
+    (1-p) p^(omega-1); the all-plus row with p^omega: at most
+    1 + omega + omega(omega-1)/2 points, as equal values combine. Rows are
+    sorted, since the tabulated order is ascending only for eta below
+    (sqrt(5)-1)/2.
     """
     if value_rule not in _VALUE_RULES:
         raise ValueError(f"value_rule must be one of {_VALUE_RULES}")
@@ -200,10 +208,7 @@ def table_second_order(spec: BernoulliApproxSpec, value_rule: str = "pattern",
         probs.append(q * p ** (omega - 1))
     points.append(1.0)
     probs.append(p ** omega)
-    pmf = _finalize(np.array(points), np.array(probs))
-    if not merge:
-        return pmf
-    return merge_close(pmf, 2.0 * eta ** omega)
+    return _finalize(np.array(points), np.array(probs))
 
 
 def merge_close(pmf: DiscretePmf, tol: float) -> DiscretePmf:
@@ -216,8 +221,11 @@ def merge_close(pmf: DiscretePmf, tol: float) -> DiscretePmf:
     the PMF mean is kept; bounding the diameter, rather than chaining,
     keeps densely spaced supports from collapsing into a single point.
     Clusters made solely of zero-probability points drop out. At tol <= 0,
-    or on a single point, the PMF is returned as it is.
+    or on a single point, the PMF is returned as it is; at tol = inf it
+    collapses to one point, and a NaN tol raises.
     """
+    if isnan(tol):
+        raise ValueError("merge tolerance is NaN")
     if tol <= 0 or pmf.size == 1:
         return pmf
     vals = pmf.points.tolist()
@@ -229,88 +237,49 @@ def merge_close(pmf: DiscretePmf, tol: float) -> DiscretePmf:
     mass = np.add.reduceat(pmf.probs, starts)
     weighted = np.add.reduceat(pmf.points * pmf.probs, starts)
     keep = mass > 0
-    return DiscretePmf(points=weighted[keep] / mass[keep], probs=mass[keep],
-                       merge_tol=tol)
-
-
-def neighbor_component_pmf(zhat: DiscretePmf, model: ObservationModel,
-                           node: NodeParams, ell: int, h: int) -> DiscretePmf:
-    """Map a normalized neighbor PMF to the state scale.
-
-    z maps to c_kl/(1-eta) * [ (E1x + E0x)/2 + (E1x - E0x)/2 * z ]; the
-    normalized endpoints -1/+1 land on c_kl E0x/(1-eta) and
-    c_kl E1x/(1-eta).
-    """
-    if ell == node.k:
-        raise ValueError("ell must be a neighbor, not the node itself")
-    c = float(node.c_row[ell])
-    if c <= 0:
-        raise ValueError(f"node {node.k} has no link weight toward {ell}")
-    e0, e1 = model.message_values()
-    scale = c / (1.0 - node.eta)
-    return zhat.map_affine(slope=scale * (e1 - e0) / 2.0,
-                           shift=scale * (e1 + e0) / 2.0)
-
-
-def convolve(pmfs, merge_tol: float) -> DiscretePmf:
-    """Pairwise convolution with value merging after every step.
-
-    Each input is first merged at merge_tol (``merge_close``), which bounds
-    intermediate support sizes. Each step takes the outer sum of the
-    running PMF and the next input, sorts it stably, adds the
-    probabilities of equal values and merges the result at merge_tol; at
-    merge_tol = 0 merging is a no-op and the convolution is exact. A step
-    with more than MAX_CONVOLUTION_POINTS candidate points raises.
-    """
-    pmfs = [merge_close(p, merge_tol) for p in pmfs]
-    if not pmfs:
-        raise ValueError("need at least one PMF")
-    acc = pmfs[0]
-    for nxt in pmfs[1:]:
-        if acc.size * nxt.size > MAX_CONVOLUTION_POINTS:
-            raise ValueError(f"convolution support would exceed the cap of "
-                             f"{MAX_CONVOLUTION_POINTS} points: this step makes "
-                             f"{acc.size * nxt.size}")
-        acc = merge_close(_finalize(acc.points[:, None] + nxt.points[None, :],
-                                    acc.probs[:, None] * nxt.probs[None, :]), merge_tol)
-    return acc
+    return DiscretePmf(points=weighted[keep] / mass[keep], probs=mass[keep])
 
 
 def discrete_component(model: ObservationModel, network: NetworkSpec, k: int,
                        h: int, mu: float) -> DiscretePmf:
-    """End-to-end PMF of the steady-state discrete component of node k.
+    """The paper's PMF of the steady-state discrete component of node k,
+    whose neighbours are the positive-weight entries of its row.
 
-    Pipeline: truncation length from the error budget
-    eps_{k,h} = DEFAULT_EPS_SCALE * std(u) -> second-order table with class-mean
-    values, which keep the PMF mean exact (under h=0 the table is built on
-    the sign-flipped variable with p = 1 - p_f and then negated) ->
-    per-neighbor affine map -> convolution across neighbors with
-    state-scale merging.
-
-    A node whose only neighbor is itself contributes nothing: the result
-    is a point mass at 0. A convolution too large for
-    MAX_CONVOLUTION_POINTS raises a ValueError naming the node, h, mu,
-    omega and the merge tolerance derived from omega.
+    omega follows from eps_{k,h} = DEFAULT_EPS_SCALE * std(u). The
+    second-order table with class-mean values, which keep the mean exact,
+    is merged at 2 eta^omega; under h=0 it is built with p = 1 - p_f and
+    flipped in the map. Neighbour l maps z to c_kl/(1-eta) *
+    [(E1x + E0x)/2 +/- (E1x - E0x)/2 * z] and merges at the state tolerance
+    (E1x - E0x) eta^omega / (1-eta), as does every step of the pairwise
+    convolution. A node with no neighbour gets a point mass at 0. A
+    convolution too large for MAX_CONVOLUTION_POINTS raises a ValueError
+    naming the node, h, mu, omega and the tolerance derived from omega.
     """
     node = network.node_params(k, mu)
-    neighbors = sorted(set(network.neighbors[k]) - {k})
-    if not neighbors:
+    weights = node.c_row[node.c_row > 0]
+    if not weights.size:
         return point_mass(0.0)
     eps_kh = DEFAULT_EPS_SCALE * sqrt(moments(model, node, h).variance)
     omega = omega_k(model, node, h, eps_kh)
-    p = model.bit_probability(h)
-    spec = BernoulliApproxSpec(p=p if h == 1 else 1.0 - p, eta=node.eta, omega=omega)
-    table = table_second_order(spec, "class_mean")
-    if h == 0:
-        table = table.map_affine(slope=-1.0, shift=0.0)
+    p, eta = model.bit_probability(h), node.eta
+    spec = BernoulliApproxSpec(p=p if h == 1 else 1.0 - p, eta=eta, omega=omega)
+    table = merge_close(table_second_order(spec, "class_mean"), 2.0 * eta ** omega)
     e0, e1 = model.message_values()
-    state_tol = (e1 - e0) * node.eta ** omega / (1.0 - node.eta)
-    components = [neighbor_component_pmf(table, model, node, ell, h)
-                  for ell in neighbors]
+    state_tol = (e1 - e0) * eta ** omega / (1.0 - eta)
+    components = []
+    for c in weights.tolist():
+        scale = c / (1.0 - eta)
+        slope = scale * (e1 - e0) / 2.0
+        components.append(merge_close(table.map_affine(slope if h == 1 else -slope,
+                                                       scale * (e1 + e0) / 2.0),
+                                      state_tol))
+    acc = components[0]
     try:
-        return convolve(components, merge_tol=state_tol)
+        for nxt in components[1:]:
+            acc = merge_close(convolve([acc, nxt]), state_tol)
     except ValueError as exc:
         raise ValueError(f"node {k}, h = {h}, mu = {mu}: omega = {omega} digits, merged "
                          f"at the tolerance {state_tol:.6g} derived from omega, make a "
                          f"convolution support of more than {MAX_CONVOLUTION_POINTS} "
                          f"points") from exc
+    return acc

@@ -459,16 +459,17 @@ def _sorted_sample(sample, what: str) -> np.ndarray:
 
 
 class EmpiricalCdf:
-    """Right-continuous empirical CDF of a nonempty 1-D sample without NaN."""
+    """Right-continuous empirical CDF of a nonempty 1-D sample without NaN;
+    NaN at a NaN query."""
 
     def __init__(self, sample):
         self.sorted = _sorted_sample(sample, "an empirical CDF")
         self.n = len(self.sorted)
 
     def __call__(self, t):
-        idx = np.searchsorted(self.sorted, np.asarray(t, dtype=float),
-                              side="right")
-        return idx / self.n
+        t = np.asarray(t, dtype=float)
+        idx = np.searchsorted(self.sorted, t, side="right")
+        return np.where(np.isnan(t), np.nan, idx / self.n)[()]
 
 
 def ks_distance(sample, cdf) -> float:

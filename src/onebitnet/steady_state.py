@@ -184,7 +184,7 @@ def build_steady_state(model: ObservationModel, network: NetworkSpec, k: int,
     try:
         head = convolve([DiscretePmf(np.array([0.0, wl * eta ** i]), np.array([1.0 - p, p]))
                          for i in range(levels) for wl in np.repeat(w, n)]
-                        or [point_mass(0.0)], merge_tol=0.0)
+                        or [point_mass(0.0)])
     except ValueError as exc:
         raise ValueError(f"node {k}, h = {h}, mu = {mu}: the {levels} digit levels "
                          f"that keep the state's table within _MAX_LATTICE = "

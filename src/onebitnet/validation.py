@@ -219,7 +219,7 @@ def check_table_oracle(quick: bool = False) -> list[CheckResult]:
         spec = BernoulliApproxSpec(p=p, eta=eta, omega=omega)
         patterns = _patterns(p, eta, omega)
         for keep, got in ((1, table_first_order(spec)),
-                          (2, table_second_order(spec, merge=False))):
+                          (2, table_second_order(spec))):
             err = _pmf_mismatch(got, *_aggregate(*patterns, keep))
             worst[keep - 1] = max(worst[keep - 1], err)
     return [

@@ -59,6 +59,19 @@ class TestThresholdForPf:
         # crossing the big jump near the lower message level undershoots
         assert achieved < target
 
+    def test_unsorted_grid_gives_the_smallest_threshold(self, cdf_pair_g1):
+        # on the a = 0.25 hub P_f(0) = 0.053 and P_f(5) ~ 0: both meet 0.1,
+        # and 0 is the smaller threshold in either order
+        cdf0 = cdf_pair_g1[0]
+        assert 1.0 - cdf0(0.0) == pytest.approx(0.0531, abs=1e-4)
+        for grid in ([5.0, 0.0], [0.0, 5.0], [5.0, -3.0, 0.0, 2.0]):
+            assert threshold_for_pf(cdf0, 0.1, grid) == (0.0, 1.0 - cdf0(0.0))
+        gammas = default_gamma_grid(*cdf_pair_g1)
+        want = threshold_for_pf(cdf0, 0.1, gammas)
+        shuffled = np.random.default_rng(5).permutation(gammas)
+        assert threshold_for_pf(cdf0, 0.1, shuffled) == want
+        assert threshold_for_pf(cdf0, 0.1, gammas[::-1]) == want
+
     def test_unreachable_target_raises(self):
         cdf0 = lambda g: np.zeros_like(np.asarray(g, dtype=float))
         with pytest.raises(ValueError, match="unreachable"):

@@ -7,12 +7,13 @@ import re
 import numpy as np
 import pytest
 
-from onebitnet import (DiscretePmf, ExponentialModel, build_uniform_matrix, convolve,
-                       moments, steady_state_pair)
+from onebitnet import (DiscretePmf, ExponentialModel, NetworkSpec, build_steady_state,
+                       build_uniform_matrix, convolve, from_matrix, moments,
+                       steady_state_pair)
 from onebitnet import discrete
 from onebitnet.discrete import (BernoulliApproxSpec, discrete_component, merge_close,
-                                neighbor_component_pmf, omega_k, point_mass,
-                                table_first_order, table_second_order)
+                                omega_k, point_mass, table_first_order,
+                                table_second_order)
 from onebitnet.network import NodeParams
 from onebitnet.validation import aggregate_patterns, enumerate_truncated_pmf
 from tests.conftest import make_network
@@ -21,6 +22,26 @@ from tests.conftest import make_network
 def node_for(a, mu=0.1):
     c_row = np.array([0.0, 1.0 - a])
     return NodeParams(k=0, a_k=a, mu=mu, c_row=c_row)
+
+
+def derived_omega(model, node, h):
+    """The truncation length ``discrete_component`` derives."""
+    eps = discrete.DEFAULT_EPS_SCALE * np.sqrt(moments(model, node, h).variance)
+    return omega_k(model, node, h, eps)
+
+
+def state_tol(model, node, h):
+    """The state-scale merge tolerance that omega derives."""
+    e0, e1 = model.message_values()
+    return (e1 - e0) * node.eta ** derived_omega(model, node, h) / (1 - node.eta)
+
+
+def state_map(model, node, ell):
+    """(slope, shift) of neighbour ell's map to the state scale under h = 1:
+    z -> c/(1-eta) [(E1x + E0x)/2 + (E1x - E0x)/2 z]."""
+    e0, e1 = model.message_values()
+    scale = float(node.c_row[ell]) / (1.0 - node.eta)
+    return scale * (e1 - e0) / 2.0, scale * (e1 + e0) / 2.0
 
 
 class TestDiscretePmf:
@@ -76,21 +97,39 @@ class TestDiscretePmf:
             assert twin.std() == math.sqrt(cdf.cont.variance + var)
 
     def test_merge_tol_bounds_displacement_not_gaps(self, gauss1):
-        # merge_tol says that merging moved no value by merge_tol or more and
-        # kept the mean; the means of neighbouring clusters may sit closer
-        # than it. The hub's PMF at a = 0.25, h = 1 has a gap of 3.0e-4 at
-        # merge_tol 1.49e-3
-        hub = discrete_component(gauss1, make_network(0.25), 3, 1, 0.1)
-        assert np.diff(hub.points).min() < hub.merge_tol / 4
+        # a merge at tol moves no value by tol or more and keeps the mean;
+        # the means of neighbouring clusters may sit closer than tol. The
+        # hub's PMF at a = 0.25, h = 1 has a gap of 3.0e-4 at the state
+        # tolerance 1.49e-3 that omega derives
+        net = make_network(0.25)
+        hub = discrete_component(gauss1, net, 3, 1, 0.1)
+        tol = state_tol(gauss1, net.node_params(3, 0.1), 1)
+        assert tol == pytest.approx(1.49e-3, rel=1e-2)
+        assert np.diff(hub.points).min() < tol / 4
         rng = np.random.default_rng(0)
         pts = np.sort(rng.uniform(0, 1, 2000))
         probs = rng.dirichlet(np.ones(2000))
         merged = merge_close(DiscretePmf(points=pts, probs=probs), 0.01)
-        assert np.diff(merged.points).min() < merged.merge_tol
+        assert np.diff(merged.points).min() < 0.01
         # each value's cluster is the one holding the middle of its mass
         cluster = np.searchsorted(np.cumsum(merged.probs), np.cumsum(probs) - probs / 2)
-        assert np.all(np.abs(pts - merged.points[cluster]) < merged.merge_tol)
+        assert np.all(np.abs(pts - merged.points[cluster]) < 0.01)
         assert merged.mean() == pytest.approx(pts @ probs, abs=1e-15)
+
+    def test_nan_query_reads_nan(self):
+        # searchsorted puts NaN past every point; the CDF reads NaN there, as
+        # the state's CDF does, and every other query reads the staircase
+        rng = np.random.default_rng(3)
+        pmf = random_pmf(rng, np.sort(rng.normal(size=20)))
+        x = np.concatenate([rng.normal(size=50), pmf.points, [np.inf, -np.inf]])
+        stairs = np.concatenate(([0.0], np.cumsum(pmf.probs)))
+        np.testing.assert_array_equal(pmf.cdf(x), stairs[np.searchsorted(pmf.points, x, "right")])
+        with_nan = np.insert(x, [0, 7, x.size], np.nan)
+        got = pmf.cdf(with_nan)
+        np.testing.assert_array_equal(np.isnan(got), np.isnan(with_nan))
+        np.testing.assert_array_equal(got[~np.isnan(got)], pmf.cdf(x))
+        assert np.isnan(pmf.cdf(np.nan)) and np.ndim(pmf.cdf(np.nan)) == 0
+        assert pmf.cdf(pmf.points[0]) == pmf.probs[0] and np.ndim(pmf.cdf(0.0)) == 0
 
 
 class TestOmega:
@@ -148,14 +187,14 @@ class TestFirstOrderTable:
 class TestSecondOrderTable:
     def test_omega3_row_count_and_total(self):
         spec = BernoulliApproxSpec(p=0.9, eta=0.45, omega=3)
-        pmf = table_second_order(spec, merge=False)
+        pmf = table_second_order(spec)
         assert pmf.size == 1 + 3 + 3  # pairs + singles + all-plus
         assert pmf.probs.sum() == pytest.approx(1.0, abs=1e-14)
 
     def test_sorted_even_when_tabulated_order_breaks(self):
         # above the golden-ratio conjugate the raw rows interleave
         spec = BernoulliApproxSpec(p=0.9, eta=0.7, omega=5)
-        pmf = table_second_order(spec, merge=False)
+        pmf = table_second_order(spec)
         assert np.all(np.diff(pmf.points) > 0)
 
     def test_degenerate_p(self):
@@ -176,11 +215,11 @@ class TestSecondOrderTable:
         # conditional-mean values reproduce E[zhat] exactly
         for p, eta, omega in ((0.67, 0.45, 7), (0.76, 0.225, 5), (0.9, 0.09, 4)):
             spec = BernoulliApproxSpec(p=p, eta=eta, omega=omega)
-            pmf = table_second_order(spec, value_rule="class_mean", merge=False)
+            pmf = table_second_order(spec, value_rule="class_mean")
             exact = (2 * p - 1) * (1 - eta ** omega) + eta ** omega
             np.testing.assert_allclose(pmf.mean(), exact, atol=1e-12)
             # the printed pattern values overshoot whenever >=3-minus mass exists
-            literal = table_second_order(spec, value_rule="pattern", merge=False)
+            literal = table_second_order(spec, value_rule="pattern")
             assert literal.mean() >= exact - 1e-12
 
 
@@ -195,7 +234,7 @@ class TestEnumerationOracle:
             np.testing.assert_allclose(got.points, ref_v, atol=1e-14)
             np.testing.assert_allclose(got.probs, ref_p, atol=1e-14)
             ref_v, ref_p = aggregate_patterns(p, eta, omega, "second")
-            got = table_second_order(spec, merge=False)
+            got = table_second_order(spec)
             np.testing.assert_allclose(got.points, ref_v, atol=1e-14)
             np.testing.assert_allclose(got.probs, ref_p, atol=1e-14)
 
@@ -229,38 +268,54 @@ class TestH0Symmetry:
         net = make_network(0.25)
         node = net.node_params(9, 0.1)
         pmf0 = discrete_component(gauss1, net, 9, 0, mu=0.1)
-        eps = 0.1 * np.sqrt(moments(gauss1, node, 0).variance)
-        omega = omega_k(gauss1, node, 0, eps)
+        omega = derived_omega(gauss1, node, 0)
         spec = BernoulliApproxSpec(p=1 - gauss1.p_f, eta=node.eta, omega=omega)
-        table = table_second_order(spec, value_rule="class_mean")
+        table = merge_close(table_second_order(spec, value_rule="class_mean"),
+                            2.0 * node.eta ** omega)
         flipped = table.map_affine(slope=-1.0, shift=0.0)
-        manual = neighbor_component_pmf(flipped, gauss1, node, 7, 0)
+        manual = flipped.map_affine(*state_map(gauss1, node, 7))
         np.testing.assert_allclose(pmf0.points, manual.points, atol=1e-12)
         np.testing.assert_allclose(pmf0.probs, manual.probs, atol=1e-14)
 
 
 class TestAffineMap:
     def test_endpoints(self, gauss1):
+        # the normalized endpoints -1/+1 land on c E0x/(1-eta) and
+        # c E1x/(1-eta); the negated slope of h = 0 swaps their masses. The
+        # leaf of the a = 0.25 network below has the same c and eta
         node = node_for(0.25)
-        pmf = DiscretePmf(points=np.array([-1.0, 1.0]), probs=np.array([0.5, 0.5]))
-        mapped = neighbor_component_pmf(pmf, gauss1, node, 1, 1)
+        pmf = DiscretePmf(points=np.array([-1.0, 1.0]), probs=np.array([0.25, 0.75]))
         c = node.c_row[1]
-        np.testing.assert_allclose(mapped.points[0], c * gauss1.mean(0) / (1 - node.eta))
-        np.testing.assert_allclose(mapped.points[-1], c * gauss1.mean(1) / (1 - node.eta))
+        ends = [c * gauss1.mean(0) / (1 - node.eta), c * gauss1.mean(1) / (1 - node.eta)]
+        slope, shift = state_map(gauss1, node, 1)
+        for sign, probs in ((1.0, [0.25, 0.75]), (-1.0, [0.75, 0.25])):
+            mapped = pmf.map_affine(sign * slope, shift)
+            np.testing.assert_allclose(mapped.points, ends)
+            np.testing.assert_array_equal(mapped.probs, probs)
+        # the single-neighbour leaf: the likely symbol's atom sits at E1's end
+        # under h = 1 and at E0's end under h = 0, each within the table's
+        # and the state's merges of it
+        net = make_network(0.25)
+        leaf = net.node_params(9, 0.1)
+        for h in (0, 1):
+            got = discrete_component(gauss1, net, 9, h, mu=0.1)
+            end = c * gauss1.mean(h) / (1 - leaf.eta)
+            assert ends[0] - 1e-12 <= got.points[0] and got.points[-1] <= ends[1] + 1e-12
+            assert abs(got.points[np.argmax(got.probs)] - end) < 2 * state_tol(gauss1, leaf, h)
 
     def test_interior_point(self, gauss1):
         # z = 0.505 with link weight 0.15 and eta = 0.45 (hub-row slice)
         node = NodeParams(k=0, a_k=0.5, mu=0.1, c_row=np.array([0.0, 0.15]))
         pmf = DiscretePmf(points=np.array([0.505]), probs=np.array([1.0]))
-        mapped = neighbor_component_pmf(pmf, gauss1, node, 1, 1)
+        mapped = pmf.map_affine(*state_map(gauss1, node, 1))
         np.testing.assert_allclose(mapped.points[0], 0.15 * 0.505 / 0.55, atol=1e-12)
         np.testing.assert_allclose(mapped.points[0], 0.13773, atol=1e-5)
 
-    def test_requires_actual_neighbor(self, gauss1):
-        node = node_for(0.25)
-        pmf = point_mass(1.0)
-        with pytest.raises(ValueError, match="neighbor"):
-            neighbor_component_pmf(pmf, gauss1, node, 0, 1)
+    def test_zero_slope_maps_a_single_point_only(self):
+        pmf = DiscretePmf(points=np.array([-1.0, 1.0]), probs=np.array([0.5, 0.5]))
+        with pytest.raises(ValueError, match="strictly ascending"):
+            pmf.map_affine(0.0, 2.0)
+        np.testing.assert_array_equal(point_mass(3.0).map_affine(0.0, 2.0).points, [2.0])
 
 
 def exhaustive_sum(pmfs):
@@ -272,11 +327,20 @@ def exhaustive_sum(pmfs):
     return vals, probs
 
 
+def merged_convolution(pmfs, tol):
+    """``convolve`` with each input and each step merged at tol, as
+    ``discrete_component`` composes them."""
+    pmfs = [merge_close(p, tol) for p in pmfs]
+    acc = pmfs[0]
+    for nxt in pmfs[1:]:
+        acc = merge_close(convolve([acc, nxt]), tol)
+    return acc
+
+
 def assert_matches_exhaustive_sum(got, pmfs, tol):
     # each input's merge and each step's moves every combination's value by
     # less than tol: 2 n - 1 merges in all for n inputs
     vals, probs = exhaustive_sum(pmfs)
-    assert got.merge_tol == max(tol, 0.0)
     assert got.mean() == pytest.approx(vals @ probs, rel=1e-13, abs=1e-13)
     if tol <= 0:
         np.testing.assert_array_equal(got.points, np.unique(vals))
@@ -301,25 +365,25 @@ def assert_matches_exhaustive_sum(got, pmfs, tol):
 class TestConvolve:
     def test_point_mass_identity(self):
         pmf = DiscretePmf(points=np.array([-0.5, 0.5]), probs=np.array([0.3, 0.7]))
-        out = convolve([pmf, point_mass(0.0)], merge_tol=0.0)
+        out = convolve([pmf, point_mass(0.0)])
         np.testing.assert_allclose(out.points, pmf.points)
         np.testing.assert_allclose(out.probs, pmf.probs)
 
     def test_bernoulli_sum(self):
         coin = DiscretePmf(points=np.array([0.0, 1.0]), probs=np.array([0.5, 0.5]))
-        out = convolve([coin, coin], merge_tol=0.0)
+        out = convolve([coin, coin])
         np.testing.assert_allclose(out.points, [0.0, 1.0, 2.0])
         np.testing.assert_allclose(out.probs, [0.25, 0.5, 0.25])
 
     def test_support_cap(self):
-        # the message states the cap and the step's candidates, as with merging
+        # the message states the cap and the step's candidates
         rng = np.random.default_rng(0)
         pts = np.sort(rng.normal(size=2000))
         pmf = DiscretePmf(points=pts, probs=np.full(2000, 1 / 2000))
         with pytest.raises(ValueError, match=(
                 r"^convolution support would exceed the cap of 1000000 points: "
                 r"this step makes 4000000$")):
-            convolve([pmf, pmf], merge_tol=0.0)
+            convolve([pmf, pmf])
 
     def test_support_cap_with_merging(self):
         # points tol apart survive the coarsening: 2,000^2 candidates
@@ -327,7 +391,7 @@ class TestConvolve:
         with pytest.raises(ValueError, match=(
                 r"^convolution support would exceed the cap of 1000000 points: "
                 r"this step makes 4000000$")):
-            convolve([pmf, pmf], merge_tol=0.5)
+            merged_convolution([pmf, pmf], 0.5)
 
     def test_tie_heavy_dyadic_matches_reference(self):
         three = DiscretePmf(points=np.array([-1.0, 0.0, 1.0]),
@@ -335,10 +399,11 @@ class TestConvolve:
         quarter = DiscretePmf(points=np.array([0.0, 0.25, 0.75]),
                               probs=np.array([0.125, 0.375, 0.5]))
         for pmfs in ([three] * 6, [quarter, three] * 3):
-            for tol in (0.0, 0.125, 0.25, 0.5, 1.0, 1.5):
-                assert_matches_exhaustive_sum(convolve(pmfs, tol), pmfs, tol)
+            assert_matches_exhaustive_sum(convolve(pmfs), pmfs, 0.0)
+            for tol in (0.125, 0.25, 0.5, 1.0, 1.5):
+                assert_matches_exhaustive_sum(merged_convolution(pmfs, tol), pmfs, tol)
         # ties alone: the six-fold sum of {-1, 0, 1} keeps its 13 values
-        got = convolve([three] * 6, 0.5)
+        got = merged_convolution([three] * 6, 0.5)
         np.testing.assert_array_equal(got.points, np.arange(-6.0, 7.0))
 
     @pytest.mark.parametrize("seed", range(3))
@@ -346,24 +411,32 @@ class TestConvolve:
         rng = np.random.default_rng(seed)
         pmfs = [random_pmf(rng, np.unique(rng.normal(size=rng.integers(6, 13))))
                 for _ in range(3)]
-        for tol in (0.0, 1e-3, 0.02, 0.3):
-            assert_matches_exhaustive_sum(convolve(pmfs, tol), pmfs, tol)
+        assert_matches_exhaustive_sum(convolve(pmfs), pmfs, 0.0)
+        for tol in (1e-3, 0.02, 0.3):
+            assert_matches_exhaustive_sum(merged_convolution(pmfs, tol), pmfs, tol)
 
     @pytest.mark.parametrize("h", (0, 1))
     def test_hub_components_keep_mean_and_spread(self, gauss1, h, monkeypatch):
         # the mu = 0.01 hub: up to 124,520 candidate points in one step. The
-        # 2 n - 1 merges keep the mean, lower the variance by at most tol^2/4
-        # each and keep every point within the inputs' hull
+        # 2 n - 1 merges at the state tolerance keep the mean, lower the
+        # variance by at most tol^2/4 each and keep every point within the
+        # inputs' hull
         seen = []
 
-        def record(pmfs, merge_tol):
-            seen.append((list(pmfs), merge_tol))
-            return convolve(*seen[-1])
+        def record(pmf, tol):
+            seen.append((pmf, tol))
+            return merge_close(pmf, tol)
 
-        monkeypatch.setattr(discrete, "convolve", record)
-        got = discrete_component(gauss1, make_network(0.5), 3, h, mu=0.01)
-        (pmfs, tol), = seen
-        assert tol > 0 and len(pmfs) == 5 and got.merge_tol == tol
+        monkeypatch.setattr(discrete, "merge_close", record)
+        net = make_network(0.5)
+        got = discrete_component(gauss1, net, 3, h, mu=0.01)
+        node = net.node_params(3, 0.01)
+        tol = state_tol(gauss1, node, h)
+        # the table's merge, then one per component and one per step
+        assert seen[0][1] == 2.0 * node.eta ** derived_omega(gauss1, node, h)
+        assert [t for _, t in seen[1:]] == [tol] * 9
+        pmfs = [pmf for pmf, _ in seen[1:6]]
+        assert tol > 0 and len(pmfs) == 5
         assert got.mean() == pytest.approx(sum(p.mean() for p in pmfs), rel=1e-13)
         spread = sum(p.variance() for p in pmfs) - got.variance()
         assert -1e-15 <= spread <= 9 * tol ** 2 / 4
@@ -402,7 +475,6 @@ def assert_cluster_rule(pmf, tol, merged):
     and each cluster keeps its mass and mean."""
     pts, pr = pmf.points, pmf.probs
     label = np.searchsorted(np.cumsum(merged.probs), np.cumsum(pr) - pr / 2)
-    assert merged.merge_tol == tol
     np.testing.assert_array_equal(np.unique(label), np.arange(merged.size))
     first = np.flatnonzero(np.diff(label, prepend=-1))
     offset = pts - pts[first][label]
@@ -420,7 +492,6 @@ def assert_cluster_bounds(pmf, tol, merged):
     point joined: every value of positive mass is within tol of a center,
     centers two apart are more than tol apart, the mean is kept and the
     variance drops by at most tol^2/4."""
-    assert merged.merge_tol == tol
     live = pmf.points[pmf.probs > 0]
     near = np.clip(np.searchsorted(merged.points, live), 1, merged.size - 1)
     dist = np.minimum(np.abs(live - merged.points[near - 1]),
@@ -487,7 +558,6 @@ class TestMergeClose:
         got = merge_close(pmf, 0.1)
         np.testing.assert_array_equal(got.points, [0.05, 0.12, 2.0])
         np.testing.assert_array_equal(got.probs, [0.25, 0.25, 0.5])
-        assert got.merge_tol == 0.1
 
     def test_trivial_inputs_returned_unchanged(self):
         single = point_mass(3.0)
@@ -495,6 +565,15 @@ class TestMergeClose:
         assert merge_close(single, 0.1) is single
         assert merge_close(pmf, 0.0) is pmf
         assert merge_close(pmf, -1.0) is pmf
+
+    def test_nan_tolerance_raises_and_inf_makes_one_cluster(self):
+        # a NaN tol fails every comparison: the pass would make one cluster
+        pmf = DiscretePmf(points=np.array([0.0, 0.01, 5.0]), probs=np.array([0.25, 0.25, 0.5]))
+        for case in (pmf, point_mass(3.0)):
+            with pytest.raises(ValueError, match="NaN"):
+                merge_close(case, float("nan"))
+        got = merge_close(pmf, float("inf"))
+        assert got.size == 1 and got.points[0] == pytest.approx(pmf.mean(), abs=1e-15)
 
     @pytest.mark.parametrize("h", (0, 1))
     def test_hub_pipeline_keeps_the_cluster_bounds(self, gauss1, h, monkeypatch):
@@ -562,7 +641,7 @@ class TestDiscreteComponent:
         # the intrinsic resolution is the mass of patterns with three or
         # more unlikely digits (~0.045 here at omega = 4, q ~ 0.24)
         gaps = np.diff(pmf.points)
-        mids = ((pmf.points[:-1] + pmf.points[1:]) / 2)[gaps > 4 * pmf.merge_tol]
+        mids = ((pmf.points[:-1] + pmf.points[1:]) / 2)[gaps > 4 * state_tol(gauss1, node, 1)]
         emp = np.searchsorted(np.sort(z), mids, side="right") / len(z)
         assert np.max(np.abs(pmf.cdf(mids) - emp)) < 0.05
 
@@ -581,15 +660,57 @@ class TestDiscreteComponent:
         net = make_network(0.25)
         node = net.node_params(3, 0.1)
         pmf = discrete_component(gauss1, net, 3, 1, mu=0.1)
-        comps = []
-        eps = 0.1 * np.sqrt(moments(gauss1, node, 1).variance)
-        omega = omega_k(gauss1, node, 1, eps)
+        omega = derived_omega(gauss1, node, 1)
         spec = BernoulliApproxSpec(p=gauss1.p_d, eta=node.eta, omega=omega)
         table = table_second_order(spec, value_rule="class_mean")
         expected = 0.0
         for ell in sorted(set(net.neighbors[3]) - {3}):
-            expected += neighbor_component_pmf(table, gauss1, node, ell, 1).mean()
+            expected += table.map_affine(*state_map(gauss1, node, ell)).mean()
         np.testing.assert_allclose(pmf.mean(), expected, atol=1e-9)
+
+    @pytest.mark.parametrize("k", (3, 9))
+    @pytest.mark.parametrize("h", (0, 1))
+    def test_is_the_composition_of_the_public_pieces(self, gauss1, expo5, k, h):
+        # omega, the merged class-mean table (flipped under h = 0), one map
+        # and one merge per neighbour, then pairwise convolutions each merged
+        # at the state tolerance: bit for bit
+        for model, a in ((gauss1, 0.25), (expo5, 0.5)):
+            net = make_network(a)
+            node = net.node_params(k, 0.1)
+            omega = derived_omega(model, node, h)
+            p = model.bit_probability(h)
+            spec = BernoulliApproxSpec(p=p if h == 1 else 1 - p, eta=node.eta, omega=omega)
+            table = merge_close(table_second_order(spec, "class_mean"), 2.0 * node.eta ** omega)
+            if h == 0:
+                table = table.map_affine(-1.0, 0.0)
+            tol = state_tol(model, node, h)
+            want, *rest = [merge_close(table.map_affine(*state_map(model, node, ell)), tol)
+                           for ell in sorted(set(net.neighbors[k]) - {k})]
+            for nxt in rest:
+                want = merge_close(convolve([want, nxt]), tol)
+            got = discrete_component(model, net, k, h, mu=0.1)
+            assert len(rest) == (4 if k == 3 else 0)
+            np.testing.assert_array_equal(got.points, want.points)
+            np.testing.assert_array_equal(got.probs, want.probs)
+
+    def test_zero_weight_neighbour_is_skipped(self, gauss1):
+        # every node lists all three nodes, but 0 and 2 give each other
+        # weight 0: the neighbours are the row's positive-weight entries, so
+        # the paper's PMF and the exact law equal those of the graph that
+        # lists only the linked nodes
+        A = [[0.5, 0.5, 0.0], [0.25, 0.5, 0.25], [0.0, 0.5, 0.5]]
+        listed = NetworkSpec(neighbors=(frozenset({0, 1, 2}),) * 3, A=A)
+        linked = from_matrix(A)
+        assert linked.neighbors[0] == frozenset({0, 1})
+        for k, h in itertools.product(range(3), (0, 1)):
+            got = discrete_component(gauss1, listed, k, h, mu=0.1)
+            want = discrete_component(gauss1, linked, k, h, mu=0.1)
+            np.testing.assert_array_equal(got.points, want.points)
+            np.testing.assert_array_equal(got.probs, want.probs)
+            got = build_steady_state(gauss1, listed, k, h, 0.1)
+            want = build_steady_state(gauss1, linked, k, h, 0.1)
+            np.testing.assert_array_equal(got.pmf.points, want.pmf.points)
+            np.testing.assert_array_equal(got.cont.values, want.cont.values)
 
     def test_probability_conservation(self, gauss1, expo5):
         for model in (gauss1, expo5):

@@ -761,6 +761,21 @@ class TestEmpiricalCdf:
                         ens.terminal_states[:, 3]).pvalue > 0.01
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_nan_query_reads_nan(self):
+        # searchsorted puts NaN past every sample value; the CDF reads NaN
+        # there, and every other query reads the step function as before
+        sample = np.random.default_rng(2).normal(size=200)
+        cdf = EmpiricalCdf(sample)
+        x = np.concatenate([np.linspace(-4, 4, 101), sample, [np.inf, -np.inf]])
+        np.testing.assert_array_equal(
+            cdf(x), np.searchsorted(np.sort(sample), x, side="right") / 200)
+        got = cdf(np.insert(x, [0, 50, x.size], np.nan))
+        np.testing.assert_array_equal(np.flatnonzero(np.isnan(got)), [0, 51, x.size + 2])
+        np.testing.assert_array_equal(got[~np.isnan(got)], cdf(x))
+        assert np.isnan(cdf(np.nan)) and np.ndim(cdf(np.nan)) == 0
+        assert cdf(np.inf) == 1.0 and np.ndim(cdf(0.0)) == 0
+
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError, match="empirical CDF needs at least one sample"):
             EmpiricalCdf([])
