@@ -2,7 +2,9 @@
 
 Library layout:
 
-* ``network``      - agent graphs and combination matrices
+* ``network``      - a network is its combination matrix A; the graph and
+                     each node's neighborhood derive from A's positive
+                     entries
 * ``models``       - observation models (Gaussian / exponential LLR),
                      each sampled as an affine map of a standard variate,
                      and their one-bit message levels
@@ -29,6 +31,8 @@ Library layout:
                      either way
 * ``detection``    - P_f/P_d, threshold calibration, ROC curves
 * ``validation``   - brute-force oracles and the pass/fail check suite
+* ``config``       - YAML experiment files: ``load_config`` checks one and
+                     builds each sweep point's model and network once
 * ``cli``          - experiment driver (cdf / roc / adapt / validate)
 
 The names that serve only the checks and the tests are imported from their

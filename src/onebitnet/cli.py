@@ -60,11 +60,13 @@ def _tag(param: float, a: float) -> str:
 def _sweep(cfg: ExperimentConfig):
     """Walk the model and self-weight sweeps: run both single-hypothesis
     ensembles once per sweep point, then yield, per output node,
-    ((param, a), k, (cdf0, cdf1), (node-k terminal states under h=0, h=1))."""
-    for param in cfg.model_param_sweep:
-        model = cfg.model_for(param)
-        for a in cfg.self_weight_sweep:
-            network = cfg.network_for(a)
+    ((param, a), k, (cdf0, cdf1), (node-k terminal states under h=0, h=1)).
+    The analytic pair is the one_bit_x law: another scheme is refused first."""
+    if cfg.scheme != ONE_BIT_X:
+        raise ConfigError(f"'dynamics.scheme' = {cfg.scheme!r}: cdf and roc compare "
+                          f"with the analytic law, which only {ONE_BIT_X} has")
+    for param, model in zip(cfg.model_param_sweep, cfg.models):
+        for a, network in zip(cfg.self_weight_sweep, cfg.networks):
             terminal = hypothesis_ensembles(network, model, cfg.mu, cfg.n_iters,
                                             cfg.trials, cfg.seed, cfg.scheme)
             for k in cfg.nodes:

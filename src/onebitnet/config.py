@@ -1,4 +1,5 @@
-"""Experiment configuration: YAML schema, validation, and object wiring."""
+"""Experiment configuration: YAML schema and validation. ``load_config``
+builds each model and network once, as it checks them, and keeps them."""
 from __future__ import annotations
 
 import hashlib
@@ -89,7 +90,8 @@ def _require_keys(tree: dict, path: str, allowed: tuple[str, ...]) -> None:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment description (see configs/reference.yaml)."""
+    """Validated experiment description (see configs/reference.yaml): ``models``
+    and ``networks`` align with the two sweeps; ``raw`` only feeds the hash."""
 
     raw: dict = field(repr=False)
     network: NetworkSpec = field(repr=False)
@@ -109,16 +111,12 @@ class ExperimentConfig:
     nodes: tuple[int, ...]
     self_weight_sweep: tuple[float, ...]
     model_param_sweep: tuple[float, ...]
+    models: tuple[ObservationModel, ...] = field(repr=False)
+    networks: tuple[NetworkSpec, ...] = field(repr=False)
 
     def config_hash(self) -> str:
         blob = json.dumps(self.raw, sort_keys=True, default=str).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
-
-    def network_for(self, self_weight: float) -> NetworkSpec:
-        return _build_network(self.raw, self_weight)
-
-    def model_for(self, param: float) -> ObservationModel:
-        return make_model(self.model_kind, param)
 
 
 def _model_class(kind):
@@ -128,34 +126,26 @@ def _model_class(kind):
     return _MODELS[kind]
 
 
-def make_model(kind: str, param: float) -> ObservationModel:
-    return _model_class(kind)[0](param)
-
-
-def _build_network(tree: dict, self_weight=None,
-                   key: str = "network.self_weight") -> NetworkSpec:
-    """The network with ``self_weight`` (default: the ``network.self_weight``
-    setting); a rejected self-weight is reported under ``key``."""
-    topo = _get(tree, "network.topology", "reference")
-    if topo == "reference":
-        neighbors = reference_topology()
-    elif topo == "explicit":
-        edges_key = "network.edges"
-        edges = [[_number(v, edges_key, int) for v in _pair(e, edges_key)]
-                 for e in _get_list(tree, edges_key, required=True)]
-        n_nodes = _get_number(tree, "network.n_nodes", kind=int, required=True)
-        try:
-            neighbors = neighbor_sets_from_edges(n_nodes, edges)
-        except ValueError as exc:
-            raise ConfigError(f"'{edges_key}': {exc}") from exc
-    else:
-        raise ConfigError(f"'network.topology' must be reference or explicit, got {topo!r}")
-    a = self_weight if self_weight is not None else _get_number(
-        tree, "network.self_weight", required=True)
+def _checked(key: str, build, *args):
+    """``build(*args)``, its ValueError reported as a ConfigError under ``key``."""
     try:
-        return build_uniform_matrix(neighbors, a)
+        return build(*args)
     except ValueError as exc:
         raise ConfigError(f"'{key}': {exc}") from exc
+
+
+def _neighbor_sets(tree: dict) -> tuple[frozenset[int], ...]:
+    """The neighbor sets of ``network.topology``."""
+    topo = _get(tree, "network.topology", "reference")
+    if topo == "reference":
+        return reference_topology()
+    if topo != "explicit":
+        raise ConfigError(f"'network.topology' must be reference or explicit, got {topo!r}")
+    edges_key = "network.edges"
+    edges = [[_number(v, edges_key, int) for v in _pair(e, edges_key)]
+             for e in _get_list(tree, edges_key, required=True)]
+    n_nodes = _get_number(tree, "network.n_nodes", kind=int, required=True)
+    return _checked(edges_key, neighbor_sets_from_edges, n_nodes, edges)
 
 
 def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
@@ -190,12 +180,11 @@ def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
     param = _get_number(tree, param_key, required=True)
     sweep_par = tuple(_number(v, "sweeps.model_param")
                       for v in _get_list(tree, "sweeps.model_param", [param]))
-    # the model's own range rule, for the parameter and every sweep point
-    for key, value in ((param_key, param), *(("sweeps.model_param", v) for v in sweep_par)):
-        try:
-            model_class(value)
-        except ValueError as exc:
-            raise ConfigError(f"'{key}': {exc}") from exc
+    # the model's own range rule, for the parameter and every sweep point; a
+    # point at the parameter (or self-weight, below) shares its object
+    model = _checked(param_key, model_class, param)
+    models = tuple(model if v == param else _checked("sweeps.model_param", model_class, v)
+                   for v in sweep_par)
 
     mu = _get_number(tree, "dynamics.mu", required=True)
     _require_range(mu, "dynamics.mu", 0.0, 1.0)
@@ -237,7 +226,9 @@ def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
     _require_range(gamma_span, "analysis.gamma_grid.std_span", 0.0, float("inf"))
 
     out_dir = str(overrides.get("out_dir", _get(tree, "output.directory", "out")))
-    network = _build_network(tree)
+    neighbors = _neighbor_sets(tree)
+    self_weight = _get_number(tree, "network.self_weight", required=True)
+    network = _checked("network.self_weight", build_uniform_matrix, neighbors, self_weight)
     nodes = tuple(_number(k, "output.nodes", int)
                   for k in _get_list(tree, "output.nodes", [3, 9]))
     for k in nodes:
@@ -246,17 +237,19 @@ def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
     sweep_a = tuple(_number(v, "sweeps.self_weight")
                     for v in _get_list(tree, "sweeps.self_weight",
                                        [_get(tree, "network.self_weight", required=True)]))
-    for a in sweep_a:  # every sweep point's network, before any artifact
-        _build_network(tree, a, "sweeps.self_weight")
+    networks = tuple(network if a == self_weight else
+                     _checked("sweeps.self_weight", build_uniform_matrix, neighbors, a)
+                     for a in sweep_a)
     for key, values in (("output.nodes", nodes), ("sweeps.self_weight", sweep_a),
                         ("sweeps.model_param", sweep_par)):
         if not values:
             raise ConfigError(f"'{key}' must list at least one value")
 
     return ExperimentConfig(
-        raw=tree, network=network, model=model_class(param),
+        raw=tree, network=network, model=model,
         model_kind=kind, model_param=param, mu=mu, n_iters=n_iters,
         trials=trials, seed=seed, schedule=tuple(schedule), scheme=scheme,
         eps_prime=eps_prime, gamma_points=gamma_points,
         gamma_span=gamma_span, out_dir=out_dir, nodes=nodes,
-        self_weight_sweep=sweep_a, model_param_sweep=sweep_par)
+        self_weight_sweep=sweep_a, model_param_sweep=sweep_par,
+        models=models, networks=networks)

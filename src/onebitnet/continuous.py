@@ -33,7 +33,7 @@ from math import factorial, isnan, nan, pi, sqrt
 import numpy as np
 
 from .models import GaussianModel, ObservationModel, as_hypothesis, normal_cdf
-from .network import NodeParams
+from .network import NodeParams, _freeze_copy
 
 DEFAULT_EPS_PRIME = 2e-5
 
@@ -44,12 +44,6 @@ _EVAL_CHUNK = 512
 _MAX_TERMS = 4_000_000
 _SPAN_STDS = 12.0  # half-width of the initial tabulation range, in stds
 _TABLE_POINTS = 1501
-
-
-def _freeze_copy(self, state):
-    """``__setstate__`` restoring the read-only flag pickle and deepcopy drop."""
-    self.__dict__.update(state)
-    self.__post_init__()
 
 
 class InversionError(RuntimeError):
@@ -147,13 +141,13 @@ def _lattice_cdf(log_cf, lo: float, step: float, n: int, eps_prime: float,
         F(c + i step) = i/L + sum_{k != 0} b_k (e^{j 2 pi k i/L} - 1),
 
     exact up to the mass outside [c, c + L step). As b_{-k} is the conjugate
-    of b_k, the sum is one irfft of the b_k, k >= 1, folded mod L once k
-    reaches L/2. They come in blocks of ``_TAIL_BLOCK`` until a block's
-    (2/pi) sum |exp(log_cf)|/k, its largest share of any F, is below
-    eps_prime/20. ``factor`` (modulus at most 1) multiplies the kept terms
-    only: a factor that dips and rises again, as the digits' CF does at
-    eta < 1/2, cannot stop the series in a trough. Returns (F, delta, terms,
-    tail): delta = omega_1, the number of terms and the last block's bound.
+    of b_k, the sum is one irfft of the b_k, k >= 1, folded mod L. They
+    come in blocks of ``_TAIL_BLOCK`` until a block's (2/pi) sum
+    |exp(log_cf)|/k, its largest share of any F, is below eps_prime/20.
+    ``factor`` (modulus at most 1) multiplies the kept terms only: a factor
+    that dips and rises again, as the digits' CF does at eta < 1/2, cannot
+    stop the series in a trough. Returns (F, delta, terms, tail): delta =
+    omega_1, the number of terms and the last block's bound.
     """
     if not 0.0 < eps_prime < 1.0:  # the range load_config takes; NaN fails too
         raise ValueError(f"eps_prime must be positive and below 1, got {eps_prime}")
@@ -185,19 +179,13 @@ def _lattice_cdf(log_cf, lo: float, step: float, n: int, eps_prime: float,
     if factor is not None:
         phi *= np.exp(factor(-omega * k))
     coef = phi * np.exp(1j * shift * k) / (2j * pi * k)
-    if terms <= (length - 1) // 2:
-        # no k reaches L/2, so none folds onto a bin m <= L/2: the terms are
-        # the half spectrum
-        half = np.zeros(length // 2 + 1, dtype=complex)
-        half[1:terms + 1] = coef
-    else:
-        # bin m of the half spectrum takes B_m + conj(B_{L-m}), B the terms folded mod L
-        folded = np.zeros(length * (terms // length + 1), dtype=complex)
-        folded[1:terms + 1] = coef
-        folded = folded.reshape(-1, length).sum(axis=0)
-        folded[1:length // 2 + 1] += folded[:(length - 1) // 2:-1].conj()
-        folded[0] *= 2.0
-        half = folded[:length // 2 + 1]
+    # bin m of the half spectrum takes B_m + conj(B_{L-m}), B the terms folded mod L
+    folded = np.zeros(length * (terms // length + 1), dtype=complex)
+    folded[1:terms + 1] = coef
+    folded = folded.reshape(-1, length).sum(axis=0)
+    folded[1:length // 2 + 1] += folded[:(length - 1) // 2:-1].conj()
+    folded[0] *= 2.0
+    half = folded[:length // 2 + 1]
     series = np.fft.irfft(half, length)[gap:gap + n]
     values = np.arange(gap, gap + n) / length + length * series - 2.0 * coef.sum().real
     return np.clip(values, 0.0, 1.0), omega, terms, tail
@@ -297,7 +285,7 @@ class ContinuousCdfTable:
         v = np.array(self.values, dtype=float)
         if g.ndim != 1 or g.shape != v.shape:
             raise ValueError("grid and values must be matching 1-D arrays")
-        if np.any(np.diff(g) <= 0):
+        if not np.all(np.diff(g) > 0):  # NaN fails too
             raise ValueError("grid must be strictly increasing")
         for name, arr in (("grid", g), ("values", v)):
             view = arr.view()

@@ -19,9 +19,9 @@ from math import ceil, isnan, log, sqrt
 
 import numpy as np
 
-from .continuous import _freeze_copy, moments
+from .continuous import moments
 from .models import ObservationModel
-from .network import NetworkSpec, NodeParams
+from .network import NetworkSpec, NodeParams, _freeze_copy
 
 DEFAULT_EPS_SCALE = 0.1  # the paper's eps_{k,h} = 0.1 std(u)
 MAX_CONVOLUTION_POINTS = 10 ** 6
@@ -256,7 +256,7 @@ def discrete_component(model: ObservationModel, network: NetworkSpec, k: int,
     naming the node, h, mu, omega and the tolerance derived from omega.
     """
     node = network.node_params(k, mu)
-    weights = node.c_row[node.c_row > 0]
+    weights = node.link_weights
     if not weights.size:
         return point_mass(0.0)
     eps_kh = DEFAULT_EPS_SCALE * sqrt(moments(model, node, h).variance)

@@ -1,9 +1,10 @@
 """Agent graph and right-stochastic combination matrix.
 
-A network is a set of nodes, each with a neighborhood that always includes
-the node itself, together with an S x S matrix of nonnegative combination
-weights whose rows sum to one and whose sparsity pattern matches the
-neighborhoods.
+A network is its S x S matrix A of nonnegative combination weights whose
+rows sum to one: A[k, l] is the weight node k gives node l. The graph is
+A's positive entries, so node k's neighborhood, k itself plus every l with
+A[k, l] > 0, derives from A. ``build_uniform_matrix`` makes A from neighbor
+sets, as the reference topology or an edge list gives them.
 """
 from __future__ import annotations
 
@@ -13,6 +14,12 @@ from numbers import Number
 import numpy as np
 
 ROW_SUM_TOL = 1e-12
+
+
+def _freeze_copy(self, state):
+    """``__setstate__`` restoring the read-only flag pickle and deepcopy drop."""
+    self.__dict__.update(state)
+    self.__post_init__()
 
 
 class NetworkError(ValueError):
@@ -25,7 +32,11 @@ def neighbor_sets_from_edges(n_nodes: int, edges) -> tuple[frozenset[int], ...]:
         raise NetworkError("need at least one node")
     sets = [{k} for k in range(n_nodes)]
     for edge in edges:
-        i, j = (_node_id(v, edge) for v in edge)
+        try:
+            u, v = edge
+        except (TypeError, ValueError) as exc:
+            raise NetworkError(f"edge {edge!r} is not a pair of node ids") from exc
+        i, j = _node_id(u, edge), _node_id(v, edge)
         if not (0 <= i < n_nodes and 0 <= j < n_nodes):
             raise NetworkError(f"edge ({i},{j}) references a node outside 0..{n_nodes - 1}")
         if i == j:
@@ -93,46 +104,55 @@ class NodeParams:
     def eta(self) -> float:
         return (1.0 - self.mu) * self.a_k
 
+    @property
+    def link_weights(self) -> np.ndarray:
+        """c_kl of node k's neighbors l != k: ``c_row``'s positive entries."""
+        return self.c_row[self.c_row > 0]
+
+
+def _weights(A) -> np.ndarray:
+    """A float copy of A, checked square, nonempty, finite and nonnegative."""
+    A = np.array(A, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or not A.size:
+        raise NetworkError(f"combination matrix must be square and nonempty, "
+                           f"got shape {A.shape}")
+    if not np.all(np.isfinite(A)):
+        raise NetworkError("combination weights must be finite")
+    if np.any(A < 0):
+        raise NetworkError("combination weights must be nonnegative")
+    return A
+
 
 @dataclass(frozen=True, eq=False)
 class NetworkSpec:
-    """Agent graph plus combination matrix.
-
-    ``neighbors[k]`` is the neighborhood of node k including k itself;
-    ``A[k, l]`` is the weight node k applies to information from node l.
-    Instances are immutable and safe to share across workers.
+    """A network as its combination matrix: ``A[k, l]`` is the weight node k
+    applies to information from node l, and node k's neighborhood
+    ``neighbors[k]`` is k plus every l with A[k, l] > 0. ``A`` is read-only,
+    in copies and pickles too, so instances are safe to share across workers.
     """
 
-    neighbors: tuple[frozenset[int], ...]
     A: np.ndarray
 
     def __post_init__(self):
-        A = np.array(self.A, dtype=float)
-        A.setflags(write=False)
-        object.__setattr__(self, "A", A)
-        S = len(self.neighbors)
-        if A.shape != (S, S):
-            raise NetworkError(f"matrix shape {A.shape} does not match {S} nodes")
-        if not np.all(np.isfinite(A)):
-            raise NetworkError("combination weights must be finite")
-        if np.any(A < 0):
-            raise NetworkError("combination weights must be nonnegative")
-        row_sums = A.sum(axis=1)
-        bad = np.nonzero(np.abs(row_sums - 1.0) > ROW_SUM_TOL)[0]
+        A = _weights(self.A)
+        bad = np.flatnonzero(np.abs(A.sum(axis=1) - 1.0) > ROW_SUM_TOL)
         if bad.size:
             raise NetworkError(
                 f"rows {bad.tolist()} do not sum to 1 within {ROW_SUM_TOL}"
                 " (renormalize explicitly if intended)")
-        for k, nset in enumerate(self.neighbors):
-            if k not in nset:
-                raise NetworkError(f"node {k} is missing its self-loop")
-            outside = np.nonzero(A[k])[0]
-            if not set(outside.tolist()) <= set(nset):
-                raise NetworkError(f"row {k} has weight outside its neighborhood")
+        A.setflags(write=False)
+        object.__setattr__(self, "A", A)
+
+    __setstate__ = _freeze_copy
 
     @property
     def size(self) -> int:
-        return len(self.neighbors)
+        return self.A.shape[0]
+
+    @property
+    def neighbors(self) -> tuple[frozenset[int], ...]:
+        return tuple(frozenset(np.flatnonzero(row > 0).tolist()) | {k}
+                     for k, row in enumerate(self.A))
 
     def _check_node(self, k) -> int:
         """``k`` as an int: numpy and tuple indexing would read node S - 1
@@ -159,63 +179,54 @@ class NetworkSpec:
         return NodeParams(k=k, a_k=self.self_weight(k), mu=mu, c_row=c_row)
 
     def is_connected(self) -> bool:
-        seen = {0}
-        stack = [0]
-        while stack:
-            k = stack.pop()
-            for l in self.neighbors[k]:
-                if l not in seen:
-                    seen.add(l)
-                    stack.append(l)
-        return len(seen) == self.size
+        """Whether every node is reached from node 0 along positive weights."""
+        reached = np.arange(self.size) == 0
+        for _ in range(self.size):
+            reached |= np.any(self.A[reached] > 0, axis=0)
+        return bool(reached.all())
 
 
 def build_uniform_matrix(neighbors, a) -> NetworkSpec:
     """Combination matrix with self-weight a_k and equal neighbor weights.
 
     Row k carries a_k on the diagonal and (1 - a_k)/(|N_k| - 1) on each of
-    its |N_k| - 1 neighbor entries. ``a`` may be a scalar or one value per
-    node. An isolated node (no neighbor besides itself) is only valid with
-    a_k = 1, otherwise its weight mass has nowhere to go.
+    its |N_k| - 1 neighbor entries, N_k being ``neighbors[k]`` with k added.
+    ``a`` may be a scalar or one value per node. An isolated node (no
+    neighbor besides itself) is only valid with a_k = 1, otherwise its
+    weight mass has nowhere to go.
     """
     neighbors = tuple(frozenset(s) for s in neighbors)
     S = len(neighbors)
-    a_vec = np.broadcast_to(np.asarray(a, dtype=float), (S,))
+    a_arr = np.asarray(a, dtype=float)
+    if a_arr.ndim and a_arr.shape != (S,):
+        raise NetworkError(f"self-weights a have length {len(a_arr)}, not {S} (the nodes)")
+    a_vec = np.broadcast_to(a_arr, (S,))
     if not np.all((a_vec > 0) & (a_vec <= 1)):
         raise NetworkError("self-weights must lie in (0, 1]")
     A = np.zeros((S, S))
     for k, nset in enumerate(neighbors):
         others = sorted(nset - {k})
-        if not others:
-            if a_vec[k] != 1.0:
-                raise NetworkError(
-                    f"node {k} is isolated; uniform weights require a_k = 1, got {a_vec[k]}")
-            A[k, k] = 1.0
-            continue
+        if not set(others) <= set(range(S)):
+            raise NetworkError(f"node {k} lists a neighbor outside 0..{S - 1}")
+        if not others and a_vec[k] != 1.0:
+            raise NetworkError(
+                f"node {k} is isolated; uniform weights require a_k = 1, got {a_vec[k]}")
         A[k, k] = a_vec[k]
-        A[k, others] = (1.0 - a_vec[k]) / len(others)
-    return NetworkSpec(neighbors=neighbors, A=A)
+        if others:
+            A[k, others] = (1.0 - a_vec[k]) / len(others)
+    return NetworkSpec(A)
 
 
 def from_matrix(A, renormalize: bool = False) -> NetworkSpec:
-    """Wrap an explicit combination matrix, inferring neighborhoods.
-
-    Rows must already sum to one; with ``renormalize=True`` each row is
-    divided by its sum instead of being rejected.
-    """
-    A = np.array(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise NetworkError("combination matrix must be square")
-    if np.any(A < 0):
-        raise NetworkError("combination weights must be nonnegative")
+    """``NetworkSpec(A)``, or with ``renormalize=True`` that of A with each
+    row divided by its sum."""
     if renormalize:
+        A = _weights(A)
         sums = A.sum(axis=1, keepdims=True)
         if np.any(sums <= 0):
             raise NetworkError("cannot renormalize a zero row")
         A = A / sums
-    neighbors = tuple(
-        frozenset(set(np.nonzero(row)[0].tolist()) | {k}) for k, row in enumerate(A))
-    return NetworkSpec(neighbors=neighbors, A=A)
+    return NetworkSpec(A)
 
 
 def offdiag_square_sum(spec: NetworkSpec, k: int) -> float:

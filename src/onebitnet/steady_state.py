@@ -168,7 +168,7 @@ def build_steady_state(model: ObservationModel, network: NetworkSpec, k: int,
     node = network.node_params(k, mu)
     e0, e1 = model.message_values()
     p = model.bit_probability(h)
-    c, n = np.unique(node.c_row[node.c_row > 0], return_counts=True)
+    c, n = np.unique(node.link_weights, return_counts=True)
     w, eta = c * (e1 - e0), node.eta
     shift, span = float(n @ c) * e0 / (1.0 - eta), float(n @ w) / (1.0 - eta)
     mom = moments(model, node, h)

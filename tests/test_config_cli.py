@@ -4,9 +4,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from onebitnet import cli
 from onebitnet.cli import main
 from onebitnet.config import ConfigError, load_config
-from onebitnet.simulate import SCHEMES
+from onebitnet.simulate import ONE_BIT_X, SCHEMES
 
 BASE = """
 version: 1
@@ -131,6 +132,30 @@ class TestConfigParsing:
         assert (cfg.n_iters, cfg.trials) == (3000, 100)
         assert cfg.schedule == ((1, 0), (1001, 1), (2001, 0))
         assert cfg.nodes == (3,)
+
+    def test_shipped_edge_list_config(self):
+        # the reference graph as 15 edges: the same network, and every other
+        # setting the reference config's
+        configs = Path(__file__).parents[1] / "configs"
+        ref = load_config(configs / "reference.yaml")
+        edges = load_config(configs / "reference_edges.yaml")
+        assert edges.raw["network"]["topology"] == "explicit"
+        assert len(edges.raw["network"]["edges"]) == 15
+        for a, b in ((ref.network, edges.network), *zip(ref.networks, edges.networks)):
+            np.testing.assert_array_equal(a.A, b.A)
+        skip = ("raw", "network", "model", "models", "networks")
+        assert ({k: v for k, v in vars(ref).items() if k not in skip}
+                == {k: v for k, v in vars(edges).items() if k not in skip})
+
+    def test_sweep_objects_built_once_and_kept(self, tmp_path):
+        text = BASE + "sweeps:\n  self_weight: [0.25, 0.5]\n  model_param: [1.0, 2.0]\n"
+        cfg = load_config(write_config(tmp_path, text))
+        assert [m.rho for m in cfg.models] == [1.0, 2.0]
+        for a, net in zip(cfg.self_weight_sweep, cfg.networks):
+            assert net.self_weight(0) == a
+        # the sweep point at the configured value is the configured object
+        assert cfg.models[0] is cfg.model and cfg.networks[0] is cfg.network
+        assert cfg.models[1] is not cfg.model and cfg.networks[1] is not cfg.network
 
     def test_shipped_exponential_config(self):
         cfg = load_config(Path(__file__).parents[1] / "configs" / "exponential.yaml")
@@ -327,6 +352,48 @@ class TestCliCommands:
         first = (out / "empirical_cdf_node3_par1_a0.25_H0.csv").read_bytes()
         main(["cdf", "--config", str(path), "--seed", "99"])
         assert (out / "empirical_cdf_node3_par1_a0.25_H0.csv").read_bytes() != first
+
+
+class TestSweep:
+    CONFIG = BASE + "sweeps:\n  self_weight: [0.25, 0.5]\n  model_param: [1.0, 2.0]\n"
+
+    def test_uses_the_objects_load_config_built(self, tmp_path, monkeypatch):
+        cfg = load_config(write_config(tmp_path, self.CONFIG))
+        seen = []
+
+        def ensembles(network, model, *args):
+            seen.append(("ensembles", model, network))
+            return np.zeros((1, 10)), np.zeros((1, 10))
+
+        def pair(model, network, *args, **kwargs):
+            seen.append(("pair", model, network))
+            return None, None
+
+        monkeypatch.setattr(cli, "hypothesis_ensembles", ensembles)
+        monkeypatch.setattr(cli, "steady_state_pair", pair)
+        points = [point for point, *_ in cli._sweep(cfg)]
+        assert points == [(p, a) for p in (1.0, 2.0) for a in (0.25, 0.5) for _ in (3, 9)]
+        want = [(call, m, n) for m in cfg.models for n in cfg.networks
+                for call in ("ensembles", "pair", "pair")]
+        assert len(seen) == len(want) == 12
+        assert all(g[0] == w[0] and g[1] is w[1] and g[2] is w[2]
+                   for g, w in zip(seen, want))
+
+    @pytest.mark.parametrize("scheme", [s for s in SCHEMES if s != ONE_BIT_X])
+    def test_cdf_and_roc_refuse_a_scheme_without_a_law(self, tmp_path, monkeypatch, scheme):
+        # the analytic pair is the one_bit_x law: refuse before any ensemble
+        text = BASE.replace("  seed: 5\n", f"  seed: 5\n  scheme: {scheme}\n"
+                            "  schedule: [[1, H0], [16, H1]]\n")
+        path = write_config(tmp_path, text)
+        assert load_config(path).scheme == scheme
+        monkeypatch.setattr(cli, "hypothesis_ensembles", None)  # a call fails
+        with pytest.raises(ConfigError, match=f"'dynamics.scheme' = '{scheme}'"):
+            next(cli._sweep(load_config(path)))
+        for command in ("cdf", "roc"):
+            assert main([command, "--config", str(path)]) == 2
+        assert not (tmp_path / "out").exists()
+        monkeypatch.undo()
+        assert main(["adapt", "--config", str(path)]) == 0
 
 
 class TestValidateCommand:

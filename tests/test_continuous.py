@@ -5,9 +5,9 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import ks_2samp, norm
 
-from onebitnet import (ExponentialModel, GaussianModel, build_steady_state,
-                       build_uniform_matrix, cdf_u_gaussian_closed, moments,
-                       reference_topology)
+from onebitnet import (ContinuousCdfTable, ExponentialModel, GaussianModel,
+                       build_steady_state, build_uniform_matrix,
+                       cdf_u_gaussian_closed, moments, reference_topology)
 from onebitnet import continuous
 from onebitnet.continuous import (InversionError, _lattice_cdf, _u_log_cf, cdf_u,
                                   geometric_log_cf, log_cf_w, tabulate_cdf_u)
@@ -419,6 +419,14 @@ class TestTabulation:
         lo, hi = table.support
         assert table(lo - 1.0) == 0.0
         assert table(hi + 1.0) == 1.0
+
+    @pytest.mark.parametrize("grid", [[0.0, np.nan, 2.0], [np.nan] * 3,
+                                      [0.0, 2.0, 1.0], [0.0, 1.0, 1.0]])
+    def test_grid_must_increase_strictly(self, grid):
+        # np.diff of a NaN grid is NaN, which "diff <= 0" lets through
+        with pytest.raises(ValueError, match="strictly increasing"):
+            ContinuousCdfTable(grid=grid, values=[0.0, 0.5, 1.0], mean=1.0, variance=1.0,
+                               delta=1.0, terms=1, tail=0.0, ripple=0.0)
 
 
 class TestGridEngine:

@@ -7,9 +7,9 @@ import re
 import numpy as np
 import pytest
 
-from onebitnet import (DiscretePmf, ExponentialModel, NetworkSpec, build_steady_state,
+from onebitnet import (DiscretePmf, ExponentialModel, build_steady_state,
                        build_uniform_matrix, convolve, from_matrix, moments,
-                       steady_state_pair)
+                       neighbor_sets_from_edges, steady_state_pair)
 from onebitnet import discrete
 from onebitnet.discrete import (BernoulliApproxSpec, discrete_component, merge_close,
                                 omega_k, point_mass, table_first_order,
@@ -694,22 +694,23 @@ class TestDiscreteComponent:
             np.testing.assert_array_equal(got.probs, want.probs)
 
     def test_zero_weight_neighbour_is_skipped(self, gauss1):
-        # every node lists all three nodes, but 0 and 2 give each other
-        # weight 0: the neighbours are the row's positive-weight entries, so
-        # the paper's PMF and the exact law equal those of the graph that
-        # lists only the linked nodes
+        # 0 and 2 give each other weight 0, so they are not linked: the
+        # neighbours are the row's positive-weight entries, and the paper's
+        # PMF and the exact law equal those of the path 0-1-2 at a = 0.5
         A = [[0.5, 0.5, 0.0], [0.25, 0.5, 0.25], [0.0, 0.5, 0.5]]
-        listed = NetworkSpec(neighbors=(frozenset({0, 1, 2}),) * 3, A=A)
-        linked = from_matrix(A)
-        assert linked.neighbors[0] == frozenset({0, 1})
+        net = from_matrix(A)
+        assert net.neighbors == (frozenset({0, 1}), frozenset({0, 1, 2}), frozenset({1, 2}))
+        path = build_uniform_matrix(neighbor_sets_from_edges(3, [(0, 1), (1, 2)]), 0.5)
         for k, h in itertools.product(range(3), (0, 1)):
-            got = discrete_component(gauss1, listed, k, h, mu=0.1)
-            want = discrete_component(gauss1, linked, k, h, mu=0.1)
+            got = discrete_component(gauss1, net, k, h, mu=0.1)
+            want = discrete_component(gauss1, path, k, h, mu=0.1)
             np.testing.assert_array_equal(got.points, want.points)
             np.testing.assert_array_equal(got.probs, want.probs)
-            got = build_steady_state(gauss1, listed, k, h, 0.1)
-            want = build_steady_state(gauss1, linked, k, h, 0.1)
+            got = build_steady_state(gauss1, net, k, h, 0.1)
+            want = build_steady_state(gauss1, path, k, h, 0.1)
             np.testing.assert_array_equal(got.pmf.points, want.pmf.points)
+            np.testing.assert_array_equal(got.pmf.probs, want.pmf.probs)
+            np.testing.assert_array_equal(got.cont.grid, want.cont.grid)
             np.testing.assert_array_equal(got.cont.values, want.cont.values)
 
     def test_probability_conservation(self, gauss1, expo5):

@@ -1,3 +1,6 @@
+import copy
+import pickle
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +10,8 @@ from onebitnet import (GaussianModel, NetworkSpec, SimConfig, build_steady_state
                        build_uniform_matrix, from_matrix, limit_moments,
                        neighbor_sets_from_edges, offdiag_square_sum,
                        reference_topology, state_cumulants, steady_state_pair)
-from onebitnet.discrete import discrete_component
+from onebitnet.continuous import ContinuousCdfTable
+from onebitnet.discrete import DiscretePmf, discrete_component
 from onebitnet.network import NetworkError, whole_number
 
 
@@ -64,16 +68,25 @@ class TestUniformMatrix:
         net = build_uniform_matrix(reference_topology(), a)
         np.testing.assert_allclose(net.A.sum(axis=1), 1.0, rtol=0, atol=1e-12)
         assert np.all(net.A >= 0)
-        for k in range(net.size):
-            assert k in net.neighbors[k]
-            outside = set(np.nonzero(net.A[k])[0]) - set(net.neighbors[k])
-            assert not outside
+        # below a = 1 every listed neighbor gets a positive weight, and the
+        # neighborhoods A gives back are the sets it was built from
+        assert net.neighbors == reference_topology()
 
     def test_random_networks_valid(self):
         rng = np.random.default_rng(7)
         for _ in range(30):
             net = random_network(rng)
             np.testing.assert_allclose(net.A.sum(axis=1), 1.0, atol=1e-12)
+
+    def test_self_weight_count_must_match_nodes(self):
+        with pytest.raises(NetworkError, match=r"length 3, not 10 \(the nodes\)"):
+            build_uniform_matrix(reference_topology(), [0.5] * 3)
+
+    def test_neighbor_outside_the_nodes_rejected(self):
+        # -1 would index node S - 1, and 2 is past the last node
+        for bad in ({0, -1}, {0, 2}):
+            with pytest.raises(NetworkError, match=r"node 0 lists a neighbor outside 0\.\.1"):
+                build_uniform_matrix([bad, {0, 1}], 0.5)
 
 
 class TestReferenceTopology:
@@ -88,7 +101,50 @@ class TestReferenceTopology:
         assert net.is_connected()
 
 
+class TestNeighborsFromMatrix:
+    def test_zero_entry_is_not_a_link(self):
+        # at a = 1 every off-diagonal weight is 0: no node has a neighbor
+        net = build_uniform_matrix(reference_topology(), 1.0)
+        assert net.neighbors == tuple(frozenset({k}) for k in range(10))
+        assert net.degree(3) == 1 and net.degree(9) == 1
+        assert not net.is_connected()
+
+    def test_neighbors_are_the_positive_entries(self):
+        # a directed matrix with a zero diagonal entry: node k is always in
+        # its own neighborhood, and links follow the rows
+        net = from_matrix([[0.0, 1.0, 0.0], [0.0, 0.5, 0.5], [0.0, 0.0, 1.0]])
+        assert net.neighbors == (frozenset({0, 1}), frozenset({1, 2}), frozenset({2}))
+        assert [net.degree(k) for k in range(3)] == [2, 2, 1]
+        assert net.is_connected()
+        # node 1 weighs node 0, but node 0 weighs only itself: 1 is not reached
+        assert not from_matrix([[1.0, 0.0], [1.0, 0.0]]).is_connected()
+
+    def test_link_weights_are_the_positive_entries(self):
+        net = from_matrix([[0.5, 0.5, 0.0], [0.25, 0.5, 0.25], [0.0, 0.5, 0.5]])
+        np.testing.assert_array_equal(net.node_params(0, 0.1).link_weights, [0.5])
+        np.testing.assert_array_equal(net.node_params(1, 0.1).link_weights, [0.25, 0.25])
+
+
+class TestCopies:
+    def test_copies_keep_the_matrix_read_only(self):
+        net = build_uniform_matrix(reference_topology(), 0.25)
+        for other in (copy.deepcopy(net), pickle.loads(pickle.dumps(net))):
+            assert not other.A.flags.writeable
+            np.testing.assert_array_equal(other.A, net.A)
+            with pytest.raises(ValueError, match="read-only"):
+                other.A[0, 0] = 1.0
+
+    def test_one_helper_restores_every_frozen_class(self):
+        assert NetworkSpec.__setstate__ is DiscretePmf.__setstate__
+        assert NetworkSpec.__setstate__ is ContinuousCdfTable.__setstate__
+
+
 class TestEdgeList:
+    def test_edge_that_is_not_a_pair_rejected(self):
+        for bad in ((0, 1, 2), (0,), 3):
+            with pytest.raises(NetworkError, match=re.escape(f"edge {bad!r} is not a pair")):
+                neighbor_sets_from_edges(3, [(0, 1), bad])
+
     def test_integral_ids_accepted(self):
         edges = [(0, 1), (np.int64(1), np.int32(2)), (2.0, np.float64(3.0))]
         sets = neighbor_sets_from_edges(4, edges)
@@ -161,15 +217,18 @@ class TestMatrixValidation:
             with pytest.raises(NetworkError, match="finite"):
                 from_matrix(A)
             with pytest.raises(NetworkError, match="finite"):
-                NetworkSpec(neighbors=(frozenset({0, 1}),) * 2, A=np.array(A))
-        with pytest.raises(NetworkError, match="finite"):
-            from_matrix([[nan, 1.0], [0.5, 0.5]], renormalize=True)
+                NetworkSpec(np.array(A))
+        for A in ([[nan, 1.0], [0.5, 0.5]], [[inf, 1.0], [0.5, 0.5]]):
+            with pytest.raises(NetworkError, match="finite"):
+                from_matrix(A, renormalize=True)
 
-    def test_weight_outside_neighborhood_rejected(self):
-        neighbors = (frozenset({0}), frozenset({1}))
-        A = np.array([[0.5, 0.5], [0.0, 1.0]])
-        with pytest.raises(NetworkError, match="neighborhood"):
-            NetworkSpec(neighbors=neighbors, A=A)
+    @pytest.mark.parametrize("A", [np.full(3, 1 / 3), np.full((2, 3), 1 / 3),
+                                   np.ones((1, 1, 1)), np.zeros((0, 0))])
+    def test_matrix_must_be_square_and_nonempty(self, A):
+        with pytest.raises(NetworkError, match="must be square and nonempty"):
+            NetworkSpec(A)
+        with pytest.raises(NetworkError, match="must be square and nonempty"):
+            from_matrix(A, renormalize=True)
 
     @pytest.mark.parametrize("k", [-1, 10])
     def test_node_id_out_of_range_rejected(self, k):
